@@ -76,14 +76,10 @@ from .theory import (
 )
 from .training import (
     GaussianConfig,
-    MixPair,
     SmoothAdvConfig,
     SmoothMixConfig,
     TrainRunConfig,
-    gaussian_loss,
     make_mix_pair,
-    smoothmix_batch_loss,
-    smoothmix_loss,
     train,
 )
 
@@ -99,7 +95,6 @@ __all__ = [
     "GaussianConfig",
     "IdxFormatError",
     "MagicMismatch",
-    "MixPair",
     "ModelParams",
     "NoiseBatch",
     "NotCertifiable",
@@ -123,7 +118,6 @@ __all__ = [
     "equal_confidence_mixing_ratio",
     "forward",
     "from_provenance",
-    "gaussian_loss",
     "gen_gaussian_blobs",
     "gen_two_moons",
     "grad_input",
@@ -142,8 +136,6 @@ __all__ = [
     "sgd_nesterov_step",
     "smoothadv_pgd",
     "smoothmix_attack",
-    "smoothmix_batch_loss",
-    "smoothmix_loss",
     "soft_smoothed_predict",
     "softmax",
     "std_normal_cdf",

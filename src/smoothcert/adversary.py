@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, class_prob_grad_input, forward, softmax
-from .smoothing import NoiseBatch
+from .nn import ModelParams, class_prob_grad_input
+from .smoothing import NoiseBatch, _noisy_rows, soft_smoothed_predict
 
 __all__ = [
     "AttackConfig",
@@ -78,25 +78,24 @@ class AttackTrajectory:
         return self.points.shape[0] - 1
 
 
-def l2_project(point: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Project point onto the closed l2 ball of given radius around center."""
+def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
+    """Project each row of points onto the closed l2 ball of radius around its center.
+
+    Rows are the last axis, so one point (d,) and a batch (B, d) both work.
+    Always returns a new array: a copy of points when every row already lies
+    in its ball; otherwise every row becomes center + diff * scale, with
+    scale 1 for the rows inside.
+    """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    diff = point - center
-    dist = float(np.linalg.norm(diff))
-    if dist <= radius:
-        return point.copy()
-    return center + diff * (radius / dist)
-
-
-def _smoothed_probs(params: ModelParams, X: np.ndarray, noises: np.ndarray) -> np.ndarray:
-    """Soft-smoothed predictions for B points under per-point noise (B, m, d)."""
-    B, m, d = noises.shape
-    noisy = (X[:, None, :] + noises).reshape(B * m, d)
-    probs = softmax(forward(params, noisy))
-    return probs.reshape(B, m, -1).mean(axis=1)
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    diff = points - centers
+    dist = np.linalg.norm(diff, axis=-1)
+    if not np.any(dist > radius):
+        return points.copy()
+    scale = radius / np.maximum(dist, radius)  # exactly 1 inside the ball
+    return centers + diff * scale[..., None]
 
 
 def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
@@ -104,14 +103,13 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     """J and grad_x J for B points at once.
 
     grad J = -(sum_i grad F_y(x + delta_i)) / (m * Fhat_y), from the chain
-    rule through the Monte Carlo mean. Returns (J (B,), grads (B, d),
-    fhat (B, C)).
+    rule through the Monte Carlo mean. Fhat is the mean of the softmax the
+    gradient pass already computes. Returns (J (B,), grads (B, d), fhat (B, C)).
     """
     B, m, d = noises.shape
-    noisy = (X[:, None, :] + noises).reshape(B * m, d)
     y_rows = np.repeat(np.asarray(y, dtype=np.intp), m)
-    _, point_grads = class_prob_grad_input(params, noisy, y_rows)
-    fhat = _smoothed_probs(params, X, noises)
+    probs, point_grads = class_prob_grad_input(params, _noisy_rows(X, noises), y_rows)
+    fhat = probs.reshape(B, m, -1).mean(axis=1)
     fy = np.maximum(fhat[np.arange(B), np.asarray(y, dtype=np.intp)], PROB_FLOOR)
     J = -np.log(fy)
     grads = -point_grads.reshape(B, m, d).sum(axis=1) / (m * fy)[:, None]
@@ -125,8 +123,7 @@ def attack_objective(params: ModelParams, x: np.ndarray, y: int,
     A mean probability below 1e-300 is clamped there (and reported via a
     RuntimeWarning) so the objective stays finite.
     """
-    x = np.asarray(x, dtype=np.float64)
-    fhat = _smoothed_probs(params, x[None, :], noise.deltas[None, :, :])[0]
+    fhat = soft_smoothed_predict(params, np.asarray(x)[None, :], noise.deltas)[0]
     fy = float(fhat[int(y)])
     if fy < PROB_FLOOR:
         warnings.warn("mean true-class probability underflowed; clamped at 1e-300",
@@ -137,17 +134,16 @@ def attack_objective(params: ModelParams, x: np.ndarray, y: int,
 
 def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
                   noises: np.ndarray, alpha_step: float, steps: int,
-                  epsilon_cap=None, project_each_step: bool = False):
+                  epsilon_cap=None):
     """Shared normalized-ascent loop over a batch of points.
 
     Returns (points (T+1, B, d), fhat_path (T+1, B, C), j_path (T+1, B)).
-    With project_each_step the iterates stay in the epsilon_cap ball around
-    the start (PGD); otherwise epsilon_cap, when set, caps each iterate the
-    same way (hard-restriction ablation).
+    When epsilon_cap is set, every iterate is projected onto that ball around
+    its start point: PGD's constraint, or the hard-restriction ablation.
     """
     X0 = np.asarray(X, dtype=np.float64)
-    cur = X0.copy()
-    points = [cur.copy()]
+    cur = X0
+    points = [X0]
     J, grads, fhat = _objective_and_grad(params, cur, y, noises)
     fhat_path, j_path = [fhat], [J]
     for _ in range(steps):
@@ -155,15 +151,9 @@ def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
         move = norms > GRAD_NORM_FLOOR
         direction = np.where(move[:, None], grads / np.maximum(norms, GRAD_NORM_FLOOR)[:, None], 0.0)
         cur = cur + alpha_step * direction
-        if epsilon_cap is not None or project_each_step:
-            radius = epsilon_cap
-            diff = cur - X0
-            dist = np.linalg.norm(diff, axis=1)
-            over = dist > radius
-            if np.any(over):
-                scale = np.where(over, radius / np.maximum(dist, GRAD_NORM_FLOOR), 1.0)
-                cur = X0 + diff * scale[:, None]
-        points.append(cur.copy())
+        if epsilon_cap is not None:
+            cur = l2_project(cur, X0, epsilon_cap)
+        points.append(cur)
         J, grads, fhat = _objective_and_grad(params, cur, y, noises)
         fhat_path.append(fhat)
         j_path.append(J)
@@ -200,5 +190,5 @@ def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: NoiseBatch,
     x = np.asarray(x, dtype=np.float64)
     points, _, _ = _ascend_batch(
         params, x[None, :], np.array([int(y)]), noise.deltas[None, :, :],
-        step_size, steps, epsilon_cap=epsilon, project_each_step=True)
+        step_size, steps, epsilon_cap=epsilon)
     return points[-1, 0, :]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import smoothadv_pgd
-from .nn import ModelParams, forward, softmax
+from .nn import ModelParams
 from .rng import StreamId
 from .smoothing import CertifyOutcome, hard_class_counts, sample_noise, soft_smoothed_predict
 
@@ -111,18 +111,15 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     """
     x = np.asarray(x, dtype=np.float64)
     noise = sample_noise(sigma, x.shape[0], estimation_m, stream.child("estimate"))
-    if int(np.argmax(soft_smoothed_predict(params, x, noise))) != int(y):
+    fhat = soft_smoothed_predict(params, x[None, :], noise.deltas)[0]
+    if int(np.argmax(fhat)) != int(y):
         return None
     x_adv = smoothadv_pgd(params, x, int(y), noise, pgd_steps,
                           step_size=2.0 * pgd_eps / max(pgd_steps, 1),
                           epsilon=pgd_eps)
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
-    # One stacked forward over the whole grid: (101*m, d).
     seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
-    noisy = (seg[:, None, :] + noise.deltas[None, :, :]).reshape(-1, x.shape[0])
-    probs = softmax(forward(params, noisy)).reshape(LAMBDA_GRID_POINTS,
-                                                    estimation_m, -1).mean(axis=1)
-    preds = np.argmax(probs, axis=1)
+    preds = np.argmax(soft_smoothed_predict(params, seg, noise.deltas), axis=1)
     flips = np.flatnonzero(preds != int(y))
     if len(flips) == 0:
         return None

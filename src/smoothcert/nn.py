@@ -62,12 +62,17 @@ def validate_soft_label(probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise DimensionMismatch("soft label", "1-D vector", probs.shape)
+    _check_soft_rows(probs, tol)
+    return probs
+
+
+def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise ValueError unless every row (last axis) of probs is a valid soft label."""
     if np.any(probs < -tol) or np.any(probs > 1 + tol):
         raise ValueError(f"soft label entries outside [0,1]: {probs}")
-    s = probs.sum()
-    if abs(s - 1.0) > tol:
+    s = probs.sum(axis=-1)
+    if np.any(np.abs(s - 1.0) > tol):
         raise ValueError(f"soft label sums to {s!r}, not 1 within {tol}")
-    return probs
 
 
 def one_hot(y: int, class_count: int) -> np.ndarray:
@@ -177,11 +182,6 @@ def cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(np.maximum(p, CE_PROB_FLOOR))).sum())
 
 
-def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    p = softmax(logits)
-    return -(targets * np.log(np.maximum(p, CE_PROB_FLOOR))).sum(axis=1)
-
-
 def _backward(params: ModelParams, pres, acts, dlogits,
               need_params: bool, need_input: bool):
     """Backprop the cotangent dlogits (B, C); returns (param grads or None, dX or None)."""
@@ -245,10 +245,11 @@ def grad_input(params: ModelParams, x: np.ndarray, target: np.ndarray) -> np.nda
 
 
 def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx) -> tuple:
-    """Softmax probability of a chosen class and its input gradient, per row.
+    """Softmax of each row and the input gradient of a chosen class's probability.
 
     class_idx is a scalar or an (B,) array of class indices. Returns
-    (probs (B,), grads (B, d)). Cotangent: d softmax_y / d logits_j
+    (probs (B, C), grads (B, d)), where grads[r] is the gradient of
+    probs[r, class_idx[r]]. Cotangent: d softmax_y / d logits_j
     = p_y * (1[y=j] - p_j).
     """
     X, _ = _as_batch(params, X)
@@ -260,7 +261,7 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx) -> tupl
     dlogits = -p * py[:, None]
     dlogits[rows, idx] += py
     _, dX = _backward(params, pres, acts, dlogits, need_params=False, need_input=True)
-    return py, dX
+    return p, dX
 
 
 @dataclass

@@ -108,12 +108,24 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> NoiseBatch
     return NoiseBatch(deltas=deltas, sigma=sigma, stream=stream)
 
 
-def soft_smoothed_predict(params: ModelParams, x: np.ndarray,
-                          noise: NoiseBatch) -> np.ndarray:
-    """Monte Carlo soft-smoothed prediction: (1/m) sum_i softmax(f(x + delta_i))."""
-    x = np.asarray(x, dtype=np.float64)
-    logits = forward(params, x[None, :] + noise.deltas)
-    return softmax(logits).mean(axis=0)
+def _noisy_rows(X: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Rows x_b + delta_{b,i} in (b, i) order, for shared (m, d) or per-point
+    (B, m, d) noise: shape (B*m, d)."""
+    B, d = X.shape
+    return (X[:, None, :] + deltas).reshape(B * deltas.shape[-2], d)
+
+
+def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
+                          deltas: np.ndarray) -> np.ndarray:
+    """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
+
+    X holds B points (B, d). deltas is one noise batch (m, d) shared by every
+    point, or per-point batches (B, m, d). All B*m noisy rows go through one
+    forward pass; returns (B, C). One point is X[None, :].
+    """
+    X = np.asarray(X, dtype=np.float64)
+    probs = softmax(forward(params, _noisy_rows(X, deltas)))
+    return probs.reshape(len(X), deltas.shape[-2], -1).mean(axis=1)
 
 
 def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
@@ -296,13 +308,12 @@ def certify(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     counts = hard_class_counts(params, x, cfg.n, cfg.sigma,
                                stream.child("estimation"))
     p_lower = clopper_pearson_lower(int(counts[top]), cfg.n, cfg.alpha_cert)
-    try:
-        radius = certified_radius(p_lower, cfg.sigma)
-    except (NotCertifiable, ValueError):
+    if p_lower <= 0.5:
         return CertifyOutcome(certified=False, predicted_class=ABSTAIN,
                               radius=0.0, p_lower=p_lower)
     return CertifyOutcome(certified=True, predicted_class=top,
-                          radius=radius, p_lower=p_lower)
+                          radius=certified_radius(p_lower, cfg.sigma),
+                          p_lower=p_lower)
 
 
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",

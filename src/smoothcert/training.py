@@ -36,24 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackConfig, _ascend_batch, _smoothed_probs, smoothmix_attack
+from .adversary import AttackConfig, _ascend_batch, l2_project
 from .data import Dataset
-from .nn import (ModelParams, OptimizerState, _ce_rows, _grad_params_weighted, forward,
-                 init_mlp, one_hot, sgd_nesterov_step, validate_soft_label)
+from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
+                 init_mlp, sgd_nesterov_step)
 from .rng import StreamId
-from .smoothing import NoiseBatch
+from .smoothing import _noisy_rows, soft_smoothed_predict
 
 __all__ = [
     "GaussianConfig",
     "SmoothAdvConfig",
     "SmoothMixConfig",
-    "MixPair",
     "TrainRunConfig",
-    "gaussian_loss",
     "make_mix_pair",
-    "smoothmix_loss",
-    "smoothmix_loss_and_grads",
-    "smoothmix_batch_loss",
     "train",
     "TRAIN_LOG_COLUMNS",
     "write_training_log",
@@ -109,20 +104,6 @@ class SmoothMixConfig:
 
 
 @dataclass(frozen=True)
-class MixPair:
-    """Convex interpolation of an anchor point toward its adversarial point."""
-
-    x_mix: np.ndarray
-    y_mix: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 0.5):
-            raise ValueError(f"lambda must lie in [0, 1/2], got {self.lam}")
-        validate_soft_label(self.y_mix)
-
-
-@dataclass(frozen=True)
 class TrainRunConfig:
     method: str
     epochs: int
@@ -159,33 +140,24 @@ class TrainRunConfig:
         return (256, 256) if input_dim >= 784 else (64, 64)
 
 
-def gaussian_loss(params: ModelParams, x: np.ndarray, y: int,
-                  noise: NoiseBatch) -> float:
-    """(1/m) sum_i CE(f(x + delta_i), onehot(y))."""
-    x = np.asarray(x, dtype=np.float64)
-    logits = forward(params, x[None, :] + noise.deltas)
-    targets = np.tile(one_hot(y, params.class_count), (noise.m, 1))
-    return float(_ce_rows(logits, targets).mean())
-
-
 def make_mix_pair(x_base: np.ndarray, fhat_base: np.ndarray, x_adv: np.ndarray,
-                  lam: float, class_count: int) -> MixPair:
-    """x_mix = (1-lam) x_base + lam x_adv; y_mix = (1-lam) fhat_base + lam/C."""
-    if not (0.0 <= lam <= 0.5):
+                  lam, class_count: int):
+    """x_mix = (1-lam) x_base + lam x_adv; y_mix = (1-lam) fhat_base + lam/C.
+
+    Broadcasts over a batch: x_base, x_adv (B, d), fhat_base (B, C) and lam
+    (B,); one pair is the unbatched (d,), (C,), scalar call. Every lambda
+    must lie in [0, 1/2] and every row of fhat_base must be a valid soft
+    label. Returns (x_mix, y_mix).
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.all((lam >= 0.0) & (lam <= 0.5)):
         raise ValueError(f"lambda must lie in [0, 1/2], got {lam}")
-    fhat_base = validate_soft_label(fhat_base)
-    x_base = np.asarray(x_base, dtype=np.float64)
-    x_adv = np.asarray(x_adv, dtype=np.float64)
+    fhat_base = np.asarray(fhat_base, dtype=np.float64)
+    _check_soft_rows(fhat_base)
+    lam = lam[..., None]
     x_mix = (1.0 - lam) * x_base + lam * x_adv
     y_mix = (1.0 - lam) * fhat_base + lam / class_count
-    return MixPair(x_mix=x_mix, y_mix=y_mix, lam=float(lam))
-
-
-def smoothmix_loss(params: ModelParams, pair: MixPair, noise: NoiseBatch) -> float:
-    """(1/m) sum_i CE(f(x_mix + delta_i), y_mix); y_mix is a constant target."""
-    logits = forward(params, pair.x_mix[None, :] + noise.deltas)
-    targets = np.tile(pair.y_mix, (noise.m, 1))
-    return float(_ce_rows(logits, targets).mean())
+    return x_mix, y_mix
 
 
 def _example_randomness(stream: StreamId, m: int, dim: int, sigma: float):
@@ -196,91 +168,6 @@ def _example_randomness(stream: StreamId, m: int, dim: int, sigma: float):
     return deltas, lam
 
 
-def _select_anchor(params: ModelParams, X0: np.ndarray, points: np.ndarray,
-                   cfg: SmoothMixConfig) -> np.ndarray:
-    """Anchor for the losses: x, or the first ascent iterate (optionally capped)."""
-    if not cfg.use_one_step or cfg.attack.steps < 1:
-        return X0
-    anchor = points[1].copy()
-    if cfg.one_step_cap is not None:
-        diff = anchor - X0
-        dist = np.linalg.norm(diff, axis=1)
-        over = dist > cfg.one_step_cap
-        if np.any(over):
-            scale = np.where(over, cfg.one_step_cap / np.maximum(dist, 1e-300), 1.0)
-            anchor = X0 + diff * scale[:, None]
-    return anchor
-
-
-def _stacked_loss_grads(params: ModelParams, nat_X: np.ndarray, nat_T: np.ndarray,
-                        mix_X: np.ndarray, mix_T: np.ndarray, eta: float,
-                        B: int, m: int):
-    """Gradient of (1/(B m)) sum [CE_nat + eta CE_mix] via one backward pass.
-
-    Returns (grads, mean natural loss, mean mix loss), means taken per example
-    then averaged over the minibatch.
-    """
-    X = np.concatenate([nat_X, mix_X])
-    T = np.concatenate([nat_T, mix_T])
-    w = np.concatenate([np.full(B * m, 1.0 / (B * m)),
-                        np.full(B * m, eta / (B * m))])
-    grads, ce = _grad_params_weighted(params, X, T, w)
-    loss_nat = float(ce[:B * m].mean())
-    loss_mix = float(ce[B * m:].mean())
-    return grads, loss_nat, loss_mix
-
-
-def smoothmix_loss_and_grads(params: ModelParams, anchor: np.ndarray, y: int,
-                             pair: MixPair, noise: NoiseBatch, eta: float):
-    """Loss and parameter gradient for one example with a frozen mix pair.
-
-    anchor, pair.x_mix and pair.y_mix are treated as constants; the gradient
-    is exactly that of gaussian_loss(anchor) + eta * smoothmix_loss(pair).
-    Returns (total loss, loss_nat, loss_mix, grads).
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    m = noise.m
-    nat_X = anchor[None, :] + noise.deltas
-    mix_X = pair.x_mix[None, :] + noise.deltas
-    nat_T = np.tile(one_hot(y, params.class_count), (m, 1))
-    mix_T = np.tile(pair.y_mix, (m, 1))
-    grads, loss_nat, loss_mix = _stacked_loss_grads(
-        params, nat_X, nat_T, mix_X, mix_T, eta, B=1, m=m)
-    return loss_nat + eta * loss_mix, loss_nat, loss_mix, grads
-
-
-def smoothmix_batch_loss(params: ModelParams, x: np.ndarray, y: int,
-                         cfg: SmoothMixConfig, stream: StreamId):
-    """Full per-example SmoothMix pipeline; returns (loss, diagnostics).
-
-    Draws the example's noise and lambda from its stream, runs the ascent,
-    applies the one-step substitution before building the mix pair, and
-    returns L_nat + eta * L_mix averaged over the noise draws. Diagnostics
-    carry lambda, the J path, both loss terms, the trajectory, the anchor,
-    and the constructed pair.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    deltas, lam = _example_randomness(stream, cfg.m, x.shape[0], cfg.sigma)
-    noise = NoiseBatch(deltas=deltas, sigma=cfg.sigma, stream=stream)
-    traj = smoothmix_attack(params, x, y, noise, cfg.attack)
-    anchor = _select_anchor(params, x[None, :], traj.points[:, None, :], cfg)[0]
-    fhat_anchor = _smoothed_probs(params, anchor[None, :], deltas[None, :, :])[0]
-    pair = make_mix_pair(anchor, fhat_anchor, traj.points[-1], lam,
-                         params.class_count)
-    loss, loss_nat, loss_mix, _ = smoothmix_loss_and_grads(
-        params, anchor, y, pair, noise, cfg.eta)
-    diagnostics = {
-        "lambda": lam,
-        "j_path": traj.j_path,
-        "loss_nat": loss_nat,
-        "loss_mix": loss_mix,
-        "trajectory": traj,
-        "anchor": anchor,
-        "pair": pair,
-    }
-    return loss, diagnostics
-
-
 def _minibatch_randomness(streams, m: int, dim: int, sigma: float):
     noises = np.empty((len(streams), m, dim))
     lams = np.empty(len(streams))
@@ -289,49 +176,70 @@ def _minibatch_randomness(streams, m: int, dim: int, sigma: float):
     return noises, lams
 
 
-def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, streams):
-    B, dim = X.shape
-    noises, lams = _minibatch_randomness(streams, cfg.m, dim, cfg.sigma)
-    points, _, _ = _ascend_batch(params, X, Y, noises, cfg.attack.alpha_step,
-                                 cfg.attack.steps, epsilon_cap=cfg.attack.epsilon_cap)
-    x_adv = points[-1]
-    anchor = _select_anchor(params, X, points, cfg)
-    fhat_anchor = _smoothed_probs(params, anchor, noises)
-    C = params.class_count
-    X_mix = (1.0 - lams)[:, None] * anchor + lams[:, None] * x_adv
-    Y_mix = (1.0 - lams)[:, None] * fhat_anchor + (lams / C)[:, None]
-    nat_X = (anchor[:, None, :] + noises).reshape(B * cfg.m, dim)
-    mix_X = (X_mix[:, None, :] + noises).reshape(B * cfg.m, dim)
-    eye = np.eye(C)
-    nat_T = np.repeat(eye[Y], cfg.m, axis=0)
-    mix_T = np.repeat(Y_mix, cfg.m, axis=0)
-    return _stacked_loss_grads(params, nat_X, nat_T, mix_X, mix_T, cfg.eta,
-                               B=B, m=cfg.m)
+def _noisy_ce_step(params, noises, parts):
+    """Gradient of sum over parts (X, T, w) of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b).
+
+    X is (B, d), T the (B, C) targets and noises the (B, m, d) per-example
+    draws that every part shares. All rows go through one backward pass.
+    Returns (grads, the mean CE of each part).
+    """
+    B, m, _ = noises.shape
+    rows = np.concatenate([_noisy_rows(X, noises) for X, _, _ in parts])
+    targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
+    weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
+    grads, ce = _grad_params_weighted(params, rows, targets, weights)
+    return grads, [float(c.mean()) for c in np.split(ce, len(parts))]
 
 
 def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, streams):
-    B, dim = X.shape
-    noises, _ = _minibatch_randomness(streams, cfg.m, dim, cfg.sigma)
-    nat_X = (X[:, None, :] + noises).reshape(B * cfg.m, dim)
-    nat_T = np.repeat(np.eye(params.class_count)[Y], cfg.m, axis=0)
-    w = np.full(B * cfg.m, 1.0 / (B * cfg.m))
-    grads, ce = _grad_params_weighted(params, nat_X, nat_T, w)
-    return grads, float(ce.mean()), 0.0
+    noises, _ = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
+    grads, (loss,) = _noisy_ce_step(params, noises,
+                                    [(X, np.eye(params.class_count)[Y], 1.0)])
+    return grads, loss, 0.0
 
 
 def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, streams, epoch: int):
-    B, dim = X.shape
-    noises, _ = _minibatch_randomness(streams, cfg.m, dim, cfg.sigma)
+    """The Gaussian step at each example's PGD endpoint, attacked under the
+    example's own noise batch."""
+    noises, _ = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
     eps = cfg.epsilon_at(epoch)
     step = cfg.step_size if cfg.step_size is not None else 2.0 * eps / cfg.steps
-    points, _, _ = _ascend_batch(params, X, Y, noises, step, cfg.steps,
-                                 epsilon_cap=eps, project_each_step=True)
-    X_hat = points[-1]
-    nat_X = (X_hat[:, None, :] + noises).reshape(B * cfg.m, dim)
-    nat_T = np.repeat(np.eye(params.class_count)[Y], cfg.m, axis=0)
-    w = np.full(B * cfg.m, 1.0 / (B * cfg.m))
-    grads, ce = _grad_params_weighted(params, nat_X, nat_T, w)
-    return grads, float(ce.mean()), 0.0
+    points, _, _ = _ascend_batch(params, X, Y, noises, step, cfg.steps, epsilon_cap=eps)
+    grads, (loss,) = _noisy_ce_step(params, noises,
+                                    [(points[-1], np.eye(params.class_count)[Y], 1.0)])
+    return grads, loss, 0.0
+
+
+def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, streams):
+    """One SmoothMix step over B examples; B=1 is the single-example case.
+
+    Returns (grads, mean natural loss, mean mix loss, diagnostics). The
+    gradient is that of (1/(B m)) sum [CE_nat + eta CE_mix], with y_mix a
+    constant target. Diagnostics hold the per-example anchor, x_adv, lambda,
+    x_mix, y_mix and J path ((T+1, B)).
+    """
+    noises, lams = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
+    points, fhat_path, j_path = _ascend_batch(
+        params, X, Y, noises, cfg.attack.alpha_step, cfg.attack.steps,
+        epsilon_cap=cfg.attack.epsilon_cap)
+    x_adv = points[-1]
+    # The anchor is x or, one-step, the first iterate (optionally capped). Its
+    # Fhat comes from the attack path unless the cap moved it.
+    anchor, fhat_anchor = X, fhat_path[0]
+    if cfg.use_one_step and cfg.attack.steps >= 1:
+        anchor, fhat_anchor = points[1], fhat_path[1]
+        cap = cfg.one_step_cap
+        if cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
+            anchor = l2_project(anchor, X, cap)
+            fhat_anchor = soft_smoothed_predict(params, anchor, noises)
+    x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
+                                 params.class_count)
+    grads, (loss_nat, loss_mix) = _noisy_ce_step(
+        params, noises, [(anchor, np.eye(params.class_count)[Y], 1.0),
+                         (x_mix, y_mix, cfg.eta)])
+    diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
+                   "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
+    return grads, loss_nat, loss_mix, diagnostics
 
 
 TRAIN_LOG_COLUMNS = ["epoch", "loss_nat", "loss_mix", "lr", "seconds"]
@@ -387,7 +295,7 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
                 grads, loss_nat, loss_mix = _smoothadv_minibatch(
                     params, X, Y, method_cfg, streams, epoch)
             else:
-                grads, loss_nat, loss_mix = _smoothmix_minibatch(
+                grads, loss_nat, loss_mix, _ = _smoothmix_minibatch(
                     params, X, Y, method_cfg, streams)
             sgd_nesterov_step(params, grads, state)
             nat_sum += loss_nat * len(idx)

@@ -435,9 +435,9 @@ def test_criterion_9_invariant_suite(tmp_path):
 
     # mixup identity at lambda = 0
     x, fhat = rng.standard_normal(3), np.array([0.2, 0.5, 0.3])
-    pair = make_mix_pair(x, fhat, rng.standard_normal(3), 0.0, 3)
-    np.testing.assert_array_equal(pair.x_mix, x)
-    np.testing.assert_array_equal(pair.y_mix, fhat)
+    x_mix, y_mix = make_mix_pair(x, fhat, rng.standard_normal(3), 0.0, 3)
+    np.testing.assert_array_equal(x_mix, x)
+    np.testing.assert_array_equal(y_mix, fhat)
 
     # lambda ~ U([0, 1/2]) by Kolmogorov-Smirnov at 1%
     stats = pytest.importorskip("scipy.stats")

@@ -72,7 +72,7 @@ def test_attack_t0_trajectory_is_start_point():
     assert traj.points.shape == (1, 2)
     np.testing.assert_array_equal(traj.points[0], x)
     np.testing.assert_allclose(traj.fhat_at_start,
-                               soft_smoothed_predict(params, x, noise),
+                               soft_smoothed_predict(params, x[None, :], noise.deltas)[0],
                                atol=1e-12)
 
 
@@ -145,6 +145,17 @@ def test_attack_trajectory_invariants():
     np.testing.assert_array_equal(traj.points[0], x)
     np.testing.assert_allclose(traj.fhat_path[0], traj.fhat_at_start)
     np.testing.assert_allclose(traj.fhat_path.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_attack_fhat_path_matches_fresh_prediction():
+    # the path's Fhat comes from the gradient pass's softmax; it must equal
+    # a separate soft-smoothed prediction at every iterate, bit for bit
+    params = _random_net(22, [3, 7, 4])
+    noise = sample_noise(0.6, 3, 5, StreamId(23))
+    traj = smoothmix_attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
+                            AttackConfig(0.3, 4, epsilon_cap=0.5))
+    fresh = soft_smoothed_predict(params, traj.points, noise.deltas)
+    np.testing.assert_array_equal(traj.fhat_path, fresh)
 
 
 def test_attack_config_validation():
@@ -223,6 +234,24 @@ def test_project_center_unchanged():
 def test_project_scales_to_boundary():
     out = l2_project(np.array([2.0, 0.0]), np.zeros(2), 1.0)
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
+
+
+def test_project_batch_is_rowwise():
+    # each row is projected around its own center; rows inside stay put
+    P = np.array([[0.5, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    C = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 3.0]])
+    out = l2_project(P, C, 1.0)
+    np.testing.assert_allclose(out, [[0.5, 0.0], [0.6, 0.8], [1.0, 2.0]], atol=1e-15)
+    for p, c, o in zip(P, C, out):
+        np.testing.assert_allclose(l2_project(p, c, 1.0), o, atol=1e-15)
+
+
+def test_project_all_inside_returns_copy():
+    # the result never aliases the input, also when no row moves
+    P = np.array([[0.1, 0.2], [0.0, -0.3]])
+    out = l2_project(P, np.zeros(2), 1.0)
+    np.testing.assert_array_equal(out, P)
+    assert not np.shares_memory(out, P)
 
 
 def test_project_radius_validation():

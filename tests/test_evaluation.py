@@ -202,8 +202,8 @@ def test_smoothed_prediction_invariant_to_noise_order():
     for lam in (0.0, 0.25, 0.5, 1.0):
         x = np.array([0.3 + lam, 0.0])
         np.testing.assert_allclose(
-            soft_smoothed_predict(params, x, noise),
-            soft_smoothed_predict(params, x, shuffled), atol=1e-12)
+            soft_smoothed_predict(params, x[None, :], noise.deltas),
+            soft_smoothed_predict(params, x[None, :], shuffled.deltas), atol=1e-12)
 
 
 # ---------------------------------------------------------------- confidence

@@ -184,8 +184,8 @@ def test_class_prob_grad_input_fd():
     rng = np.random.default_rng(7)
     params = _random_net(rng, [4, 6, 3])
     X = rng.standard_normal((3, 4))
-    py, dX = class_prob_grad_input(params, X, 1)
-    np.testing.assert_allclose(py, softmax(forward(params, X))[:, 1], rtol=1e-12)
+    probs, dX = class_prob_grad_input(params, X, 1)
+    np.testing.assert_allclose(probs, softmax(forward(params, X)), rtol=1e-12)
     eps = 1e-6
     for r in range(3):
         for i in range(4):

@@ -98,7 +98,8 @@ def test_noise_batch_m_validation():
 def test_soft_predict_constant_net_uniform():
     params = _constant_net(dim=3, classes=4)
     noise = sample_noise(1.0, 3, 50, StreamId(2))
-    probs = soft_smoothed_predict(params, np.ones(3), noise)
+    probs = soft_smoothed_predict(params, np.ones((1, 3)), noise.deltas)
+    assert probs.shape == (1, 4)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
 
@@ -109,8 +110,26 @@ def test_soft_predict_m1_is_plain_softmax():
     noise = sample_noise(0.5, 3, 1, StreamId(5))
     x = rng.standard_normal(3)
     np.testing.assert_allclose(
-        soft_smoothed_predict(params, x, noise),
+        soft_smoothed_predict(params, x[None, :], noise.deltas)[0],
         softmax(forward(params, x + noise.deltas[0])), atol=1e-14)
+
+
+def test_soft_predict_batch_is_rowwise():
+    # a batch under shared or per-point noise equals B one-point calls
+    rng = np.random.default_rng(8)
+    params = ModelParams([rng.standard_normal((3, 5)), rng.standard_normal((5, 4))],
+                         [rng.standard_normal(5), rng.standard_normal(4)])
+    X = rng.standard_normal((3, 3))
+    shared = sample_noise(0.5, 3, 6, StreamId(9)).deltas
+    per_point = np.stack([sample_noise(0.5, 3, 6, StreamId(9, (b,))).deltas
+                          for b in range(3)])
+    for deltas in (shared, per_point):
+        got = soft_smoothed_predict(params, X, deltas)
+        assert got.shape == (3, 4)
+        for b in range(3):
+            d = deltas if deltas.ndim == 2 else deltas[b]
+            np.testing.assert_allclose(
+                got[b], soft_smoothed_predict(params, X[b:b + 1], d)[0], atol=1e-14)
 
 
 def test_soft_predict_linear_matches_gaussian_integral():
@@ -123,7 +142,7 @@ def test_soft_predict_linear_matches_gaussian_integral():
     noise = sample_noise(sigma, 2, m, StreamId(6, ("mc",)))
     margin = float(w @ x + b)
     p_true = std_normal_cdf(margin / (sigma * np.linalg.norm(w)))
-    est = soft_smoothed_predict(params, x, noise)[1]
+    est = soft_smoothed_predict(params, x[None, :], noise.deltas)[0, 1]
     se = math.sqrt(p_true * (1 - p_true) / m)
     assert abs(est - p_true) < 3 * se
 
@@ -302,6 +321,37 @@ def test_certify_margin_zero_abstains():
         if not out.certified:
             assert out.predicted_class == ABSTAIN and out.radius == 0.0
     assert abstained >= 95
+
+
+def test_certify_raises_on_radius_failure(monkeypatch):
+    # only p_lower <= 1/2 abstains; a failure inside the radius computation
+    # propagates instead of turning into an abstain
+    import smoothcert.smoothing as smoothing
+
+    def broken(p_lower, sigma):
+        raise ValueError("radius computation failed")
+
+    monkeypatch.setattr(smoothing, "certified_radius", broken)
+    params = _constant_net(dim=2, classes=3)
+    cfg = SmoothingConfig(sigma=0.5, n0=100, n=1000, alpha_cert=0.001)
+    with pytest.raises(ValueError, match="radius computation failed"):
+        certify(params, np.zeros(2), cfg, StreamId(13, ("certify", 0)))
+
+
+def test_certify_zero_count_abstains(monkeypatch):
+    # selection picks class 0 but the estimation round never sees it: k = 0
+    # gives p_lower = 0, an abstain rather than an error
+    import smoothcert.smoothing as smoothing
+
+    def counts(params, x, count, sigma, stream):
+        top = 0 if stream.path[-1] == "selection" else 1
+        return np.bincount([top], minlength=2) * count
+
+    monkeypatch.setattr(smoothing, "hard_class_counts", counts)
+    cfg = SmoothingConfig(sigma=0.5, n0=10, n=100, alpha_cert=0.001)
+    out = certify(_constant_net(dim=2, classes=2), np.zeros(2), cfg, StreamId(17))
+    assert not out.certified and out.predicted_class == ABSTAIN
+    assert out.p_lower == 0.0
 
 
 def test_certify_reproducible():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothcert.adversary import AttackConfig
+from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
 from smoothcert.data import gen_gaussian_blobs, gen_two_moons
 from smoothcert.nn import (
     ModelParams,
@@ -11,22 +11,22 @@ from smoothcert.nn import (
     forward,
     init_mlp,
     one_hot,
+    validate_soft_label,
 )
 from smoothcert.rng import StreamId
-from smoothcert.smoothing import NoiseBatch, sample_noise
+from smoothcert.smoothing import NoiseBatch, sample_noise, soft_smoothed_predict
+from smoothcert import training
 from smoothcert.training import (
     GaussianConfig,
-    MixPair,
     SmoothAdvConfig,
     SmoothMixConfig,
     TrainRunConfig,
     _example_randomness,
+    _gaussian_minibatch,
+    _noisy_ce_step,
+    _smoothadv_minibatch,
     _smoothmix_minibatch,
-    gaussian_loss,
     make_mix_pair,
-    smoothmix_batch_loss,
-    smoothmix_loss,
-    smoothmix_loss_and_grads,
     train,
 )
 
@@ -49,29 +49,71 @@ def _mix_cfg(**kw):
     return SmoothMixConfig(**base)
 
 
+# ---------------------------------------------------------------- oracles
+
+
+def _mean_ce(params, x, target, deltas):
+    """(1/m) sum_i CE(f(x + delta_i), target), one nn.cross_entropy per draw."""
+    return float(np.mean([cross_entropy(forward(params, x + d), target)
+                          for d in deltas]))
+
+
+def _example(params, x, y, cfg, stream):
+    """The batched SmoothMix step at B=1, with its noise batch."""
+    grads, nat, mix, diag = _smoothmix_minibatch(
+        params, np.asarray(x)[None, :], np.array([y]), cfg, [stream])
+    deltas, _ = _example_randomness(stream, cfg.m, len(x), cfg.sigma)
+    return grads, nat, mix, diag, deltas
+
+
 # ---------------------------------------------------------------- gaussian loss
 
 
 def test_gaussian_loss_uniform_net():
     params = _constant_net(2, 4)
     noise = sample_noise(0.5, 2, 5, StreamId(0))
-    assert gaussian_loss(params, np.ones(2), 1, noise) == pytest.approx(
-        math.log(4), abs=1e-12)
+    _, (loss,) = _noisy_ce_step(params, noise.deltas[None],
+                                [(np.ones((1, 2)), np.eye(4)[[1]], 1.0)])
+    assert loss == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_gaussian_loss_perfect_classifier():
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 300.0])])
     noise = sample_noise(0.5, 2, 5, StreamId(1))
-    assert gaussian_loss(params, np.zeros(2), 1, noise) < 1e-12
+    _, (loss,) = _noisy_ce_step(params, noise.deltas[None],
+                                [(np.zeros((1, 2)), np.eye(2)[[1]], 1.0)])
+    assert loss < 1e-12
 
 
 def test_gaussian_loss_manual_two_terms():
     params = _random_net(2, [3, 5, 4])
-    noise = sample_noise(0.8, 3, 2, StreamId(3))
-    x, y = np.array([0.1, -0.3, 0.2]), 2
-    want = np.mean([cross_entropy(forward(params, x + d), one_hot(y, 4))
-                    for d in noise.deltas])
-    assert gaussian_loss(params, x, y, noise) == pytest.approx(want, abs=1e-12)
+    noises = np.stack([sample_noise(0.8, 3, 2, StreamId(3, (i,))).deltas
+                       for i in range(2)])
+    X, Y = np.array([[0.1, -0.3, 0.2], [0.5, 0.0, -0.4]]), np.array([2, 0])
+    _, (loss,) = _noisy_ce_step(params, noises, [(X, np.eye(4)[Y], 1.0)])
+    want = np.mean([_mean_ce(params, X[b], one_hot(Y[b], 4), noises[b])
+                    for b in range(2)])
+    assert loss == pytest.approx(want, abs=1e-12)
+
+
+def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
+    params = _random_net(4, [2, 6, 3])
+    cfg = SmoothAdvConfig(sigma=0.5, m=3, epsilon=0.6, steps=3, warmup_epochs=2)
+    X, Y = np.array([[0.2, -0.1], [0.7, 0.3]]), np.array([1, 2])
+    streams = [StreamId(5, ("train", 0, i)) for i in range(2)]
+    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, streams, epoch=0)
+    assert mix == 0.0
+    noises = np.stack([_example_randomness(s, 3, 2, 0.5)[0] for s in streams])
+    eps = cfg.epsilon_at(0)
+    x_hat = np.stack([
+        smoothadv_pgd(params, X[b], int(Y[b]),
+                      NoiseBatch(deltas=noises[b], sigma=0.5, stream=streams[b]),
+                      steps=3, step_size=2.0 * eps / 3, epsilon=eps)
+        for b in range(2)])
+    want_grads, (want,) = _noisy_ce_step(params, noises, [(x_hat, np.eye(3)[Y], 1.0)])
+    assert loss == pytest.approx(want, abs=1e-12)
+    for a, b in zip(grads[0] + grads[1], want_grads[0] + want_grads[1]):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------- mix pair
@@ -80,20 +122,20 @@ def test_gaussian_loss_manual_two_terms():
 def test_mix_pair_lambda_zero_identity():
     x = np.array([1.0, 2.0])
     fhat = np.array([0.3, 0.7])
-    pair = make_mix_pair(x, fhat, np.array([5.0, 5.0]), 0.0, 2)
-    np.testing.assert_array_equal(pair.x_mix, x)
-    np.testing.assert_array_equal(pair.y_mix, fhat)
+    x_mix, y_mix = make_mix_pair(x, fhat, np.array([5.0, 5.0]), 0.0, 2)
+    np.testing.assert_array_equal(x_mix, x)
+    np.testing.assert_array_equal(y_mix, fhat)
 
 
 def test_mix_pair_half_lambda_arithmetic():
-    pair = make_mix_pair(np.zeros(2), np.array([1.0, 0.0]), np.ones(2), 0.5, 2)
-    np.testing.assert_allclose(pair.y_mix, [0.75, 0.25], atol=1e-15)
+    _, y_mix = make_mix_pair(np.zeros(2), np.array([1.0, 0.0]), np.ones(2), 0.5, 2)
+    np.testing.assert_allclose(y_mix, [0.75, 0.25], atol=1e-15)
 
 
 def test_mix_pair_quarter_point():
     v = np.array([4.0, -8.0])
-    pair = make_mix_pair(np.zeros(2), np.array([0.5, 0.5]), v, 0.25, 2)
-    np.testing.assert_allclose(pair.x_mix, 0.25 * v, atol=1e-15)
+    x_mix, _ = make_mix_pair(np.zeros(2), np.array([0.5, 0.5]), v, 0.25, 2)
+    np.testing.assert_allclose(x_mix, 0.25 * v, atol=1e-15)
 
 
 def test_mix_pair_lambda_range():
@@ -111,17 +153,39 @@ def test_mix_pair_on_segment_and_valid():
         t = rng.uniform(0.1, 1.0, 4)
         fhat = t / t.sum()
         lam = rng.uniform(0.0, 0.5)
-        pair = make_mix_pair(x, fhat, v, lam, 4)
+        x_mix, y_mix = make_mix_pair(x, fhat, v, lam, 4)
         # x_mix on the segment [x, v]
-        np.testing.assert_allclose(pair.x_mix, (1 - lam) * x + lam * v,
-                                   atol=1e-12)
-        assert pair.y_mix.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(pair.y_mix >= 0)
+        np.testing.assert_allclose(x_mix, (1 - lam) * x + lam * v, atol=1e-12)
+        validate_soft_label(y_mix)
 
 
 def test_mix_pair_invariant_enforced():
-    with pytest.raises(ValueError):
-        MixPair(x_mix=np.zeros(2), y_mix=np.array([0.7, 0.7]), lam=0.2)
+    # an invalid soft label is rejected, for one pair and for a batch with
+    # one bad row; so is a batch with one lambda outside [0, 1/2]
+    with pytest.raises(ValueError, match="sums to"):
+        make_mix_pair(np.zeros(2), np.array([0.7, 0.7]), np.ones(2), 0.2, 2)
+    with pytest.raises(ValueError, match="sums to"):
+        make_mix_pair(np.zeros((2, 2)), np.array([[0.5, 0.5], [0.7, 0.7]]),
+                      np.ones((2, 2)), np.array([0.2, 0.2]), 2)
+    with pytest.raises(ValueError, match="outside"):
+        make_mix_pair(np.zeros((2, 2)), np.array([[0.5, 0.5], [-0.1, 1.1]]),
+                      np.ones((2, 2)), np.array([0.2, 0.2]), 2)
+    with pytest.raises(ValueError, match="lambda"):
+        make_mix_pair(np.zeros((2, 2)), np.full((2, 2), 0.5), np.ones((2, 2)),
+                      np.array([0.2, 0.7]), 2)
+
+
+def test_mix_pair_batch_is_rowwise():
+    rng = np.random.default_rng(5)
+    X, V = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    t = rng.uniform(0.1, 1.0, (4, 2))
+    F = t / t.sum(axis=1, keepdims=True)
+    lams = rng.uniform(0.0, 0.5, 4)
+    x_mix, y_mix = make_mix_pair(X, F, V, lams, 2)
+    for b in range(4):
+        xb, yb = make_mix_pair(X[b], F[b], V[b], lams[b], 2)
+        np.testing.assert_array_equal(x_mix[b], xb)
+        np.testing.assert_array_equal(y_mix[b], yb)
 
 
 # ---------------------------------------------------------------- mix loss
@@ -129,34 +193,35 @@ def test_mix_pair_invariant_enforced():
 
 def test_smoothmix_loss_uniform_net_log_c():
     params = _constant_net(2, 3)
-    noise = sample_noise(0.5, 2, 4, StreamId(5))
-    pair = make_mix_pair(np.zeros(2), np.array([0.2, 0.5, 0.3]),
-                         np.ones(2), 0.4, 3)
-    assert smoothmix_loss(params, pair, noise) == pytest.approx(
-        math.log(3), abs=1e-12)
+    _, nat, mix, _, _ = _example(params, np.zeros(2), 1, _mix_cfg(m=4),
+                                 StreamId(5, ("train", 0, 0)))
+    assert nat == pytest.approx(math.log(3), abs=1e-12)
+    assert mix == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_smoothmix_loss_manual_recomputation():
     params = _random_net(6, [2, 6, 3])
-    noise = sample_noise(0.7, 2, 2, StreamId(7))
-    pair = make_mix_pair(np.array([0.3, -0.2]), np.array([0.6, 0.3, 0.1]),
-                         np.array([1.0, 1.0]), 0.35, 3)
-    want = np.mean([cross_entropy(forward(params, pair.x_mix + d), pair.y_mix)
-                    for d in noise.deltas])
-    assert smoothmix_loss(params, pair, noise) == pytest.approx(want,
-                                                                abs=1e-12)
+    cfg = _mix_cfg(sigma=0.7, m=2)
+    _, _, mix, diag, deltas = _example(params, np.array([0.3, -0.2]), 0, cfg,
+                                       StreamId(7, ("train", 0, 2)))
+    assert mix == pytest.approx(
+        _mean_ce(params, diag["x_mix"][0], diag["y_mix"][0], deltas), abs=1e-12)
 
 
-def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form():
+def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form(monkeypatch):
+    # lambda = 0: the mix term is the noisy CE at x against the soft target
+    # Fhat(x)
+    draw = training._example_randomness
+    monkeypatch.setattr(training, "_example_randomness",
+                        lambda *a: (draw(*a)[0], 0.0))
     params = _random_net(8, [2, 5, 2])
-    noise = sample_noise(0.5, 2, 3, StreamId(9))
     x = np.array([0.4, 0.1])
-    fhat = np.array([0.8, 0.2])
-    pair = make_mix_pair(x, fhat, np.ones(2) * 9, 0.0, 2)
-    want = np.mean([cross_entropy(forward(params, x + d), fhat)
-                    for d in noise.deltas])
-    assert smoothmix_loss(params, pair, noise) == pytest.approx(want,
-                                                                abs=1e-12)
+    _, _, mix, diag, deltas = _example(params, x, 1, _mix_cfg(),
+                                       StreamId(9, ("train", 0, 0)))
+    np.testing.assert_array_equal(diag["x_mix"][0], x)
+    fhat = soft_smoothed_predict(params, x[None, :], deltas)[0]
+    np.testing.assert_array_equal(diag["y_mix"][0], fhat)
+    assert mix == pytest.approx(_mean_ce(params, x, fhat, deltas), abs=1e-12)
 
 
 # ---------------------------------------------------------------- full pipeline
@@ -167,89 +232,121 @@ def test_batch_loss_additivity_and_recomputable_terms():
     cfg = _mix_cfg()
     stream = StreamId(11, ("train", 0, 7))
     x, y = np.array([0.5, -0.4]), 1
-    loss, diag = smoothmix_batch_loss(params, x, y, cfg, stream)
-    assert loss == pytest.approx(diag["loss_nat"] + cfg.eta * diag["loss_mix"],
-                                 abs=1e-12)
-    # both terms recomputable from the logged anchor, pair, and noise
-    noise = diag["trajectory"].noise
-    assert gaussian_loss(params, diag["anchor"], y, noise) == pytest.approx(
-        diag["loss_nat"], abs=1e-12)
-    assert smoothmix_loss(params, diag["pair"], noise) == pytest.approx(
-        diag["loss_mix"], abs=1e-12)
-    assert diag["pair"].lam == diag["lambda"]
-    assert len(diag["j_path"]) == cfg.attack.steps + 1
+    _, nat, mix, diag, deltas = _example(params, x, y, cfg, stream)
+    # the gradient is affine in eta: grad L_nat + eta * grad L_mix
+    g = [_example(params, x, y, _mix_cfg(eta=e), stream)[0] for e in (1.0, 2.0, 3.0)]
+    for part in (0, 1):
+        for k in range(len(params.weights)):
+            np.testing.assert_allclose(g[2][part][k] - g[1][part][k],
+                                       g[1][part][k] - g[0][part][k], atol=1e-12)
+    # both terms recomputable from the reported anchor, mix pair and noise
+    assert nat == pytest.approx(
+        _mean_ce(params, diag["anchor"][0], one_hot(y, 3), deltas), abs=1e-12)
+    assert mix == pytest.approx(
+        _mean_ce(params, diag["x_mix"][0], diag["y_mix"][0], deltas), abs=1e-12)
+    lam = _example_randomness(stream, cfg.m, 2, cfg.sigma)[1]
+    assert diag["lambda"][0] == lam
+    np.testing.assert_allclose(
+        diag["x_mix"][0], (1 - lam) * diag["anchor"][0] + lam * diag["x_adv"][0],
+        atol=1e-12)
+    assert diag["j_path"].shape == (cfg.attack.steps + 1, 1)
+    validate_soft_label(diag["y_mix"][0])
 
 
 def test_batch_loss_eta_limit_is_gaussian():
+    # as eta -> 0 the SmoothMix step becomes the Gaussian step on the same noise
     params = _random_net(12, [2, 6, 2])
     stream = StreamId(13, ("train", 0, 0))
-    x, y = np.array([0.2, 0.8]), 0
-    tiny = smoothmix_batch_loss(params, x, y, _mix_cfg(eta=1e-12), stream)[0]
-    deltas, _ = _example_randomness(stream, 3, 2, 0.5)
-    noise = NoiseBatch(deltas=deltas, sigma=0.5, stream=stream)
-    assert tiny == pytest.approx(gaussian_loss(params, x, y, noise),
-                                 abs=1e-9)
+    X, Y = np.array([[0.2, 0.8]]), np.array([0])
+    g_mix, nat, _, _ = _smoothmix_minibatch(params, X, Y, _mix_cfg(eta=1e-12), [stream])
+    g_gauss, loss, _ = _gaussian_minibatch(params, X, Y,
+                                           GaussianConfig(sigma=0.5, m=3), [stream])
+    assert nat == loss
+    for a, b in zip(g_mix[0] + g_mix[1], g_gauss[0] + g_gauss[1]):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 def test_batch_loss_component_sum_oracle_t0():
-    # T=0: x_adv = x, so for any lambda the pair anchors at x; rebuild the
-    # total from the public component ops
+    # T=0: x_adv = x, so for any lambda the mix point is x itself
     params = _random_net(14, [2, 7, 3])
     cfg = _mix_cfg(attack=AttackConfig(0.5, 0), eta=3.0)
-    stream = StreamId(15, ("train", 2, 4))
     x, y = np.array([-0.3, 0.6]), 2
-    loss, diag = smoothmix_batch_loss(params, x, y, cfg, stream)
-    noise = diag["trajectory"].noise
-    np.testing.assert_array_equal(diag["pair"].x_mix, x)
-    want = (gaussian_loss(params, x, y, noise)
-            + 3.0 * smoothmix_loss(params, diag["pair"], noise))
-    assert loss == pytest.approx(want, abs=1e-12)
+    _, nat, mix, diag, deltas = _example(params, x, y, cfg,
+                                         StreamId(15, ("train", 2, 4)))
+    np.testing.assert_array_equal(diag["x_mix"][0], x)
+    np.testing.assert_array_equal(diag["x_adv"][0], x)
+    assert nat == pytest.approx(_mean_ce(params, x, one_hot(y, 3), deltas),
+                                abs=1e-12)
+    assert mix == pytest.approx(_mean_ce(params, x, diag["y_mix"][0], deltas),
+                                abs=1e-12)
 
 
 def test_batch_loss_deterministic():
     params = _random_net(16, [2, 6, 2])
     cfg = _mix_cfg()
     stream = StreamId(17, ("train", 1, 3))
-    a = smoothmix_batch_loss(params, np.array([0.1, 0.2]), 0, cfg, stream)
-    b = smoothmix_batch_loss(params, np.array([0.1, 0.2]), 0, cfg, stream)
-    assert a[0] == b[0]
-    assert a[1]["lambda"] == b[1]["lambda"]
-    np.testing.assert_array_equal(a[1]["pair"].x_mix, b[1]["pair"].x_mix)
+    a = _example(params, np.array([0.1, 0.2]), 0, cfg, stream)
+    b = _example(params, np.array([0.1, 0.2]), 0, cfg, stream)
+    assert a[1:3] == b[1:3]
+    for key in ("lambda", "x_mix", "y_mix", "j_path"):
+        np.testing.assert_array_equal(a[3][key], b[3][key])
 
 
 def test_one_step_substitution_changes_anchor():
     params = _random_net(18, [2, 8, 2])
     stream = StreamId(19, ("train", 0, 1))
     x, y = np.array([0.4, -0.1]), 1
-    _, d_plain = smoothmix_batch_loss(params, x, y, _mix_cfg(), stream)
-    _, d_one = smoothmix_batch_loss(params, x, y,
-                                    _mix_cfg(use_one_step=True), stream)
-    np.testing.assert_array_equal(d_plain["anchor"], x)
-    # one-step anchor is the first ascent iterate
-    np.testing.assert_allclose(d_one["anchor"],
-                               d_one["trajectory"].points[1], atol=1e-12)
-    assert np.linalg.norm(d_one["anchor"] - x) == pytest.approx(0.5, abs=1e-9)
+    d_plain = _example(params, x, y, _mix_cfg(), stream)[3]
+    d_one = _example(params, x, y, _mix_cfg(use_one_step=True), stream)[3]
+    np.testing.assert_array_equal(d_plain["anchor"][0], x)
+    # one-step anchor is the first ascent iterate, one full step from x
+    noise = NoiseBatch(deltas=_example_randomness(stream, 3, 2, 0.5)[0],
+                       sigma=0.5, stream=stream)
+    traj = smoothmix_attack(params, x, y, noise, AttackConfig(0.5, 2))
+    np.testing.assert_array_equal(d_one["anchor"][0], traj.points[1])
+    np.testing.assert_array_equal(d_one["x_adv"][0], traj.points[-1])
+    assert np.linalg.norm(d_one["anchor"][0] - x) == pytest.approx(0.5, abs=1e-9)
     # with a cap the anchor stays inside the cap ball
-    _, d_cap = smoothmix_batch_loss(
-        params, x, y, _mix_cfg(use_one_step=True, one_step_cap=0.2), stream)
-    assert np.linalg.norm(d_cap["anchor"] - x) <= 0.2 + 1e-9
+    d_cap = _example(params, x, y,
+                     _mix_cfg(use_one_step=True, one_step_cap=0.2), stream)[3]
+    assert np.linalg.norm(d_cap["anchor"][0] - x) <= 0.2 + 1e-9
+
+
+@pytest.mark.parametrize("one_step, cap", [(False, None), (True, None),
+                                           (True, 0.2), (True, 5.0)])
+def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
+    # y_mix reuses Fhat from the attack path unless the cap moved the anchor;
+    # either way it must equal (1-lam) Fhat(anchor) + lam/C with Fhat
+    # recomputed from scratch at the reported anchor
+    params = _random_net(30, [2, 8, 3])
+    cfg = _mix_cfg(use_one_step=one_step, one_step_cap=cap)
+    X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
+    Y = np.array([0, 2, 1])
+    streams = [StreamId(31, ("train", 0, i)) for i in range(3)]
+    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, streams)
+    noises = np.stack([_example_randomness(s, cfg.m, 2, cfg.sigma)[0]
+                       for s in streams])
+    fhat = soft_smoothed_predict(params, diag["anchor"], noises)
+    lam = diag["lambda"][:, None]
+    np.testing.assert_array_equal(diag["y_mix"], (1 - lam) * fhat + lam / 3)
+    if cap == 0.2:  # the cap moved every anchor (the first step has length 0.5)
+        np.testing.assert_allclose(np.linalg.norm(diag["anchor"] - X, axis=1), 0.2)
 
 
 def test_no_gradient_leakage_through_fhat_target():
     # the parameter gradient must equal the frozen-target gradient: FD on the
-    # frozen-pair loss matches the analytic grads even though the pipeline's
-    # fhat would itself change with the parameters
+    # loss with the step's anchor, mix pair and noise frozen matches the
+    # analytic grads even though y_mix would itself change with the parameters
     params = _random_net(20, [2, 4, 2])
-    noise = sample_noise(0.5, 2, 2, StreamId(21))
-    x, y = np.array([0.3, 0.2]), 0
-    fhat = np.array([0.6, 0.4])
-    pair = make_mix_pair(x, fhat, np.array([1.0, -1.0]), 0.3, 2)
-    eta = 2.0
-    _, _, _, grads = smoothmix_loss_and_grads(params, x, y, pair, noise, eta)
+    x, y, eta = np.array([0.3, 0.2]), 0, 2.0
+    cfg = _mix_cfg(eta=eta, m=2, attack=AttackConfig(0.3, 2))
+    grads, _, _, diag, deltas = _example(params, x, y, cfg,
+                                         StreamId(21, ("train", 0, 0)))
+    anchor, x_mix, y_mix = diag["anchor"][0], diag["x_mix"][0], diag["y_mix"][0]
 
-    def frozen_loss(p):
-        return (gaussian_loss(p, x, y, noise)
-                + eta * smoothmix_loss(p, pair, noise))
+    def frozen_loss(p, target=y_mix):
+        return (_mean_ce(p, anchor, one_hot(y, 2), deltas)
+                + eta * _mean_ce(p, x_mix, target, deltas))
 
     eps = 1e-5
     gW, gb = grads
@@ -260,10 +357,8 @@ def test_no_gradient_leakage_through_fhat_target():
             fd = (up - dn) / (2 * eps)
             assert abs(fd - gW[k][idx]) < 1e-5 * max(1.0, abs(fd))
     # a perturbed target changes the loss value (the target is not inert)
-    bumped = make_mix_pair(x, np.array([0.4, 0.6]), np.array([1.0, -1.0]),
-                           0.3, 2)
-    assert smoothmix_loss(params, bumped, noise) != pytest.approx(
-        smoothmix_loss(params, pair, noise), abs=1e-9)
+    assert frozen_loss(params, y_mix[::-1]) != pytest.approx(
+        frozen_loss(params), abs=1e-9)
 
 
 def test_lambda_uniform_ks():
@@ -286,28 +381,19 @@ def test_minibatch_matches_per_example_pipeline():
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(25, ("train", 0, i)) for i in range(3)]
-    grads_b, nat_b, mix_b = _smoothmix_minibatch(params, X, Y, cfg, streams)
+    grads_b, nat_b, mix_b, diag_b = _smoothmix_minibatch(params, X, Y, cfg, streams)
 
-    nats, mixes, gW_acc, gb_acc = [], [], None, None
-    for i in range(3):
-        _, diag = smoothmix_batch_loss(params, X[i], int(Y[i]), cfg, streams[i])
-        nats.append(diag["loss_nat"])
-        mixes.append(diag["loss_mix"])
-        _, _, _, g = smoothmix_loss_and_grads(
-            params, diag["anchor"], int(Y[i]), diag["pair"],
-            diag["trajectory"].noise, cfg.eta)
-        if gW_acc is None:
-            gW_acc = [w / 3 for w in g[0]]
-            gb_acc = [b / 3 for b in g[1]]
-        else:
-            gW_acc = [a + w / 3 for a, w in zip(gW_acc, g[0])]
-            gb_acc = [a + b / 3 for a, b in zip(gb_acc, g[1])]
-    assert nat_b == pytest.approx(np.mean(nats), rel=1e-10)
-    assert mix_b == pytest.approx(np.mean(mixes), rel=1e-10)
-    for a, b in zip(grads_b[0], gW_acc):
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
-    for a, b in zip(grads_b[1], gb_acc):
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-12)
+    singles = [_example(params, X[i], int(Y[i]), cfg, streams[i]) for i in range(3)]
+    assert nat_b == pytest.approx(np.mean([s[1] for s in singles]), rel=1e-10)
+    assert mix_b == pytest.approx(np.mean([s[2] for s in singles]), rel=1e-10)
+    for part in (0, 1):
+        for k in range(len(params.weights)):
+            want = sum(s[0][part][k] for s in singles) / 3
+            np.testing.assert_allclose(grads_b[part][k], want, rtol=1e-8, atol=1e-12)
+    for key in ("anchor", "x_adv", "x_mix", "y_mix"):
+        np.testing.assert_allclose(diag_b[key],
+                                   np.concatenate([s[3][key] for s in singles]),
+                                   atol=1e-12)
 
 
 # ---------------------------------------------------------------- schedules
