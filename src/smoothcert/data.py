@@ -3,7 +3,8 @@
 Every Dataset records provenance sufficient to regenerate it bit-exactly:
 generator name and parameters for synthetic data, file SHA-256 digests plus
 subsample parameters for files. Images are scaled to [0, 1]; no other
-preprocessing is applied.
+preprocessing is applied. The IDX loader reads each file once and converts
+only the rows it keeps, so a subsample costs memory in proportion to its size.
 """
 
 from __future__ import annotations
@@ -163,6 +164,7 @@ def stratified_subsample_indices(labels: np.ndarray, size: int, seed: int) -> np
 
 
 def _read_idx(path, expected_magic: int):
+    """Parse an IDX file; returns (dims, uint8 payload view, sha256 of the file)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -179,7 +181,7 @@ def _read_idx(path, expected_magic: int):
     if len(raw) - header < total:
         raise TruncatedPayload(path, header + total, len(raw))
     payload = np.frombuffer(raw, dtype=np.uint8, offset=header, count=total)
-    return dims, payload
+    return dims, payload, hashlib.sha256(raw).hexdigest()
 
 
 def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 0,
@@ -188,30 +190,32 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
 
     Pixels are scaled to [0, 1] by division by 255 and flattened row-major;
     no further preprocessing. With `subsample`, a deterministic class-
-    stratified subset of that size is selected per seed.
+    stratified subset of that size is selected per seed; only the selected
+    rows are converted to float64.
     """
-    img_dims, img_raw = _read_idx(images_path, IDX_IMAGES_MAGIC)
-    lab_dims, lab_raw = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    img_dims, img_raw, img_sha = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    lab_dims, lab_raw, lab_sha = _read_idx(labels_path, IDX_LABELS_MAGIC)
     if img_dims[0] != lab_dims[0]:
         raise CountMismatch(img_dims[0], lab_dims[0])
     n = int(img_dims[0])
     d = int(np.prod(img_dims[1:]))
-    X = img_raw.reshape(n, d).astype(np.float64) / 255.0
+    pixels = img_raw.reshape(n, d)
     y = lab_raw.astype(np.int64)
     prov = {
         "kind": "mnist",
         "images_path": str(images_path),
         "labels_path": str(labels_path),
-        "images_sha256": hashlib.sha256(open(images_path, "rb").read()).hexdigest(),
-        "labels_sha256": hashlib.sha256(open(labels_path, "rb").read()).hexdigest(),
+        "images_sha256": img_sha,
+        "labels_sha256": lab_sha,
         "subsample": None if subsample is None else int(subsample),
         "seed": int(seed),
         "split": split,
     }
     if subsample is not None:
         idx = stratified_subsample_indices(y, subsample, seed)
-        X, y = X[idx], y[idx]
-    return Dataset(inputs=X, labels=y, class_count=10, split=split, provenance=prov)
+        pixels, y = pixels[idx], y[idx]
+    return Dataset(inputs=pixels / 255.0, labels=y, class_count=10, split=split,
+                   provenance=prov)
 
 
 def from_provenance(prov: dict) -> Dataset:

@@ -159,10 +159,17 @@ def _forward_cached(params: ModelParams, X: np.ndarray):
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for one input (d,) or a batch (B, d); output matches input ndim."""
-    X, squeezed = _as_batch(params, x)
-    logits, _, _ = _forward_cached(params, X)
-    return logits[0] if squeezed else logits
+    """Logits for one input (d,) or a batch (B, d); output matches input ndim.
+
+    Keeps only the current activation; _forward_cached keeps all, for backprop.
+    """
+    h, squeezed = _as_batch(params, x)
+    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ W  # a new array, so the in-place steps below never write to x
+        h += b
+        if k < len(params.weights) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h[0] if squeezed else h
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

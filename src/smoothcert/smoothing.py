@@ -53,10 +53,11 @@ __all__ = [
 
 ABSTAIN = -1
 
-# Draws per forward batch inside hard_class_counts. Fixed constant: chunking
-# with one sequential generator is draw-for-draw identical to a single batch,
-# so results do not depend on it, but it is part of the documented procedure.
-COUNT_CHUNK = 10_000
+# Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
+# (one point's m rows when m is larger): 2,000 rows at d=784 are 12.5 MiB. The
+# draws do not depend on it. A row's logits can, in the last bits: some BLAS
+# builds round a product differently for different row counts.
+COUNT_CHUNK = 2_000
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,19 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
     """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
 
     X holds B points (B, d). deltas is one noise batch (m, d) shared by every
-    point, or per-point batches (B, m, d). All B*m noisy rows go through one
-    forward pass; returns (B, C). One point is X[None, :].
+    point, or per-point batches (B, m, d). Each forward takes whole points and
+    at most COUNT_CHUNK noisy rows, or one point when m exceeds it; returns
+    (B, C). One point is X[None, :].
     """
     X = np.asarray(X, dtype=np.float64)
-    probs = softmax(forward(params, _noisy_rows(X, deltas)))
-    return probs.reshape(len(X), deltas.shape[-2], -1).mean(axis=1)
+    m = deltas.shape[-2]
+    step = max(1, COUNT_CHUNK // m)
+    means = []
+    for i in range(0, len(X), step):
+        noise = deltas if deltas.ndim == 2 else deltas[i:i + step]
+        probs = softmax(forward(params, _noisy_rows(X[i:i + step], noise)))
+        means.append(probs.reshape(-1, m, probs.shape[-1]).mean(axis=1))
+    return np.concatenate(means)
 
 
 def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
@@ -145,7 +153,9 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
     remaining = count
     while remaining > 0:
         m = min(remaining, COUNT_CHUNK)
-        noisy = x[None, :] + gen.standard_normal((m, x.shape[0])) * sigma
+        noisy = gen.standard_normal((m, x.shape[0]))
+        noisy *= sigma
+        noisy += x
         preds = np.argmax(forward(params, noisy), axis=1)
         counts += np.bincount(preds, minlength=params.class_count)
         remaining -= m

@@ -46,10 +46,10 @@ FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
 NOISE_FAMILIES = tuple(sorted(FAMILY_FOURTH_MOMENT))
 
 _SQRT3 = math.sqrt(3.0)
-# Rows per sampling chunk are capped so chunk matrices stay ~256 MB. Chunks
+# Rows per sampling chunk are capped so chunk matrices stay ~16 MiB. Chunks
 # are drawn sequentially from ONE generator, so results do not depend on the
 # chunk size.
-_CHUNK_ELEMENTS = 1 << 25
+_CHUNK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,34 @@ def test_idx_subsample_deterministic(tmp_path):
     assert int((a.labels == 0).sum()) == 5
 
 
+def test_idx_subsample_equals_full_load_then_index(tmp_path):
+    rng = np.random.default_rng(0)
+    imgs = rng.integers(0, 256, (60, 4, 3), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, imgs, np.arange(60) % 10)
+    full = load_mnist_idx(ip, lp)
+    sub = load_mnist_idx(ip, lp, subsample=17, seed=4)
+    idx = stratified_subsample_indices(full.labels, 17, 4)
+    np.testing.assert_array_equal(sub.inputs, full.inputs[idx])
+    np.testing.assert_array_equal(sub.labels, full.labels[idx])
+
+
+def test_idx_subsample_memory_follows_subsample(tmp_path):
+    # only the kept rows become float64: the peak stays below the float64
+    # size of the whole file (36 MiB), which converting first would exceed
+    n, side = 6000, 28
+    imgs = np.random.default_rng(1).integers(0, 256, (n, side, side), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, imgs, np.arange(n) % 10)
+    del imgs
+    tracemalloc.start()
+    try:
+        ds = load_mnist_idx(ip, lp, subsample=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 20
+    assert peak < n * side * side * 8
+
+
 # ---------------------------------------------------------------- subsampling
 
 
@@ -220,6 +249,8 @@ def test_provenance_round_trip_mnist(tmp_path):
     ds = load_mnist_idx(ip, lp, subsample=8, seed=2)
     assert ds.provenance["images_sha256"] == hashlib.sha256(
         ip.read_bytes()).hexdigest()
+    assert ds.provenance["labels_sha256"] == hashlib.sha256(
+        lp.read_bytes()).hexdigest()
     again = from_provenance(ds.provenance)
     np.testing.assert_array_equal(ds.inputs, again.inputs)
     np.testing.assert_array_equal(ds.labels, again.labels)

@@ -1,10 +1,13 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smoothcert import smoothing
 from smoothcert.evaluation import (
+    LAMBDA_GRID_POINTS,
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
@@ -13,7 +16,7 @@ from smoothcert.evaluation import (
     write_metrics_csv,
     write_mixratio_csv,
 )
-from smoothcert.nn import ModelParams
+from smoothcert.nn import ModelParams, forward
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -189,6 +192,35 @@ def test_mixratio_deterministic():
               stream=StreamId(7))
     assert equal_confidence_mixing_ratio(*args, **kw) == \
         equal_confidence_mixing_ratio(*args, **kw)
+
+
+def test_mixratio_memory_bounded_at_mnist_shape(monkeypatch):
+    # the 101-point grid at the default estimation_m = 1000 and d = 784 is
+    # 633 MB of noisy rows if they all go through one forward
+    d, m = 784, 1000
+    rng = np.random.default_rng(0)
+    b_out = np.zeros(10)
+    b_out[0] = 5.0  # class 0 at x, so the grid scan runs
+    params = ModelParams([rng.standard_normal((d, 8)) * 0.01, rng.standard_normal((8, 10))],
+                         [np.zeros(8), b_out])
+    rows = []
+
+    def counting_forward(p, noisy):
+        rows.append(len(noisy))
+        return forward(p, noisy)
+
+    monkeypatch.setattr(smoothing, "forward", counting_forward)
+    x = rng.uniform(0.0, 1.0, d)
+    tracemalloc.start()
+    try:
+        equal_confidence_mixing_ratio(params, x, 0, sigma=0.25, pgd_steps=2,
+                                      pgd_eps=1.0, estimation_m=m, stream=StreamId(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) == (1 + LAMBDA_GRID_POINTS) * m
+    assert max(rows) <= smoothing.COUNT_CHUNK
+    assert peak < 40 * 2**20
 
 
 def test_smoothed_prediction_invariant_to_noise_order():

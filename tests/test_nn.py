@@ -93,6 +93,17 @@ def test_forward_batch_matches_rows():
     np.testing.assert_allclose(batch, rows, rtol=1e-12)
 
 
+def test_forward_matches_cached_forward_bitwise():
+    from smoothcert.nn import _forward_cached
+    rng = np.random.default_rng(5)
+    params = _random_net(rng, [6, 16, 16, 4])
+    X = rng.standard_normal((40, 6))
+    X_before = X.copy()
+    logits, _, _ = _forward_cached(params, X)
+    np.testing.assert_array_equal(forward(params, X), logits)
+    np.testing.assert_array_equal(X, X_before)  # the in-place steps leave x alone
+
+
 def test_dimension_mismatch():
     params = _random_net(np.random.default_rng(2), [4, 3])
     with pytest.raises(DimensionMismatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothcert.nn import ModelParams
+from smoothcert import smoothing
+from smoothcert.nn import ModelParams, forward
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -132,6 +133,39 @@ def test_soft_predict_batch_is_rowwise():
                 got[b], soft_smoothed_predict(params, X[b:b + 1], d)[0], atol=1e-14)
 
 
+def _dyadic_net(rng, sizes):
+    """Small-integer weights and biases: on inputs on a 1/8 grid every logit is
+    exact, so no summation order or BLAS kernel can change it."""
+    return ModelParams(
+        [rng.integers(-3, 4, (a, b)).astype(np.float64) for a, b in zip(sizes, sizes[1:])],
+        [rng.integers(-3, 4, b).astype(np.float64) for b in sizes[1:]])
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+def test_soft_predict_chunk_size_does_not_change_results(monkeypatch, per_point):
+    # B*m = 36 noisy rows: one forward at the default budget, several below it
+    rng = np.random.default_rng(12)
+    params = _dyadic_net(rng, [5, 7, 3])
+    B, m = 9, 4
+    X = rng.integers(-8, 9, (B, 5)) / 8.0
+    deltas = rng.integers(-8, 9, (B, m, 5) if per_point else (m, 5)) / 8.0
+    whole = soft_smoothed_predict(params, X, deltas)
+    rows = []
+
+    def counting_forward(p, noisy):
+        rows.append(len(noisy))
+        return forward(p, noisy)
+
+    monkeypatch.setattr(smoothing, "forward", counting_forward)
+    for chunk in (1, 3, 4, 7, 8, 13, 36):
+        monkeypatch.setattr(smoothing, "COUNT_CHUNK", chunk)
+        rows.clear()
+        np.testing.assert_array_equal(soft_smoothed_predict(params, X, deltas), whole)
+        # whole points per forward, within the budget unless one point exceeds it
+        assert sum(rows) == B * m and all(r % m == 0 for r in rows)
+        assert max(rows) == max(m, chunk // m * m)
+
+
 def test_soft_predict_linear_matches_gaussian_integral():
     # sharp linear net: soft output ~ hard indicator, so the smoothed
     # probability approaches Phi(margin / (sigma * |w|))
@@ -170,13 +204,14 @@ def test_hard_counts_count_one():
     assert counts.sum() == 1 and np.count_nonzero(counts) == 1
 
 
-def test_hard_counts_chunking_seamless():
-    # crossing the internal chunk boundary must not change the draw sequence
+def test_hard_counts_chunking_seamless(monkeypatch):
+    # crossing chunk boundaries (15 full chunks and a partial one) must not
+    # change the draw sequence
+    monkeypatch.setattr(smoothing, "COUNT_CHUNK", 64)
     params = _linear_two_class(np.array([1.0, -1.0]), 0.1)
     x = np.array([0.2, 0.1])
-    c1 = hard_class_counts(params, x, 25_000, 1.0, StreamId(10, ("c",)))
-    big = sample_noise(1.0, 2, 25_000, StreamId(10, ("c",)))
-    from smoothcert.nn import forward
+    c1 = hard_class_counts(params, x, 1000, 1.0, StreamId(10, ("c",)))
+    big = sample_noise(1.0, 2, 1000, StreamId(10, ("c",)))
     preds = np.argmax(forward(params, x + big.deltas), axis=1)
     np.testing.assert_array_equal(c1, np.bincount(preds, minlength=2))
 
