@@ -8,7 +8,7 @@ dimension-decay bound simulator (`theory`), dataset generators and an IDX
 loader (`data`), and a deterministic CLI harness (`cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .adversary import (
     AttackConfig,

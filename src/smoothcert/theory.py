@@ -12,6 +12,10 @@ estimate as the exact worst case.
 Noise families are unit-variance, zero-mean, finite fourth moment;
 eta_kurt := sqrt(E[r^4] - 1) enters the constant. rademacher is degenerate
 (|delta|^2 = d exactly, k = 0) and is excluded from default runs.
+
+Both estimates need only |delta|^2 and delta.z per trial. The gaussian family
+draws those from their exact law (a normal and a chi-square per trial, O(trials)
+work); the other families draw full (trials x d) rows in chunks.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
 NOISE_FAMILIES = tuple(sorted(FAMILY_FOURTH_MOMENT))
 
 _SQRT3 = math.sqrt(3.0)
-# Rows per sampling chunk are capped so chunk matrices stay ~16 MiB. Chunks
-# are drawn sequentially from ONE generator, so results do not depend on the
-# chunk size.
+# Non-gaussian families: rows per sampling chunk are capped so chunk matrices
+# stay ~16 MiB. Chunks are drawn sequentially from ONE generator, so results do
+# not depend on the chunk size.
 _CHUNK_ELEMENTS = 1 << 21
 
 
@@ -96,15 +100,32 @@ class TheorySimConfig:
 
 def _draw_rows(gen: np.random.Generator, family: str, rows: int,
                d: int) -> np.ndarray:
-    if family == "gaussian":
-        return gen.standard_normal((rows, d))
     if family == "rademacher":
         return gen.integers(0, 2, size=(rows, d)).astype(np.float64) * 2.0 - 1.0
     return gen.uniform(-_SQRT3, _SQRT3, size=(rows, d))
 
 
-def _chunk_rows(d: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // d)
+def _noise_stats(gen: np.random.Generator, family: str, trials: int, d: int,
+                 z: np.ndarray | None = None):
+    """Yield (|delta|^2, delta.z) chunk by chunk for `trials` noise draws;
+    delta.z is None when z is None.
+
+    gaussian: N(0, I_d) is rotation invariant, so with u ~ N(0, 1) standing
+    for delta.unit(z), delta.z = |z| u and |delta|^2 = u^2 + chi2_{d-1}
+    (chi2_0 = 0). One chunk, 2 * trials draws.
+    """
+    if family == "gaussian":
+        u = gen.standard_normal(trials)
+        sq = u * u
+        if d > 1:
+            sq += gen.chisquare(d - 1, trials)
+        yield sq, None if z is None else float(np.linalg.norm(z)) * u
+        return
+    step = max(1, _CHUNK_ELEMENTS // d)
+    for done in range(0, trials, step):
+        delta = _draw_rows(gen, family, min(step, trials - done), d)
+        yield (np.einsum("ij,ij->i", delta, delta),
+               None if z is None else delta @ z)
 
 
 def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
@@ -116,18 +137,10 @@ def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gen = stream.generator()
     s2 = cfg.sigma ** 2
-    devs = np.empty(trials)
-    done = 0
-    step = _chunk_rows(cfg.d)
-    while done < trials:
-        rows = min(step, trials - done)
-        delta = _draw_rows(gen, cfg.noise_family, rows, cfg.d)
-        sq = np.einsum("ij,ij->i", delta, delta)
-        devs[done:done + rows] = np.abs(s2 * sq / cfg.d - s2)
-        done += rows
-    return float(np.quantile(devs, cfg.p))
+    devs = [np.abs(s2 * sq / cfg.d - s2) for sq, _ in _noise_stats(
+        stream.generator(), cfg.noise_family, trials, cfg.d)]
+    return float(np.quantile(np.concatenate(devs), cfg.p))
 
 
 @dataclass(frozen=True)
@@ -159,23 +172,18 @@ def worst_case_prob(cfg: TheorySimConfig, k: float,
         if z_direction.shape != (d,):
             raise ValueError(f"z_direction must have shape ({d},)")
         norm = float(np.linalg.norm(z_direction))
-        if norm == 0.0:
-            raise ValueError("z_direction must be nonzero")
+        # NaN or inf entries (or an overflowing norm) leave norm non-finite
+        if not 0.0 < norm < math.inf:
+            raise ValueError("z_direction must have a finite nonzero norm")
         z = (cfg.epsilon / norm) * z_direction
     lo, hi = cfg.sigma ** 2 - k, cfg.sigma ** 2 + k
-    gen = stream.generator()
     tau = cfg.tau
     hits = 0
-    done = 0
-    step = _chunk_rows(d)
-    while done < cfg.trials:
-        rows = min(step, cfg.trials - done)
-        delta = _draw_rows(gen, cfg.noise_family, rows, d)
+    for sq, dz in _noise_stats(stream.generator(), cfg.noise_family,
+                               cfg.trials, d, z):
         # |tau*delta + z|^2 = tau^2|delta|^2 + 2*tau*(delta.z) + |z|^2
-        val = (tau * tau * np.einsum("ij,ij->i", delta, delta)
-               + 2.0 * tau * (delta @ z) + float(z @ z)) / d
+        val = (tau * tau * sq + 2.0 * tau * dz + float(z @ z)) / d
         hits += int(np.count_nonzero((val >= lo) & (val <= hi)))
-        done += rows
     est = hits / cfg.trials
     se = math.sqrt(est * (1.0 - est) / cfg.trials)
     return ProbEstimate(est, se, cfg.trials)

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,3 +22,11 @@ def test_module_exports_resolve(module):
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(mod, name), f"smoothcert.{module}.{name}"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    path = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert smoothcert.__version__ == project["version"]

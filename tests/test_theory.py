@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,27 @@ def _ref_cfg(**kw):
                 noise_family="gaussian", trials=1000)
     base.update(kw)
     return TheorySimConfig(**base)
+
+
+def _gaussian_rows_oracle(gen, trials, d, z, chunk=10_000):
+    """Brute-force gaussian reference: draw full N(0, I_d) rows and reduce
+    each to (|delta|^2, delta.z)."""
+    sq, dz = [], []
+    for done in range(0, trials, chunk):
+        delta = gen.standard_normal((min(chunk, trials - done), d))
+        sq.append(np.einsum("ij,ij->i", delta, delta))
+        dz.append(delta @ z)
+    return np.concatenate(sq), np.concatenate(dz)
+
+
+def _direct_gaussian(gen, trials, d, z):
+    ((sq, dz),) = theory._noise_stats(gen, "gaussian", trials, d, z)
+    return sq, dz
+
+
+def _event_stat(cfg, sq, dz, z):
+    """val = |tau*delta + z|^2 / d, the statistic worst_case_prob bins."""
+    return (cfg.tau ** 2 * sq + 2.0 * cfg.tau * dz + float(z @ z)) / cfg.d
 
 
 # ---------------------------------------------------------------- constants
@@ -158,6 +180,18 @@ def test_worst_case_prob_validation():
         worst_case_prob(cfg, 0.5, np.zeros(64), StreamId(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_worst_case_prob_rejects_nonfinite_direction(bad):
+    # 1e300 is finite, but the norm overflows and would zero the shift
+    for family in ("gaussian", "uniform_pm"):
+        z = np.ones(64)
+        z[3] = bad
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            worst_case_prob(_ref_cfg(noise_family=family), 1.0, z,
+                            StreamId(0))
+
+
 def test_rotation_invariance_of_gaussian_event():
     # isotropic noise: the shift direction must not matter beyond MC error
     cfg = _ref_cfg(trials=200_000)
@@ -168,14 +202,92 @@ def test_rotation_invariance_of_gaussian_event():
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
-    cfg = _ref_cfg(d=16, trials=500)
-    k_big = interval_halfwidth_k(cfg, 500, StreamId(7))
-    p_big = worst_case_prob(cfg, 0.8, None, StreamId(8))
-    monkeypatch.setattr(theory, "_CHUNK_ELEMENTS", 128)
-    k_small = interval_halfwidth_k(cfg, 500, StreamId(7))
-    p_small = worst_case_prob(cfg, 0.8, None, StreamId(8))
-    assert k_big == k_small
-    assert p_big.estimate == p_small.estimate
+    # uniform_pm draws rows in chunks; gaussian must ignore the chunk size
+    for family in ("gaussian", "uniform_pm"):
+        cfg = _ref_cfg(d=16, trials=500, noise_family=family)
+        k_big = interval_halfwidth_k(cfg, 500, StreamId(7))
+        p_big = worst_case_prob(cfg, 0.8, None, StreamId(8))
+        with monkeypatch.context() as m:
+            m.setattr(theory, "_CHUNK_ELEMENTS", 128)  # 8 rows per chunk
+            k_small = interval_halfwidth_k(cfg, 500, StreamId(7))
+            p_small = worst_case_prob(cfg, 0.8, None, StreamId(8))
+        assert k_big == k_small, family
+        assert p_big.estimate == p_small.estimate, family
+
+
+# Reference values of the row sampler at version 0.1.0; the families that
+# draw rows must reproduce them exactly.
+# (k, estimate on the first axis, estimate along 1..16), d=16, trials=3000.
+_ROW_FAMILY_PINS = {
+    "uniform_pm": (0.2820142533504719, 0.5286666666666666, 0.5473333333333333),
+    "rademacher": (0.0, 0.49766666666666665, 0.626),
+}
+
+
+def test_row_sampled_families_unchanged():
+    for family, (k_want, axis_want, diag_want) in _ROW_FAMILY_PINS.items():
+        cfg = _ref_cfg(d=16, trials=3000, noise_family=family)
+        assert interval_halfwidth_k(cfg, 3000, StreamId(41)) == k_want
+        axis = worst_case_prob(cfg, 1.3, None, StreamId(42))
+        diag = worst_case_prob(cfg, 1.3, np.arange(1.0, 17.0), StreamId(43))
+        assert axis.estimate == axis_want, family
+        assert diag.estimate == diag_want, family
+
+
+# ------------------------------------------------ gaussian chi-square sampler
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_gaussian_law_matches_row_oracle_ks(d):
+    stats = pytest.importorskip("scipy.stats")
+    cfg = _ref_cfg(d=d)
+    z = np.full(d, cfg.epsilon / math.sqrt(d))  # off-axis shift, |z| = eps
+    sq_o, dz_o = _gaussian_rows_oracle(StreamId(51, ("oracle", d)).generator(),
+                                       20_000, d, z)
+    sq_n, dz_n = _direct_gaussian(StreamId(51, ("direct", d)).generator(),
+                                  20_000, d, z)
+    assert stats.ks_2samp(sq_o / d, sq_n / d).pvalue > 0.01
+    val_o = _event_stat(cfg, sq_o, dz_o, z)
+    val_n = _event_stat(cfg, sq_n, dz_n, z)
+    assert stats.ks_2samp(val_o, val_n).pvalue > 0.01
+
+
+def test_gaussian_event_matches_row_oracle_at_d64():
+    cfg = _ref_cfg(d=64, trials=100_000)
+    z = np.zeros(64)
+    z[0] = cfg.epsilon
+    sq, dz = _gaussian_rows_oracle(StreamId(52, ("oracle",)).generator(),
+                                   cfg.trials, 64, z)
+    val = _event_stat(cfg, sq, dz, z)
+    p_o = float(np.count_nonzero((val >= 0.0) & (val <= 2.0))) / cfg.trials
+    se_o = math.sqrt(p_o * (1.0 - p_o) / cfg.trials)
+    got = worst_case_prob(cfg, 1.0, None, StreamId(52, ("direct",)))
+    assert 0.05 < got.estimate < 0.95
+    assert abs(got.estimate - p_o) <= 4.0 * math.hypot(got.std_error, se_o)
+
+
+def test_gaussian_d1_has_no_chi_square_remainder():
+    # chi2_0 is zero, so at d=1 |delta|^2 is exactly (delta.unit(z))^2
+    sq, dz = _direct_gaussian(np.random.default_rng(0), 1000, 1,
+                              np.array([0.5]))
+    np.testing.assert_array_equal(sq, (dz / 0.5) ** 2)
+    cfg = _ref_cfg(d=1, trials=1000)
+    assert interval_halfwidth_k(cfg, 1000, StreamId(53)) > 0.0
+    est = worst_case_prob(cfg, 1.0, None, StreamId(54))
+    assert 0.0 < est.estimate < 1.0
+
+
+def test_gaussian_memory_does_not_grow_with_dimension():
+    # one 16 MiB row chunk is what a (trials x d) draw would cost at d=4096
+    cfg = _ref_cfg(d=4096, trials=100_000)
+    tracemalloc.start()
+    try:
+        k = interval_halfwidth_k(cfg, cfg.trials, StreamId(55))
+        worst_case_prob(cfg, k, None, StreamId(56))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (theory._CHUNK_ELEMENTS * 8) // 2
 
 
 # ---------------------------------------------------------------- decay check
