@@ -15,7 +15,9 @@ Numeric implementations are self-contained and documented:
 - The Clopper-Pearson lower limit solves sum_{j=k}^n C(n,j) p^j (1-p)^{n-j}
   = alpha by bisection on the exact binomial tail (log-space summation),
   absolute tolerance 1e-10; k=0 maps to 0 and k=n to the closed form
-  alpha^(1/n).
+  alpha^(1/n). A safeguarded Newton iteration on the log tail first brackets
+  the root, so the bisection evaluates the tail only at the midpoints that
+  fall near it and decides the rest by comparison, with the same result.
 
 Noisy inputs are never clipped to any data range.
 """
@@ -244,6 +246,15 @@ def clopper_pearson_lower(k: int, n: int, alpha_cert: float) -> float:
     p_lower solves P(Binomial(n, p) >= k) = alpha_cert for 0 < k <= n (by
     bisection on the exact tail, absolute tolerance 1e-10), is 0 for k = 0,
     and is alpha^(1/n) in closed form for k = n.
+
+    The bisection is Newton-guided, with the result of the plain one. Newton
+    on g(p) = log tail(p) - log alpha (increasing and concave: the tail is a
+    Beta(k, n-k+1) CDF) finds evaluated points lo < hi with tail(lo) < alpha
+    <= tail(hi), a few pads apart; each step from below aims two pads past
+    the root. A pad is `delta / g'(p)`, where delta exceeds the rounding
+    error of the computed log tail. The bisection then evaluates the tail
+    only at midpoints within a pad of [lo, hi]: every other midpoint's tail
+    lies at least delta from alpha in log, on the side the bracket shows.
     """
     if not (0 <= k <= n) or n < 1:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
@@ -253,14 +264,52 @@ def clopper_pearson_lower(k: int, n: int, alpha_cert: float) -> float:
         return 0.0
     if k == n:
         return math.exp(math.log(alpha_cert) / n)
-    lo, hi = 0.0, 1.0  # tail(lo) = 0 < alpha, tail(hi) = 1 > alpha
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _binom_upper_tail(k, n, mid) < alpha_cert:
-            lo = mid
+    log_alpha = math.log(alpha_cert)
+    lf = _log_factorials(n)
+    log_binom = lf[n] - lf[k] - lf[n - k]
+    # a generous bound on the rounding error of log tail: the log terms
+    # carry magnitudes up to lgamma(n + 1) ~ n log n
+    delta = 1e-14 * n * (1.0 + math.log(n)) + 1e-12
+    z = -std_normal_quantile(alpha_cert)
+    # the Wilson score limit as the first guess
+    p = (k + 0.5 * z * z - z * math.sqrt(k * (n - k) / n + 0.25 * z * z)) / (n + z * z)
+    lo, hi = 0.0, 1.0  # tail(lo) < alpha <= tail(hi)
+    for _ in range(60):
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+        tail = _binom_upper_tail(k, n, p)
+        if tail < alpha_cert:
+            lo = p
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = p
+        if tail <= 0.0:
+            p = 0.5 * (lo + hi)
+            continue
+        log_tail = math.log(tail)
+        # d log tail / dp = k C(n,k) p^(k-1) (1-p)^(n-k) / tail
+        slope = k * math.exp(log_binom + (k - 1) * math.log(p)
+                             + (n - k) * math.log1p(-p) - log_tail)
+        pad = delta / slope
+        if hi - lo <= 4.0 * pad:
+            break
+        p -= (log_tail - log_alpha) / slope
+        if tail < alpha_cert:
+            p += 2.0 * pad
+    else:
+        pad = 1.0  # no bracket: the bisection evaluates every midpoint
+    lo, hi = lo - pad, hi + pad
+    a, b = 0.0, 1.0
+    while b - a > 1e-10:
+        mid = 0.5 * (a + b)
+        if lo <= mid <= hi:
+            below = _binom_upper_tail(k, n, mid) < alpha_cert
+        else:
+            below = mid < lo
+        if below:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 class NotCertifiable(Exception):

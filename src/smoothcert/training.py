@@ -23,9 +23,13 @@ built, so the anchor feeds the natural loss, the mix point, and y_mix alike.
 
 Every example owns a private RNG stream (master_seed, "train", epoch, index)
 that yields its noise batch first and lambda second, so paired runs of
-different methods under one seed see identical noise. Minibatch gradients are
-computed by one stacked backward pass per minibatch; the reduction order is
-fixed, making training bit-reproducible for a given (config, seed).
+different methods under one seed see identical noise. The seed words of an
+epoch's example streams are derived in one batch (`StreamId.child_seeds`) and
+each minibatch re-seeds one generator per example from them: the same bits as
+each stream's own `generator()`, without a SeedSequence per example.
+Minibatch gradients are computed by one stacked backward pass per minibatch;
+the reduction order is fixed, making training bit-reproducible for a given
+(config, seed).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .adversary import AttackConfig, _ascend_batch, l2_project
 from .data import Dataset
 from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
                  init_mlp, sgd_nesterov_step)
-from .rng import StreamId
+from .rng import StreamId, reseeded
 from .smoothing import _noisy_rows, soft_smoothed_predict
 
 __all__ = [
@@ -160,19 +164,18 @@ def make_mix_pair(x_base: np.ndarray, fhat_base: np.ndarray, x_adv: np.ndarray,
     return x_mix, y_mix
 
 
-def _example_randomness(stream: StreamId, m: int, dim: int, sigma: float):
-    """One example's private draws, in fixed order: noise batch, then lambda."""
-    gen = stream.generator()
-    deltas = gen.standard_normal((m, dim)) * sigma
-    lam = gen.uniform(0.0, 0.5)
-    return deltas, lam
+def _minibatch_randomness(seeds, m: int, dim: int, sigma: float):
+    """Each example's private draws, in fixed order: noise batch, then lambda.
 
-
-def _minibatch_randomness(streams, m: int, dim: int, sigma: float):
-    noises = np.empty((len(streams), m, dim))
-    lams = np.empty(len(streams))
-    for i, s in enumerate(streams):
-        noises[i], lams[i] = _example_randomness(s, m, dim, sigma)
+    seeds holds one row of PCG64 seed words per example
+    (`StreamId.child_seeds`). Returns noises (B, m, dim) and lambdas (B,).
+    """
+    noises = np.empty((len(seeds), m, dim))
+    lams = np.empty(len(seeds))
+    for i, gen in enumerate(reseeded(seeds)):
+        gen.standard_normal(out=noises[i])
+        lams[i] = gen.uniform(0.0, 0.5)
+    noises *= sigma
     return noises, lams
 
 
@@ -191,17 +194,17 @@ def _noisy_ce_step(params, noises, parts):
     return grads, [float(c.mean()) for c in np.split(ce, len(parts))]
 
 
-def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, streams):
-    noises, _ = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
+def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, seeds):
+    noises, _ = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
     grads, (loss,) = _noisy_ce_step(params, noises,
                                     [(X, np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
 
-def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, streams, epoch: int):
+def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, seeds, epoch: int):
     """The Gaussian step at each example's PGD endpoint, attacked under the
     example's own noise batch."""
-    noises, _ = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
+    noises, _ = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
     eps = cfg.epsilon_at(epoch)
     step = cfg.step_size if cfg.step_size is not None else 2.0 * eps / cfg.steps
     points, _, _ = _ascend_batch(params, X, Y, noises, step, cfg.steps, epsilon_cap=eps)
@@ -210,7 +213,7 @@ def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, streams, epoch: int
     return grads, loss, 0.0
 
 
-def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, streams):
+def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, seeds):
     """One SmoothMix step over B examples; B=1 is the single-example case.
 
     Returns (grads, mean natural loss, mean mix loss, diagnostics). The
@@ -218,7 +221,7 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, streams):
     constant target. Diagnostics hold the per-example anchor, x_adv, lambda,
     x_mix, y_mix and J path ((T+1, B)).
     """
-    noises, lams = _minibatch_randomness(streams, cfg.m, X.shape[1], cfg.sigma)
+    noises, lams = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
     points, fhat_path, j_path = _ascend_batch(
         params, X, Y, noises, cfg.attack.alpha_step, cfg.attack.steps,
         epsilon_cap=cfg.attack.epsilon_cap)
@@ -282,21 +285,21 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
         t0 = time.perf_counter()
         state.lr = run_cfg.lr_at(epoch)
         order = root.child("shuffle", epoch).generator().permutation(n)
+        seeds = root.child("train", epoch).child_seeds(np.arange(n))
         nat_sum = mix_sum = 0.0
         seen = 0
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
             X, Y = X_all[idx], Y_all[idx]
-            streams = [root.child("train", epoch, int(i)) for i in idx]
             if run_cfg.method == "gaussian":
                 grads, loss_nat, loss_mix = _gaussian_minibatch(
-                    params, X, Y, method_cfg, streams)
+                    params, X, Y, method_cfg, seeds[idx])
             elif run_cfg.method == "smoothadv":
                 grads, loss_nat, loss_mix = _smoothadv_minibatch(
-                    params, X, Y, method_cfg, streams, epoch)
+                    params, X, Y, method_cfg, seeds[idx], epoch)
             else:
                 grads, loss_nat, loss_mix, _ = _smoothmix_minibatch(
-                    params, X, Y, method_cfg, streams)
+                    params, X, Y, method_cfg, seeds[idx])
             sgd_nesterov_step(params, grads, state)
             nat_sum += loss_nat * len(idx)
             mix_sum += loss_mix * len(idx)

@@ -59,7 +59,7 @@ from smoothcert.training import (
     GaussianConfig,
     SmoothMixConfig,
     TrainRunConfig,
-    _example_randomness,
+    _minibatch_randomness,
     make_mix_pair,
     train,
 )
@@ -441,8 +441,8 @@ def test_criterion_9_invariant_suite(tmp_path):
 
     # lambda ~ U([0, 1/2]) by Kolmogorov-Smirnov at 1%
     stats = pytest.importorskip("scipy.stats")
-    lams = np.array([_example_randomness(StreamId(9, ("ks", i)), 1, 2, 1.0)[1]
-                     for i in range(10_000)])
+    lams = _minibatch_randomness(StreamId(9, ("ks",)).child_seeds(np.arange(10_000)),
+                                 1, 2, 1.0)[1]
     ks = stats.kstest(lams, "uniform", args=(0.0, 0.5))
     assert ks.pvalue > 0.01
 

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -410,3 +412,43 @@ def test_out_dir_env_fallback(tmp_path, trained, monkeypatch):
                  _certify_cfg(trained / "checkpoint.json", "max_points = 2"))
     assert main(["certify", "--config", cfg]) == 0
     assert (env_out / "certify.csv").exists()
+
+
+def test_train_bytes_fixed_for_a_blas_thread_count(tmp_path):
+    # The README's determinism contract holds for one BLAS build and thread
+    # count. The pinned behaviour at two-moons shape: a 1-epoch SmoothMix run
+    # repeats byte for byte on 2 OpenBLAS threads, while 1 and 2 threads may
+    # round some products differently (OpenBLAS 0.3.31 does, by a few ulp of
+    # the weights). The variable only takes effect before numpy loads, hence
+    # the subprocesses.
+    cfg = _write(tmp_path / "train.cfg", """
+method = smoothmix
+sigma = 0.5
+m = 4
+eta = 5.0
+alpha_step = 0.5
+attack_steps = 2
+epochs = 1
+batch_size = 50
+lr = 0.1
+seed = 8
+dataset.kind = two_moons
+dataset.n = 400
+dataset.noise_std = 0.1
+dataset.seed = 1
+""")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    checkpoints = []
+    for run, threads in enumerate(("1", "2", "2")):
+        out = tmp_path / f"run{run}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        checkpoints.append((out / "checkpoint.json").read_bytes())
+    assert checkpoints[1] == checkpoints[2]
+    one, two = (json.loads(c) for c in checkpoints[:2])
+    for key in ("weights", "biases"):
+        for a, b in zip(one[key], two[key]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from smoothcert.cli import main
 from smoothcert.data import (
     CountMismatch,
     Dataset,
@@ -274,3 +275,73 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(inputs=np.zeros((1, 2)), labels=np.array([5]),
                 class_count=2, split="train")
+
+
+# ---------------------------------------------------------------- CLI memory at MNIST shape
+
+
+def _mnist_shape_fixture(tmp_path, n):
+    """n 28x28 images in 10 balanced classes: a fixed pattern per class
+    under pixel jitter, written as an IDX pair."""
+    rng = np.random.default_rng(3)
+    labels = np.arange(n) % 10
+    protos = rng.integers(0, 256, (10, 28, 28))
+    jitter = rng.integers(-40, 41, (n, 28, 28))
+    imgs = np.clip(protos[labels] + jitter, 0, 255).astype(np.uint8)
+    return _fixture_pair(tmp_path, imgs, labels)
+
+
+def _cli_peak(tmp_path, name, command, text):
+    """Run one CLI subcommand in-process; return its tracemalloc peak."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / name)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_cli_peaks_bounded_at_mnist_shape(tmp_path):
+    # 784-256-256-10 on 6,000 IDX images: the loader keeps only the subsample
+    # (a float64 copy of every image would be 36 MiB), CERTIFY holds at most
+    # COUNT_CHUNK noisy rows however large n is (10,000 rows at once would be
+    # 60 MiB of noise), and evaluate reads CSV rows only.
+    ip, lp = _mnist_shape_fixture(tmp_path, 6000)
+    data = (f"dataset.kind = mnist\ndataset.images = {ip}\n"
+            f"dataset.labels = {lp}\ndataset.seed = 2\n")
+    train_peak = _cli_peak(tmp_path, "train", "train", data + """
+method = smoothmix
+sigma = 0.5
+m = 2
+eta = 5.0
+alpha_step = 1.0
+attack_steps = 1
+epochs = 1
+batch_size = 50
+lr = 0.05
+seed = 4
+dataset.subsample = 200
+""")
+    certify_peak = _cli_peak(tmp_path, "certify", "certify", data + f"""
+checkpoint = {tmp_path / 'train' / 'checkpoint.json'}
+sigma = 0.5
+n0 = 100
+n = 10000
+max_points = 2
+seed = 5
+dataset.subsample = 20
+dataset.split = test
+""")
+    evaluate_peak = _cli_peak(tmp_path, "evaluate", "evaluate", f"""
+cert_csv = {tmp_path / 'certify' / 'certify.csv'}
+sigma = 0.5
+radii = 0.0, 0.5
+""")
+    mib = 2**20
+    assert train_peak < 24 * mib
+    assert certify_peak < 32 * mib
+    assert evaluate_peak < 1 * mib

@@ -307,6 +307,56 @@ def test_cp_monotone_in_k(n, frac, alpha):
             >= clopper_pearson_lower(k, n, alpha) - 1e-12)
 
 
+def _bisection_lower(k, n, alpha):
+    """The plain Clopper-Pearson bisection: every one of its midpoints
+    evaluates the exact tail (the oracle for the Newton-guided solver)."""
+    if k == 0:
+        return 0.0
+    if k == n:
+        return math.exp(math.log(alpha) / n)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if smoothing._binom_upper_tail(k, n, mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 1000])
+def test_cp_equals_bisection_every_k(n, alpha):
+    got = [clopper_pearson_lower(k, n, alpha) for k in range(n + 1)]
+    assert got == [_bisection_lower(k, n, alpha) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05])
+@pytest.mark.parametrize("n, stride", [(10_000, 97), (100_000, 1999)])
+def test_cp_equals_bisection_on_a_stride(n, stride, alpha):
+    # CERTIFY's k sits near n, so the stride adds the last few counts
+    ks = list(range(1, n, stride)) + [n // 2, n - 3, n - 2, n - 1]
+    assert ([clopper_pearson_lower(k, n, alpha) for k in ks]
+            == [_bisection_lower(k, n, alpha) for k in ks])
+
+
+def test_cp_equals_bisection_at_extreme_alpha():
+    for k, n in [(1, 50), (25, 50), (49, 50), (999, 1000), (3, 1000)]:
+        for alpha in (1e-300, 1e-12, 0.5, 0.999):
+            assert clopper_pearson_lower(k, n, alpha) == _bisection_lower(k, n, alpha)
+
+
+def test_cp_evaluates_the_tail_far_fewer_times(monkeypatch):
+    calls = []
+    tail = smoothing._binom_upper_tail
+    monkeypatch.setattr(smoothing, "_binom_upper_tail",
+                        lambda *a: calls.append(a) or tail(*a))
+    for k in range(900, 1000, 7):
+        clopper_pearson_lower(k, 1000, 0.001)
+    # the plain bisection makes 34 evaluations per call
+    assert len(calls) <= 14 * len(range(900, 1000, 7))
+
+
 # ---------------------------------------------------------------- radius
 
 

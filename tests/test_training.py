@@ -21,8 +21,8 @@ from smoothcert.training import (
     SmoothAdvConfig,
     SmoothMixConfig,
     TrainRunConfig,
-    _example_randomness,
     _gaussian_minibatch,
+    _minibatch_randomness,
     _noisy_ce_step,
     _smoothadv_minibatch,
     _smoothmix_minibatch,
@@ -58,11 +58,25 @@ def _mean_ce(params, x, target, deltas):
                           for d in deltas]))
 
 
+def _seeds(streams):
+    """The batched seed words of each stream parent.child(i)."""
+    return np.concatenate([StreamId(s.master_seed, s.path[:-1]).child_seeds([s.path[-1]])
+                           for s in streams])
+
+
+def _draws(stream, m, dim, sigma):
+    """One example's noise batch and lambda, drawn from the stream's own
+    generator() in the training order."""
+    gen = stream.generator()
+    deltas = gen.standard_normal((m, dim)) * sigma
+    return deltas, gen.uniform(0.0, 0.5)
+
+
 def _example(params, x, y, cfg, stream):
     """The batched SmoothMix step at B=1, with its noise batch."""
     grads, nat, mix, diag = _smoothmix_minibatch(
-        params, np.asarray(x)[None, :], np.array([y]), cfg, [stream])
-    deltas, _ = _example_randomness(stream, cfg.m, len(x), cfg.sigma)
+        params, np.asarray(x)[None, :], np.array([y]), cfg, _seeds([stream]))
+    deltas, _ = _draws(stream, cfg.m, len(x), cfg.sigma)
     return grads, nat, mix, diag, deltas
 
 
@@ -101,9 +115,10 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     cfg = SmoothAdvConfig(sigma=0.5, m=3, epsilon=0.6, steps=3, warmup_epochs=2)
     X, Y = np.array([[0.2, -0.1], [0.7, 0.3]]), np.array([1, 2])
     streams = [StreamId(5, ("train", 0, i)) for i in range(2)]
-    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, streams, epoch=0)
+    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, _seeds(streams),
+                                            epoch=0)
     assert mix == 0.0
-    noises = np.stack([_example_randomness(s, 3, 2, 0.5)[0] for s in streams])
+    noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
     eps = cfg.epsilon_at(0)
     x_hat = np.stack([
         smoothadv_pgd(params, X[b], int(Y[b]),
@@ -211,9 +226,9 @@ def test_smoothmix_loss_manual_recomputation():
 def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form(monkeypatch):
     # lambda = 0: the mix term is the noisy CE at x against the soft target
     # Fhat(x)
-    draw = training._example_randomness
-    monkeypatch.setattr(training, "_example_randomness",
-                        lambda *a: (draw(*a)[0], 0.0))
+    draw = training._minibatch_randomness
+    monkeypatch.setattr(training, "_minibatch_randomness",
+                        lambda *a: (draw(*a)[0], np.zeros(len(a[0]))))
     params = _random_net(8, [2, 5, 2])
     x = np.array([0.4, 0.1])
     _, _, mix, diag, deltas = _example(params, x, 1, _mix_cfg(),
@@ -244,7 +259,7 @@ def test_batch_loss_additivity_and_recomputable_terms():
         _mean_ce(params, diag["anchor"][0], one_hot(y, 3), deltas), abs=1e-12)
     assert mix == pytest.approx(
         _mean_ce(params, diag["x_mix"][0], diag["y_mix"][0], deltas), abs=1e-12)
-    lam = _example_randomness(stream, cfg.m, 2, cfg.sigma)[1]
+    lam = _draws(stream, cfg.m, 2, cfg.sigma)[1]
     assert diag["lambda"][0] == lam
     np.testing.assert_allclose(
         diag["x_mix"][0], (1 - lam) * diag["anchor"][0] + lam * diag["x_adv"][0],
@@ -258,9 +273,11 @@ def test_batch_loss_eta_limit_is_gaussian():
     params = _random_net(12, [2, 6, 2])
     stream = StreamId(13, ("train", 0, 0))
     X, Y = np.array([[0.2, 0.8]]), np.array([0])
-    g_mix, nat, _, _ = _smoothmix_minibatch(params, X, Y, _mix_cfg(eta=1e-12), [stream])
+    g_mix, nat, _, _ = _smoothmix_minibatch(params, X, Y, _mix_cfg(eta=1e-12),
+                                            _seeds([stream]))
     g_gauss, loss, _ = _gaussian_minibatch(params, X, Y,
-                                           GaussianConfig(sigma=0.5, m=3), [stream])
+                                           GaussianConfig(sigma=0.5, m=3),
+                                           _seeds([stream]))
     assert nat == loss
     for a, b in zip(g_mix[0] + g_mix[1], g_gauss[0] + g_gauss[1]):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -300,7 +317,7 @@ def test_one_step_substitution_changes_anchor():
     d_one = _example(params, x, y, _mix_cfg(use_one_step=True), stream)[3]
     np.testing.assert_array_equal(d_plain["anchor"][0], x)
     # one-step anchor is the first ascent iterate, one full step from x
-    noise = NoiseBatch(deltas=_example_randomness(stream, 3, 2, 0.5)[0],
+    noise = NoiseBatch(deltas=_draws(stream, 3, 2, 0.5)[0],
                        sigma=0.5, stream=stream)
     traj = smoothmix_attack(params, x, y, noise, AttackConfig(0.5, 2))
     np.testing.assert_array_equal(d_one["anchor"][0], traj.points[1])
@@ -323,9 +340,8 @@ def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(31, ("train", 0, i)) for i in range(3)]
-    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, streams)
-    noises = np.stack([_example_randomness(s, cfg.m, 2, cfg.sigma)[0]
-                       for s in streams])
+    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, _seeds(streams))
+    noises = np.stack([_draws(s, cfg.m, 2, cfg.sigma)[0] for s in streams])
     fhat = soft_smoothed_predict(params, diag["anchor"], noises)
     lam = diag["lambda"][:, None]
     np.testing.assert_array_equal(diag["y_mix"], (1 - lam) * fhat + lam / 3)
@@ -363,10 +379,8 @@ def test_no_gradient_leakage_through_fhat_target():
 
 def test_lambda_uniform_ks():
     stats = pytest.importorskip("scipy.stats")
-    lams = np.array([
-        _example_randomness(StreamId(23, ("train", 0, i)), 1, 2, 1.0)[1]
-        for i in range(10_000)
-    ])
+    lams = _minibatch_randomness(
+        StreamId(23, ("train", 0)).child_seeds(np.arange(10_000)), 1, 2, 1.0)[1]
     assert np.all((lams >= 0) & (lams <= 0.5))
     res = stats.kstest(lams, "uniform", args=(0.0, 0.5))
     assert res.pvalue > 0.01
@@ -381,7 +395,8 @@ def test_minibatch_matches_per_example_pipeline():
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(25, ("train", 0, i)) for i in range(3)]
-    grads_b, nat_b, mix_b, diag_b = _smoothmix_minibatch(params, X, Y, cfg, streams)
+    grads_b, nat_b, mix_b, diag_b = _smoothmix_minibatch(params, X, Y, cfg,
+                                                         _seeds(streams))
 
     singles = [_example(params, X[i], int(Y[i]), cfg, streams[i]) for i in range(3)]
     assert nat_b == pytest.approx(np.mean([s[1] for s in singles]), rel=1e-10)
@@ -481,3 +496,15 @@ def test_train_gaussian_separable_blobs_high_accuracy():
     params, _ = train(ds, run, GaussianConfig(sigma=0.25, m=1))
     preds = np.argmax(forward(params, ds.inputs), axis=1)
     assert (preds == ds.labels).mean() >= 0.99
+
+
+def test_minibatch_randomness_matches_each_stream_generator():
+    # the batched epoch derivation gives every example the draws of its own
+    # StreamId(seed, ("train", epoch, i)).generator(): noise first, then lambda
+    parent = StreamId(41, ("train", 3))
+    idx = np.array([7, 0, 1999, 42])
+    noises, lams = _minibatch_randomness(parent.child_seeds(idx), 3, 5, 0.25)
+    for b, i in enumerate(idx):
+        deltas, lam = _draws(parent.child(int(i)), 3, 5, 0.25)
+        np.testing.assert_array_equal(noises[b], deltas)
+        assert lams[b] == lam
