@@ -8,7 +8,7 @@ dimension-decay bound simulator (`theory`), dataset generators and an IDX
 loader (`data`), and a deterministic CLI harness (`cli`).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .adversary import (
     AttackConfig,
@@ -33,7 +33,6 @@ from .evaluation import (
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
-    confidence_stats,
     equal_confidence_mixing_ratio,
 )
 from .nn import (
@@ -113,7 +112,6 @@ __all__ = [
     "certify",
     "chebyshev_k_bound",
     "clopper_pearson_lower",
-    "confidence_stats",
     "cross_entropy",
     "equal_confidence_mixing_ratio",
     "forward",

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, class_prob_grad_input
-from .smoothing import NoiseBatch, _noisy_rows, soft_smoothed_predict
+from .nn import ModelParams, class_prob_grad_input, first_layer_noise
+from .smoothing import NoiseBatch, soft_smoothed_predict
 
 __all__ = [
     "AttackConfig",
@@ -99,20 +99,21 @@ def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
 
 
 def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                        noises: np.ndarray):
-    """J and grad_x J for B points at once.
+                        noise: np.ndarray):
+    """J and grad_x J for B points at once, under per-point noise batches as
+    nn.first_layer takes them (nn.first_layer_noise).
 
     grad J = -(sum_i grad F_y(x + delta_i)) / (m * Fhat_y), from the chain
     rule through the Monte Carlo mean. Fhat is the mean of the softmax the
     gradient pass already computes. Returns (J (B,), grads (B, d), fhat (B, C)).
     """
-    B, m, d = noises.shape
-    y_rows = np.repeat(np.asarray(y, dtype=np.intp), m)
-    probs, point_grads = class_prob_grad_input(params, _noisy_rows(X, noises), y_rows)
+    B, m = len(X), noise.shape[-2]
+    y = np.asarray(y, dtype=np.intp)
+    probs, grad_sums = class_prob_grad_input(params, X, y, noise)
     fhat = probs.reshape(B, m, -1).mean(axis=1)
-    fy = np.maximum(fhat[np.arange(B), np.asarray(y, dtype=np.intp)], PROB_FLOOR)
+    fy = np.maximum(fhat[np.arange(B), y], PROB_FLOOR)
     J = -np.log(fy)
-    grads = -point_grads.reshape(B, m, d).sum(axis=1) / (m * fy)[:, None]
+    grads = -grad_sums / (m * fy)[:, None]
     return J, grads, fhat
 
 
@@ -139,12 +140,14 @@ def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
 
     Returns (points (T+1, B, d), fhat_path (T+1, B, C), j_path (T+1, B)).
     When epsilon_cap is set, every iterate is projected onto that ball around
-    its start point: PGD's constraint, or the hard-restriction ablation.
+    its start point: PGD's constraint, or the hard-restriction ablation. The
+    noise goes through first_layer_noise once per call.
     """
     X0 = np.asarray(X, dtype=np.float64)
+    noise = first_layer_noise(params, noises)
     cur = X0
     points = [X0]
-    J, grads, fhat = _objective_and_grad(params, cur, y, noises)
+    J, grads, fhat = _objective_and_grad(params, cur, y, noise)
     fhat_path, j_path = [fhat], [J]
     for _ in range(steps):
         norms = np.linalg.norm(grads, axis=1)
@@ -154,7 +157,7 @@ def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
         if epsilon_cap is not None:
             cur = l2_project(cur, X0, epsilon_cap)
         points.append(cur)
-        J, grads, fhat = _objective_and_grad(params, cur, y, noises)
+        J, grads, fhat = _objective_and_grad(params, cur, y, noise)
         fhat_path.append(fhat)
         j_path.append(J)
     return np.stack(points), np.stack(fhat_path), np.stack(j_path)

@@ -8,8 +8,6 @@
   segment from x to a PGD point at which the soft-smoothed argmax departs
   from the true class, scanned on a fixed 101-point grid (the argmax along
   the segment need not be monotone, so no bisection).
-- Confidence stats: Monte Carlo means of the smoothed true-class probability
-  and of the maximum off-class probability.
 """
 
 from __future__ import annotations
@@ -22,14 +20,13 @@ import numpy as np
 from .adversary import smoothadv_pgd
 from .nn import ModelParams
 from .rng import StreamId
-from .smoothing import CertifyOutcome, hard_class_counts, sample_noise, soft_smoothed_predict
+from .smoothing import CertifyOutcome, sample_noise, soft_smoothed_predict
 
 __all__ = [
     "CertifiedResultSet",
     "acr",
     "certified_accuracy_curve",
     "equal_confidence_mixing_ratio",
-    "confidence_stats",
     "METRICS_CSV_BASE_COLUMNS",
     "write_metrics_csv",
     "MIXRATIO_CSV_COLUMNS",
@@ -124,28 +121,6 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     if len(flips) == 0:
         return None
     return float(lams[flips[0]])
-
-
-def confidence_stats(params: ModelParams, points: np.ndarray, labels,
-                     sigma: float, m: int, stream: StreamId):
-    """Dataset means of smoothed true-class and max off-class frequencies.
-
-    Per point, frequencies come from m hard predictions under fresh noise
-    drawn from the point's substream.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    true_conf = np.empty(len(points))
-    off_conf = np.empty(len(points))
-    for i, (x, y) in enumerate(zip(points, labels)):
-        counts = hard_class_counts(params, x, m, sigma, stream.child(int(i)))
-        freqs = counts / m
-        true_conf[i] = freqs[y]
-        off = np.delete(freqs, y)
-        off_conf[i] = off.max() if len(off) else 0.0
-    return float(true_conf.mean()), float(off_conf.mean())
 
 
 METRICS_CSV_BASE_COLUMNS = ["model", "points", "acr"]

@@ -4,6 +4,12 @@ The network is logits = L_k(relu(L_{k-1}(... relu(L_1(x)) ...))) with dense
 layers L_i(h) = h @ W_i + b_i. Everything here is plain numpy; gradients are
 hand-derived backprop, not autodiff. ReLU's subgradient at 0 is taken as 0.
 
+Every forward starts at first_layer, then runs the shared tail
+(forward_tail). Gaussian noise reaches the net only through W1, and
+(x + delta) W1 = x W1 + delta W1, so when d > h1 (factors_noise) first_layer
+takes the noise already through W1 (first_layer_noise): smoothing and the
+attacks then never form a d-wide noisy input.
+
 Checkpoint layout (versioned structured text, stable across releases):
 a JSON object with keys
     format:      "smoothcert.checkpoint"
@@ -30,6 +36,10 @@ __all__ = [
     "ModelParams",
     "OptimizerState",
     "init_mlp",
+    "factors_noise",
+    "first_layer",
+    "first_layer_noise",
+    "forward_tail",
     "forward",
     "softmax",
     "cross_entropy",
@@ -135,40 +145,100 @@ def init_mlp(layer_sizes, stream: StreamId) -> ModelParams:
     return ModelParams(weights, biases)
 
 
-def _as_batch(params: ModelParams, x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    X = x[None, :] if squeezed else x
+def factors_noise(params: ModelParams) -> bool:
+    """Whether Gaussian noise enters the net after W1, as delta @ W1 (d > h1).
+
+    Then delta @ W1 is narrower than delta: CERTIFY draws h1 normals in W1's
+    row space instead of d, and a fixed noise batch goes through W1 once. At
+    d <= h1 CERTIFY would draw as many normals, and the per-row product the
+    fixed-noise paths would save is small next to the later layers, while
+    the extra array operations cost more (two-moons ran 8% slower), so the
+    noise is added to x, as x + delta.
+    """
+    W1 = params.weights[0]
+    return W1.shape[0] > W1.shape[1]
+
+
+def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
+    """Pre-activation of the first dense layer, X @ W1 + b1, for points X (B, d).
+
+    With noise in the space factors_noise picks, as first_layer_noise gives
+    it (m draws shared by every point, or B per-point batches of m), it is
+    the pre-activation of the B*m noisy rows x_b + delta_i in (b, i) order:
+    x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1. Every forward starts here, so this is the one
+    input check: DimensionMismatch for X of the wrong shape and ValueError
+    for non-finite X (argmax of a NaN row reads as class 0, so a bad input
+    must not reach a prediction).
+    """
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise DimensionMismatch("input", f"(*, {params.input_dim})", x.shape)
-    return X, squeezed
+        raise DimensionMismatch("input", f"(*, {params.input_dim})", X.shape)
+    if not np.isfinite(X).all():
+        raise ValueError("input has non-finite entries")
+    W1, b1 = params.weights[0], params.biases[0]
+    if noise is not None:
+        if noise.ndim == 3 and noise.shape[0] != X.shape[0]:
+            raise DimensionMismatch("per-point noise batches", X.shape[0], noise.shape[0])
+        if factors_noise(params):
+            z = X @ W1
+            z += b1
+            return (z[:, None, :] + noise).reshape(-1, W1.shape[1])
+        X = (X[:, None, :] + noise).reshape(-1, X.shape[1])
+    z = X @ W1
+    z += b1
+    return z
 
 
-def _forward_cached(params: ModelParams, X: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    acts = [X]
-    pres = []
-    h = X
-    last = len(params.weights) - 1
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W + b
-        pres.append(z)
-        h = np.maximum(z, 0.0) if k < last else z
-        acts.append(h)
-    return h, pres, acts
+def first_layer_noise(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
+    """Noise rows (m, d) or per-point batches (B, m, d) as first_layer takes them.
+
+    That is delta @ W1 when factors_noise, in one matrix product: a fixed
+    batch shared by many inputs then goes through W1 once, and each input
+    adds only x @ W1. Otherwise delta itself.
+    """
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.ndim not in (2, 3) or deltas.shape[-1] != params.input_dim:
+        raise DimensionMismatch("noise", f"(*, {params.input_dim})", deltas.shape)
+    if not factors_noise(params):
+        return deltas
+    W1 = params.weights[0]
+    return (deltas.reshape(-1, W1.shape[0]) @ W1).reshape(deltas.shape[:-1] + (W1.shape[1],))
+
+
+def forward_tail(params: ModelParams, z1: np.ndarray) -> np.ndarray:
+    """Logits from the first layer's pre-activation z1 (rows, h1).
+
+    The layers after the first, keeping only the current activation. The
+    ReLUs run in place, so z1 is overwritten (a fresh array per layer made
+    two-moons CERTIFY measurably slower). A single-layer net's z1 is already
+    its logits.
+    """
+    h = z1
+    for W, b in zip(params.weights[1:], params.biases[1:]):
+        np.maximum(h, 0.0, out=h)
+        h = h @ W
+        h += b
+    return h
+
+
+def _forward_cached(params: ModelParams, X: np.ndarray, noise=None):
+    """Forward pass keeping pre-activations and activations for backprop.
+
+    Rows are as in first_layer. acts[k] is the input of layer k; acts[0] is
+    X, which are the rows the first layer saw only without noise.
+    """
+    pres, acts = [first_layer(params, X, noise)], [X]
+    for W, b in zip(params.weights[1:], params.biases[1:]):
+        acts.append(np.maximum(pres[-1], 0.0))
+        pres.append(acts[-1] @ W + b)
+    return pres[-1], pres, acts
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for one input (d,) or a batch (B, d); output matches input ndim.
-
-    Keeps only the current activation; _forward_cached keeps all, for backprop.
-    """
-    h, squeezed = _as_batch(params, x)
-    for k, (W, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ W  # a new array, so the in-place steps below never write to x
-        h += b
-        if k < len(params.weights) - 1:
-            np.maximum(h, 0.0, out=h)
+    """Logits for one input (d,) or a batch (B, d); output matches input ndim."""
+    x = np.asarray(x, dtype=np.float64)
+    squeezed = x.ndim == 1
+    h = forward_tail(params, first_layer(params, x[None, :] if squeezed else x))
     return h[0] if squeezed else h
 
 
@@ -189,9 +259,12 @@ def cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(np.maximum(p, CE_PROB_FLOOR))).sum())
 
 
-def _backward(params: ModelParams, pres, acts, dlogits,
-              need_params: bool, need_input: bool):
-    """Backprop the cotangent dlogits (B, C); returns (param grads or None, dX or None)."""
+def _backward(params: ModelParams, pres, acts, dlogits, need_params: bool):
+    """Backprop the cotangent dlogits (rows, C) to the first layer's pre-activation.
+
+    Returns (param grads or None, dz1). The input gradient is dz1 @ W1.T;
+    callers form it, so that rows sharing a point can be summed first.
+    """
     gW = [None] * len(params.weights)
     gb = [None] * len(params.biases)
     delta = dlogits
@@ -199,11 +272,10 @@ def _backward(params: ModelParams, pres, acts, dlogits,
         if need_params:
             gW[k] = acts[k].T @ delta
             gb[k] = delta.sum(axis=0)
-        if k > 0 or need_input:
+        if k > 0:
             delta = delta @ params.weights[k].T
-            if k > 0:
-                delta = delta * (pres[k - 1] > 0.0)
-    return (gW, gb) if need_params else None, (delta if need_input else None)
+            delta = delta * (pres[k - 1] > 0.0)
+    return (gW, gb) if need_params else None, delta
 
 
 def _grad_params_weighted(params: ModelParams, X: np.ndarray, targets: np.ndarray,
@@ -216,7 +288,7 @@ def _grad_params_weighted(params: ModelParams, X: np.ndarray, targets: np.ndarra
     logits, pres, acts = _forward_cached(params, X)
     probs = softmax(logits)
     dlogits = (probs - targets) * row_weights[:, None]
-    grads, _ = _backward(params, pres, acts, dlogits, need_params=True, need_input=False)
+    grads, _ = _backward(params, pres, acts, dlogits, need_params=True)
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
     return grads, ce
 
@@ -240,35 +312,44 @@ def grad_params(params: ModelParams, batch) -> tuple:
 
 def grad_input(params: ModelParams, x: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Gradient of CE(forward(params, x), target) with respect to x."""
-    X, squeezed = _as_batch(params, x)
+    x = np.asarray(x, dtype=np.float64)
+    squeezed = x.ndim == 1
     if squeezed:
-        T = validate_soft_label(target)[None, :]
+        X, T = x[None, :], validate_soft_label(target)[None, :]
     else:
-        T = np.stack([validate_soft_label(t) for t in np.asarray(target)])
+        X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
     logits, pres, acts = _forward_cached(params, X)
-    dlogits = softmax(logits) - T
-    _, dX = _backward(params, pres, acts, dlogits, need_params=False, need_input=True)
+    _, dz1 = _backward(params, pres, acts, softmax(logits) - T, need_params=False)
+    dX = dz1 @ params.weights[0].T
     return dX[0] if squeezed else dX
 
 
-def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx) -> tuple:
+def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
+                          noise=None) -> tuple:
     """Softmax of each row and the input gradient of a chosen class's probability.
 
-    class_idx is a scalar or an (B,) array of class indices. Returns
-    (probs (B, C), grads (B, d)), where grads[r] is the gradient of
-    probs[r, class_idx[r]]. Cotangent: d softmax_y / d logits_j
-    = p_y * (1[y=j] - p_j).
+    The rows are X's (B, d) or, with noise, the B*m noisy rows of
+    first_layer. class_idx is a scalar or a (B,) array, one class per point.
+    Returns (probs (rows, C), grads (B, d)), where grads[b] is the gradient
+    at x_b of the sum of probs[r, class_idx[b]] over the point's m rows
+    (m = 1 without noise). When factors_noise, the m first-layer cotangents
+    are summed before the one product with W1.T. Cotangent:
+    d softmax_y / d logits_j = p_y * (1[y=j] - p_j).
     """
-    X, _ = _as_batch(params, X)
-    idx = np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (X.shape[0],))
-    logits, pres, acts = _forward_cached(params, X)
+    X = np.asarray(X, dtype=np.float64)
+    B, m = len(X), 1 if noise is None else noise.shape[-2]
+    idx = np.repeat(np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (B,)), m)
+    logits, pres, acts = _forward_cached(params, X, noise)
     p = softmax(logits)
-    rows = np.arange(X.shape[0])
+    rows = np.arange(len(p))
     py = p[rows, idx]
     dlogits = -p * py[:, None]
     dlogits[rows, idx] += py
-    _, dX = _backward(params, pres, acts, dlogits, need_params=False, need_input=True)
-    return p, dX
+    _, dz1 = _backward(params, pres, acts, dlogits, need_params=False)
+    W1 = params.weights[0]
+    if factors_noise(params):
+        return p, dz1.reshape(B, m, -1).sum(axis=1) @ W1.T
+    return p, (dz1 @ W1.T).reshape(B, m, -1).sum(axis=1)
 
 
 @dataclass

@@ -19,6 +19,12 @@ Numeric implementations are self-contained and documented:
   the root, so the bisection evaluates the tail only at the midpoints that
   fall near it and decides the rest by comparison, with the same result.
 
+The noise reaches the base net only through its first dense layer:
+(x + delta) W1 + b1 = x W1 + b1 + delta W1. So when d > h1, CERTIFY draws
+in W1's row space, h1 normals per sample instead of d (see
+hard_class_counts), and a fixed noise batch that many inputs share goes
+through W1 once (soft_smoothed_predict, and the attacks in adversary).
+
 Noisy inputs are never clipped to any data range.
 """
 
@@ -31,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nn import ModelParams, forward, softmax
+from .nn import (ModelParams, factors_noise, first_layer, first_layer_noise, forward_tail,
+                 softmax)
 from .rng import StreamId
 
 __all__ = [
@@ -56,9 +63,10 @@ __all__ = [
 ABSTAIN = -1
 
 # Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
-# (one point's m rows when m is larger): 2,000 rows at d=784 are 12.5 MiB. The
-# draws do not depend on it. A row's logits can, in the last bits: some BLAS
-# builds round a product differently for different row counts.
+# (one point's m rows when m is larger). A chunk holds COUNT_CHUNK x
+# min(d, h1) normals and COUNT_CHUNK x h1 first-layer rows: 2,000 x 256 are
+# 3.9 MiB. The draws do not depend on it. A row's logits can, in the last
+# bits: some BLAS builds round a product differently for different row counts.
 COUNT_CHUNK = 2_000
 
 
@@ -111,29 +119,24 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> NoiseBatch
     return NoiseBatch(deltas=deltas, sigma=sigma, stream=stream)
 
 
-def _noisy_rows(X: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Rows x_b + delta_{b,i} in (b, i) order, for shared (m, d) or per-point
-    (B, m, d) noise: shape (B*m, d)."""
-    B, d = X.shape
-    return (X[:, None, :] + deltas).reshape(B * deltas.shape[-2], d)
-
-
 def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
                           deltas: np.ndarray) -> np.ndarray:
     """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
 
     X holds B points (B, d). deltas is one noise batch (m, d) shared by every
-    point, or per-point batches (B, m, d). Each forward takes whole points and
-    at most COUNT_CHUNK noisy rows, or one point when m exceeds it; returns
-    (B, C). One point is X[None, :].
+    point, or per-point batches (B, m, d). When d > h1 the noise goes
+    through W1 once (nn.first_layer_noise), and each point adds x_b @ W1.
+    Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
+    one point when m exceeds it; returns (B, C). One point is X[None, :].
     """
     X = np.asarray(X, dtype=np.float64)
-    m = deltas.shape[-2]
+    noises = first_layer_noise(params, deltas)
+    m = noises.shape[-2]
     step = max(1, COUNT_CHUNK // m)
     means = []
     for i in range(0, len(X), step):
-        noise = deltas if deltas.ndim == 2 else deltas[i:i + step]
-        probs = softmax(forward(params, _noisy_rows(X[i:i + step], noise)))
+        noise = noises if noises.ndim == 2 else noises[i:i + step]
+        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], noise)))
         means.append(probs.reshape(-1, m, probs.shape[-1]).mean(axis=1))
     return np.concatenate(means)
 
@@ -142,23 +145,30 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
                       sigma: float, stream: StreamId) -> np.ndarray:
     """Counts of argmax f(x + delta) over `count` fresh draws of N(0, sigma^2 I).
 
-    Argmax ties within a single forward break toward the lowest class index.
-    Draws are evaluated in fixed-size chunks from one sequential generator.
+    When d > h1 (nn.factors_noise) the draws are made in W1's row space: f
+    sees delta only as delta W1, whose law is N(0, sigma^2 W1^T W1). With
+    W1 = QR, factored once per call, that is the law of sigma g R for
+    g = delta Q / sigma ~ N(0, I_h1), so h1 normals per draw give i.i.d.
+    draws of f(x + delta), which is all CERTIFY needs. When d <= h1, delta =
+    sigma g is drawn and added to x. Argmax ties within a single forward
+    break toward the lowest class index. Draws are evaluated in chunks of at
+    most COUNT_CHUNK from one sequential generator.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    x = np.asarray(x, dtype=np.float64)
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    R = np.linalg.qr(params.weights[0], mode="r") if factors_noise(params) else None
     gen = stream.generator()
     counts = np.zeros(params.class_count, dtype=np.int64)
     remaining = count
     while remaining > 0:
         m = min(remaining, COUNT_CHUNK)
-        noisy = gen.standard_normal((m, x.shape[0]))
-        noisy *= sigma
-        noisy += x
-        preds = np.argmax(forward(params, noisy), axis=1)
+        g = gen.standard_normal((m, params.input_dim if R is None else R.shape[0]))
+        g *= sigma
+        z1 = first_layer(params, X, g if R is None else g @ R)
+        preds = np.argmax(forward_tail(params, z1), axis=1)
         counts += np.bincount(preds, minlength=params.class_count)
         remaining -= m
     return counts

@@ -45,7 +45,7 @@ from .data import Dataset
 from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
                  init_mlp, sgd_nesterov_step)
 from .rng import StreamId, reseeded
-from .smoothing import _noisy_rows, soft_smoothed_predict
+from .smoothing import soft_smoothed_predict
 
 __all__ = [
     "GaussianConfig",
@@ -187,7 +187,8 @@ def _noisy_ce_step(params, noises, parts):
     Returns (grads, the mean CE of each part).
     """
     B, m, _ = noises.shape
-    rows = np.concatenate([_noisy_rows(X, noises) for X, _, _ in parts])
+    rows = np.concatenate([(X[:, None, :] + noises).reshape(B * m, -1)
+                           for X, _, _ in parts])
     targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
     weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
     grads, ce = _grad_params_weighted(params, rows, targets, weights)

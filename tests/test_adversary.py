@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from noise_oracle import direct_objective_and_grad
 from smoothcert.adversary import (
     AttackConfig,
+    _ascend_batch,
+    _objective_and_grad,
     attack_objective,
     l2_project,
     smoothadv_pgd,
     smoothmix_attack,
 )
-from smoothcert.nn import ModelParams, forward, softmax
+from smoothcert.nn import ModelParams, first_layer_noise, forward, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 
@@ -59,6 +62,27 @@ def test_objective_matches_recomputation():
     want = -math.log(sum(probs) / len(probs))
     assert attack_objective(params, x, y, noise) == pytest.approx(want,
                                                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [[9, 4, 5, 3], [3, 6, 3], [5, 2]])
+def test_objective_and_grad_match_direct_oracle(sizes):
+    # the attack adds x W1 to the noise already through W1 and sums each
+    # point's first-layer cotangents; the oracle backprops every noisy row
+    params = _random_net(30, sizes)
+    rng = np.random.default_rng(31)
+    B, m, d = 4, 6, sizes[0]
+    X = rng.standard_normal((B, d))
+    y = rng.integers(0, sizes[-1], B)
+    noises = rng.standard_normal((B, m, d)) * 0.7
+    got = _objective_and_grad(params, X, y, first_layer_noise(params, noises))
+    for g, w in zip(got, direct_objective_and_grad(params, X, y, noises)):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    points, fhat_path, j_path = _ascend_batch(params, X, y, noises, 0.3, 3,
+                                              epsilon_cap=0.5)
+    for t in range(4):
+        J, _, fhat = direct_objective_and_grad(params, points[t], y, noises)
+        np.testing.assert_allclose(j_path[t], J, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fhat_path[t], fhat, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- smoothmix attack

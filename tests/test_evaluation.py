@@ -11,12 +11,11 @@ from smoothcert.evaluation import (
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
-    confidence_stats,
     equal_confidence_mixing_ratio,
     write_metrics_csv,
     write_mixratio_csv,
 )
-from smoothcert.nn import ModelParams, forward
+from smoothcert.nn import ModelParams, forward_tail
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -205,11 +204,11 @@ def test_mixratio_memory_bounded_at_mnist_shape(monkeypatch):
                          [np.zeros(8), b_out])
     rows = []
 
-    def counting_forward(p, noisy):
-        rows.append(len(noisy))
-        return forward(p, noisy)
+    def counting_tail(p, z1):
+        rows.append(len(z1))
+        return forward_tail(p, z1)
 
-    monkeypatch.setattr(smoothing, "forward", counting_forward)
+    monkeypatch.setattr(smoothing, "forward_tail", counting_tail)
     x = rng.uniform(0.0, 1.0, d)
     tracemalloc.start()
     try:
@@ -236,39 +235,6 @@ def test_smoothed_prediction_invariant_to_noise_order():
         np.testing.assert_allclose(
             soft_smoothed_predict(params, x[None, :], noise.deltas),
             soft_smoothed_predict(params, x[None, :], shuffled.deltas), atol=1e-12)
-
-
-# ---------------------------------------------------------------- confidence
-
-
-def test_confidence_stats_constant_true_labels():
-    pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-    got = confidence_stats(_constant_net(), pts, [0, 0], 0.5, 40, StreamId(4))
-    assert got == (1.0, 0.0)
-
-
-def test_confidence_stats_constant_wrong_labels():
-    pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-    got = confidence_stats(_constant_net(), pts, [1, 2], 0.5, 40, StreamId(5))
-    assert got == (0.0, 1.0)
-
-
-def test_confidence_stats_linear_gaussian_closed_form():
-    # P(class 1) = Phi((x0 - 0.7) / sigma) for the margin-3 linear net
-    x0, sigma, m = 0.9, 0.5, 4000
-    want = 0.5 * (1.0 + math.erf((x0 - 0.7) / sigma / math.sqrt(2.0)))
-    se = math.sqrt(want * (1.0 - want) / m)
-    got_true, got_off = confidence_stats(
-        _linear_net(), np.array([[x0, 0.0]]), [1], sigma, m, StreamId(6))
-    assert abs(got_true - want) < 3 * se
-    assert got_true + got_off == pytest.approx(1.0, abs=1e-12)
-    assert 0.0 <= got_true <= 1.0 and 0.0 <= got_off <= 1.0
-
-
-def test_confidence_stats_m_validation():
-    with pytest.raises(ValueError):
-        confidence_stats(_constant_net(), np.zeros((1, 2)), [0], 0.5, 0,
-                         StreamId(0))
 
 
 # ---------------------------------------------------------------- csv writers

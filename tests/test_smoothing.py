@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noise_oracle import direct_hard_class_counts, direct_soft_predict
 from smoothcert import smoothing
-from smoothcert.nn import ModelParams, forward
+from smoothcert.nn import DimensionMismatch, ModelParams, forward_tail, init_mlp
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -152,11 +153,11 @@ def test_soft_predict_chunk_size_does_not_change_results(monkeypatch, per_point)
     whole = soft_smoothed_predict(params, X, deltas)
     rows = []
 
-    def counting_forward(p, noisy):
-        rows.append(len(noisy))
-        return forward(p, noisy)
+    def counting_tail(p, z1):
+        rows.append(len(z1))
+        return forward_tail(p, z1)
 
-    monkeypatch.setattr(smoothing, "forward", counting_forward)
+    monkeypatch.setattr(smoothing, "forward_tail", counting_tail)
     for chunk in (1, 3, 4, 7, 8, 13, 36):
         monkeypatch.setattr(smoothing, "COUNT_CHUNK", chunk)
         rows.clear()
@@ -206,14 +207,130 @@ def test_hard_counts_count_one():
 
 def test_hard_counts_chunking_seamless(monkeypatch):
     # crossing chunk boundaries (15 full chunks and a partial one) must not
-    # change the draw sequence
-    monkeypatch.setattr(smoothing, "COUNT_CHUNK", 64)
-    params = _linear_two_class(np.array([1.0, -1.0]), 0.1)
-    x = np.array([0.2, 0.1])
-    c1 = hard_class_counts(params, x, 1000, 1.0, StreamId(10, ("c",)))
-    big = sample_noise(1.0, 2, 1000, StreamId(10, ("c",)))
-    preds = np.argmax(forward(params, x + big.deltas), axis=1)
-    np.testing.assert_array_equal(c1, np.bincount(preds, minlength=2))
+    # change the draw sequence, for d <= h1 and for the row-space draws of d > h1
+    for w in ([1.0, -1.0], [1.0, -1.0, 0.5]):
+        params = _linear_two_class(np.array(w), 0.1)
+        x = np.linspace(0.2, -0.1, len(w))
+        monkeypatch.setattr(smoothing, "COUNT_CHUNK", 64)
+        c1 = hard_class_counts(params, x, 1000, 1.0, StreamId(10, ("c",)))
+        monkeypatch.setattr(smoothing, "COUNT_CHUNK", 1000)
+        np.testing.assert_array_equal(
+            c1, hard_class_counts(params, x, 1000, 1.0, StreamId(10, ("c",))))
+
+
+def _two_sample_chi2_p(a, b):
+    """p-value of Pearson's chi-square test that two count vectors share one law."""
+    stats = pytest.importorskip("scipy.stats")
+    table = np.array([a, b])
+    table = table[:, table.sum(axis=0) > 0]
+    return stats.chi2_contingency(table, correction=False).pvalue
+
+
+@pytest.mark.parametrize("sizes", [[20, 6, 6, 4], [7, 3]])
+def test_hard_counts_law_matches_direct_sampler(sizes):
+    # d > h1: the counts come from r = h1 normals per draw, the oracle's from
+    # d. At this sigma every class gets a share, and noise 10% too large or
+    # too small moves some class frequency by over 5 standard errors.
+    params = init_mlp(sizes, StreamId(40))
+    x = np.random.default_rng(41).standard_normal(sizes[0]) * 0.3
+    count = 100_000
+    got = hard_class_counts(params, x, count, 0.5, StreamId(42, ("row",)))
+    want = direct_hard_class_counts(params, x, count, 0.5, StreamId(42, ("direct",)))
+    assert got.sum() == count and np.all(want >= 0.02 * count)
+    assert _two_sample_chi2_p(got, want) > 0.001
+
+
+def test_hard_counts_draws_equal_direct_at_d_le_h1(monkeypatch):
+    # d <= h1: the first layer sees x + sigma g for the very normals g of the
+    # direct sampler, so the counts are the oracle's
+    params = init_mlp([3, 8, 4], StreamId(43))
+    x = np.array([0.4, -0.2, 0.1])
+    seen = []
+
+    def spying_tail(p, z1):
+        seen.append(z1.copy())
+        return forward_tail(p, z1)
+
+    monkeypatch.setattr(smoothing, "forward_tail", spying_tail)
+    got = hard_class_counts(params, x, 1500, 0.8, StreamId(44))
+    deltas = sample_noise(0.8, 3, 1500, StreamId(44)).deltas
+    np.testing.assert_array_equal(seen[0], (x + deltas) @ params.weights[0] + params.biases[0])
+    monkeypatch.undo()
+    np.testing.assert_array_equal(
+        got, direct_hard_class_counts(params, x, 1500, 0.8, StreamId(44)))
+
+
+def _binomial_upper_quantile(n, p, level):
+    """Smallest k with P(Binomial(n, p) > k) <= level."""
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+        if 1.0 - cdf <= level:
+            return k
+    return n
+
+
+def test_clopper_pearson_on_row_space_counts_covers_analytic_p():
+    # single-layer nets with d > h1 = 2 and logits (0, w.(x + delta) + b):
+    # P(class 1) = Phi((w.x + b) / (sigma |w|)) exactly. For each class, a
+    # point's p_lower exceeds that class's p_A with probability at most
+    # alpha, independently across points.
+    points, n, sigma, alpha = 2000, 400, 0.5, 0.05
+    rng = np.random.default_rng(45)
+    root = StreamId(46)
+    above = np.zeros(2, dtype=int)
+    for i in range(points):
+        d = int(rng.integers(3, 7))
+        w = rng.standard_normal(d)
+        b = float(rng.standard_normal())
+        x = rng.standard_normal(d)
+        x += (rng.uniform(-0.5, 2.5) * sigma * np.linalg.norm(w) - (w @ x + b)) \
+            * w / (w @ w)
+        p_a = std_normal_cdf(float(w @ x + b) / (sigma * np.linalg.norm(w)))
+        counts = hard_class_counts(_linear_two_class(w, b), x, n, sigma, root.child(i))
+        for c, p_c in enumerate((1.0 - p_a, p_a)):
+            above[c] += clopper_pearson_lower(int(counts[c]), n, alpha) > p_c
+    assert np.all(above <= _binomial_upper_quantile(points, alpha, 1e-3))
+
+
+@pytest.mark.parametrize("sizes", [[9, 4, 5, 3], [3, 6, 3]])
+@pytest.mark.parametrize("per_point", [False, True])
+def test_soft_predict_matches_direct_oracle(sizes, per_point):
+    params = init_mlp(sizes, StreamId(47))
+    rng = np.random.default_rng(48)
+    B, m, d = 5, 7, sizes[0]
+    X = rng.standard_normal((B, d))
+    deltas = rng.standard_normal((B, m, d) if per_point else (m, d)) * 0.6
+    np.testing.assert_allclose(soft_smoothed_predict(params, X, deltas),
+                               direct_soft_predict(params, X, deltas),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    # argmax of a NaN row is class 0: without the check, CERTIFY certified it
+    params = init_mlp([3, 8, 2], StreamId(0))
+    x = np.array([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        certify(params, x, SmoothingConfig(sigma=0.5), StreamId(1))
+    with pytest.raises(ValueError, match="non-finite"):
+        hard_class_counts(params, x, 10, 0.5, StreamId(1))
+    with pytest.raises(ValueError, match="non-finite"):
+        soft_smoothed_predict(params, x[None, :], np.zeros((4, 3)))
+
+
+def test_wrong_width_raises_dimension_mismatch():
+    params = init_mlp([3, 8, 2], StreamId(0))
+    with pytest.raises(DimensionMismatch):
+        certify(params, np.zeros(4), SmoothingConfig(sigma=0.5), StreamId(1))
+    with pytest.raises(DimensionMismatch):
+        hard_class_counts(params, np.zeros(2), 10, 0.5, StreamId(1))
+    with pytest.raises(DimensionMismatch):
+        soft_smoothed_predict(params, np.zeros((2, 4)), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatch):
+        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((4, 5)))
+    with pytest.raises(DimensionMismatch):
+        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((3, 4, 3)))
 
 
 # ---------------------------------------------------------------- quantile
