@@ -17,18 +17,15 @@ the procedure deterministic for degenerate classifiers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import ModelParams, class_prob_grad_input, first_layer_noise
-from .smoothing import NoiseBatch, soft_smoothed_predict
 
 __all__ = [
     "AttackConfig",
     "AttackTrajectory",
-    "attack_objective",
     "smoothmix_attack",
     "smoothadv_pgd",
     "l2_project",
@@ -67,15 +64,6 @@ class AttackTrajectory:
     points: np.ndarray
     fhat_path: np.ndarray
     j_path: np.ndarray
-    noise: NoiseBatch
-
-    @property
-    def fhat_at_start(self) -> np.ndarray:
-        return self.fhat_path[0]
-
-    @property
-    def steps(self) -> int:
-        return self.points.shape[0] - 1
 
 
 def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
@@ -117,22 +105,6 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     return J, grads, fhat
 
 
-def attack_objective(params: ModelParams, x: np.ndarray, y: int,
-                     noise: NoiseBatch) -> float:
-    """J(x) = -log of the mean true-class softmax probability over the batch.
-
-    A mean probability below 1e-300 is clamped there (and reported via a
-    RuntimeWarning) so the objective stays finite.
-    """
-    fhat = soft_smoothed_predict(params, np.asarray(x)[None, :], noise.deltas)[0]
-    fy = float(fhat[int(y)])
-    if fy < PROB_FLOOR:
-        warnings.warn("mean true-class probability underflowed; clamped at 1e-300",
-                      RuntimeWarning, stacklevel=2)
-        fy = PROB_FLOOR
-    return float(-np.log(fy))
-
-
 def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
                   noises: np.ndarray, alpha_step: float, steps: int,
                   epsilon_cap=None):
@@ -164,26 +136,27 @@ def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
 
 
 def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
-                     noise: NoiseBatch, cfg: AttackConfig) -> AttackTrajectory:
+                     noise: np.ndarray, cfg: AttackConfig) -> AttackTrajectory:
     """T-step unrestricted normalized gradient ascent on J from x.
 
     Each step moves exactly alpha_step along grad J / ||grad J|| (skipped when
     the gradient vanishes); when cfg.epsilon_cap is set, every iterate is
     projected back onto that ball around x after the step. The given noise
-    batch is reused for every step, and the soft-smoothed prediction is
-    recorded at every iterate.
+    batch (m, d) is reused for every step, and the soft-smoothed prediction
+    is recorded at every iterate.
     """
     x = np.asarray(x, dtype=np.float64)
     points, fhat_path, j_path = _ascend_batch(
-        params, x[None, :], np.array([int(y)]), noise.deltas[None, :, :],
+        params, x[None, :], np.array([int(y)]), np.asarray(noise)[None],
         cfg.alpha_step, cfg.steps, epsilon_cap=cfg.epsilon_cap)
     return AttackTrajectory(points=points[:, 0, :], fhat_path=fhat_path[:, 0, :],
-                            j_path=j_path[:, 0], noise=noise)
+                            j_path=j_path[:, 0])
 
 
-def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: NoiseBatch,
+def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
                   steps: int, step_size: float, epsilon: float) -> np.ndarray:
-    """Projected normalized gradient ascent on J within the epsilon ball at x."""
+    """Projected normalized gradient ascent on J within the epsilon ball at x,
+    under one fixed noise batch (m, d)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not step_size > 0:
@@ -192,6 +165,6 @@ def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: NoiseBatch,
         raise ValueError("steps must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     points, _, _ = _ascend_batch(
-        params, x[None, :], np.array([int(y)]), noise.deltas[None, :, :],
+        params, x[None, :], np.array([int(y)]), np.asarray(noise)[None],
         step_size, steps, epsilon_cap=epsilon)
     return points[-1, 0, :]

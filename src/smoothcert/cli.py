@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .smoothing import (
     sample_noise,
     write_certification_csv,
 )
-from .theory import TheorySimConfig, verify_decay, write_theory_csv
+from .theory import TheorySimConfig, decay_dims, verify_decay, write_theory_csv
 from .training import train, write_training_log
 
 __all__ = ["main"]
@@ -89,9 +90,19 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
     return path
 
 
+@contextmanager
+def _config_values():
+    """A ValueError raised while building config objects is a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_train(cfg: dict, out_dir: str, workers: int) -> dict:
+    with _config_values():
+        run_cfg, method_cfg = build_train_configs(cfg)
     ds = build_dataset(cfg, "train")
-    run_cfg, method_cfg = build_train_configs(cfg)
     params, log_rows = train(ds, run_cfg, method_cfg)
     ckpt = os.path.join(out_dir, "checkpoint.json")
     save_checkpoint(ckpt, params,
@@ -118,9 +129,10 @@ def _certify_one(args):
 
 
 def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
+    with _config_values():
+        scfg = build_smoothing_config(cfg)
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
-    scfg = build_smoothing_config(cfg)
     root = StreamId(cfg["seed"])
     count = len(ds) if cfg["max_points"] <= 0 else min(cfg["max_points"], len(ds))
     # Per-point substreams keep rows identical for any worker count.
@@ -154,6 +166,9 @@ def _cmd_evaluate(cfg: dict, out_dir: str, workers: int) -> dict:
 
 
 def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
+    with _config_values():
+        acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
+                            epsilon_cap=cfg["epsilon_cap"] or None)
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
@@ -163,8 +178,6 @@ def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
     root = StreamId(cfg["seed"])
     noise = sample_noise(cfg["sigma"], ds.dim, cfg["m"],
                          root.child("attack", i, "noise"))
-    acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
-                        epsilon_cap=cfg["epsilon_cap"] or None)
     traj = smoothmix_attack(params, x, y, noise, acfg)
     path = os.path.join(out_dir, "attack_demo.csv")
     with open(path, "w", newline="", encoding="ascii") as fh:
@@ -195,14 +208,17 @@ def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
 
 
 def _cmd_theory_sim(cfg: dict, out_dir: str, workers: int) -> dict:
+    with _config_values():
+        sims = [TheorySimConfig(d=cfg["dims"][0], sigma=cfg["sigma"],
+                                tau=cfg["tau"], epsilon=cfg["epsilon"],
+                                p=cfg["p"], noise_family=family,
+                                trials=cfg["trials"])
+                for family in cfg["families"]]
+        for sim in sims:
+            decay_dims(sim, cfg["dims"])
     root = StreamId(cfg["seed"])
-    reports = []
-    for family in cfg["families"]:
-        sim = TheorySimConfig(d=cfg["dims"][0], sigma=cfg["sigma"],
-                              tau=cfg["tau"], epsilon=cfg["epsilon"],
-                              p=cfg["p"], noise_family=family,
-                              trials=cfg["trials"])
-        reports.append(verify_decay(sim, cfg["dims"], root.child(family)))
+    reports = [verify_decay(sim, cfg["dims"], root.child(sim.noise_family))
+               for sim in sims]
     path = os.path.join(out_dir, "theory.csv")
     write_theory_csv(path, reports)
     return {"theory_csv": path}

@@ -108,7 +108,7 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     """
     x = np.asarray(x, dtype=np.float64)
     noise = sample_noise(sigma, x.shape[0], estimation_m, stream.child("estimate"))
-    fhat = soft_smoothed_predict(params, x[None, :], noise.deltas)[0]
+    fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
     if int(np.argmax(fhat)) != int(y):
         return None
     x_adv = smoothadv_pgd(params, x, int(y), noise, pgd_steps,
@@ -116,7 +116,7 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
                           epsilon=pgd_eps)
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
     seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
-    preds = np.argmax(soft_smoothed_predict(params, seg, noise.deltas), axis=1)
+    preds = np.argmax(soft_smoothed_predict(params, seg, noise), axis=1)
     flips = np.flatnonzero(preds != int(y))
     if len(flips) == 0:
         return None

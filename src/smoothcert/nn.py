@@ -40,17 +40,12 @@ __all__ = [
     "first_layer",
     "first_layer_noise",
     "forward_tail",
-    "forward",
     "softmax",
-    "cross_entropy",
-    "grad_params",
-    "grad_input",
     "class_prob_grad_input",
     "sgd_nesterov_step",
     "save_checkpoint",
     "load_checkpoint",
     "validate_soft_label",
-    "one_hot",
 ]
 
 CHECKPOINT_FORMAT = "smoothcert.checkpoint"
@@ -83,14 +78,6 @@ def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
     s = probs.sum(axis=-1)
     if np.any(np.abs(s - 1.0) > tol):
         raise ValueError(f"soft label sums to {s!r}, not 1 within {tol}")
-
-
-def one_hot(y: int, class_count: int) -> np.ndarray:
-    if not 0 <= int(y) < class_count:
-        raise ValueError(f"class {y} outside [0, {class_count})")
-    out = np.zeros(class_count, dtype=np.float64)
-    out[int(y)] = 1.0
-    return out
 
 
 @dataclass
@@ -197,8 +184,9 @@ def first_layer_noise(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
     adds only x @ W1. Otherwise delta itself.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim not in (2, 3) or deltas.shape[-1] != params.input_dim:
-        raise DimensionMismatch("noise", f"(*, {params.input_dim})", deltas.shape)
+    if (deltas.ndim not in (2, 3) or deltas.shape[-1] != params.input_dim
+            or deltas.shape[-2] < 1):
+        raise DimensionMismatch("noise", f"(*, m >= 1, {params.input_dim})", deltas.shape)
     if not factors_noise(params):
         return deltas
     W1 = params.weights[0]

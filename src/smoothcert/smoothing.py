@@ -7,17 +7,13 @@ give a one-sided Clopper-Pearson lower bound p_lower at failure probability
 alpha_cert, and the certified l2 radius is sigma * Phi^{-1}(p_lower) when
 p_lower > 1/2 (otherwise the procedure abstains).
 
-Numeric implementations are self-contained and documented:
-
-- Phi^{-1} uses the Acklam rational approximation (central region plus two
-  tail branches) refined by Newton steps on an erfc-based Phi, giving
-  |Phi(result) - p| < 1e-12 across (0, 1).
-- The Clopper-Pearson lower limit solves sum_{j=k}^n C(n,j) p^j (1-p)^{n-j}
-  = alpha by bisection on the exact binomial tail (log-space summation),
-  absolute tolerance 1e-10; k=0 maps to 0 and k=n to the closed form
-  alpha^(1/n). A safeguarded Newton iteration on the log tail first brackets
-  the root, so the bisection evaluates the tail only at the midpoints that
-  fall near it and decides the rest by comparison, with the same result.
+Phi^{-1} is the standard library's statistics.NormalDist().inv_cdf.
+The Clopper-Pearson lower limit solves sum_{j=k}^n C(n,j) p^j (1-p)^{n-j}
+= alpha by bisection on the exact binomial tail (log-space summation),
+absolute tolerance 1e-10; k=0 maps to 0 and k=n to the closed form
+alpha^(1/n). A safeguarded Newton iteration on the log tail first brackets
+the root, so the bisection evaluates the tail only at the midpoints that
+fall near it and decides the rest by comparison, with the same result.
 
 The noise reaches the base net only through its first dense layer:
 (x + delta) W1 + b1 = x W1 + b1 + delta W1. So when d > h1, CERTIFY draws
@@ -34,6 +30,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,14 +41,11 @@ from .rng import StreamId
 __all__ = [
     "ABSTAIN",
     "SmoothingConfig",
-    "NoiseBatch",
     "CertifyOutcome",
     "NotCertifiable",
     "sample_noise",
     "soft_smoothed_predict",
     "hard_class_counts",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "clopper_pearson_lower",
     "certified_radius",
     "certify",
@@ -88,35 +82,14 @@ class SmoothingConfig:
             raise ValueError("alpha_cert must lie in (0,1)")
 
 
-@dataclass(frozen=True)
-class NoiseBatch:
-    """m i.i.d. draws of N(0, sigma^2 I) with recorded stream provenance."""
-
-    deltas: np.ndarray  # (m, d)
-    sigma: float
-    stream: StreamId
-
-    def __post_init__(self):
-        if self.deltas.ndim != 2 or self.deltas.shape[0] < 1:
-            raise ValueError("deltas must be a nonempty (m, d) array")
-
-    @property
-    def m(self) -> int:
-        return self.deltas.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.deltas.shape[1]
-
-
-def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> NoiseBatch:
-    """Draw a NoiseBatch of m vectors in R^dim; bit-reproducible from stream."""
+def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> np.ndarray:
+    """m draws of N(0, sigma^2 I_dim) as an (m, dim) array; bit-reproducible
+    from stream."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if m < 1 or dim < 1:
         raise ValueError("need m >= 1 and dim >= 1")
-    deltas = stream.generator().standard_normal((m, dim)) * sigma
-    return NoiseBatch(deltas=deltas, sigma=sigma, stream=stream)
+    return stream.generator().standard_normal((m, dim)) * sigma
 
 
 def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
@@ -174,61 +147,6 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
     return counts
 
 
-def std_normal_cdf(x: float) -> float:
-    """Phi(x) via erfc; accurate in both tails."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-# Acklam's rational approximation coefficients for the inverse normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
-def std_normal_quantile(p: float) -> float:
-    """Phi^{-1}(p) for p in (0,1): Acklam start, then Newton on erfc-based Phi.
-
-    For p > 1/2 the computation runs on 1-p (exact in float64 for p >= 1/2)
-    and negates, so both tails get the no-cancellation erfc branch. Accuracy
-    target |Phi(result) - p| < 1e-12.
-    """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0,1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -std_normal_quantile(1.0 - p)
-    x = _acklam(p)
-    for _ in range(3):
-        f = std_normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        step = f / pdf
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
-
-
 @lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
@@ -280,7 +198,7 @@ def clopper_pearson_lower(k: int, n: int, alpha_cert: float) -> float:
     # a generous bound on the rounding error of log tail: the log terms
     # carry magnitudes up to lgamma(n + 1) ~ n log n
     delta = 1e-14 * n * (1.0 + math.log(n)) + 1e-12
-    z = -std_normal_quantile(alpha_cert)
+    z = -NormalDist().inv_cdf(alpha_cert)
     # the Wilson score limit as the first guess
     p = (k + 0.5 * z * z - z * math.sqrt(k * (n - k) / n + 0.25 * z * z)) / (n + z * z)
     lo, hi = 0.0, 1.0  # tail(lo) < alpha <= tail(hi)
@@ -334,7 +252,7 @@ def certified_radius(p_lower: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     if p_lower <= 0.5:
         raise NotCertifiable(f"p_lower={p_lower} is not above 1/2")
-    return sigma * std_normal_quantile(p_lower)
+    return sigma * NormalDist().inv_cdf(p_lower)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 from .rng import StreamId
 
 __all__ = [
-    "NOISE_FAMILIES",
     "FAMILY_FOURTH_MOMENT",
     "TheorySimConfig",
     "ProbEstimate",
@@ -39,7 +38,7 @@ __all__ = [
     "worst_case_prob",
     "lemma_constant_C",
     "d_threshold",
-    "chebyshev_k_bound",
+    "decay_dims",
     "verify_decay",
     "THEORY_CSV_COLUMNS",
     "write_theory_csv",
@@ -47,7 +46,6 @@ __all__ = [
 
 # E[r^4] for each unit-variance family. uniform_pm is U([-sqrt(3), sqrt(3)]).
 FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
-NOISE_FAMILIES = tuple(sorted(FAMILY_FOURTH_MOMENT))
 
 _SQRT3 = math.sqrt(3.0)
 # Non-gaussian families: rows per sampling chunk are capped so chunk matrices
@@ -209,11 +207,6 @@ def d_threshold(cfg: TheorySimConfig) -> float:
     return max(term1, term2)
 
 
-def chebyshev_k_bound(cfg: TheorySimConfig) -> float:
-    """Chebyshev upper bound sigma^2 * eta / sqrt(d (1-p)) on the quantile k."""
-    return cfg.sigma ** 2 * cfg.eta_kurt / math.sqrt(cfg.d * (1.0 - cfg.p))
-
-
 @dataclass(frozen=True)
 class DecayRow:
     d: int
@@ -232,10 +225,9 @@ class DecayReport:
     passed: bool
 
 
-def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
-    """Run the k-then-event simulation across dims; pass iff every estimate
-    is at most C/d + 3*std_error. dims must be increasing and above the
-    analytic d-threshold for the config."""
+def decay_dims(cfg: TheorySimConfig, dims) -> list:
+    """dims as ints, checked: nonempty, increasing, and none below the
+    analytic d-threshold for the config. Raises ValueError otherwise."""
     dims = [int(d) for d in dims]
     if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be a nonempty increasing sequence")
@@ -244,6 +236,13 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
     if bad:
         raise ValueError(
             f"dims {bad} below the d-threshold {thr:.4g} for this config")
+    return dims
+
+
+def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
+    """Run the k-then-event simulation across dims (decay_dims checks them);
+    pass iff every estimate is at most C/d + 3*std_error."""
+    dims = decay_dims(cfg, dims)
     c = lemma_constant_C(cfg)
     rows = []
     for d in dims:

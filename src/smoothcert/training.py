@@ -78,7 +78,6 @@ class SmoothAdvConfig:
     epsilon: float
     steps: int
     warmup_epochs: int = 10
-    step_size: float = None  # None -> 2 * epsilon_effective / steps
 
     def __post_init__(self):
         if not self.sigma > 0 or self.m < 1:
@@ -204,11 +203,11 @@ def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, seeds):
 
 def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, seeds, epoch: int):
     """The Gaussian step at each example's PGD endpoint, attacked under the
-    example's own noise batch."""
+    example's own noise batch with steps of 2 epsilon_at(epoch) / steps."""
     noises, _ = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
     eps = cfg.epsilon_at(epoch)
-    step = cfg.step_size if cfg.step_size is not None else 2.0 * eps / cfg.steps
-    points, _, _ = _ascend_batch(params, X, Y, noises, step, cfg.steps, epsilon_cap=eps)
+    points, _, _ = _ascend_batch(params, X, Y, noises, 2.0 * eps / cfg.steps, cfg.steps,
+                                 epsilon_cap=eps)
     grads, (loss,) = _noisy_ce_step(params, noises,
                                     [(points[-1], np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0

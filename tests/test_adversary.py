@@ -8,7 +8,6 @@ from smoothcert.adversary import (
     AttackConfig,
     _ascend_batch,
     _objective_and_grad,
-    attack_objective,
     l2_project,
     smoothadv_pgd,
     smoothmix_attack,
@@ -36,6 +35,13 @@ def _random_net(seed, sizes):
     return ModelParams(weights, biases)
 
 
+def _objective(params, x, y, noise):
+    """J at one point under one noise batch (m, d), through the attack's path."""
+    J, _, _ = _objective_and_grad(params, np.asarray(x, dtype=np.float64)[None], [y],
+                                  first_layer_noise(params, noise[None]))
+    return float(J[0])
+
+
 # ---------------------------------------------------------------- objective
 
 
@@ -43,13 +49,13 @@ def test_objective_certain_true_class_is_zero():
     # logits pinned far toward class 1 -> F_y ~ 1 -> J ~ 0
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 200.0])])
     noise = sample_noise(1.0, 2, 4, StreamId(0))
-    assert abs(attack_objective(params, np.zeros(2), 1, noise)) < 1e-12
+    assert abs(_objective(params, np.zeros(2), 1, noise)) < 1e-12
 
 
 def test_objective_uniform_is_log_c():
     params = _constant_net(3, 5)
     noise = sample_noise(1.0, 3, 6, StreamId(1))
-    assert attack_objective(params, np.ones(3), 2, noise) == pytest.approx(
+    assert _objective(params, np.ones(3), 2, noise) == pytest.approx(
         math.log(5), abs=1e-12)
 
 
@@ -58,10 +64,9 @@ def test_objective_matches_recomputation():
     noise = sample_noise(0.7, 3, 2, StreamId(3))
     x = np.array([0.2, -0.4, 0.9])
     y = 1
-    probs = [softmax(forward(params, x + d))[y] for d in noise.deltas]
+    probs = [softmax(forward(params, x + d))[y] for d in noise]
     want = -math.log(sum(probs) / len(probs))
-    assert attack_objective(params, x, y, noise) == pytest.approx(want,
-                                                                  abs=1e-12)
+    assert _objective(params, x, y, noise) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [[9, 4, 5, 3], [3, 6, 3], [5, 2]])
@@ -95,8 +100,8 @@ def test_attack_t0_trajectory_is_start_point():
     traj = smoothmix_attack(params, x, 0, noise, AttackConfig(1.0, 0))
     assert traj.points.shape == (1, 2)
     np.testing.assert_array_equal(traj.points[0], x)
-    np.testing.assert_allclose(traj.fhat_at_start,
-                               soft_smoothed_predict(params, x[None, :], noise.deltas)[0],
+    np.testing.assert_allclose(traj.fhat_path[0],
+                               soft_smoothed_predict(params, x[None, :], noise)[0],
                                atol=1e-12)
 
 
@@ -151,12 +156,16 @@ def test_attack_cap_projection():
 
 
 def test_attack_noise_reuse_provenance():
+    # the noise's stream fixes the trajectory, and the attack leaves the
+    # caller's batch unchanged for reuse
     params = _random_net(12, [2, 6, 3])
     noise = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
     traj = smoothmix_attack(params, np.zeros(2), 0, noise,
                             AttackConfig(0.3, 3))
-    assert traj.noise.stream == noise.stream
-    np.testing.assert_array_equal(traj.noise.deltas, noise.deltas)
+    again = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
+    np.testing.assert_array_equal(noise, again)
+    redo = smoothmix_attack(params, np.zeros(2), 0, again, AttackConfig(0.3, 3))
+    np.testing.assert_array_equal(redo.points, traj.points)
 
 
 def test_attack_trajectory_invariants():
@@ -164,10 +173,8 @@ def test_attack_trajectory_invariants():
     noise = sample_noise(0.4, 3, 3, StreamId(15))
     x = np.array([0.0, 0.1, -0.1])
     traj = smoothmix_attack(params, x, 0, noise, AttackConfig(0.2, 4))
-    assert traj.steps == 4
     assert traj.points.shape[0] == 5
     np.testing.assert_array_equal(traj.points[0], x)
-    np.testing.assert_allclose(traj.fhat_path[0], traj.fhat_at_start)
     np.testing.assert_allclose(traj.fhat_path.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -178,7 +185,7 @@ def test_attack_fhat_path_matches_fresh_prediction():
     noise = sample_noise(0.6, 3, 5, StreamId(23))
     traj = smoothmix_attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
                             AttackConfig(0.3, 4, epsilon_cap=0.5))
-    fresh = soft_smoothed_predict(params, traj.points, noise.deltas)
+    fresh = soft_smoothed_predict(params, traj.points, noise)
     np.testing.assert_array_equal(traj.fhat_path, fresh)
 
 

@@ -254,6 +254,39 @@ dataset.n = 6
     assert main(["attack-demo", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("train", TRAIN_CFG.replace("sigma = 0.5", "sigma = -0.5"),
+     "need sigma > 0 and m >= 1"),
+    ("certify", _certify_cfg("absent.json").replace("n0 = 20", "n0 = 100"),
+     "need n >= n0 >= 1"),
+    ("attack-demo", "checkpoint = absent.json\nsigma = 0.5\nalpha_step = 0.5\n"
+     "steps = 2\nepsilon_cap = -1\ndataset.kind = two_moons\ndataset.n = 6\n",
+     "epsilon_cap, when set, must be positive"),
+    ("theory-sim", "tau = 1.0\n", "sigma must differ from tau"),
+    ("theory-sim", "dims = 8, 64\n", "below the d-threshold"),
+], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims"])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
+    # a value the config objects reject is a config error, reported before
+    # any checkpoint is read
+    cfg = _write(tmp_path / "bad.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_cli_nonfinite_checkpoint_exits_3(tmp_path, capsys, trained):
+    # a ValueError at run time, here from a checkpoint holding a NaN weight,
+    # stays a runtime failure
+    with open(trained / "checkpoint.json") as fh:
+        obj = json.load(fh)
+    obj["weights"][0][0][0] = float("nan")
+    ckpt = tmp_path / "nan.json"
+    ckpt.write_text(json.dumps(obj))
+    cfg = _write(tmp_path / "c.cfg", _certify_cfg(ckpt))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- pipeline
 
 

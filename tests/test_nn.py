@@ -12,7 +12,6 @@ from smoothcert.nn import (
     grad_params,
     init_mlp,
     load_checkpoint,
-    one_hot,
     save_checkpoint,
     sgd_nesterov_step,
     softmax,
@@ -56,12 +55,6 @@ def test_soft_label_validation():
         validate_soft_label(np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         validate_soft_label(np.array([-0.1, 1.1]))
-
-
-def test_one_hot():
-    np.testing.assert_array_equal(one_hot(2, 4), [0, 0, 1, 0])
-    with pytest.raises(ValueError):
-        one_hot(4, 4)
 
 
 # ---------------------------------------------------------------- forward

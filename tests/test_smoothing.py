@@ -21,8 +21,6 @@ from smoothcert.smoothing import (
     read_certification_csv,
     sample_noise,
     soft_smoothed_predict,
-    std_normal_cdf,
-    std_normal_quantile,
     write_certification_csv,
 )
 
@@ -55,6 +53,11 @@ CP_ORACLE = {
 }
 
 
+def _phi(x):
+    """Standard normal CDF via erfc, accurate in both tails."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _linear_two_class(w, b, scale=1.0):
     """Two-class net with logits (0, scale*(w.x + b)); no hidden layers."""
     w = np.asarray(w, dtype=np.float64)
@@ -75,8 +78,7 @@ def test_sample_noise_rejects_sigma_zero():
 
 
 def test_sample_noise_mean_and_std():
-    batch = sample_noise(0.7, 1, 1_000_000, StreamId(1, ("noise",)))
-    draws = batch.deltas.ravel()
+    draws = sample_noise(0.7, 1, 1_000_000, StreamId(1, ("noise",))).ravel()
     se = 0.7 / math.sqrt(draws.size)
     assert abs(draws.mean()) < 5 * se
     assert draws.std() == pytest.approx(0.7, rel=0.01)
@@ -85,8 +87,8 @@ def test_sample_noise_mean_and_std():
 def test_sample_noise_reproducible():
     a = sample_noise(0.5, 4, 10, StreamId(3, ("x",)))
     b = sample_noise(0.5, 4, 10, StreamId(3, ("x",)))
-    np.testing.assert_array_equal(a.deltas, b.deltas)
-    assert a.stream == b.stream and a.sigma == 0.5 and a.m == 10
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (10, 4)
 
 
 def test_noise_batch_m_validation():
@@ -100,7 +102,7 @@ def test_noise_batch_m_validation():
 def test_soft_predict_constant_net_uniform():
     params = _constant_net(dim=3, classes=4)
     noise = sample_noise(1.0, 3, 50, StreamId(2))
-    probs = soft_smoothed_predict(params, np.ones((1, 3)), noise.deltas)
+    probs = soft_smoothed_predict(params, np.ones((1, 3)), noise)
     assert probs.shape == (1, 4)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
@@ -112,8 +114,8 @@ def test_soft_predict_m1_is_plain_softmax():
     noise = sample_noise(0.5, 3, 1, StreamId(5))
     x = rng.standard_normal(3)
     np.testing.assert_allclose(
-        soft_smoothed_predict(params, x[None, :], noise.deltas)[0],
-        softmax(forward(params, x + noise.deltas[0])), atol=1e-14)
+        soft_smoothed_predict(params, x[None, :], noise)[0],
+        softmax(forward(params, x + noise[0])), atol=1e-14)
 
 
 def test_soft_predict_batch_is_rowwise():
@@ -122,8 +124,8 @@ def test_soft_predict_batch_is_rowwise():
     params = ModelParams([rng.standard_normal((3, 5)), rng.standard_normal((5, 4))],
                          [rng.standard_normal(5), rng.standard_normal(4)])
     X = rng.standard_normal((3, 3))
-    shared = sample_noise(0.5, 3, 6, StreamId(9)).deltas
-    per_point = np.stack([sample_noise(0.5, 3, 6, StreamId(9, (b,))).deltas
+    shared = sample_noise(0.5, 3, 6, StreamId(9))
+    per_point = np.stack([sample_noise(0.5, 3, 6, StreamId(9, (b,)))
                           for b in range(3)])
     for deltas in (shared, per_point):
         got = soft_smoothed_predict(params, X, deltas)
@@ -176,8 +178,8 @@ def test_soft_predict_linear_matches_gaussian_integral():
     m = 100_000
     noise = sample_noise(sigma, 2, m, StreamId(6, ("mc",)))
     margin = float(w @ x + b)
-    p_true = std_normal_cdf(margin / (sigma * np.linalg.norm(w)))
-    est = soft_smoothed_predict(params, x[None, :], noise.deltas)[0, 1]
+    p_true = _phi(margin / (sigma * np.linalg.norm(w)))
+    est = soft_smoothed_predict(params, x[None, :], noise)[0, 1]
     se = math.sqrt(p_true * (1 - p_true) / m)
     assert abs(est - p_true) < 3 * se
 
@@ -194,7 +196,7 @@ def test_hard_counts_linear_closed_form():
     x = np.array([0.5, 0.2])
     count = 40_000
     counts = hard_class_counts(params, x, count, sigma, StreamId(8, ("hc",)))
-    p_true = std_normal_cdf(float(w @ x + b) / (sigma * np.linalg.norm(w)))
+    p_true = _phi(float(w @ x + b) / (sigma * np.linalg.norm(w)))
     se = math.sqrt(p_true * (1 - p_true) / count)
     assert abs(counts[1] / count - p_true) < 3 * se
 
@@ -253,7 +255,7 @@ def test_hard_counts_draws_equal_direct_at_d_le_h1(monkeypatch):
 
     monkeypatch.setattr(smoothing, "forward_tail", spying_tail)
     got = hard_class_counts(params, x, 1500, 0.8, StreamId(44))
-    deltas = sample_noise(0.8, 3, 1500, StreamId(44)).deltas
+    deltas = sample_noise(0.8, 3, 1500, StreamId(44))
     np.testing.assert_array_equal(seen[0], (x + deltas) @ params.weights[0] + params.biases[0])
     monkeypatch.undo()
     np.testing.assert_array_equal(
@@ -286,7 +288,7 @@ def test_clopper_pearson_on_row_space_counts_covers_analytic_p():
         x = rng.standard_normal(d)
         x += (rng.uniform(-0.5, 2.5) * sigma * np.linalg.norm(w) - (w @ x + b)) \
             * w / (w @ w)
-        p_a = std_normal_cdf(float(w @ x + b) / (sigma * np.linalg.norm(w)))
+        p_a = _phi(float(w @ x + b) / (sigma * np.linalg.norm(w)))
         counts = hard_class_counts(_linear_two_class(w, b), x, n, sigma, root.child(i))
         for c, p_c in enumerate((1.0 - p_a, p_a)):
             above[c] += clopper_pearson_lower(int(counts[c]), n, alpha) > p_c
@@ -337,32 +339,53 @@ def test_wrong_width_raises_dimension_mismatch():
 
 
 def test_quantile_center():
-    assert std_normal_quantile(0.5) == 0.0
+    # just above 1/2 the radius is linear in p - 1/2, with slope sqrt(2 pi)
+    h = 1e-9
+    assert certified_radius(0.5 + h, 1.0) == pytest.approx(
+        h * math.sqrt(2.0 * math.pi), rel=1e-6)
 
 
 def test_quantile_frozen_oracles():
     for p, want in PHI_INV_ORACLE.items():
-        assert std_normal_quantile(p) == pytest.approx(want, abs=1e-9)
-    assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
+        if p > 0.5:
+            assert certified_radius(p, 1.0) == pytest.approx(want, abs=1e-9)
+    assert certified_radius(0.975, 1.0) == pytest.approx(1.959964, abs=1e-6)
 
 
 def test_quantile_round_trip_tight():
     rng = np.random.default_rng(11)
-    ps = np.concatenate([rng.uniform(1e-6, 1 - 1e-6, 1000),
-                         [1e-12, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-12]])
+    ps = np.concatenate([rng.uniform(0.5 + 1e-6, 1 - 1e-6, 1000),
+                         [0.5 + 1e-12, 1 - 1e-9, 1 - 1e-12]])
     for p in ps:
-        assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-12
+        assert abs(_phi(certified_radius(p, 1.0)) - p) < 1e-12
 
 
-def test_quantile_symmetry():
-    for p in [0.6, 0.9, 0.999, 0.9999999]:
-        assert std_normal_quantile(p) == -std_normal_quantile(1 - p)
+def _certifying_p_lowers(n, stride, alpha=0.001):
+    """Clopper-Pearson limits above 1/2 for k = n, n - stride, ... ."""
+    out = []
+    for k in range(n, 0, -stride):
+        p = clopper_pearson_lower(k, n, alpha)
+        if p <= 0.5:
+            break
+        out.append(p)
+    return out
 
 
-def test_quantile_domain():
-    for p in [0.0, 1.0, -0.5, 1.5]:
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
+def test_certified_radius_matches_mpmath():
+    # sigma * Phi^{-1}(p_lower) against mpmath's erfinv at 40 digits, for every
+    # certifying count at n = 1000 and a stride at n = 10^4; the radius column
+    # is written with 6 decimals, so those strings must agree too
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    ps = _certifying_p_lowers(1000, 1) + _certifying_p_lowers(10_000, 7)
+    assert len(ps) > 1000
+    for p in ps:
+        phi_inv = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+        for sigma in (0.25, 0.5, 1.0):
+            want = float(sigma * phi_inv)
+            got = certified_radius(p, sigma)
+            assert abs(got - want) < 1e-12, (p, sigma)
+            assert f"{got:.6f}" == f"{want:.6f}", (p, sigma)
 
 
 # ---------------------------------------------------------------- clopper-pearson
@@ -492,10 +515,9 @@ def test_radius_monotone_in_p():
 
 
 def test_radius_domain():
-    with pytest.raises(ValueError):
-        certified_radius(1.0, 0.5)
-    with pytest.raises(ValueError):
-        certified_radius(0.0, 0.5)
+    for p in [0.0, 1.0, -0.5, 1.5]:
+        with pytest.raises(ValueError):
+            certified_radius(p, 0.5)
 
 
 # ---------------------------------------------------------------- certify
@@ -508,8 +530,8 @@ def test_certify_constant_classifier_closed_form():
     assert out.certified and out.predicted_class == 0
     want_p = 0.001 ** (1 / 1000)
     assert out.p_lower == pytest.approx(want_p, abs=1e-12)
-    assert out.radius == pytest.approx(0.5 * std_normal_quantile(want_p),
-                                       abs=1e-12)
+    # 0.5 * Phi^{-1}(want_p), from mpmath erfinv at 40 digits
+    assert out.radius == pytest.approx(1.2316313073904056, abs=1e-12)
 
 
 def test_certify_margin_zero_abstains():

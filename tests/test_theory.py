@@ -11,7 +11,6 @@ from smoothcert.theory import (
     DecayReport,
     DecayRow,
     TheorySimConfig,
-    chebyshev_k_bound,
     d_threshold,
     interval_halfwidth_k,
     lemma_constant_C,
@@ -143,6 +142,11 @@ def test_halfwidth_decays_with_dimension():
     k64 = interval_halfwidth_k(_ref_cfg(d=64), 50_000, StreamId(3))
     k1024 = interval_halfwidth_k(_ref_cfg(d=1024), 50_000, StreamId(3))
     assert k64 > 2.0 * k1024
+
+
+def chebyshev_k_bound(cfg):
+    """Chebyshev upper bound sigma^2 * eta / sqrt(d (1-p)) on the quantile k."""
+    return cfg.sigma ** 2 * cfg.eta_kurt / math.sqrt(cfg.d * (1.0 - cfg.p))
 
 
 def test_chebyshev_bound_dominates_empirical_k():

@@ -10,11 +10,10 @@ from smoothcert.nn import (
     cross_entropy,
     forward,
     init_mlp,
-    one_hot,
     validate_soft_label,
 )
 from smoothcert.rng import StreamId
-from smoothcert.smoothing import NoiseBatch, sample_noise, soft_smoothed_predict
+from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
 from smoothcert.training import (
     GaussianConfig,
@@ -86,7 +85,7 @@ def _example(params, x, y, cfg, stream):
 def test_gaussian_loss_uniform_net():
     params = _constant_net(2, 4)
     noise = sample_noise(0.5, 2, 5, StreamId(0))
-    _, (loss,) = _noisy_ce_step(params, noise.deltas[None],
+    _, (loss,) = _noisy_ce_step(params, noise[None],
                                 [(np.ones((1, 2)), np.eye(4)[[1]], 1.0)])
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
@@ -94,18 +93,18 @@ def test_gaussian_loss_uniform_net():
 def test_gaussian_loss_perfect_classifier():
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 300.0])])
     noise = sample_noise(0.5, 2, 5, StreamId(1))
-    _, (loss,) = _noisy_ce_step(params, noise.deltas[None],
+    _, (loss,) = _noisy_ce_step(params, noise[None],
                                 [(np.zeros((1, 2)), np.eye(2)[[1]], 1.0)])
     assert loss < 1e-12
 
 
 def test_gaussian_loss_manual_two_terms():
     params = _random_net(2, [3, 5, 4])
-    noises = np.stack([sample_noise(0.8, 3, 2, StreamId(3, (i,))).deltas
+    noises = np.stack([sample_noise(0.8, 3, 2, StreamId(3, (i,)))
                        for i in range(2)])
     X, Y = np.array([[0.1, -0.3, 0.2], [0.5, 0.0, -0.4]]), np.array([2, 0])
     _, (loss,) = _noisy_ce_step(params, noises, [(X, np.eye(4)[Y], 1.0)])
-    want = np.mean([_mean_ce(params, X[b], one_hot(Y[b], 4), noises[b])
+    want = np.mean([_mean_ce(params, X[b], np.eye(4)[Y[b]], noises[b])
                     for b in range(2)])
     assert loss == pytest.approx(want, abs=1e-12)
 
@@ -121,8 +120,7 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
     eps = cfg.epsilon_at(0)
     x_hat = np.stack([
-        smoothadv_pgd(params, X[b], int(Y[b]),
-                      NoiseBatch(deltas=noises[b], sigma=0.5, stream=streams[b]),
+        smoothadv_pgd(params, X[b], int(Y[b]), noises[b],
                       steps=3, step_size=2.0 * eps / 3, epsilon=eps)
         for b in range(2)])
     want_grads, (want,) = _noisy_ce_step(params, noises, [(x_hat, np.eye(3)[Y], 1.0)])
@@ -256,7 +254,7 @@ def test_batch_loss_additivity_and_recomputable_terms():
                                        g[1][part][k] - g[0][part][k], atol=1e-12)
     # both terms recomputable from the reported anchor, mix pair and noise
     assert nat == pytest.approx(
-        _mean_ce(params, diag["anchor"][0], one_hot(y, 3), deltas), abs=1e-12)
+        _mean_ce(params, diag["anchor"][0], np.eye(3)[y], deltas), abs=1e-12)
     assert mix == pytest.approx(
         _mean_ce(params, diag["x_mix"][0], diag["y_mix"][0], deltas), abs=1e-12)
     lam = _draws(stream, cfg.m, 2, cfg.sigma)[1]
@@ -292,7 +290,7 @@ def test_batch_loss_component_sum_oracle_t0():
                                          StreamId(15, ("train", 2, 4)))
     np.testing.assert_array_equal(diag["x_mix"][0], x)
     np.testing.assert_array_equal(diag["x_adv"][0], x)
-    assert nat == pytest.approx(_mean_ce(params, x, one_hot(y, 3), deltas),
+    assert nat == pytest.approx(_mean_ce(params, x, np.eye(3)[y], deltas),
                                 abs=1e-12)
     assert mix == pytest.approx(_mean_ce(params, x, diag["y_mix"][0], deltas),
                                 abs=1e-12)
@@ -317,8 +315,7 @@ def test_one_step_substitution_changes_anchor():
     d_one = _example(params, x, y, _mix_cfg(use_one_step=True), stream)[3]
     np.testing.assert_array_equal(d_plain["anchor"][0], x)
     # one-step anchor is the first ascent iterate, one full step from x
-    noise = NoiseBatch(deltas=_draws(stream, 3, 2, 0.5)[0],
-                       sigma=0.5, stream=stream)
+    noise = _draws(stream, 3, 2, 0.5)[0]
     traj = smoothmix_attack(params, x, y, noise, AttackConfig(0.5, 2))
     np.testing.assert_array_equal(d_one["anchor"][0], traj.points[1])
     np.testing.assert_array_equal(d_one["x_adv"][0], traj.points[-1])
@@ -361,7 +358,7 @@ def test_no_gradient_leakage_through_fhat_target():
     anchor, x_mix, y_mix = diag["anchor"][0], diag["x_mix"][0], diag["y_mix"][0]
 
     def frozen_loss(p, target=y_mix):
-        return (_mean_ce(p, anchor, one_hot(y, 2), deltas)
+        return (_mean_ce(p, anchor, np.eye(2)[y], deltas)
                 + eta * _mean_ce(p, x_mix, target, deltas))
 
     eps = 1e-5
