@@ -4,10 +4,12 @@ theory-sim.
 Every run reads one flat key-value config (--config), writes its artifacts
 under --out (default: $SMOOTHCERT_OUT or the working directory; the output
 directory is the only environment override), and drops a manifest.json
-recording the config snapshot, artifact paths, and timings. All randomness
-fans out from the master seed through named substreams, so in sequential
-mode the pair (config, seed) determines every artifact byte-for-byte except
-the wall-clock `seconds` fields and the manifest timings.
+recording the config snapshot, artifact paths, and timings. This module is
+the one that knows the artifact formats: every CSV goes through _write_csv,
+and certify.csv is read back here. All randomness fans out from the master
+seed through named substreams, so in sequential mode the pair (config, seed)
+determines every artifact byte-for-byte except the wall-clock `seconds`
+fields and the manifest timings.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -35,55 +37,97 @@ from .config import (
     build_dataset,
     build_smoothing_config,
     build_train_configs,
+    check_dataset,
     load_config,
 )
 from .evaluation import (
     CertifiedResultSet,
+    acr,
+    certified_accuracy_curve,
+    check_mixing_ratio_args,
     equal_confidence_mixing_ratio,
-    write_metrics_csv,
-    write_mixratio_csv,
 )
 from .nn import load_checkpoint, save_checkpoint
 from .rng import StreamId
-from .smoothing import (
-    certify,
-    read_certification_csv,
-    sample_noise,
-    write_certification_csv,
-)
-from .theory import TheorySimConfig, decay_dims, verify_decay, write_theory_csv
-from .training import train, write_training_log
+from .smoothing import ABSTAIN, CertifyOutcome, certify, sample_noise
+from .theory import TheorySimConfig, decay_dims, verify_decay
+from .training import train
 
 __all__ = ["main"]
 
-TRAJECTORY_CSV_COLUMNS = ["step", "distance_from_x", "J", "true_class_prob"]
+CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
+                    "correct", "abstain", "seconds"]
 
 
-def _json_ready(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _write_csv(path, header, rows) -> None:
+    """Every CSV artifact: ASCII, the csv module's quoting, CRLF line ends."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _run_id(command: str, cfg: dict) -> str:
-    snapshot = {k: _json_ready(v) for k, v in sorted(cfg.items())}
-    payload = json.dumps({"command": command, "config": snapshot,
-                          "version": __version__}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def write_certification_csv(path, rows) -> None:
+    """certify.csv from the rows _certify_one formats. The seconds column is
+    measured wall time, the one non-reproducible field in this file."""
+    _write_csv(path, CERT_CSV_COLUMNS, rows)
+
+
+def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
+    """The labels and CERTIFY outcomes of a certify.csv whose header matches."""
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CERT_CSV_COLUMNS:
+            raise ValueError(f"unexpected certification CSV header: {header}")
+        rows = [r for r in reader if r]
+    labels, outcomes = [], []
+    for _, label, predicted, radius, p_lower, _, abstain, _ in rows:
+        certified = not int(abstain)
+        labels.append(int(label))
+        outcomes.append(CertifyOutcome(
+            certified=certified,
+            predicted_class=int(predicted) if certified else ABSTAIN,
+            radius=float(radius) if certified else 0.0,
+            p_lower=float(p_lower)))
+    return CertifiedResultSet(tuple(labels), tuple(outcomes), sigma)
+
+
+def write_metrics_csv(path, model_results, radii) -> None:
+    """One row per (model_id, CertifiedResultSet): ACR plus certified
+    accuracy at each radius threshold."""
+    _write_csv(path, ["model", "points", "acr"] + [f"cert_acc@{r:g}" for r in radii],
+               [[model_id, len(results.labels), f"{acr(results):.6f}"]
+                + [f"{v:.6f}" for v in certified_accuracy_curve(results, radii)]
+                for model_id, results in model_results])
+
+
+def write_mixratio_csv(path, rows) -> None:
+    """Rows of (idx, lambda_star); a lambda_star of None is written blank."""
+    _write_csv(path, ["idx", "lambda_star", "found"],
+               [[idx, "" if lam is None else f"{lam:.6f}", int(lam is not None)]
+                for idx, lam in rows])
+
+
+def write_theory_csv(path, reports) -> None:
+    """One row per (family, dimension) from a sequence of DecayReports."""
+    _write_csv(path, ["family", "d", "k", "estimate", "std_error",
+                      "bound_C_over_d", "pass"],
+               [[rep.family, r.d, f"{r.k:.8g}", f"{r.estimate:.8g}",
+                 f"{r.std_error:.8g}", f"{r.bound_c_over_d:.8g}", int(r.passed)]
+                for rep in reports for r in rep.rows])
 
 
 def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
                     seconds: float) -> str:
+    """manifest.json; its run_id hashes the command, config and version."""
+    config = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in sorted(cfg.items())}
+    run = {"command": command, "config": config, "version": __version__}
+    run_id = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:16]
+    obj = dict(run, format="smoothcert.manifest", run_id=run_id,
+               artifacts=artifacts, timings={"total_seconds": round(seconds, 4)})
     path = os.path.join(out_dir, "manifest.json")
-    obj = {
-        "format": "smoothcert.manifest",
-        "version": __version__,
-        "run_id": _run_id(command, cfg),
-        "command": command,
-        "config": {k: _json_ready(v) for k, v in sorted(cfg.items())},
-        "artifacts": artifacts,
-        "timings": {"total_seconds": round(seconds, 4)},
-    }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -108,7 +152,9 @@ def _cmd_train(cfg: dict, out_dir: str, workers: int) -> dict:
     save_checkpoint(ckpt, params,
                     init_stream=StreamId(run_cfg.seed).child("init"))
     log_path = os.path.join(out_dir, "train_log.csv")
-    write_training_log(log_path, log_rows)
+    _write_csv(log_path, ["epoch", "loss_nat", "loss_mix", "lr", "seconds"],
+               [[r["epoch"], f"{r['loss_nat']:.12g}", f"{r['loss_mix']:.12g}",
+                 f"{r['lr']:.12g}", f"{r['seconds']:.4f}"] for r in log_rows])
     return {"checkpoint": ckpt, "train_log": log_path}
 
 
@@ -116,21 +162,17 @@ def _certify_one(args):
     params, x, label, scfg, stream, idx = args
     t0 = time.perf_counter()
     outcome = certify(params, x, scfg, stream)
-    return {
-        "idx": idx,
-        "label": int(label),
-        "predicted": outcome.predicted_class,
-        "radius": outcome.radius,
-        "p_lower": outcome.p_lower,
-        "correct": int(outcome.certified and outcome.predicted_class == label),
-        "abstain": int(not outcome.certified),
-        "seconds": time.perf_counter() - t0,
-    }
+    seconds = time.perf_counter() - t0
+    return [idx, int(label), outcome.predicted_class, f"{outcome.radius:.6f}",
+            f"{outcome.p_lower:.12g}",
+            int(outcome.certified and outcome.predicted_class == label),
+            int(not outcome.certified), f"{seconds:.4f}"]
 
 
 def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
     with _config_values():
         scfg = build_smoothing_config(cfg)
+        check_dataset(cfg)
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
@@ -149,19 +191,18 @@ def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
 
 
 def _cmd_evaluate(cfg: dict, out_dir: str, workers: int) -> dict:
-    paths = cfg["cert_csv"]
-    ids = cfg["model_ids"]
+    paths, ids, radii = cfg["cert_csv"], cfg["model_ids"], cfg["radii"]
     if ids and len(ids) != len(paths):
         raise ConfigError("model_ids must match cert_csv in length")
+    if any(b < a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("radii thresholds must be nondecreasing")
     if not ids:
         ids = tuple(os.path.splitext(os.path.basename(p))[0] for p in paths)
-    model_rows = []
-    for model_id, p in zip(ids, paths):
-        rows = read_certification_csv(p)
-        model_rows.append(
-            (model_id, CertifiedResultSet.from_rows(rows, cfg["sigma"], model_id)))
+    # sigma is recorded in the manifest; the metrics read only the CSVs
+    model_results = [(model_id, read_certification_csv(p, cfg["sigma"]))
+                     for model_id, p in zip(ids, paths)]
     path = os.path.join(out_dir, "metrics.csv")
-    write_metrics_csv(path, model_rows, cfg["radii"])
+    write_metrics_csv(path, model_results, radii)
     return {"metrics_csv": path}
 
 
@@ -169,6 +210,9 @@ def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
     with _config_values():
         acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
                             epsilon_cap=cfg["epsilon_cap"] or None)
+        check_dataset(cfg)
+        if not cfg["sigma"] > 0 or cfg["m"] < 1:
+            raise ConfigError("need sigma > 0 and m >= 1")
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
@@ -180,17 +224,20 @@ def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
                          root.child("attack", i, "noise"))
     traj = smoothmix_attack(params, x, y, noise, acfg)
     path = os.path.join(out_dir, "attack_demo.csv")
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_CSV_COLUMNS)
-        for s in range(traj.points.shape[0]):
-            dist = float(np.linalg.norm(traj.points[s] - x))
-            writer.writerow([s, f"{dist:.8g}", f"{traj.j_path[s]:.8g}",
-                             f"{traj.fhat_path[s][y]:.8g}"])
+    _write_csv(path, ["step", "distance_from_x", "J", "true_class_prob"],
+               [[s, f"{float(np.linalg.norm(traj.points[s] - x)):.8g}",
+                 f"{traj.j_path[s]:.8g}", f"{traj.fhat_path[s][y]:.8g}"]
+                for s in range(traj.points.shape[0])])
     return {"trajectory_csv": path}
 
 
 def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
+    with _config_values():
+        check_mixing_ratio_args(cfg["sigma"], cfg["pgd_steps"], cfg["pgd_eps"],
+                                cfg["estimation_m"])
+        check_dataset(cfg)
+        if cfg["points"] < 1:
+            raise ConfigError("points must be >= 1")
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
@@ -209,10 +256,10 @@ def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
 
 def _cmd_theory_sim(cfg: dict, out_dir: str, workers: int) -> dict:
     with _config_values():
-        sims = [TheorySimConfig(d=cfg["dims"][0], sigma=cfg["sigma"],
-                                tau=cfg["tau"], epsilon=cfg["epsilon"],
-                                p=cfg["p"], noise_family=family,
-                                trials=cfg["trials"])
+        # d=1 is a placeholder: verify_decay runs the config at each of dims
+        sims = [TheorySimConfig(d=1, sigma=cfg["sigma"], tau=cfg["tau"],
+                                epsilon=cfg["epsilon"], p=cfg["p"],
+                                noise_family=family, trials=cfg["trials"])
                 for family in cfg["families"]]
         for sim in sims:
             decay_dims(sim, cfg["dims"])

@@ -36,6 +36,7 @@ __all__ = [
     "MIXRATIO_SCHEMA",
     "THEORY_SIM_SCHEMA",
     "SCHEMAS",
+    "check_dataset",
     "build_dataset",
     "build_train_configs",
     "build_smoothing_config",
@@ -235,29 +236,38 @@ SCHEMAS = {
 }
 
 
+def check_dataset(cfg: dict) -> None:
+    """Reject out-of-range dataset.* values of a typed config; reads no file."""
+    kind, n = cfg["dataset.kind"], cfg["dataset.n"]
+    if kind == "two_moons" and n < 2:
+        raise ConfigError("dataset.n must be >= 2 for two_moons")
+    if kind == "blobs" and n < 1:
+        raise ConfigError("dataset.n must be >= 1 for blobs")
+    if kind == "blobs" and cfg["dataset.classes"] < 2:
+        raise ConfigError("dataset.classes must be >= 2")
+    if kind == "mnist" and not (cfg["dataset.images"] and cfg["dataset.labels"]):
+        raise ConfigError("mnist needs dataset.images and dataset.labels")
+    if kind == "mnist" and cfg["dataset.subsample"] < 0:
+        raise ConfigError("dataset.subsample must be >= 0 (0 keeps every image)")
+
+
 def build_dataset(cfg: dict, default_split: str) -> Dataset:
-    """Instantiate the dataset named by the dataset.* keys of a typed config."""
+    """Instantiate the dataset named by the dataset.* keys of a typed config,
+    after check_dataset."""
+    check_dataset(cfg)
     kind = cfg["dataset.kind"]
     split = cfg["dataset.split"] or default_split
     if kind == "two_moons":
-        if cfg["dataset.n"] < 2:
-            raise ConfigError("dataset.n must be >= 2 for two_moons")
         return gen_two_moons(cfg["dataset.n"], cfg["dataset.noise_std"],
                              cfg["dataset.seed"], split=split)
     if kind == "blobs":
-        if cfg["dataset.n"] < 1:
-            raise ConfigError("dataset.n must be >= 1 for blobs")
         k = cfg["dataset.classes"]
-        if k < 2:
-            raise ConfigError("dataset.classes must be >= 2")
         angles = 2.0 * np.pi * np.arange(k) / k
         centers = cfg["dataset.scale"] * np.stack(
             [np.cos(angles), np.sin(angles)], axis=1)
         return gen_gaussian_blobs(cfg["dataset.n"], centers,
                                   cfg["dataset.spread"], cfg["dataset.seed"],
                                   split=split)
-    if not cfg["dataset.images"] or not cfg["dataset.labels"]:
-        raise ConfigError("mnist needs dataset.images and dataset.labels")
     sub = cfg["dataset.subsample"] or None
     return load_mnist_idx(cfg["dataset.images"], cfg["dataset.labels"],
                           subsample=sub, seed=cfg["dataset.seed"], split=split)
@@ -285,8 +295,6 @@ def build_train_configs(cfg: dict):
                                steps=cfg["adv_steps"],
                                warmup_epochs=cfg["warmup_epochs"])
     else:
-        if cfg["eta"] <= 0:
-            raise ConfigError("smoothmix needs eta > 0")
         attack = AttackConfig(alpha_step=cfg["alpha_step"],
                               steps=cfg["attack_steps"])
         mcfg = SmoothMixConfig(sigma=cfg["sigma"], eta=cfg["eta"],

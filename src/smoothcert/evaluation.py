@@ -1,4 +1,4 @@
-"""Metrics over certification results and confidence diagnostics.
+"""Metrics over certification results and the equal-confidence mixing ratio.
 
 - ACR: mean certified radius over ALL points, counting 0 for abstentions and
   for certified-but-wrong predictions.
@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,8 @@ __all__ = [
     "CertifiedResultSet",
     "acr",
     "certified_accuracy_curve",
+    "check_mixing_ratio_args",
     "equal_confidence_mixing_ratio",
-    "METRICS_CSV_BASE_COLUMNS",
-    "write_metrics_csv",
-    "MIXRATIO_CSV_COLUMNS",
-    "write_mixratio_csv",
 ]
 
 LAMBDA_GRID_POINTS = 101
@@ -38,13 +34,11 @@ LAMBDA_GRID_POINTS = 101
 
 @dataclass(frozen=True)
 class CertifiedResultSet:
-    """Labels paired with certification outcomes for one model/config/seed."""
+    """Labels paired with certification outcomes for one model."""
 
     labels: tuple
     outcomes: tuple
     sigma: float
-    model_id: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.labels) != len(self.outcomes) or not self.labels:
@@ -52,21 +46,6 @@ class CertifiedResultSet:
         for o in self.outcomes:
             if not isinstance(o, CertifyOutcome):
                 raise TypeError("outcomes must be CertifyOutcome instances")
-
-    @staticmethod
-    def from_rows(rows, sigma: float, model_id: str = "", seed: int = 0):
-        """Build from certification CSV rows (dicts as read back from disk)."""
-        labels, outcomes = [], []
-        for r in rows:
-            labels.append(int(r["label"]))
-            certified = not bool(r["abstain"])
-            outcomes.append(CertifyOutcome(
-                certified=certified,
-                predicted_class=int(r["predicted"]) if certified else -1,
-                radius=float(r["radius"]) if certified else 0.0,
-                p_lower=float(r["p_lower"])))
-        return CertifiedResultSet(tuple(labels), tuple(outcomes), sigma,
-                                  model_id, seed)
 
 
 def _correct_radii(results: CertifiedResultSet) -> np.ndarray:
@@ -95,6 +74,15 @@ def certified_accuracy_curve(results: CertifiedResultSet, radii) -> np.ndarray:
     return np.array([(certified_correct & (rr >= r)).mean() for r in radii])
 
 
+def check_mixing_ratio_args(sigma: float, pgd_steps: int, pgd_eps: float,
+                            estimation_m: int) -> None:
+    """Raise ValueError unless sigma > 0, pgd_steps >= 0, pgd_eps > 0 and
+    estimation_m >= 1."""
+    if not (sigma > 0 and pgd_steps >= 0 and pgd_eps > 0 and estimation_m >= 1):
+        raise ValueError("need sigma > 0, pgd_steps >= 0, pgd_eps > 0 and "
+                         "estimation_m >= 1")
+
+
 def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
                                   sigma: float, pgd_steps: int, pgd_eps: float,
                                   estimation_m: int, stream: StreamId):
@@ -104,8 +92,10 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     the same fixed estimation noise batch (size estimation_m) is used for the
     attack and for every evaluation on the 101-point lambda grid. Returns
     None (not found) when the prediction at x already differs from y or when
-    no grid point flips it.
+    no grid point flips it. The arguments are checked first, whatever the data
+    (check_mixing_ratio_args).
     """
+    check_mixing_ratio_args(sigma, pgd_steps, pgd_eps, estimation_m)
     x = np.asarray(x, dtype=np.float64)
     noise = sample_noise(sigma, x.shape[0], estimation_m, stream.child("estimate"))
     fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
@@ -121,35 +111,3 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     if len(flips) == 0:
         return None
     return float(lams[flips[0]])
-
-
-METRICS_CSV_BASE_COLUMNS = ["model", "points", "acr"]
-
-
-def write_metrics_csv(path, model_rows, radii) -> None:
-    """One row per model: ACR plus certified accuracy at each radius threshold.
-
-    model_rows is a sequence of (model_id, CertifiedResultSet).
-    """
-    radii = list(radii)
-    header = METRICS_CSV_BASE_COLUMNS + [f"cert_acc@{r:g}" for r in radii]
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for model_id, results in model_rows:
-            curve = certified_accuracy_curve(results, radii)
-            writer.writerow([model_id, len(results.labels), f"{acr(results):.6f}"]
-                            + [f"{v:.6f}" for v in curve])
-
-
-MIXRATIO_CSV_COLUMNS = ["idx", "lambda_star", "found"]
-
-
-def write_mixratio_csv(path, rows) -> None:
-    """Rows of (idx, lambda_star or blank, found flag)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MIXRATIO_CSV_COLUMNS)
-        for idx, lam in rows:
-            found = lam is not None
-            writer.writerow([int(idx), f"{lam:.6f}" if found else "", int(found)])

@@ -26,7 +26,6 @@ Noisy inputs are never clipped to any data range.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,9 +48,6 @@ __all__ = [
     "clopper_pearson_lower",
     "certified_radius",
     "certify",
-    "CERT_CSV_COLUMNS",
-    "write_certification_csv",
-    "read_certification_csv",
 ]
 
 ABSTAIN = -1
@@ -301,41 +297,3 @@ def certify(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     return CertifyOutcome(certified=True, predicted_class=top,
                           radius=certified_radius(p_lower, cfg.sigma),
                           p_lower=p_lower)
-
-
-CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
-                    "correct", "abstain", "seconds"]
-
-
-def write_certification_csv(path, rows) -> None:
-    """Write certification rows; each row is a dict with CERT_CSV_COLUMNS keys.
-
-    radius is formatted with 6 decimals. The seconds column is measured wall
-    time and is the single non-reproducible field in this file.
-    """
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CERT_CSV_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                int(r["idx"]), int(r["label"]), int(r["predicted"]),
-                f"{float(r['radius']):.6f}", f"{float(r['p_lower']):.12g}",
-                int(r["correct"]), int(r["abstain"]), f"{float(r['seconds']):.4f}",
-            ])
-
-
-def read_certification_csv(path) -> list:
-    """Read rows written by write_certification_csv back into typed dicts."""
-    out = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CERT_CSV_COLUMNS:
-            raise ValueError(f"unexpected certification CSV header: {reader.fieldnames}")
-        for r in reader:
-            out.append({
-                "idx": int(r["idx"]), "label": int(r["label"]),
-                "predicted": int(r["predicted"]), "radius": float(r["radius"]),
-                "p_lower": float(r["p_lower"]), "correct": int(r["correct"]),
-                "abstain": int(r["abstain"]), "seconds": float(r["seconds"]),
-            })
-    return out

@@ -20,7 +20,6 @@ work); the other families draw full (trials x d) rows in chunks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -40,8 +39,6 @@ __all__ = [
     "d_threshold",
     "decay_dims",
     "verify_decay",
-    "THEORY_CSV_COLUMNS",
-    "write_theory_csv",
 ]
 
 # E[r^4] for each unit-variance family. uniform_pm is U([-sqrt(3), sqrt(3)]).
@@ -65,7 +62,6 @@ class TheorySimConfig:
     p: float
     noise_family: str = "gaussian"
     trials: int = 1_000_000
-    kurtosis_e4: float | None = None
 
     def __post_init__(self):
         if self.noise_family not in FAMILY_FOURTH_MOMENT:
@@ -82,18 +78,11 @@ class TheorySimConfig:
             raise ValueError("p must be in (0.5, 1)")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
-        e4 = FAMILY_FOURTH_MOMENT[self.noise_family]
-        if self.kurtosis_e4 is None:
-            object.__setattr__(self, "kurtosis_e4", e4)
-        elif self.kurtosis_e4 != e4:
-            raise ValueError(
-                f"kurtosis_e4={self.kurtosis_e4} does not match "
-                f"{self.noise_family} (E[r^4]={e4})")
 
     @property
     def eta_kurt(self) -> float:
         """sqrt(E[r^4] - 1); the fourth-moment spread entering the constant."""
-        return math.sqrt(self.kurtosis_e4 - 1.0)
+        return math.sqrt(FAMILY_FOURTH_MOMENT[self.noise_family] - 1.0)
 
 
 def _draw_rows(gen: np.random.Generator, family: str, rows: int,
@@ -188,7 +177,7 @@ def worst_case_prob(cfg: TheorySimConfig, k: float,
 
 
 def _constant_terms(cfg: TheorySimConfig) -> tuple[float, float, float]:
-    eta2 = cfg.kurtosis_e4 - 1.0
+    eta2 = FAMILY_FOURTH_MOMENT[cfg.noise_family] - 1.0
     s2, t2, e2 = cfg.sigma ** 2, cfg.tau ** 2, cfg.epsilon ** 2
     term1 = 4.0 * s2 * s2 * eta2 / ((t2 - s2) ** 2 * (1.0 - cfg.p))
     term2 = 6.0 * e2 / (s2 + t2)
@@ -254,19 +243,3 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
                              est.estimate <= bound + 3.0 * est.std_error))
     return DecayReport(cfg.noise_family, c, tuple(rows),
                        all(r.passed for r in rows))
-
-
-THEORY_CSV_COLUMNS = ["family", "d", "k", "estimate", "std_error",
-                      "bound_C_over_d", "pass"]
-
-
-def write_theory_csv(path, reports) -> None:
-    """One row per (family, dimension) from a sequence of DecayReports."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(THEORY_CSV_COLUMNS)
-        for rep in reports:
-            for r in rep.rows:
-                writer.writerow([rep.family, r.d, f"{r.k:.8g}",
-                                 f"{r.estimate:.8g}", f"{r.std_error:.8g}",
-                                 f"{r.bound_c_over_d:.8g}", int(r.passed)])

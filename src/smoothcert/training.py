@@ -34,7 +34,6 @@ the reduction order is fixed, making training bit-reproducible for a given
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ __all__ = [
     "TrainRunConfig",
     "make_mix_pair",
     "train",
-    "TRAIN_LOG_COLUMNS",
-    "write_training_log",
 ]
 
 METHODS = ("gaussian", "smoothadv", "smoothmix")
@@ -243,20 +240,6 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, seeds):
     diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
                    "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
     return grads, loss_nat, loss_mix, diagnostics
-
-
-TRAIN_LOG_COLUMNS = ["epoch", "loss_nat", "loss_mix", "lr", "seconds"]
-
-
-def write_training_log(path, rows) -> None:
-    """Epoch log CSV; the seconds column is measured wall time."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_COLUMNS)
-        for r in rows:
-            writer.writerow([int(r["epoch"]), f"{r['loss_nat']:.12g}",
-                             f"{r['loss_mix']:.12g}", f"{r['lr']:.12g}",
-                             f"{r['seconds']:.4f}"])
 
 
 def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):

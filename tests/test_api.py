@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -38,6 +39,19 @@ def test_benchmark_trace_finds_its_names():
     assert json.loads(out) == ["smoothcert.smoothing.forward",
                                "smoothcert.adversary.forward",
                                "smoothcert.evaluation.forward"]
+
+
+def test_only_cli_knows_the_csv_formats():
+    # every artifact format is decided in cli.py, behind its one CSV writer
+    src = pathlib.Path(smoothcert.__file__).resolve().parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["cli.py"]
 
 
 def test_package_exports_resolve_without_duplicates():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from smoothcert.cli import main
+from smoothcert.cli import CERT_CSV_COLUMNS, main
 from smoothcert.config import (
     ATTACK_DEMO_SCHEMA,
     CERTIFY_SCHEMA,
@@ -22,7 +22,6 @@ from smoothcert.config import (
     load_config,
     parse_config_text,
 )
-from smoothcert.smoothing import CERT_CSV_COLUMNS
 from smoothcert.training import GaussianConfig, SmoothAdvConfig, SmoothMixConfig
 
 TRAIN_CFG = """
@@ -195,7 +194,7 @@ def test_build_train_configs_per_method():
     assert mcfg.eta == 4.0 and mcfg.attack.steps == 2 and mcfg.use_one_step
     assert mcfg.one_step_cap is None  # 0 disables the cap
 
-    with pytest.raises(ConfigError, match="eta"):
+    with pytest.raises(ValueError, match="eta > 0"):
         build_train_configs(
             apply_schema(_train_raw(method="smoothmix"), TRAIN_SCHEMA))
 
@@ -254,20 +253,53 @@ dataset.n = 6
     assert main(["attack-demo", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+# Every path below is absent, so each case must fail before any file is read.
+MIXRATIO_CFG = ("checkpoint = absent.json\nsigma = 0.5\ndataset.kind = two_moons\n"
+                "dataset.n = 6\n")
+ATTACK_CFG = ("checkpoint = absent.json\nsigma = 0.5\nalpha_step = 0.5\n"
+              "steps = 2\ndataset.kind = two_moons\ndataset.n = 6\n")
+ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
+                "dataset.labels = absent-labels\ndataset.subsample = -3\n")
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("train", TRAIN_CFG.replace("sigma = 0.5", "sigma = -0.5"),
      "need sigma > 0 and m >= 1"),
     ("certify", _certify_cfg("absent.json").replace("n0 = 20", "n0 = 100"),
      "need n >= n0 >= 1"),
-    ("attack-demo", "checkpoint = absent.json\nsigma = 0.5\nalpha_step = 0.5\n"
-     "steps = 2\nepsilon_cap = -1\ndataset.kind = two_moons\ndataset.n = 6\n",
+    ("attack-demo", ATTACK_CFG + "epsilon_cap = -1\n",
      "epsilon_cap, when set, must be positive"),
     ("theory-sim", "tau = 1.0\n", "sigma must differ from tau"),
     ("theory-sim", "dims = 8, 64\n", "below the d-threshold"),
-], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims"])
+    ("theory-sim", "dims =\n", "dims must be a nonempty increasing sequence"),
+    ("train", TRAIN_CFG.replace("method = gaussian", "method = smoothmix"),
+     "eta > 0"),
+    ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\n"
+     "lr = 0.1\n" + ABSENT_MNIST, "dataset.subsample must be >= 0"),
+    ("certify", "checkpoint = absent.json\nsigma = 0.5\n" + ABSENT_MNIST,
+     "dataset.subsample must be >= 0"),
+    ("attack-demo", ATTACK_CFG.replace("sigma = 0.5", "sigma = -1"),
+     "need sigma > 0 and m >= 1"),
+    ("attack-demo", ATTACK_CFG + "m = 0\n", "need sigma > 0 and m >= 1"),
+    ("mixratio", MIXRATIO_CFG.replace("sigma = 0.5", "sigma = -1"),
+     "need sigma > 0, pgd_steps >= 0"),
+    ("mixratio", MIXRATIO_CFG + "pgd_steps = -1\n", "pgd_steps >= 0"),
+    ("mixratio", MIXRATIO_CFG + "pgd_eps = 0\n", "pgd_eps > 0"),
+    ("mixratio", MIXRATIO_CFG + "estimation_m = 0\n", "estimation_m >= 1"),
+    ("mixratio", MIXRATIO_CFG + "points = -4\n", "points must be >= 1"),
+    ("mixratio", MIXRATIO_CFG.replace("dataset.n = 6", "dataset.n = 1"),
+     "dataset.n must be >= 2"),
+    ("evaluate", "cert_csv = absent.csv\nradii = 0.5, 0.25\nsigma = 0.5\n",
+     "radii thresholds must be nondecreasing"),
+], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
+        "theory-sim-empty-dims", "train-eta", "train-subsample",
+        "certify-subsample", "attack-demo-sigma", "attack-demo-m",
+        "mixratio-sigma", "mixratio-pgd-steps", "mixratio-pgd-eps",
+        "mixratio-estimation-m", "mixratio-points", "mixratio-dataset-n",
+        "evaluate-radii"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
-    # a value the config objects reject is a config error, reported before
-    # any checkpoint is read
+    # a value the config checks reject is a config error, reported before
+    # any checkpoint, dataset or certification CSV is read
     cfg = _write(tmp_path / "bad.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

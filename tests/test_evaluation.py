@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from smoothcert import smoothing
+from smoothcert.cli import (
+    read_certification_csv,
+    write_certification_csv,
+    write_metrics_csv,
+    write_mixratio_csv,
+)
 from smoothcert.evaluation import (
     LAMBDA_GRID_POINTS,
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
     equal_confidence_mixing_ratio,
-    write_metrics_csv,
-    write_mixratio_csv,
 )
 from smoothcert.nn import ModelParams, forward_tail
 from smoothcert.rng import StreamId
@@ -133,14 +137,11 @@ def test_result_set_validation():
         CertifiedResultSet((0,), ("certified",), 0.5)
 
 
-def test_from_rows_typed_dicts():
-    rows = [
-        {"idx": 0, "label": 0, "predicted": 0, "radius": 0.25,
-         "p_lower": 0.81, "correct": 1, "abstain": 0, "seconds": 0.1},
-        {"idx": 1, "label": 1, "predicted": -1, "radius": 0.0,
-         "p_lower": 0.42, "correct": 0, "abstain": 1, "seconds": 0.1},
-    ]
-    rs = CertifiedResultSet.from_rows(rows, sigma=0.5, model_id="m")
+def test_certification_csv_reads_into_result_set(tmp_path):
+    path = tmp_path / "cert.csv"
+    write_certification_csv(path, [[0, 0, 0, "0.250000", "0.81", 1, 0, "0.1000"],
+                                   [1, 1, -1, "0.000000", "0.42", 0, 1, "0.1000"]])
+    rs = read_certification_csv(path, sigma=0.5)
     assert rs.labels == (0, 1)
     assert rs.outcomes[0].certified and rs.outcomes[0].radius == 0.25
     assert not rs.outcomes[1].certified
@@ -174,6 +175,17 @@ def test_mixratio_precondition_wrong_label():
         _linear_net(), np.array([0.3, 0.0]), 1, sigma=0.01, pgd_steps=4,
         pgd_eps=1.0, estimation_m=100, stream=StreamId(2))
     assert lam is None
+
+
+@pytest.mark.parametrize("bad", [dict(sigma=-1.0), dict(pgd_steps=-1),
+                                 dict(pgd_eps=0.0), dict(estimation_m=0)])
+def test_mixratio_checks_arguments_whatever_the_data(bad):
+    # label 1 at a point predicted 0 would return None before any attack
+    kw = dict(sigma=0.01, pgd_steps=4, pgd_eps=1.0, estimation_m=100,
+              stream=StreamId(2))
+    with pytest.raises(ValueError, match="need sigma > 0, pgd_steps >= 0"):
+        equal_confidence_mixing_ratio(_linear_net(), np.array([0.3, 0.0]), 1,
+                                      **{**kw, **bad})
 
 
 def test_mixratio_unflipped_endpoint_not_found():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noise_oracle import direct_hard_class_counts, direct_soft_predict
 from smoothcert import smoothing
+from smoothcert.cli import read_certification_csv, write_certification_csv
 from smoothcert.nn import DimensionMismatch, ModelParams, forward_tail, init_mlp
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
@@ -18,10 +19,8 @@ from smoothcert.smoothing import (
     certify,
     clopper_pearson_lower,
     hard_class_counts,
-    read_certification_csv,
     sample_noise,
     soft_smoothed_predict,
-    write_certification_csv,
 )
 
 # Frozen oracle values, computed with mpmath erfinv at 30 digits.
@@ -620,23 +619,23 @@ def test_smoothing_config_validation():
 
 
 def test_certification_csv_round_trip(tmp_path):
-    rows = [
-        {"idx": 0, "label": 1, "predicted": 1, "radius": 0.293001,
-         "p_lower": 0.933254300797, "correct": 1, "abstain": 0,
-         "seconds": 0.0032},
-        {"idx": 1, "label": 0, "predicted": ABSTAIN, "radius": 0.0,
-         "p_lower": 0.41, "correct": 0, "abstain": 1, "seconds": 0.0041},
-    ]
+    rows = [[0, 1, 1, "0.293001", "0.933254300797", 1, 0, "0.0032"],
+            [1, 0, ABSTAIN, "0.000000", "0.41", 0, 1, "0.0041"]]
     path = tmp_path / "cert.csv"
     write_certification_csv(path, rows)
     header = path.read_text().splitlines()[0]
     assert header == "idx,label,predicted,radius,p_lower,correct,abstain,seconds"
-    back = read_certification_csv(path)
-    assert back == rows
+    back = read_certification_csv(path, sigma=0.5)
+    assert back.labels == (1, 0) and back.sigma == 0.5
+    assert back.outcomes == (
+        CertifyOutcome(certified=True, predicted_class=1, radius=0.293001,
+                       p_lower=0.933254300797),
+        CertifyOutcome(certified=False, predicted_class=ABSTAIN, radius=0.0,
+                       p_lower=0.41))
 
 
 def test_certification_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
-        read_certification_csv(path)
+        read_certification_csv(path, sigma=0.5)
