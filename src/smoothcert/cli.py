@@ -192,6 +192,8 @@ def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
 
 def _cmd_evaluate(cfg: dict, out_dir: str, workers: int) -> dict:
     paths, ids, radii = cfg["cert_csv"], cfg["model_ids"], cfg["radii"]
+    if not paths:
+        raise ConfigError("cert_csv must name at least one file")
     if ids and len(ids) != len(paths):
         raise ConfigError("model_ids must match cert_csv in length")
     if any(b < a for a, b in zip(radii, radii[1:])):
@@ -255,6 +257,8 @@ def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
 
 
 def _cmd_theory_sim(cfg: dict, out_dir: str, workers: int) -> dict:
+    if not cfg["families"]:
+        raise ConfigError("families must name at least one noise family")
     with _config_values():
         # d=1 is a placeholder: verify_decay runs the config at each of dims
         sims = [TheorySimConfig(d=1, sigma=cfg["sigma"], tau=cfg["tau"],

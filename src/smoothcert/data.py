@@ -3,13 +3,16 @@
 Every Dataset records provenance sufficient to regenerate it bit-exactly:
 generator name and parameters for synthetic data, file SHA-256 digests plus
 subsample parameters for files. Images are scaled to [0, 1]; no other
-preprocessing is applied. The IDX loader reads each file once and converts
-only the rows it keeps, so a subsample costs memory in proportion to its size.
+preprocessing is applied. The IDX loader picks a subsample from the label
+file, then streams the image file once in blocks, hashing every byte and
+copying out only the rows it keeps, so a subsample costs memory in proportion
+to its size, not to the file's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -32,6 +35,8 @@ __all__ = [
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# Bytes of IDX payload read per block: whole items, at least one.
+IDX_BLOCK_BYTES = 1 << 20
 
 
 class IdxFormatError(ValueError):
@@ -163,25 +168,51 @@ def stratified_subsample_indices(labels: np.ndarray, size: int, seed: int) -> np
     return np.sort(np.concatenate(picked))
 
 
-def _read_idx(path, expected_magic: int):
-    """Parse an IDX file; returns (dims, uint8 payload view, sha256 of the file)."""
+def _read_idx(path, expected_magic: int, count: int = None, rows=None):
+    """Parse an IDX file in one pass; returns (dims, uint8 items, sha256 of the file).
+
+    The items are the payload's entries along its first axis, flattened to
+    rows of an (n, item size) array; with rows (sorted indices) only those
+    are kept. The payload is read in blocks of about IDX_BLOCK_BYTES and the
+    digest covers every byte, header and trailing bytes included. With
+    count (the label file's), a first dimension other than count raises
+    CountMismatch before the payload is read.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise TruncatedPayload(path, 4, len(raw))
-    (magic,) = struct.unpack(">I", raw[:4])
-    if magic != expected_magic:
-        raise MagicMismatch(path, expected_magic, magic)
-    ndim = magic & 0xFF
-    header = 4 + 4 * ndim
-    if len(raw) < header:
-        raise TruncatedPayload(path, header, len(raw))
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
-    total = int(np.prod(dims))
-    if len(raw) - header < total:
-        raise TruncatedPayload(path, header + total, len(raw))
-    payload = np.frombuffer(raw, dtype=np.uint8, offset=header, count=total)
-    return dims, payload, hashlib.sha256(raw).hexdigest()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(4)
+        if len(head) < 4:
+            raise TruncatedPayload(path, 4, size)
+        (magic,) = struct.unpack(">I", head)
+        if magic != expected_magic:
+            raise MagicMismatch(path, expected_magic, magic)
+        ndim = magic & 0xFF
+        head += fh.read(4 * ndim)
+        if len(head) < 4 + 4 * ndim:
+            raise TruncatedPayload(path, 4 + 4 * ndim, size)
+        dims = struct.unpack(f">{ndim}I", head[4:])
+        n, width = int(dims[0]), int(np.prod(dims[1:]))
+        if size - len(head) < n * width:
+            raise TruncatedPayload(path, len(head) + n * width, size)
+        if count is not None and n != count:
+            raise CountMismatch(n, count)
+        digest = hashlib.sha256(head)
+        keep = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        out = np.empty((len(keep), width), dtype=np.uint8)
+        step = max(1, IDX_BLOCK_BYTES // max(width, 1))
+        buf = np.empty((min(step, n), width), dtype=np.uint8)
+        lo = 0
+        for start in range(0, n, step):
+            block = buf[:min(step, n - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise TruncatedPayload(path, len(head) + n * width, size)
+            digest.update(block)
+            hi = np.searchsorted(keep, start + len(block))
+            out[lo:hi] = block[keep[lo:hi] - start]
+            lo = hi
+        while chunk := fh.read(IDX_BLOCK_BYTES):
+            digest.update(chunk)
+    return dims, out, digest.hexdigest()
 
 
 def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 0,
@@ -190,17 +221,13 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
 
     Pixels are scaled to [0, 1] by division by 255 and flattened row-major;
     no further preprocessing. With `subsample`, a deterministic class-
-    stratified subset of that size is selected per seed; only the selected
-    rows are converted to float64.
+    stratified subset of that size is selected per seed from the labels, and
+    only the selected image rows are kept and converted to float64.
     """
-    img_dims, img_raw, img_sha = _read_idx(images_path, IDX_IMAGES_MAGIC)
-    lab_dims, lab_raw, lab_sha = _read_idx(labels_path, IDX_LABELS_MAGIC)
-    if img_dims[0] != lab_dims[0]:
-        raise CountMismatch(img_dims[0], lab_dims[0])
-    n = int(img_dims[0])
-    d = int(np.prod(img_dims[1:]))
-    pixels = img_raw.reshape(n, d)
-    y = lab_raw.astype(np.int64)
+    lab_dims, labels, lab_sha = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    y = labels.reshape(-1).astype(np.int64)
+    idx = None if subsample is None else stratified_subsample_indices(y, subsample, seed)
+    _, pixels, img_sha = _read_idx(images_path, IDX_IMAGES_MAGIC, lab_dims[0], idx)
     prov = {
         "kind": "mnist",
         "images_path": str(images_path),
@@ -211,11 +238,8 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
         "seed": int(seed),
         "split": split,
     }
-    if subsample is not None:
-        idx = stratified_subsample_indices(y, subsample, seed)
-        pixels, y = pixels[idx], y[idx]
-    return Dataset(inputs=pixels / 255.0, labels=y, class_count=10, split=split,
-                   provenance=prov)
+    return Dataset(inputs=pixels / 255.0, labels=y if idx is None else y[idx],
+                   class_count=10, split=split, provenance=prov)
 
 
 def from_provenance(prov: dict) -> Dataset:

@@ -10,20 +10,27 @@ Every forward starts at first_layer, then runs the shared tail
 takes the noise already through W1 (first_layer_noise): smoothing and the
 attacks then never form a d-wide noisy input.
 
-Checkpoint layout (versioned structured text, stable across releases):
-a JSON object with keys
-    format:      "smoothcert.checkpoint"
-    version:     1
-    activation:  "relu"
-    layer_sizes: [d, h_1, ..., C]
-    init:        {"master_seed": int, "path": [...]} or null
-    weights:     per layer, nested lists in row-major (fan_in x fan_out) order
-    biases:      per layer, flat lists
-serialized with sorted keys; floats round-trip exactly through repr.
+Checkpoint layout (format version 2, a binary file named checkpoint.json):
+one ASCII line holding a JSON object with sorted keys,
+    format:        "smoothcert.checkpoint"
+    version:       2
+    activation:    "relu"
+    layer_sizes:   [d, h_1, ..., C]
+    init:          {"master_seed": int, "path": [...]} or null
+    payload_bytes: the payload's length in bytes
+    sha256:        the payload's SHA-256, hex
+then a newline and the payload: raw little-endian float64, per layer W
+(row-major, fan_in x fan_out) and then b. The floats are stored bit-exactly,
+so a save of loaded weights repeats the file's bytes. `head -1` shows the
+header. The loader checks the length and digest and raises CheckpointError
+for a truncated or corrupt file, a bad header, layer_sizes the payload does
+not fit, or another format or version (version 1, nested JSON lists, is no
+longer read).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -32,6 +39,7 @@ import numpy as np
 from .rng import StreamId
 
 __all__ = [
+    "CheckpointError",
     "DimensionMismatch",
     "ModelParams",
     "OptimizerState",
@@ -49,8 +57,12 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "smoothcert.checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CE_PROB_FLOOR = 1e-12
+
+
+class CheckpointError(ValueError):
+    """Raised for a checkpoint file that is truncated, corrupt or unreadable."""
 
 
 class DimensionMismatch(ValueError):
@@ -379,32 +391,72 @@ def sgd_nesterov_step(params: ModelParams, grads, state: OptimizerState) -> None
 
 
 def save_checkpoint(path, params: ModelParams, init_stream: StreamId = None) -> None:
-    obj = {
+    """Write params as a format-2 checkpoint (see the module docstring)."""
+    blocks = [np.ascontiguousarray(a, dtype="<f8")
+              for W, b in zip(params.weights, params.biases) for a in (W, b)]
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "activation": "relu",
         "layer_sizes": params.layer_sizes,
         "init": init_stream.as_json() if init_stream is not None else None,
-        "weights": [W.tolist() for W in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "payload_bytes": sum(block.nbytes for block in blocks),
+        "sha256": digest.hexdigest(),
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
+        fh.write(b"\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _read_checkpoint_header(line: bytes) -> dict:
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    sizes = header.get("layer_sizes")
+    if (header.get("activation") != "relu" or not isinstance(sizes, list)
+            or len(sizes) < 2
+            or not all(type(s) is int and s >= 1 for s in sizes)
+            or type(header.get("payload_bytes")) is not int
+            or not isinstance(header.get("sha256"), str)):
+        raise CheckpointError("checkpoint header is malformed")
+    return header
 
 
 def load_checkpoint(path) -> tuple:
-    """Load a checkpoint; returns (ModelParams, metadata dict)."""
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: format={obj.get('format')!r}")
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
-    weights = [np.asarray(W, dtype=np.float64) for W in obj["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
-    params = ModelParams(weights, biases)
-    if params.layer_sizes != list(obj["layer_sizes"]):
-        raise ValueError("checkpoint layer_sizes disagree with payload shapes")
-    meta = {"init": obj.get("init"), "activation": obj["activation"]}
+    """Load a format-2 checkpoint; returns (ModelParams, metadata dict).
+
+    The arrays are fresh, writeable, C-contiguous float64 copies.
+    """
+    with open(path, "rb") as fh:
+        header = _read_checkpoint_header(fh.readline())
+        payload = fh.read()
+    sizes = header["layer_sizes"]
+    shapes = [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((a, b), (b,))]
+    expected = 8 * sum(int(np.prod(shape)) for shape in shapes)
+    if header["payload_bytes"] != expected:
+        raise CheckpointError(f"layer_sizes {sizes} need a {expected}-byte payload, "
+                              f"header says {header['payload_bytes']}")
+    if len(payload) != expected:
+        raise CheckpointError(f"checkpoint payload holds {len(payload)} bytes, "
+                              f"header says {expected}")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise CheckpointError("checkpoint payload does not match its sha256")
+    arrays, offset = [], 0
+    for shape in shapes:
+        count = int(np.prod(shape))
+        arrays.append(np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+                      .reshape(shape).astype(np.float64))
+        offset += 8 * count
+    params = ModelParams(arrays[0::2], arrays[1::2])
+    meta = {"init": header["init"], "activation": header["activation"]}
     return params, meta

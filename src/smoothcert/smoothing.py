@@ -110,25 +110,32 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
     return np.concatenate(means)
 
 
+def _noise_factor(params: ModelParams):
+    """R of W1 = QR when factors_noise (the factor CERTIFY draws through), else None."""
+    return np.linalg.qr(params.weights[0], mode="r") if factors_noise(params) else None
+
+
 def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
-                      sigma: float, stream: StreamId) -> np.ndarray:
+                      sigma: float, stream: StreamId, R=None) -> np.ndarray:
     """Counts of argmax f(x + delta) over `count` fresh draws of N(0, sigma^2 I).
 
     When d > h1 (nn.factors_noise) the draws are made in W1's row space: f
     sees delta only as delta W1, whose law is N(0, sigma^2 W1^T W1). With
-    W1 = QR, factored once per call, that is the law of sigma g R for
-    g = delta Q / sigma ~ N(0, I_h1), so h1 normals per draw give i.i.d.
-    draws of f(x + delta), which is all CERTIFY needs. When d <= h1, delta =
-    sigma g is drawn and added to x. Argmax ties within a single forward
-    break toward the lowest class index. Draws are evaluated in chunks of at
-    most COUNT_CHUNK from one sequential generator.
+    W1 = QR that is the law of sigma g R for g = delta Q / sigma ~
+    N(0, I_h1), so h1 normals per draw give i.i.d. draws of f(x + delta),
+    which is all CERTIFY needs. R is _noise_factor(params), factored here
+    unless the caller passes it. When d <= h1, delta = sigma g is drawn and
+    added to x. Argmax ties within a single forward break toward the lowest
+    class index. Draws are evaluated in chunks of at most COUNT_CHUNK from
+    one sequential generator.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     X = np.asarray(x, dtype=np.float64)[None, :]
-    R = np.linalg.qr(params.weights[0], mode="r") if factors_noise(params) else None
+    if R is None:
+        R = _noise_factor(params)
     gen = stream.generator()
     counts = np.zeros(params.class_count, dtype=np.int64)
     remaining = count
@@ -283,13 +290,15 @@ def certify(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
 
     from n fresh draws, certify sigma * Phi^{-1}(p_lower) or abstain. The
     selection and estimation rounds use independent substreams, so outcomes
-    are identical regardless of scheduling.
+    are identical regardless of scheduling. Both rounds draw through one
+    factor of W1.
     """
+    R = _noise_factor(params)
     counts0 = hard_class_counts(params, x, cfg.n0, cfg.sigma,
-                                stream.child("selection"))
+                                stream.child("selection"), R)
     top = int(np.argmax(counts0))  # ties break toward the lowest class index
     counts = hard_class_counts(params, x, cfg.n, cfg.sigma,
-                               stream.child("estimation"))
+                               stream.child("estimation"), R)
     p_lower = clopper_pearson_lower(int(counts[top]), cfg.n, cfg.alpha_cert)
     if p_lower <= 0.5:
         return CertifyOutcome(certified=False, predicted_class=ABSTAIN,

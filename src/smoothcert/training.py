@@ -182,9 +182,11 @@ def _noisy_ce_step(params, noises, parts):
     draws that every part shares. All rows go through one backward pass.
     Returns (grads, the mean CE of each part).
     """
-    B, m, _ = noises.shape
-    rows = np.concatenate([(X[:, None, :] + noises).reshape(B * m, -1)
-                           for X, _, _ in parts])
+    B, m, d = noises.shape
+    rows = np.empty((len(parts), B, m, d))
+    for k, (X, _, _) in enumerate(parts):
+        np.add(X[:, None, :], noises, out=rows[k])
+    rows = rows.reshape(-1, d)
     targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
     weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
     grads, ce = _grad_params_weighted(params, rows, targets, weights)
@@ -281,9 +283,11 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
                 grads, loss_nat, loss_mix = _smoothadv_minibatch(
                     params, X, Y, method_cfg, seeds[idx], epoch)
             else:
-                grads, loss_nat, loss_mix, _ = _smoothmix_minibatch(
-                    params, X, Y, method_cfg, seeds[idx])
+                # the diagnostics hold the attack path: let them go now
+                grads, loss_nat, loss_mix = _smoothmix_minibatch(
+                    params, X, Y, method_cfg, seeds[idx])[:3]
             sgd_nesterov_step(params, grads, state)
+            del grads  # not held through the next minibatch
             nat_sum += loss_nat * len(idx)
             mix_sum += loss_mix * len(idx)
             seen += len(idx)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from smoothcert.config import (
     load_config,
     parse_config_text,
 )
+from smoothcert.nn import load_checkpoint
 from smoothcert.training import GaussianConfig, SmoothAdvConfig, SmoothMixConfig
 
 TRAIN_CFG = """
@@ -291,12 +293,14 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
      "dataset.n must be >= 2"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.5, 0.25\nsigma = 0.5\n",
      "radii thresholds must be nondecreasing"),
+    ("evaluate", "cert_csv =\nradii = 0.5\nsigma = 0.5\n", "cert_csv must name at least one file"),
+    ("theory-sim", "families =\n", "families must name at least one noise family"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
         "mixratio-sigma", "mixratio-pgd-steps", "mixratio-pgd-eps",
         "mixratio-estimation-m", "mixratio-points", "mixratio-dataset-n",
-        "evaluate-radii"])
+        "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read
@@ -309,11 +313,14 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
 def test_cli_nonfinite_checkpoint_exits_3(tmp_path, capsys, trained):
     # a ValueError at run time, here from a checkpoint holding a NaN weight,
     # stays a runtime failure
-    with open(trained / "checkpoint.json") as fh:
-        obj = json.load(fh)
-    obj["weights"][0][0][0] = float("nan")
+    # (a well-formed file: the payload's first weight is NaN and the header
+    # holds the digest of that payload)
+    line, payload = (trained / "checkpoint.json").read_bytes().split(b"\n", 1)
+    payload = np.array([np.nan]).astype("<f8").tobytes() + payload[8:]
+    header = json.loads(line)
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
     ckpt = tmp_path / "nan.json"
-    ckpt.write_text(json.dumps(obj))
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     cfg = _write(tmp_path / "c.cfg", _certify_cfg(ckpt))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -511,9 +518,8 @@ dataset.seed = 1
                    PYTHONPATH=path)
         subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--config", cfg,
                         "--out", str(out)], env=env, check=True, capture_output=True)
-        checkpoints.append((out / "checkpoint.json").read_bytes())
-    assert checkpoints[1] == checkpoints[2]
-    one, two = (json.loads(c) for c in checkpoints[:2])
-    for key in ("weights", "biases"):
-        for a, b in zip(one[key], two[key]):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        checkpoints.append(out / "checkpoint.json")
+    assert checkpoints[1].read_bytes() == checkpoints[2].read_bytes()
+    one, two = (load_checkpoint(c)[0] for c in checkpoints[:2])
+    for a, b in zip(one.weights + one.biases, two.weights + two.biases):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)

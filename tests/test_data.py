@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from smoothcert import data
 from smoothcert.cli import main
 from smoothcert.data import (
     CountMismatch,
@@ -183,9 +184,34 @@ def test_idx_subsample_equals_full_load_then_index(tmp_path):
     np.testing.assert_array_equal(sub.labels, full.labels[idx])
 
 
+@pytest.mark.parametrize("block_bytes", [1, 25, 1 << 20])
+def test_idx_blocks_do_not_change_the_rows(tmp_path, monkeypatch, block_bytes):
+    # rows kept from blocks of one item, of two (12-byte items), and of all
+    rng = np.random.default_rng(2)
+    imgs = rng.integers(0, 256, (60, 4, 3), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, imgs, np.arange(60) % 10)
+    monkeypatch.setattr(data, "IDX_BLOCK_BYTES", block_bytes)
+    sub = load_mnist_idx(ip, lp, subsample=17, seed=4)
+    idx = stratified_subsample_indices(np.arange(60) % 10, 17, 4)
+    np.testing.assert_array_equal(sub.inputs, imgs.reshape(60, 12)[idx] / 255.0)
+    np.testing.assert_array_equal(load_mnist_idx(ip, lp).inputs,
+                                  imgs.reshape(60, 12) / 255.0)
+
+
+def test_idx_digest_covers_trailing_bytes(tmp_path):
+    imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    ip, lp = _fixture_pair(tmp_path, imgs, [1, 2])
+    with open(ip, "ab") as fh:
+        fh.write(b"trailing")
+    ds = load_mnist_idx(ip, lp, subsample=2)
+    assert ds.provenance["images_sha256"] == hashlib.sha256(ip.read_bytes()).hexdigest()
+    np.testing.assert_array_equal(ds.inputs, imgs.reshape(2, 12) / 255.0)
+
+
 def test_idx_subsample_memory_follows_subsample(tmp_path):
-    # only the kept rows become float64: the peak stays below the float64
-    # size of the whole file (36 MiB), which converting first would exceed
+    # the image file is streamed in blocks and only the kept rows are
+    # copied out: the peak stays below the file's uint8 payload (4.5 MiB),
+    # which reading the whole file first would exceed
     n, side = 6000, 28
     imgs = np.random.default_rng(1).integers(0, 256, (n, side, side), dtype=np.uint8)
     ip, lp = _fixture_pair(tmp_path, imgs, np.arange(n) % 10)
@@ -197,7 +223,7 @@ def test_idx_subsample_memory_follows_subsample(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(ds) == 20
-    assert peak < n * side * side * 8
+    assert peak < n * side * side
 
 
 # ---------------------------------------------------------------- subsampling

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from smoothcert.nn import (
+    CheckpointError,
     DimensionMismatch,
     ModelParams,
     OptimizerState,
@@ -260,11 +264,11 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     p2 = tmp_path / "b.json"
     save_checkpoint(p1, params, init_stream=StreamId(3, ("init",)))
     loaded, meta = load_checkpoint(p1)
-    for a, b in zip(loaded.weights, params.weights):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
+        assert a.tobytes() == b.tobytes()  # bit-exact
     save_checkpoint(p2, loaded, init_stream=StreamId(3, ("init",)))
     assert p1.read_bytes() == p2.read_bytes()
-    assert meta["init"] is not None
+    assert meta["init"] == StreamId(3, ("init",)).as_json()
 
 
 def test_checkpoint_rejects_foreign_json(tmp_path):
@@ -272,3 +276,65 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
     p.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(p)
+
+
+def _saved(tmp_path, sizes=(5, 8, 3)):
+    """A checkpoint of a random net: (path, header dict, payload bytes)."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, _random_net(np.random.default_rng(4), list(sizes)))
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(line), payload
+
+
+def test_checkpoint_header_line_holds_the_payload_digest(tmp_path):
+    path, header, payload = _saved(tmp_path)
+    with open(path, "rb") as fh:
+        first = json.loads(fh.readline())  # what `head -1` shows
+    assert first == header
+    assert header["version"] == 2 and header["layer_sizes"] == [5, 8, 3]
+    assert header["payload_bytes"] == len(payload) == 8 * (5 * 8 + 8 + 8 * 3 + 3)
+    assert header["sha256"] == hashlib.sha256(payload).hexdigest()
+
+
+def _flip_byte(header, payload):
+    damaged = bytearray(payload)
+    damaged[17] ^= 0x01
+    return header, bytes(damaged)
+
+
+def _v1_file(header, payload):
+    # the nested-list JSON layout of format version 1
+    return {"format": "smoothcert.checkpoint", "version": 1, "activation": "relu",
+            "layer_sizes": [1, 1], "init": None, "weights": [[[0.5]]],
+            "biases": [[0.0]]}, b""
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda h, p: (h, p[:-5]), "payload holds"),
+    (_flip_byte, "sha256"),
+    (lambda h, p: (dict(h, payload_bytes=len(p) - 8), p), "need a"),
+    (lambda h, p: (dict(h, layer_sizes=[5, 8, 4]), p), "need a"),
+    (_v1_file, "unsupported checkpoint version 1"),
+], ids=["truncated", "flipped-byte", "wrong-length", "layer-sizes", "version-1"])
+def test_checkpoint_rejects_damaged_files(tmp_path, damage, message):
+    path, header, payload = _saved(tmp_path)
+    header, payload = damage(header, payload)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_bad_header_line(tmp_path):
+    path, _, payload = _saved(tmp_path)
+    path.write_bytes(b"not json\n" + payload)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_loaded_checkpoint_arrays_are_owned_and_writeable(tmp_path):
+    path, _, _ = _saved(tmp_path)
+    params, _ = load_checkpoint(path)
+    for a in params.weights + params.biases:
+        assert a.dtype == np.float64 and a.dtype.isnative
+        assert a.flags.owndata and a.flags.writeable
+        assert a.flags.c_contiguous and a.flags.aligned

@@ -219,6 +219,24 @@ def test_hard_counts_chunking_seamless(monkeypatch):
             c1, hard_class_counts(params, x, 1000, 1.0, StreamId(10, ("c",))))
 
 
+def test_certify_factors_w1_once(monkeypatch):
+    # d > h1: both CERTIFY rounds draw through one QR of W1, and a passed R
+    # gives the counts hard_class_counts gets by factoring W1 itself
+    params = init_mlp([20, 6, 4], StreamId(45))
+    x = np.random.default_rng(46).standard_normal(20) * 0.3
+    want = certify(params, x, SmoothingConfig(sigma=0.5, n0=50, n=400), StreamId(47))
+    R = np.linalg.qr(params.weights[0], mode="r")
+    np.testing.assert_array_equal(
+        hard_class_counts(params, x, 400, 0.5, StreamId(48), R),
+        hard_class_counts(params, x, 400, 0.5, StreamId(48)))
+    factors = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: factors.append(1) or qr(*a, **k))
+    assert certify(params, x, SmoothingConfig(sigma=0.5, n0=50, n=400),
+                   StreamId(47)) == want
+    assert len(factors) == 1
+
+
 def _two_sample_chi2_p(a, b):
     """p-value of Pearson's chi-square test that two count vectors share one law."""
     stats = pytest.importorskip("scipy.stats")
@@ -566,7 +584,7 @@ def test_certify_zero_count_abstains(monkeypatch):
     # gives p_lower = 0, an abstain rather than an error
     import smoothcert.smoothing as smoothing
 
-    def counts(params, x, count, sigma, stream):
+    def counts(params, x, count, sigma, stream, R=None):
         top = 0 if stream.path[-1] == "selection" else 1
         return np.bincount([top], minlength=2) * count
 

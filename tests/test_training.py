@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
-from smoothcert.data import gen_gaussian_blobs, gen_two_moons
+from smoothcert.data import Dataset, gen_gaussian_blobs, gen_two_moons
 from smoothcert.nn import (
     ModelParams,
     cross_entropy,
@@ -505,3 +506,23 @@ def test_minibatch_randomness_matches_each_stream_generator():
         deltas, lam = _draws(parent.child(int(i)), 3, 5, 0.25)
         np.testing.assert_array_equal(noises[b], deltas)
         assert lams[b] == lam
+
+
+def test_smoothmix_train_peak_at_mnist_shape():
+    # 784-256-256-10, B=100, m=4, T=4: one minibatch's working set. Holding
+    # the previous step's gradients (1.6 MiB) and attack path (3 MiB of
+    # points) into the next step, or building each part's noisy rows before
+    # concatenating them (5 MiB), takes the peak past the bound.
+    rng = np.random.default_rng(0)
+    ds = Dataset(inputs=rng.uniform(0.0, 1.0, (200, 784)),
+                 labels=np.arange(200) % 10, class_count=10, split="train")
+    run = TrainRunConfig(method="smoothmix", epochs=1, batch_size=100, lr=0.05, seed=1)
+    cfg = SmoothMixConfig(sigma=0.5, eta=5.0, m=4,
+                          attack=AttackConfig(alpha_step=1.0, steps=4))
+    tracemalloc.start()
+    try:
+        train(ds, run, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 29 * 2**20
