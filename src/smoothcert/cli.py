@@ -7,9 +7,11 @@ directory is the only environment override), and drops a manifest.json
 recording the config snapshot, artifact paths, and timings. This module is
 the one that knows the artifact formats: every CSV goes through _write_csv,
 and certify.csv is read back here. All randomness fans out from the master
-seed through named substreams, so in sequential mode the pair (config, seed)
-determines every artifact byte-for-byte except the wall-clock `seconds`
-fields and the manifest timings.
+seed through named substreams, so the pair (config, seed) determines every
+artifact byte-for-byte except the wall-clock `seconds` fields and the
+manifest timings, whatever the CPU count: certify, mixratio and theory-sim
+run their points or stages on one thread per available CPU
+(rng.map_streams), each on its own substream.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -23,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -41,6 +42,7 @@ from .config import (
     load_config,
 )
 from .evaluation import (
+    LAMBDA_GRID_POINTS,
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
@@ -48,8 +50,8 @@ from .evaluation import (
     equal_confidence_mixing_ratio,
 )
 from .nn import load_checkpoint, save_checkpoint
-from .rng import StreamId
-from .smoothing import ABSTAIN, CertifyOutcome, certify, sample_noise
+from .rng import StreamId, map_streams
+from .smoothing import ABSTAIN, COUNT_CHUNK, CertifyOutcome, certify, sample_noise
 from .theory import TheorySimConfig, decay_dims, verify_decay
 from .training import train
 
@@ -143,7 +145,7 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_train(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_train(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         run_cfg, method_cfg = build_train_configs(cfg)
     ds = build_dataset(cfg, "train")
@@ -169,7 +171,7 @@ def _certify_one(args):
             int(not outcome.certified), f"{seconds:.4f}"]
 
 
-def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         scfg = build_smoothing_config(cfg)
         check_dataset(cfg)
@@ -177,20 +179,15 @@ def _cmd_certify(cfg: dict, out_dir: str, workers: int) -> dict:
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
     count = len(ds) if cfg["max_points"] <= 0 else min(cfg["max_points"], len(ds))
-    # Per-point substreams keep rows identical for any worker count.
     jobs = [(params, ds.inputs[i], ds.labels[i], scfg,
              root.child("certify", int(i)), int(i)) for i in range(count)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_certify_one, jobs))
-    else:
-        rows = [_certify_one(j) for j in jobs]
+    rows = map_streams(_certify_one, jobs, pooled=scfg.n > COUNT_CHUNK)
     path = os.path.join(out_dir, "certify.csv")
     write_certification_csv(path, rows)
     return {"certify_csv": path}
 
 
-def _cmd_evaluate(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
     paths, ids, radii = cfg["cert_csv"], cfg["model_ids"], cfg["radii"]
     if not paths:
         raise ConfigError("cert_csv must name at least one file")
@@ -208,7 +205,7 @@ def _cmd_evaluate(cfg: dict, out_dir: str, workers: int) -> dict:
     return {"metrics_csv": path}
 
 
-def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
                             epsilon_cap=cfg["epsilon_cap"] or None)
@@ -233,7 +230,7 @@ def _cmd_attack_demo(cfg: dict, out_dir: str, workers: int) -> dict:
     return {"trajectory_csv": path}
 
 
-def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         check_mixing_ratio_args(cfg["sigma"], cfg["pgd_steps"], cfg["pgd_eps"],
                                 cfg["estimation_m"])
@@ -244,19 +241,21 @@ def _cmd_mixratio(cfg: dict, out_dir: str, workers: int) -> dict:
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
     count = min(cfg["points"], len(ds))
-    rows = []
-    for i in range(count):
-        lam = equal_confidence_mixing_ratio(
+
+    def mixing_ratio(i):
+        return i, equal_confidence_mixing_ratio(
             params, ds.inputs[i], int(ds.labels[i]), cfg["sigma"],
             cfg["pgd_steps"], cfg["pgd_eps"], cfg["estimation_m"],
-            root.child("mixratio", int(i)))
-        rows.append((i, lam))
+            root.child("mixratio", i))
+
+    rows = map_streams(mixing_ratio, range(count), pooled=(
+        LAMBDA_GRID_POINTS * cfg["estimation_m"] > COUNT_CHUNK))
     path = os.path.join(out_dir, "mixratio.csv")
     write_mixratio_csv(path, rows)
     return {"mixratio_csv": path}
 
 
-def _cmd_theory_sim(cfg: dict, out_dir: str, workers: int) -> dict:
+def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
     if not cfg["families"]:
         raise ConfigError("families must name at least one noise family")
     with _config_values():
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default $SMOOTHCERT_OUT or .)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads for per-point certification")
     return parser
 
 
@@ -319,12 +316,10 @@ def main(argv=None) -> int:
         cfg = apply_schema(raw, SCHEMAS[args.command])
         if args.seed is not None and "seed" in cfg:
             cfg["seed"] = args.seed
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         out_dir = args.out or os.environ.get("SMOOTHCERT_OUT", ".")
         os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
-        artifacts = _DISPATCH[args.command](cfg, out_dir, args.workers)
+        artifacts = _DISPATCH[args.command](cfg, out_dir)
         manifest = _write_manifest(out_dir, args.command, cfg, artifacts,
                                    time.perf_counter() - t0)
     except ConfigError as exc:

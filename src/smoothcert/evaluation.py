@@ -7,7 +7,9 @@
 - Equal-confidence mixing ratio: smallest interpolation weight lambda on the
   segment from x to a PGD point at which the soft-smoothed argmax departs
   from the true class, scanned on a fixed 101-point grid (the argmax along
-  the segment need not be monotone, so no bisection).
+  the segment need not be monotone, so no bisection). The grid is scanned
+  in increasing lambda, one forward at a time, and the scan stops at the
+  first forward that holds a flip.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from .adversary import smoothadv_pgd
 from .nn import ModelParams
 from .rng import StreamId
-from .smoothing import CertifyOutcome, sample_noise, soft_smoothed_predict
+from .smoothing import (CertifyOutcome, sample_noise, soft_smoothed_chunks,
+                        soft_smoothed_predict)
 
 __all__ = [
     "CertifiedResultSet",
@@ -106,8 +109,10 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
                           epsilon=pgd_eps)
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
     seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
-    preds = np.argmax(soft_smoothed_predict(params, seg, noise), axis=1)
-    flips = np.flatnonzero(preds != int(y))
-    if len(flips) == 0:
-        return None
-    return float(lams[flips[0]])
+    start = 0
+    for fhat_seg in soft_smoothed_chunks(params, seg, noise):
+        flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
+        if len(flips):
+            return float(lams[start + flips[0]])
+        start += len(fhat_seg)
+    return None

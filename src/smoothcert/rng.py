@@ -18,16 +18,21 @@ A family of sibling streams parent.child(i) can also be derived in one batch
 (`StreamId.child_seeds`, then `reseeded`): the same SeedSequence hash and
 PCG64 seeding, written out in NumPy over all rows at once, giving the same
 bits as each sibling's `generator()`.
+
+Because no stream's bits depend on when it is drawn, work split by stream
+can run on any number of threads with the same results (`map_streams`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["StreamId", "reseeded"]
+__all__ = ["StreamId", "map_streams", "reseeded"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool of
 # four uint32 words, hashmix/mix multipliers, 16-bit xorshift.
@@ -126,6 +131,31 @@ def reseeded(seeds: np.ndarray):
                         "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
         yield gen
+
+
+def map_streams(fn, items, pooled: bool = True) -> list:
+    """[fn(item) for item in items], on one thread per available CPU.
+
+    Each item must draw only from its own streams and share nothing it
+    writes, so its result does not depend on which thread runs it or when.
+    The width is min(available CPUs, len(items)); at width 1, or when
+    `pooled` is false, fn runs inline on the calling thread. Callers pass
+    pooled=False when an item's draws fit in one row chunk: such items are
+    too small for the threads to pay for their start and their memory.
+    Threads gain because NumPy's draws and BLAS products release the GIL.
+    Items start in item order, and results come back in item order; an
+    item's exception is re-raised when its result is reached.
+    """
+    items = list(items)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    width = min(cpus, len(items)) if pooled else 1
+    if width <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

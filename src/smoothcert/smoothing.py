@@ -43,6 +43,7 @@ __all__ = [
     "CertifyOutcome",
     "NotCertifiable",
     "sample_noise",
+    "soft_smoothed_chunks",
     "soft_smoothed_predict",
     "hard_class_counts",
     "clopper_pearson_lower",
@@ -54,10 +55,12 @@ ABSTAIN = -1
 
 # Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
 # (one point's m rows when m is larger). A chunk holds COUNT_CHUNK x
-# min(d, h1) normals and COUNT_CHUNK x h1 first-layer rows: 2,000 x 256 are
-# 3.9 MiB. The draws do not depend on it. A row's logits can, in the last
-# bits: some BLAS builds round a product differently for different row counts.
-COUNT_CHUNK = 2_000
+# min(d, h1) normals and COUNT_CHUNK x h1 first-layer rows: 1,000 x 256 are
+# 2 MiB, and each of the points that the CLI certifies side by side (one per
+# CPU, rng.map_streams) holds its own chunk. The draws do not depend on it.
+# A row's logits can, in the last bits: some BLAS builds round a product
+# differently for different row counts.
+COUNT_CHUNK = 1_000
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,20 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> np.ndarray
     return stream.generator().standard_normal((m, dim)) * sigma
 
 
+def soft_smoothed_chunks(params: ModelParams, X: np.ndarray, deltas: np.ndarray):
+    """soft_smoothed_predict one forward at a time: yields the (rows, C)
+    predictions of consecutive slices of X, in order, so that a caller can
+    stop early without changing any forward's row count."""
+    X = np.asarray(X, dtype=np.float64)
+    noises = first_layer_noise(params, deltas)
+    m = noises.shape[-2]
+    step = max(1, COUNT_CHUNK // m)
+    for i in range(0, len(X), step):
+        noise = noises if noises.ndim == 2 else noises[i:i + step]
+        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], noise)))
+        yield probs.reshape(-1, m, probs.shape[-1]).mean(axis=1)
+
+
 def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
                           deltas: np.ndarray) -> np.ndarray:
     """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
@@ -98,16 +115,7 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
     Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
     one point when m exceeds it; returns (B, C). One point is X[None, :].
     """
-    X = np.asarray(X, dtype=np.float64)
-    noises = first_layer_noise(params, deltas)
-    m = noises.shape[-2]
-    step = max(1, COUNT_CHUNK // m)
-    means = []
-    for i in range(0, len(X), step):
-        noise = noises if noises.ndim == 2 else noises[i:i + step]
-        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], noise)))
-        means.append(probs.reshape(-1, m, probs.shape[-1]).mean(axis=1))
-    return np.concatenate(means)
+    return np.concatenate(list(soft_smoothed_chunks(params, X, deltas)))
 
 
 def _noise_factor(params: ModelParams):

@@ -21,11 +21,12 @@ work); the other families draw full (trials x d) rows in chunks.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import StreamId
+from .rng import StreamId, map_streams
 
 __all__ = [
     "FAMILY_FOURTH_MOMENT",
@@ -45,10 +46,12 @@ __all__ = [
 FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
 
 _SQRT3 = math.sqrt(3.0)
-# Non-gaussian families: rows per sampling chunk are capped so chunk matrices
-# stay ~16 MiB. Chunks are drawn sequentially from ONE generator, so results do
-# not depend on the chunk size.
-_CHUNK_ELEMENTS = 1 << 21
+# Non-gaussian families: rows per sampling chunk are capped so that the one
+# chunk buffer a stage allocates stays at 8 MiB, and the stages that
+# verify_decay runs side by side (one per CPU) hold 8 MiB each. Chunks are
+# drawn sequentially from ONE generator, so results do not depend on the
+# chunk size.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,22 @@ class TheorySimConfig:
         return math.sqrt(FAMILY_FOURTH_MOMENT[self.noise_family] - 1.0)
 
 
-def _draw_rows(gen: np.random.Generator, family: str, rows: int,
-               d: int) -> np.ndarray:
+def _draw_rows(gen: np.random.Generator, family: str, out: np.ndarray) -> np.ndarray:
+    """Fill out (rows x d) with i.i.d. draws of `family` and return it.
+
+    uniform_pm scales gen.random in place: low + (high - low) * u is what
+    gen.uniform(-sqrt(3), sqrt(3)) computes from the same doubles u, bit for
+    bit, without a new array per chunk.
+    """
     if family == "rademacher":
-        return gen.integers(0, 2, size=(rows, d)).astype(np.float64) * 2.0 - 1.0
-    return gen.uniform(-_SQRT3, _SQRT3, size=(rows, d))
+        out[...] = gen.integers(0, 2, size=out.shape)
+        out *= 2.0
+        out -= 1.0
+        return out
+    gen.random(out=out)
+    out *= _SQRT3 - -_SQRT3
+    out += -_SQRT3
+    return out
 
 
 def _noise_stats(gen: np.random.Generator, family: str, trials: int, d: int,
@@ -99,7 +113,8 @@ def _noise_stats(gen: np.random.Generator, family: str, trials: int, d: int,
 
     gaussian: N(0, I_d) is rotation invariant, so with u ~ N(0, 1) standing
     for delta.unit(z), delta.z = |z| u and |delta|^2 = u^2 + chi2_{d-1}
-    (chi2_0 = 0). One chunk, 2 * trials draws.
+    (chi2_0 = 0). One chunk, 2 * trials draws. The other families draw
+    rows into one chunk buffer, allocated once.
     """
     if family == "gaussian":
         u = gen.standard_normal(trials)
@@ -108,9 +123,10 @@ def _noise_stats(gen: np.random.Generator, family: str, trials: int, d: int,
             sq += gen.chisquare(d - 1, trials)
         yield sq, None if z is None else float(np.linalg.norm(z)) * u
         return
-    step = max(1, _CHUNK_ELEMENTS // d)
+    step = min(trials, max(1, _CHUNK_ELEMENTS // d))
+    buf = np.empty((step, d))
     for done in range(0, trials, step):
-        delta = _draw_rows(gen, family, min(step, trials - done), d)
+        delta = _draw_rows(gen, family, buf[:min(step, trials - done)])
         yield (np.einsum("ij,ij->i", delta, delta),
                None if z is None else delta @ z)
 
@@ -125,9 +141,18 @@ def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     s2 = cfg.sigma ** 2
-    devs = [np.abs(s2 * sq / cfg.d - s2) for sq, _ in _noise_stats(
-        stream.generator(), cfg.noise_family, trials, cfg.d)]
-    return float(np.quantile(np.concatenate(devs), cfg.p))
+    devs = np.empty(trials)
+    done = 0
+    for sq, _ in _noise_stats(stream.generator(), cfg.noise_family, trials,
+                              cfg.d):
+        # |s2 * sq / d - s2|, in that order of operations, in place
+        dev = devs[done:done + len(sq)]
+        np.multiply(s2, sq, out=dev)
+        dev /= cfg.d
+        dev -= s2
+        np.abs(dev, out=dev)
+        done += len(sq)
+    return float(np.quantile(devs, cfg.p, overwrite_input=True))
 
 
 @dataclass(frozen=True)
@@ -137,6 +162,52 @@ class ProbEstimate:
     estimate: float
     std_error: float
     trials: int
+
+
+def _shift(cfg: TheorySimConfig, z_direction: np.ndarray | None) -> np.ndarray:
+    """z = epsilon * unit(z_direction), the first axis when None."""
+    d = cfg.d
+    if z_direction is None:
+        z = np.zeros(d)
+        z[0] = cfg.epsilon
+        return z
+    z_direction = np.asarray(z_direction, dtype=np.float64)
+    if z_direction.shape != (d,):
+        raise ValueError(f"z_direction must have shape ({d},)")
+    norm = float(np.linalg.norm(z_direction))
+    # NaN or inf entries (or an overflowing norm) leave norm non-finite
+    if not 0.0 < norm < math.inf:
+        raise ValueError("z_direction must have a finite nonzero norm")
+    return (cfg.epsilon / norm) * z_direction
+
+
+def _event_values(cfg: TheorySimConfig, z: np.ndarray,
+                  stream: StreamId) -> np.ndarray:
+    """|tau*delta + z|^2 / d for each of cfg.trials draws of delta; the
+    event counts the values inside the k-interval."""
+    tau, zz = cfg.tau, float(z @ z)
+    values = np.empty(cfg.trials)
+    done = 0
+    for sq, dz in _noise_stats(stream.generator(), cfg.noise_family,
+                               cfg.trials, cfg.d, z):
+        # |tau*delta + z|^2 = tau^2|delta|^2 + 2*tau*(delta.z) + |z|^2, in
+        # that order of operations, in place
+        val = values[done:done + len(sq)]
+        np.multiply(tau * tau, sq, out=val)
+        dz *= 2.0 * tau
+        val += dz
+        val += zz
+        val /= cfg.d
+        done += len(sq)
+    return values
+
+
+def _event_estimate(cfg: TheorySimConfig, values: np.ndarray,
+                    k: float) -> ProbEstimate:
+    lo, hi = cfg.sigma ** 2 - k, cfg.sigma ** 2 + k
+    est = int(np.count_nonzero((values >= lo) & (values <= hi))) / cfg.trials
+    se = math.sqrt(est * (1.0 - est) / cfg.trials)
+    return ProbEstimate(est, se, cfg.trials)
 
 
 def worst_case_prob(cfg: TheorySimConfig, k: float,
@@ -150,30 +221,8 @@ def worst_case_prob(cfg: TheorySimConfig, k: float,
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = cfg.d
-    if z_direction is None:
-        z = np.zeros(d)
-        z[0] = cfg.epsilon
-    else:
-        z_direction = np.asarray(z_direction, dtype=np.float64)
-        if z_direction.shape != (d,):
-            raise ValueError(f"z_direction must have shape ({d},)")
-        norm = float(np.linalg.norm(z_direction))
-        # NaN or inf entries (or an overflowing norm) leave norm non-finite
-        if not 0.0 < norm < math.inf:
-            raise ValueError("z_direction must have a finite nonzero norm")
-        z = (cfg.epsilon / norm) * z_direction
-    lo, hi = cfg.sigma ** 2 - k, cfg.sigma ** 2 + k
-    tau = cfg.tau
-    hits = 0
-    for sq, dz in _noise_stats(stream.generator(), cfg.noise_family,
-                               cfg.trials, d, z):
-        # |tau*delta + z|^2 = tau^2|delta|^2 + 2*tau*(delta.z) + |z|^2
-        val = (tau * tau * sq + 2.0 * tau * dz + float(z @ z)) / d
-        hits += int(np.count_nonzero((val >= lo) & (val <= hi)))
-    est = hits / cfg.trials
-    se = math.sqrt(est * (1.0 - est) / cfg.trials)
-    return ProbEstimate(est, se, cfg.trials)
+    return _event_estimate(cfg, _event_values(cfg, _shift(cfg, z_direction),
+                                              stream), k)
 
 
 def _constant_terms(cfg: TheorySimConfig) -> tuple[float, float, float]:
@@ -229,17 +278,46 @@ def decay_dims(cfg: TheorySimConfig, dims) -> list:
 
 
 def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
-    """Run the k-then-event simulation across dims (decay_dims checks them);
-    pass iff every estimate is at most C/d + 3*std_error."""
+    """Run the k and event simulations across dims (decay_dims checks them);
+    pass iff every estimate is at most C/d + 3*std_error.
+
+    Each dimension has two stages on their own streams, k and event, and
+    map_streams runs all of them side by side, largest d first, when a
+    stage's draws span more than one row chunk (a gaussian stage's are one).
+    The event stage needs k only to count its values: it draws them, then
+    waits for its k and counts, so no stage's values outlive it.
+    """
     dims = decay_dims(cfg, dims)
     c = lemma_constant_C(cfg)
+    stages = [(kind, replace(cfg, d=d)) for d in reversed(dims)
+              for kind in ("k", "event")]
+    ks = {d: Future() for d in dims}
+
+    def run(stage):
+        kind, cfg_d = stage
+        k = ks[cfg_d.d]
+        if kind == "k":
+            try:
+                k.set_result(interval_halfwidth_k(cfg_d, cfg_d.trials,
+                                                  stream.child("k", cfg_d.d)))
+            except BaseException as exc:
+                k.set_exception(exc)
+                raise
+            return None
+        values = _event_values(cfg_d, _shift(cfg_d, None),
+                               stream.child("event", cfg_d.d))
+        # map_streams starts items in order, and this d's k stage precedes
+        # this one, so it has started and the wait cannot deadlock
+        return k.result(), _event_estimate(cfg_d, values, k.result())
+
+    pooled = (cfg.noise_family != "gaussian"
+              and cfg.trials * dims[-1] > _CHUNK_ELEMENTS)
     rows = []
-    for d in dims:
-        cfg_d = replace(cfg, d=d)
-        k = interval_halfwidth_k(cfg_d, cfg_d.trials, stream.child("k", d))
-        est = worst_case_prob(cfg_d, k, None, stream.child("event", d))
-        bound = c / d
-        rows.append(DecayRow(d, k, est.estimate, est.std_error, bound,
+    for (_, cfg_d), (k, est) in zip(stages[1::2],
+                                   map_streams(run, stages, pooled)[1::2]):
+        bound = c / cfg_d.d
+        rows.append(DecayRow(cfg_d.d, k, est.estimate, est.std_error, bound,
                              est.estimate <= bound + 3.0 * est.std_error))
+    rows.reverse()
     return DecayReport(cfg.noise_family, c, tuple(rows),
                        all(r.passed for r in rows))

@@ -5,10 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import smoothcert.cli as cli
+import smoothcert.rng as rng
+import smoothcert.smoothing as smoothing
 from smoothcert.cli import CERT_CSV_COLUMNS, main
 from smoothcert.config import (
     ATTACK_DEMO_SCHEMA,
@@ -24,6 +28,7 @@ from smoothcert.config import (
     parse_config_text,
 )
 from smoothcert.nn import load_checkpoint
+from smoothcert.smoothing import certify
 from smoothcert.training import GaussianConfig, SmoothAdvConfig, SmoothMixConfig
 
 TRAIN_CFG = """
@@ -231,10 +236,13 @@ def test_cli_unknown_key_exits_2(tmp_path):
 
 
 def test_cli_bad_workers_exits_2(tmp_path, trained):
+    # the pool width is the CPU count, so --workers is no longer a flag
     cfg = _write(tmp_path / "c.cfg",
                  _certify_cfg(trained / "checkpoint.json"))
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path),
-                 "--workers", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", cfg, "--out", str(tmp_path),
+              "--workers", "0"])
+    assert exc.value.code == 2
 
 
 def test_cli_missing_checkpoint_exits_3(tmp_path):
@@ -367,15 +375,66 @@ def test_certify_schema_and_determinism(tmp_path, trained):
     assert m1["run_id"] == m2["run_id"]
 
 
-def test_certify_rows_independent_of_worker_count(tmp_path, trained):
-    cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json"))
-    out1, out3 = tmp_path / "w1", tmp_path / "w3"
-    assert main(["certify", "--config", cfg, "--out", str(out1),
-                 "--workers", "1"]) == 0
-    assert main(["certify", "--config", cfg, "--out", str(out3),
-                 "--workers", "3"]) == 0
-    assert _strip_seconds(_read_rows(out1 / "certify.csv")) == \
-        _strip_seconds(_read_rows(out3 / "certify.csv"))
+def _set_cpus(monkeypatch, count):
+    """Make rng.map_streams see `count` available CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def test_certify_rows_independent_of_worker_count(tmp_path, trained, monkeypatch):
+    # n > COUNT_CHUNK, so the points run on the pool when CPUs allow
+    cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json")
+                 .replace("n = 50", f"n = {smoothing.COUNT_CHUNK + 200}"))
+    threads = set()
+
+    def spying_certify(*args):
+        threads.add(threading.get_ident())
+        return certify(*args)
+
+    monkeypatch.setattr(cli, "certify", spying_certify)
+    outs = {}
+    for width in (1, 8):
+        _set_cpus(monkeypatch, width)
+        threads.clear()
+        outs[width] = tmp_path / f"w{width}"
+        assert main(["certify", "--config", cfg, "--out", str(outs[width])]) == 0
+        assert (threads == {threading.get_ident()}) == (width == 1)
+    assert _strip_seconds(_read_rows(outs[1] / "certify.csv")) == \
+        _strip_seconds(_read_rows(outs[8] / "certify.csv"))
+
+
+def test_certify_within_one_chunk_starts_no_thread(tmp_path, trained, monkeypatch):
+    # n <= COUNT_CHUNK: threads cost more than they gain, whatever the CPUs
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    _set_cpus(monkeypatch, 8)
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_pool)
+    cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json")
+                 .replace("n = 50", f"n = {smoothing.COUNT_CHUNK}"))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(_read_rows(tmp_path / "certify.csv")) == 7
+
+
+@pytest.mark.parametrize("command,text,artifact", [
+    ("mixratio", "sigma = 0.5\npgd_steps = 2\npgd_eps = 1.0\nestimation_m = 50\n"
+     "points = 5\nseed = 5\ndataset.kind = two_moons\ndataset.n = 6\n",
+     "mixratio.csv"),
+    ("theory-sim", "families = gaussian, uniform_pm\ndims = 32, 100, 500\n"
+     "trials = 3001\nseed = 1\n", "theory.csv"),
+], ids=["mixratio", "theory-sim"])
+def test_artifact_bytes_independent_of_cpu_count(tmp_path, trained, monkeypatch,
+                                                command, text, artifact):
+    cfg = _write(tmp_path / "c.cfg",
+                 f"checkpoint = {trained / 'checkpoint.json'}\n{text}"
+                 if command == "mixratio" else text)
+    got = {}
+    for width in (1, 8):
+        _set_cpus(monkeypatch, width)
+        out = tmp_path / f"w{width}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        got[width] = (out / artifact).read_bytes()
+    assert got[1] == got[8]
 
 
 def test_certify_max_points_and_seed_override(tmp_path, trained):

@@ -273,7 +273,8 @@ def test_hard_counts_draws_equal_direct_at_d_le_h1(monkeypatch):
     monkeypatch.setattr(smoothing, "forward_tail", spying_tail)
     got = hard_class_counts(params, x, 1500, 0.8, StreamId(44))
     deltas = sample_noise(0.8, 3, 1500, StreamId(44))
-    np.testing.assert_array_equal(seen[0], (x + deltas) @ params.weights[0] + params.biases[0])
+    np.testing.assert_array_equal(np.concatenate(seen),
+                                  (x + deltas) @ params.weights[0] + params.biases[0])
     monkeypatch.undo()
     np.testing.assert_array_equal(
         got, direct_hard_class_counts(params, x, 1500, 0.8, StreamId(44)))

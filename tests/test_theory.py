@@ -1,6 +1,10 @@
 import csv
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,12 +112,22 @@ def test_config_validation():
 # ---------------------------------------------------------------- sampling
 
 
+def test_buffered_uniform_draw_is_gen_uniform():
+    # chunks drawn into one buffer, in sequence, are one gen.uniform draw
+    want = np.random.default_rng(7).uniform(-math.sqrt(3.0), math.sqrt(3.0),
+                                            size=(70, 13))
+    gen, buf, got = np.random.default_rng(7), np.empty((32, 13)), []
+    for rows in (32, 32, 6):
+        got.append(theory._draw_rows(gen, "uniform_pm", buf[:rows]).copy())
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
 def test_family_draw_ranges():
     gen = np.random.default_rng(0)
-    u = theory._draw_rows(gen, "uniform_pm", 2000, 8)
+    u = theory._draw_rows(gen, "uniform_pm", np.empty((2000, 8)))
     assert np.max(np.abs(u)) <= math.sqrt(3.0)
     assert np.var(u) == pytest.approx(1.0, rel=0.05)
-    r = theory._draw_rows(gen, "rademacher", 100, 8)
+    r = theory._draw_rows(gen, "rademacher", np.empty((100, 8)))
     assert set(np.unique(r)) == {-1.0, 1.0}
 
 
@@ -292,6 +306,87 @@ def test_gaussian_memory_does_not_grow_with_dimension():
 
 
 # ---------------------------------------------------------------- decay check
+
+
+def _sequential_decay(cfg, dims, stream):
+    """The k-then-event loop over dims, one stage at a time, through the
+    public interval_halfwidth_k and worst_case_prob."""
+    c = lemma_constant_C(cfg)
+    rows = []
+    for d in dims:
+        cfg_d = replace(cfg, d=d)
+        k = interval_halfwidth_k(cfg_d, cfg_d.trials, stream.child("k", d))
+        est = worst_case_prob(cfg_d, k, None, stream.child("event", d))
+        bound = c / d
+        rows.append(DecayRow(d, k, est.estimate, est.std_error, bound,
+                             est.estimate <= bound + 3.0 * est.std_error))
+    return DecayReport(cfg.noise_family, c, tuple(rows),
+                       all(r.passed for r in rows))
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+@pytest.mark.parametrize("family", ["gaussian", "uniform_pm", "rademacher"])
+def test_verify_decay_equals_sequential_oracle(monkeypatch, family, cpus):
+    # d = 100 and 300 are not powers of two; at 1,024 elements per chunk,
+    # 1,001 trials end in a partial chunk at every d. With 8 CPUs the six
+    # stages run on six threads that switch often, so an event stage may
+    # finish its draws before its k.
+    _set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(theory, "_CHUNK_ELEMENTS", 1024)
+    cfg = _ref_cfg(noise_family=family, trials=1001)
+    dims = (64, 100, 300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = verify_decay(cfg, dims, StreamId(58))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == _sequential_decay(cfg, dims, StreamId(58))
+
+
+def test_verify_decay_k_failure_reaches_the_caller(monkeypatch):
+    # an event stage waits for its k; a k stage that raises must not leave
+    # it waiting
+    def failing_k(*args):
+        raise MemoryError("k")
+
+    _set_cpus(monkeypatch, 8)
+    monkeypatch.setattr(theory, "interval_halfwidth_k", failing_k)
+    cfg = _ref_cfg(noise_family="uniform_pm", trials=5000)
+    raised = []
+
+    def call():
+        try:
+            verify_decay(cfg, (64, 256), StreamId(59))
+        except MemoryError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [str(e) for e in raised] == ["k"]
+
+
+def test_row_family_decay_holds_one_chunk_per_stage(monkeypatch):
+    # uniform_pm at d = 4,096 over 2,048 trials: 8 chunks of 256 rows per
+    # stage. The k and event stages run side by side, each filling one 8 MiB
+    # buffer, so the peak stays under 24 MiB; a fresh 16 MiB array per chunk
+    # keeps two of them live at once, 32 MiB.
+    _set_cpus(monkeypatch, 8)
+    cfg = _ref_cfg(d=4096, trials=2048, noise_family="uniform_pm")
+    tracemalloc.start()
+    try:
+        verify_decay(cfg, (4096,), StreamId(57))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_reference_decay_run_passes():
