@@ -10,8 +10,8 @@ and certify.csv is read back here. All randomness fans out from the master
 seed through named substreams, so the pair (config, seed) determines every
 artifact byte-for-byte except the wall-clock `seconds` fields and the
 manifest timings, whatever the CPU count: certify, mixratio and theory-sim
-run their points or stages on one thread per available CPU
-(rng.map_streams), each on its own substream.
+run their points or stages on one thread per available CPU, up to
+rng.MAX_STREAM_THREADS (rng.map_streams), each on its own substream.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -42,7 +42,6 @@ from .config import (
     load_config,
 )
 from .evaluation import (
-    LAMBDA_GRID_POINTS,
     CertifiedResultSet,
     acr,
     certified_accuracy_curve,
@@ -248,8 +247,7 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
             cfg["pgd_steps"], cfg["pgd_eps"], cfg["estimation_m"],
             root.child("mixratio", i))
 
-    rows = map_streams(mixing_ratio, range(count), pooled=(
-        LAMBDA_GRID_POINTS * cfg["estimation_m"] > COUNT_CHUNK))
+    rows = map_streams(mixing_ratio, range(count))
     path = os.path.join(out_dir, "mixratio.csv")
     write_mixratio_csv(path, rows)
     return {"mixratio_csv": path}

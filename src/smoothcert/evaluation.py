@@ -21,7 +21,7 @@ import numpy as np
 from .adversary import smoothadv_pgd
 from .nn import ModelParams
 from .rng import StreamId
-from .smoothing import (CertifyOutcome, sample_noise, soft_smoothed_chunks,
+from .smoothing import (CertifyOutcome, _soft_smoothed_chunks, sample_noise,
                         soft_smoothed_predict)
 
 __all__ = [
@@ -110,7 +110,7 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
     seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
     start = 0
-    for fhat_seg in soft_smoothed_chunks(params, seg, noise):
+    for fhat_seg in _soft_smoothed_chunks(params, seg, noise):
         flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
         if len(flips):
             return float(lams[start + flips[0]])

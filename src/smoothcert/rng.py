@@ -44,6 +44,12 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# Most threads map_streams runs. Each pooled item holds one row chunk
+# (smoothing.COUNT_CHUNK rows, or theory's 8 MiB chunk), half of the chunk
+# that a subcommand held when it ran its items one at a time, so two threads
+# keep every subcommand's peak memory where it was; more would raise it with
+# the CPU count.
+MAX_STREAM_THREADS = 2
 
 
 def _is_int(value) -> bool:
@@ -134,28 +140,32 @@ def reseeded(seeds: np.ndarray):
 
 
 def map_streams(fn, items, pooled: bool = True) -> list:
-    """[fn(item) for item in items], on one thread per available CPU.
+    """[fn(item) for item in items], on one thread per available CPU, at most
+    MAX_STREAM_THREADS.
 
     Each item must draw only from its own streams and share nothing it
     writes, so its result does not depend on which thread runs it or when.
-    The width is min(available CPUs, len(items)); at width 1, or when
-    `pooled` is false, fn runs inline on the calling thread. Callers pass
-    pooled=False when an item's draws fit in one row chunk: such items are
-    too small for the threads to pay for their start and their memory.
-    Threads gain because NumPy's draws and BLAS products release the GIL.
-    Items start in item order, and results come back in item order; an
-    item's exception is re-raised when its result is reached.
+    The width is min(available CPUs, MAX_STREAM_THREADS, len(items)); at
+    width 1, or when `pooled` is false, fn runs inline on the calling thread.
+    Callers pass pooled=False when an item's draws fit in one row chunk:
+    such items are too small for the threads to pay for their start and
+    their memory. Threads gain because NumPy's draws and BLAS products
+    release the GIL. Items start in item order, every item runs even when
+    an earlier one raises (none is cancelled, so an item may wait on one
+    that precedes it), and results come back in item order; the first
+    item's exception, in item order, is re-raised once all have run.
     """
     items = list(items)
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    width = min(cpus, len(items)) if pooled else 1
+    width = min(cpus, MAX_STREAM_THREADS, len(items)) if pooled else 1
     if width <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
+        futures = [pool.submit(fn, item) for item in items]
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ __all__ = [
     "CertifyOutcome",
     "NotCertifiable",
     "sample_noise",
-    "soft_smoothed_chunks",
     "soft_smoothed_predict",
     "hard_class_counts",
     "clopper_pearson_lower",
@@ -56,10 +55,10 @@ ABSTAIN = -1
 # Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
 # (one point's m rows when m is larger). A chunk holds COUNT_CHUNK x
 # min(d, h1) normals and COUNT_CHUNK x h1 first-layer rows: 1,000 x 256 are
-# 2 MiB, and each of the points that the CLI certifies side by side (one per
-# CPU, rng.map_streams) holds its own chunk. The draws do not depend on it.
-# A row's logits can, in the last bits: some BLAS builds round a product
-# differently for different row counts.
+# 2 MiB, and each of the points that the CLI certifies side by side
+# (rng.map_streams, at most rng.MAX_STREAM_THREADS) holds its own chunk.
+# The draws do not depend on it. A row's logits can, in the last bits: some
+# BLAS builds round a product differently for different row counts.
 COUNT_CHUNK = 1_000
 
 
@@ -91,7 +90,7 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> np.ndarray
     return stream.generator().standard_normal((m, dim)) * sigma
 
 
-def soft_smoothed_chunks(params: ModelParams, X: np.ndarray, deltas: np.ndarray):
+def _soft_smoothed_chunks(params: ModelParams, X: np.ndarray, deltas: np.ndarray):
     """soft_smoothed_predict one forward at a time: yields the (rows, C)
     predictions of consecutive slices of X, in order, so that a caller can
     stop early without changing any forward's row count."""
@@ -115,7 +114,7 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
     Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
     one point when m exceeds it; returns (B, C). One point is X[None, :].
     """
-    return np.concatenate(list(soft_smoothed_chunks(params, X, deltas)))
+    return np.concatenate(list(_soft_smoothed_chunks(params, X, deltas)))
 
 
 def _noise_factor(params: ModelParams):

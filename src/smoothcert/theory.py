@@ -48,9 +48,9 @@ FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
 _SQRT3 = math.sqrt(3.0)
 # Non-gaussian families: rows per sampling chunk are capped so that the one
 # chunk buffer a stage allocates stays at 8 MiB, and the stages that
-# verify_decay runs side by side (one per CPU) hold 8 MiB each. Chunks are
-# drawn sequentially from ONE generator, so results do not depend on the
-# chunk size.
+# verify_decay runs side by side (at most rng.MAX_STREAM_THREADS) hold 8 MiB
+# each. Chunks are drawn sequentially from ONE generator, so results do not
+# depend on the chunk size.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -282,8 +282,8 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
     pass iff every estimate is at most C/d + 3*std_error.
 
     Each dimension has two stages on their own streams, k and event, and
-    map_streams runs all of them side by side, largest d first, when a
-    stage's draws span more than one row chunk (a gaussian stage's are one).
+    map_streams runs them side by side, largest d first, unless the family
+    is gaussian (a gaussian stage's draws are one chunk).
     The event stage needs k only to count its values: it draws them, then
     waits for its k and counts, so no stage's values outlive it.
     """
@@ -306,12 +306,12 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
             return None
         values = _event_values(cfg_d, _shift(cfg_d, None),
                                stream.child("event", cfg_d.d))
-        # map_streams starts items in order, and this d's k stage precedes
-        # this one, so it has started and the wait cannot deadlock
+        # map_streams starts items in order and cancels none, so this d's
+        # k stage, which precedes this one, runs and fills k: the wait
+        # cannot deadlock
         return k.result(), _event_estimate(cfg_d, values, k.result())
 
-    pooled = (cfg.noise_family != "gaussian"
-              and cfg.trials * dims[-1] > _CHUNK_ELEMENTS)
+    pooled = cfg.noise_family != "gaussian"
     rows = []
     for (_, cfg_d), (k, est) in zip(stages[1::2],
                                    map_streams(run, stages, pooled)[1::2]):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -21,6 +22,8 @@ from smoothcert.data import (
     load_mnist_idx,
     stratified_subsample_indices,
 )
+from smoothcert.nn import init_mlp, save_checkpoint
+from smoothcert.rng import StreamId
 
 
 def _write_idx_images(path, arrays):
@@ -371,3 +374,30 @@ radii = 0.0, 0.5
     assert train_peak < 24 * mib
     assert certify_peak < 32 * mib
     assert evaluate_peak < 1 * mib
+
+
+def test_certify_peak_does_not_grow_with_cpu_count(tmp_path, monkeypatch):
+    # 8 points at 784-256-256-10 with n > COUNT_CHUNK, so certify pools them:
+    # at 8 CPUs at most rng.MAX_STREAM_THREADS points hold a chunk at once,
+    # and the peak stays under 24 MiB (17 MiB measured); a point per CPU
+    # would hold 45 MiB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    ip, lp = _mnist_shape_fixture(tmp_path, 200)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, init_mlp((784, 256, 256, 10), StreamId(1)))
+    peak = _cli_peak(tmp_path, "certify", "certify", f"""
+dataset.kind = mnist
+dataset.images = {ip}
+dataset.labels = {lp}
+dataset.seed = 2
+dataset.subsample = 20
+dataset.split = test
+checkpoint = {ckpt}
+sigma = 0.5
+n0 = 100
+n = 2500
+max_points = 8
+seed = 5
+""")
+    assert peak < 24 * 2 ** 20

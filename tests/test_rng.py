@@ -1,7 +1,10 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
-from smoothcert.rng import StreamId, _mix_part, reseeded
+from smoothcert.rng import StreamId, _mix_part, map_streams, reseeded
 
 
 def test_same_stream_same_draws():
@@ -138,3 +141,32 @@ def test_child_seeds_validation():
         parent.child_seeds(np.array([True]))
     with pytest.raises(TypeError):
         parent.child_seeds(np.zeros((2, 2), dtype=int))
+
+
+# ---------------------------------------------------------------- map_streams
+
+
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_map_streams_runs_every_item_after_a_failure(monkeypatch, cpus):
+    # no item is cancelled, so one that waits on an earlier item is never
+    # left waiting; the first failure in item order reaches the caller
+    _set_cpus(monkeypatch, cpus)
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i in (1, 3):
+            raise KeyError(i)
+        if i:
+            time.sleep(0.2)  # so 5 is still queued when 1's error is seen
+        return i
+
+    with pytest.raises(KeyError) as exc:
+        map_streams(item, range(6))
+    assert exc.value.args == (1,)
+    assert sorted(ran) == (list(range(6)) if cpus > 1 else [0, 1])

@@ -374,15 +374,17 @@ def test_verify_decay_k_failure_reaches_the_caller(monkeypatch):
 
 
 def test_row_family_decay_holds_one_chunk_per_stage(monkeypatch):
-    # uniform_pm at d = 4,096 over 2,048 trials: 8 chunks of 256 rows per
-    # stage. The k and event stages run side by side, each filling one 8 MiB
-    # buffer, so the peak stays under 24 MiB; a fresh 16 MiB array per chunk
-    # keeps two of them live at once, 32 MiB.
+    # uniform_pm over 2,048 trials at d = 1,024, 2,048 and 4,096: every stage
+    # fills one 8 MiB buffer in chunks (8 of 256 rows at d = 4,096). At 8
+    # CPUs at most rng.MAX_STREAM_THREADS of the six stages run at once, so
+    # the peak stays under 24 MiB (16 MiB measured); a fresh 16 MiB array per
+    # chunk keeps two of them live at once, 32 MiB, and a stage per CPU would
+    # hold 48 MiB.
     _set_cpus(monkeypatch, 8)
-    cfg = _ref_cfg(d=4096, trials=2048, noise_family="uniform_pm")
+    cfg = _ref_cfg(trials=2048, noise_family="uniform_pm")
     tracemalloc.start()
     try:
-        verify_decay(cfg, (4096,), StreamId(57))
+        verify_decay(cfg, (1024, 2048, 4096), StreamId(57))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
