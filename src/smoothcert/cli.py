@@ -9,9 +9,10 @@ the one that knows the artifact formats: every CSV goes through _write_csv,
 and certify.csv is read back here. All randomness fans out from the master
 seed through named substreams, so the pair (config, seed) determines every
 artifact byte-for-byte except the wall-clock `seconds` fields and the
-manifest timings, whatever the CPU count: certify, mixratio and theory-sim
-run their points or stages on one thread per available CPU, up to
-rng.MAX_STREAM_THREADS (rng.map_streams), each on its own substream.
+manifest timings, whatever the CPU count. rng.map_streams runs mixratio
+points, certify points at n > COUNT_CHUNK and uniform_pm/rademacher theory
+stages on one thread per CPU, at most rng.MAX_STREAM_THREADS, each on its
+own substream; gaussian stages and smaller certify points run one at a time.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -55,6 +57,15 @@ from .theory import TheorySimConfig, decay_dims, verify_decay
 from .training import train
 
 __all__ = ["main"]
+
+# glibc allocator policy, set by main. At glibc's defaults a block of 128 KiB
+# or more gets its own mmap and a freed heap top above 128 KiB goes back to
+# the kernel, so every row chunk of a hot loop (512 KiB at 1,000 x 64, 2 MiB
+# at h1 = 256) is faulted in again page by page. 4 MiB keeps those chunks on
+# the heap; theory-sim's 8 MiB stage buffer is still unmapped when freed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers
+MALLOC_MMAP_THRESHOLD = 4 << 20
+MALLOC_TRIM_THRESHOLD = 16 << 20
 
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
                     "correct", "abstain", "seconds"]
@@ -307,7 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_allocator_policy() -> None:
+    """Apply the thresholds above through glibc's mallopt; elsewhere, nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _set_allocator_policy()
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)

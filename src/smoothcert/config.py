@@ -84,6 +84,13 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _finite_float(value: str) -> float:
+    parsed = float(value)
+    if not math.isfinite(parsed):
+        raise ValueError("not finite")
+    return parsed
+
+
 def _parse_value(key: str, value: str, field: Field):
     try:
         if field.kind == "str":
@@ -91,9 +98,7 @@ def _parse_value(key: str, value: str, field: Field):
         elif field.kind == "int":
             parsed = int(value)
         elif field.kind == "float":
-            parsed = float(value)
-            if not math.isfinite(parsed):
-                raise ValueError("not finite")
+            parsed = _finite_float(value)
         elif field.kind == "bool":
             low = value.lower()
             if low not in ("true", "false"):
@@ -102,7 +107,7 @@ def _parse_value(key: str, value: str, field: Field):
         elif field.kind == "int_list":
             parsed = tuple(int(v.strip()) for v in value.split(",") if v.strip())
         elif field.kind == "float_list":
-            parsed = tuple(float(v.strip()) for v in value.split(",") if v.strip())
+            parsed = tuple(_finite_float(v) for v in value.split(",") if v.strip())
         elif field.kind == "str_list":
             parsed = tuple(v.strip() for v in value.split(",") if v.strip())
         else:  # pragma: no cover - schema authoring error

@@ -164,10 +164,11 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     With noise in the space factors_noise picks, as first_layer_noise gives
     it (m draws shared by every point, or B per-point batches of m), it is
     the pre-activation of the B*m noisy rows x_b + delta_i in (b, i) order:
-    x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1. Every forward starts here, so this is the one
-    input check: DimensionMismatch for X of the wrong shape and ValueError
-    for non-finite X (argmax of a NaN row reads as class 0, so a bad input
-    must not reach a prediction).
+    x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1.
+    Every forward starts here, so this is the one input check:
+    DimensionMismatch for X of the wrong shape and ValueError for non-finite
+    X (argmax of a NaN row reads as class 0, so a bad input must not reach a
+    prediction).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:

@@ -303,12 +303,17 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
      "radii thresholds must be nondecreasing"),
     ("evaluate", "cert_csv =\nradii = 0.5\nsigma = 0.5\n", "cert_csv must name at least one file"),
     ("theory-sim", "families =\n", "families must name at least one noise family"),
+    ("evaluate", "cert_csv = absent.csv\nradii = 0.0, nan, inf\nsigma = 0.5\n",
+     "as float_list (not finite)"),
+    ("evaluate", "cert_csv = absent.csv\nradii = 0.0, -inf\nsigma = 0.5\n",
+     "as float_list (not finite)"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
         "mixratio-sigma", "mixratio-pgd-steps", "mixratio-pgd-eps",
         "mixratio-estimation-m", "mixratio-points", "mixratio-dataset-n",
-        "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families"])
+        "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families",
+        "evaluate-nonfinite-radii", "evaluate-negative-inf-radius"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read
