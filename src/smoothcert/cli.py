@@ -80,7 +80,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_certification_csv(path, rows) -> None:
-    """certify.csv from the rows _certify_one formats. The seconds column is
+    """certify.csv from the rows _cmd_certify formats. The seconds column is
     measured wall time, the one non-reproducible field in this file."""
     _write_csv(path, CERT_CSV_COLUMNS, rows)
 
@@ -170,28 +170,28 @@ def _cmd_train(cfg: dict, out_dir: str) -> dict:
     return {"checkpoint": ckpt, "train_log": log_path}
 
 
-def _certify_one(args):
-    params, x, label, scfg, stream, idx = args
-    t0 = time.perf_counter()
-    outcome = certify(params, x, scfg, stream)
-    seconds = time.perf_counter() - t0
-    return [idx, int(label), outcome.predicted_class, f"{outcome.radius:.6f}",
-            f"{outcome.p_lower:.12g}",
-            int(outcome.certified and outcome.predicted_class == label),
-            int(not outcome.certified), f"{seconds:.4f}"]
-
-
 def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         scfg = build_smoothing_config(cfg)
         check_dataset(cfg)
+        if cfg["max_points"] < 0:
+            raise ConfigError("max_points must be >= 0 (0 certifies every point)")
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
-    count = len(ds) if cfg["max_points"] <= 0 else min(cfg["max_points"], len(ds))
-    jobs = [(params, ds.inputs[i], ds.labels[i], scfg,
-             root.child("certify", int(i)), int(i)) for i in range(count)]
-    rows = map_streams(_certify_one, jobs, pooled=scfg.n > COUNT_CHUNK)
+    count = min(cfg["max_points"] or len(ds), len(ds))
+
+    def certify_one(i):
+        label = int(ds.labels[i])
+        t0 = time.perf_counter()
+        outcome = certify(params, ds.inputs[i], scfg, root.child("certify", i))
+        seconds = time.perf_counter() - t0
+        return [i, label, outcome.predicted_class, f"{outcome.radius:.6f}",
+                f"{outcome.p_lower:.12g}",
+                int(outcome.certified and outcome.predicted_class == label),
+                int(not outcome.certified), f"{seconds:.4f}"]
+
+    rows = map_streams(certify_one, range(count), pooled=scfg.n > COUNT_CHUNK)
     path = os.path.join(out_dir, "certify.csv")
     write_certification_csv(path, rows)
     return {"certify_csv": path}

@@ -246,8 +246,12 @@ def check_dataset(cfg: dict) -> None:
     kind, n = cfg["dataset.kind"], cfg["dataset.n"]
     if kind == "two_moons" and n < 2:
         raise ConfigError("dataset.n must be >= 2 for two_moons")
+    if kind == "two_moons" and cfg["dataset.noise_std"] < 0:
+        raise ConfigError("dataset.noise_std must be >= 0")
     if kind == "blobs" and n < 1:
         raise ConfigError("dataset.n must be >= 1 for blobs")
+    if kind == "blobs" and cfg["dataset.spread"] < 0:
+        raise ConfigError("dataset.spread must be >= 0")
     if kind == "blobs" and cfg["dataset.classes"] < 2:
         raise ConfigError("dataset.classes must be >= 2")
     if kind == "mnist" and not (cfg["dataset.images"] and cfg["dataset.labels"]):

@@ -53,7 +53,6 @@ __all__ = [
     "sgd_nesterov_step",
     "save_checkpoint",
     "load_checkpoint",
-    "validate_soft_label",
 ]
 
 CHECKPOINT_FORMAT = "smoothcert.checkpoint"
@@ -72,15 +71,6 @@ class DimensionMismatch(ValueError):
         super().__init__(f"{what}: expected {expected}, got {actual}")
         self.expected = expected
         self.actual = actual
-
-
-def validate_soft_label(probs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Check that probs is a valid distribution: entries in [0,1], sum within tol of 1."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise DimensionMismatch("soft label", "1-D vector", probs.shape)
-    _check_soft_rows(probs, tol)
-    return probs
 
 
 def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
@@ -126,10 +116,6 @@ class ModelParams:
     @property
     def layer_sizes(self) -> list:
         return [self.input_dim] + [W.shape[1] for W in self.weights]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([W.copy() for W in self.weights],
-                           [b.copy() for b in self.biases])
 
 
 def init_mlp(layer_sizes, stream: StreamId) -> ModelParams:
@@ -235,29 +221,12 @@ def _forward_cached(params: ModelParams, X: np.ndarray, noise=None):
     return pres[-1], pres, acts
 
 
-def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for one input (d,) or a batch (B, d); output matches input ndim."""
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    h = forward_tail(params, first_layer(params, x[None, :] if squeezed else x))
-    return h[0] if squeezed else h
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max subtraction before exp)."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * log softmax(logits)), probabilities clamped at 1e-12."""
-    target = validate_soft_label(target)
-    p = softmax(np.asarray(logits, dtype=np.float64))
-    if p.shape != target.shape:
-        raise DimensionMismatch("target", p.shape, target.shape)
-    return float(-(target * np.log(np.maximum(p, CE_PROB_FLOOR))).sum())
 
 
 def _backward(params: ModelParams, pres, acts, dlogits, need_params: bool):
@@ -292,37 +261,6 @@ def _grad_params_weighted(params: ModelParams, X: np.ndarray, targets: np.ndarra
     grads, _ = _backward(params, pres, acts, dlogits, need_params=True)
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
     return grads, ce
-
-
-def grad_params(params: ModelParams, batch) -> tuple:
-    """Mean cross-entropy gradient over a batch of (x, soft target) pairs.
-
-    Returns (gW, gb) lists shaped like params.weights / params.biases.
-    """
-    xs, ts = zip(*batch)
-    X = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
-    T = np.stack([validate_soft_label(t) for t in ts])
-    if X.shape[1] != params.input_dim:
-        raise DimensionMismatch("batch input", params.input_dim, X.shape[1])
-    if T.shape[1] != params.class_count:
-        raise DimensionMismatch("batch target", params.class_count, T.shape[1])
-    w = np.full(len(batch), 1.0 / len(batch))
-    grads, _ = _grad_params_weighted(params, X, T, w)
-    return grads
-
-
-def grad_input(params: ModelParams, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of CE(forward(params, x), target) with respect to x."""
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    if squeezed:
-        X, T = x[None, :], validate_soft_label(target)[None, :]
-    else:
-        X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
-    logits, pres, acts = _forward_cached(params, X)
-    _, dz1 = _backward(params, pres, acts, softmax(logits) - T, need_params=False)
-    dX = dz1 @ params.weights[0].T
-    return dX[0] if squeezed else dX
 
 
 def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
@@ -370,7 +308,8 @@ class OptimizerState:
     velocity: list = field(default=None)
 
     def __post_init__(self):
-        if self.lr < 0 or not (0 <= self.momentum < 1) or self.weight_decay < 0:
+        # every comparison with NaN is false, so NaN is rejected too
+        if not (self.lr >= 0 and 0 <= self.momentum < 1 and self.weight_decay >= 0):
             raise ValueError("need lr >= 0, 0 <= momentum < 1, weight_decay >= 0")
 
 

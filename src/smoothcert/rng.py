@@ -224,7 +224,3 @@ class StreamId:
 
     def as_json(self) -> dict:
         return {"master_seed": self.master_seed, "path": list(self.path)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "StreamId":
-        return StreamId(int(obj["master_seed"]), tuple(obj["path"]))

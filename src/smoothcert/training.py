@@ -121,8 +121,11 @@ class TrainRunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.lr < 0 or not (0 <= self.momentum < 1) or self.weight_decay < 0:
-            raise ValueError("invalid optimizer settings")
+        # every comparison with NaN is false, so NaN is rejected too
+        if not (self.lr >= 0 and self.lr_gamma >= 0 and 0 <= self.momentum < 1
+                and self.weight_decay >= 0):
+            raise ValueError("need lr >= 0, lr_gamma >= 0, 0 <= momentum < 1, "
+                             "weight_decay >= 0")
         ms = tuple(self.lr_milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("lr_milestones must be strictly increasing")

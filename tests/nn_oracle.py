@@ -1,0 +1,92 @@
+"""The single-example network API, which only tests use.
+
+The library has one batched backprop: training reaches the net through
+nn._grad_params_weighted, the attacks through nn.class_prob_grad_input.
+These are the per-example forms the tests check it in: the logits of one
+input or a batch, the cross-entropy of one row, and its gradients with
+respect to the parameters and to the input. The gradients run the library's
+own passes (nn._forward_cached, nn._backward, nn._grad_params_weighted), so
+a finite-difference check of them checks the backprop that training runs.
+"""
+
+import numpy as np
+
+from smoothcert import nn
+from smoothcert.nn import CE_PROB_FLOOR, DimensionMismatch, first_layer, forward_tail, softmax
+from smoothcert.rng import StreamId
+
+
+class ModelParams(nn.ModelParams):
+    """nn.ModelParams with a deep copy, for tests that perturb one weight."""
+
+    def copy(self) -> "ModelParams":
+        return ModelParams([W.copy() for W in self.weights],
+                           [b.copy() for b in self.biases])
+
+
+def init_mlp(layer_sizes, stream: StreamId) -> ModelParams:
+    """nn.init_mlp's parameters, as the copyable ModelParams."""
+    params = nn.init_mlp(layer_sizes, stream)
+    return ModelParams(params.weights, params.biases)
+
+
+def stream_id_from_json(obj: dict) -> StreamId:
+    """The StreamId whose as_json() is obj."""
+    return StreamId(int(obj["master_seed"]), tuple(obj["path"]))
+
+
+def validate_soft_label(probs, tol: float = 1e-9) -> np.ndarray:
+    """Check that probs is a valid distribution: entries in [0,1], sum within tol of 1."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise DimensionMismatch("soft label", "1-D vector", probs.shape)
+    nn._check_soft_rows(probs, tol)
+    return probs
+
+
+def forward(params, x) -> np.ndarray:
+    """Logits for one input (d,) or a batch (B, d); output matches input ndim."""
+    x = np.asarray(x, dtype=np.float64)
+    squeezed = x.ndim == 1
+    h = forward_tail(params, first_layer(params, x[None, :] if squeezed else x))
+    return h[0] if squeezed else h
+
+
+def cross_entropy(logits, target) -> float:
+    """-sum(target * log softmax(logits)), probabilities clamped at 1e-12."""
+    target = validate_soft_label(target)
+    p = softmax(np.asarray(logits, dtype=np.float64))
+    if p.shape != target.shape:
+        raise DimensionMismatch("target", p.shape, target.shape)
+    return float(-(target * np.log(np.maximum(p, CE_PROB_FLOOR))).sum())
+
+
+def grad_params(params, batch) -> tuple:
+    """Mean cross-entropy gradient over a batch of (x, soft target) pairs.
+
+    Returns (gW, gb) lists shaped like params.weights / params.biases.
+    """
+    xs, ts = zip(*batch)
+    X = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
+    T = np.stack([validate_soft_label(t) for t in ts])
+    if X.shape[1] != params.input_dim:
+        raise DimensionMismatch("batch input", params.input_dim, X.shape[1])
+    if T.shape[1] != params.class_count:
+        raise DimensionMismatch("batch target", params.class_count, T.shape[1])
+    w = np.full(len(batch), 1.0 / len(batch))
+    grads, _ = nn._grad_params_weighted(params, X, T, w)
+    return grads
+
+
+def grad_input(params, x, target) -> np.ndarray:
+    """Gradient of CE(forward(params, x), target) with respect to x."""
+    x = np.asarray(x, dtype=np.float64)
+    squeezed = x.ndim == 1
+    if squeezed:
+        X, T = x[None, :], validate_soft_label(target)[None, :]
+    else:
+        X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
+    logits, pres, acts = nn._forward_cached(params, X)
+    _, dz1 = nn._backward(params, pres, acts, softmax(logits) - T, need_params=False)
+    dX = dz1 @ params.weights[0].T
+    return dX[0] if squeezed else dX

@@ -8,7 +8,8 @@ W1's row space. These are the plain versions it is checked against.
 
 import numpy as np
 
-from smoothcert.nn import class_prob_grad_input, forward, softmax
+from nn_oracle import forward
+from smoothcert.nn import class_prob_grad_input, softmax
 
 
 def direct_hard_class_counts(params, x, count, sigma, stream, chunk=2_000):

@@ -21,6 +21,14 @@ import time
 import numpy as np
 import pytest
 
+from nn_oracle import (
+    cross_entropy,
+    forward,
+    grad_input,
+    grad_params,
+    init_mlp,
+    validate_soft_label,
+)
 from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
 from smoothcert.cli import main
 from smoothcert.data import (
@@ -36,16 +44,7 @@ from smoothcert.evaluation import (
     certified_accuracy_curve,
     equal_confidence_mixing_ratio,
 )
-from smoothcert.nn import (
-    ModelParams,
-    cross_entropy,
-    forward,
-    grad_input,
-    grad_params,
-    init_mlp,
-    softmax,
-    validate_soft_label,
-)
+from smoothcert.nn import ModelParams, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     SmoothingConfig,

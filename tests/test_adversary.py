@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nn_oracle import forward
 from noise_oracle import direct_objective_and_grad
 from smoothcert.adversary import (
     AttackConfig,
@@ -12,7 +13,7 @@ from smoothcert.adversary import (
     smoothadv_pgd,
     smoothmix_attack,
 )
-from smoothcert.nn import ModelParams, first_layer_noise, forward, softmax
+from smoothcert.nn import ModelParams, first_layer_noise, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 

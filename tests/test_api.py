@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -52,6 +53,45 @@ def test_only_cli_knows_the_csv_formats():
             if "csv" in names:
                 importers.append(path.name)
     assert importers == ["cli.py"]
+
+
+# Defined in src/ but called from nowhere in it, on purpose.
+SRC_FUNCTIONS_WITHOUT_SRC_CALLERS = {
+    # perfbench/trace_child.py wraps it to time the theory stages
+    "worst_case_prob",
+    # regenerates a dataset from its provenance record (acceptance suite)
+    "from_provenance",
+}
+
+
+def test_src_functions_have_src_callers():
+    # a function that only tests call belongs in tests/ (see nn_oracle.py).
+    # The definitions come from the AST; a caller is the name as a word
+    # anywhere in src/ outside the definition itself and the __all__ lists.
+    src = pathlib.Path(smoothcert.__file__).resolve().parent
+    lines, exports, defs = {}, set(), []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines[path.name] = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    getattr(t, "id", None) for t in node.targets]:
+                exports.update((path.name, i) for i in range(node.lineno, node.end_lineno + 1))
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    defs.append((path.name, fn))
+    unused = []
+    for module, fn in defs:
+        first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+        ignored = exports | {(module, i) for i in range(first, fn.end_lineno + 1)}
+        elsewhere = "\n".join(line for name, ls in lines.items()
+                              for i, line in enumerate(ls, start=1)
+                              if (name, i) not in ignored)
+        if (fn.name not in smoothcert.__all__
+                and fn.name not in SRC_FUNCTIONS_WITHOUT_SRC_CALLERS
+                and not re.search(rf"\b{fn.name}\b", elsewhere)):
+            unused.append(f"{module}:{fn.name}")
+    assert unused == []
 
 
 def test_package_exports_resolve_without_duplicates():

@@ -307,13 +307,23 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
      "as float_list (not finite)"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.0, -inf\nsigma = 0.5\n",
      "as float_list (not finite)"),
+    ("certify", _certify_cfg("absent.json").replace("dataset.noise_std = 0.1",
+                                                    "dataset.noise_std = -0.1"),
+     "dataset.noise_std must be >= 0"),
+    ("mixratio", "checkpoint = absent.json\nsigma = 0.5\ndataset.kind = blobs\n"
+     "dataset.n = 6\ndataset.spread = -1\n", "dataset.spread must be >= 0"),
+    ("certify", _certify_cfg("absent.json", "max_points = -1"),
+     "max_points must be >= 0"),
+    ("train", TRAIN_CFG + "lr_milestones = 1\nlr_gamma = -1\n", "lr_gamma >= 0"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
         "mixratio-sigma", "mixratio-pgd-steps", "mixratio-pgd-eps",
         "mixratio-estimation-m", "mixratio-points", "mixratio-dataset-n",
         "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families",
-        "evaluate-nonfinite-radii", "evaluate-negative-inf-radius"])
+        "evaluate-nonfinite-radii", "evaluate-negative-inf-radius",
+        "certify-negative-noise-std", "mixratio-negative-spread",
+        "certify-negative-max-points", "train-negative-lr-gamma"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read

@@ -4,22 +4,24 @@ import json
 import numpy as np
 import pytest
 
-from smoothcert.nn import (
-    CheckpointError,
-    DimensionMismatch,
+from nn_oracle import (
     ModelParams,
-    OptimizerState,
-    class_prob_grad_input,
     cross_entropy,
     forward,
     grad_input,
     grad_params,
+    validate_soft_label,
+)
+from smoothcert.nn import (
+    CheckpointError,
+    DimensionMismatch,
+    OptimizerState,
+    class_prob_grad_input,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
     sgd_nesterov_step,
     softmax,
-    validate_soft_label,
 )
 from smoothcert.rng import StreamId
 

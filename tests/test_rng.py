@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from nn_oracle import stream_id_from_json
 from smoothcert.rng import StreamId, _mix_part, map_streams, reseeded
 
 
@@ -42,7 +43,7 @@ def test_child_extends_path():
 
 def test_json_round_trip():
     s = StreamId(11, ("train", 2, 5))
-    assert StreamId.from_json(s.as_json()) == s
+    assert stream_id_from_json(s.as_json()) == s
 
 
 def test_validation():

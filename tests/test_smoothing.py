@@ -107,7 +107,8 @@ def test_soft_predict_constant_net_uniform():
 
 
 def test_soft_predict_m1_is_plain_softmax():
-    from smoothcert.nn import forward, softmax
+    from nn_oracle import forward
+    from smoothcert.nn import softmax
     rng = np.random.default_rng(4)
     params = ModelParams([rng.standard_normal((3, 4))], [rng.standard_normal(4)])
     noise = sample_noise(0.5, 3, 1, StreamId(5))

@@ -4,15 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
 from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
 from smoothcert.data import Dataset, gen_gaussian_blobs, gen_two_moons
-from smoothcert.nn import (
-    ModelParams,
-    cross_entropy,
-    forward,
-    init_mlp,
-    validate_soft_label,
-)
+from smoothcert.nn import OptimizerState, init_mlp
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
@@ -53,7 +48,7 @@ def _mix_cfg(**kw):
 
 
 def _mean_ce(params, x, target, deltas):
-    """(1/m) sum_i CE(f(x + delta_i), target), one nn.cross_entropy per draw."""
+    """(1/m) sum_i CE(f(x + delta_i), target), one cross_entropy per draw."""
     return float(np.mean([cross_entropy(forward(params, x + d), target)
                           for d in deltas]))
 
@@ -432,6 +427,27 @@ def test_smoothadv_warmup_linear_ramp():
         assert cfg.epsilon_at(e) == pytest.approx(1.0 * (e + 1) / 10)
     assert cfg.epsilon_at(9) == 1.0
     assert cfg.epsilon_at(50) == 1.0
+
+
+@pytest.mark.parametrize("settings", [
+    dict(lr=math.nan), dict(lr=-0.1), dict(weight_decay=math.nan),
+    dict(weight_decay=-1e-4), dict(lr_gamma=math.nan), dict(lr_gamma=-1.0),
+], ids=["lr-nan", "lr-negative", "weight-decay-nan", "weight-decay-negative",
+        "lr-gamma-nan", "lr-gamma-negative"])
+def test_run_config_rejects_negative_or_nan_optimizer_settings(settings):
+    # a NaN learning rate trains into a checkpoint load_checkpoint refuses,
+    # and a negative lr_gamma turns every step after a milestone into ascent
+    base = dict(method="gaussian", epochs=1, batch_size=1, lr=0.1, lr_milestones=(1,))
+    with pytest.raises(ValueError, match="lr_gamma >= 0"):
+        TrainRunConfig(**{**base, **settings})
+
+
+@pytest.mark.parametrize("settings", [
+    dict(lr=math.nan), dict(weight_decay=math.nan), dict(momentum=math.nan),
+], ids=["lr-nan", "weight-decay-nan", "momentum-nan"])
+def test_optimizer_state_rejects_nan(settings):
+    with pytest.raises(ValueError, match="need lr >= 0"):
+        OptimizerState(**{"lr": 0.1, **settings})
 
 
 def test_config_validation():
