@@ -11,7 +11,7 @@ Only what a library user calls is re-exported here. Submodule internals
 are importable but are not a stable API.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .adversary import AttackConfig
 from .data import gen_two_moons, load_mnist_idx

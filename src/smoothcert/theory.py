@@ -10,7 +10,7 @@ estimate <= C/d (+ Monte Carlo slack) checks the bound. Do not read the
 estimate as the exact worst case.
 
 Noise families are unit-variance, zero-mean, finite fourth moment;
-eta_kurt := sqrt(E[r^4] - 1) enters the constant. rademacher is degenerate
+E[r^4] - 1 enters the constant. rademacher is degenerate
 (|delta|^2 = d exactly, k = 0) and is excluded from default runs.
 
 Both estimates need only |delta|^2 and delta.z per trial. The gaussian family
@@ -81,11 +81,6 @@ class TheorySimConfig:
             raise ValueError("p must be in (0.5, 1)")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
-
-    @property
-    def eta_kurt(self) -> float:
-        """sqrt(E[r^4] - 1); the fourth-moment spread entering the constant."""
-        return math.sqrt(FAMILY_FOURTH_MOMENT[self.noise_family] - 1.0)
 
 
 def _draw_rows(gen: np.random.Generator, family: str, out: np.ndarray) -> np.ndarray:

@@ -21,12 +21,12 @@ y_mix is a constant target: no parameter gradient flows through Fhat(anchor).
 Per Alg-1 structure the one-step replacement happens before the mix pair is
 built, so the anchor feeds the natural loss, the mix point, and y_mix alike.
 
-Every example owns a private RNG stream (master_seed, "train", epoch, index)
-that yields its noise batch first and lambda second, so paired runs of
-different methods under one seed see identical noise. The seed words of an
-epoch's example streams are derived in one batch (`StreamId.child_seeds`) and
-each minibatch re-seeds one generator per example from them: the same bits as
-each stream's own `generator()`, without a SeedSequence per example.
+Every example owns a private RNG stream that yields its noise batch first and
+lambda second, so paired runs of different methods under one seed see
+identical noise: a Philox generator keyed by the epoch stream
+(master_seed, "train", epoch) whose counter starts at (0, 0, 0, index)
+(`StreamId.indexed_generators`). Its draws depend on the example's index
+only, not on the minibatch it lands in.
 Minibatch gradients are computed by one stacked backward pass per minibatch;
 the reduction order is fixed, making training bit-reproducible for a given
 (config, seed).
@@ -43,7 +43,7 @@ from .adversary import AttackConfig, _ascend_batch, l2_project
 from .data import Dataset
 from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
                  init_mlp, sgd_nesterov_step)
-from .rng import StreamId, reseeded
+from .rng import StreamId, _is_int
 from .smoothing import soft_smoothed_predict
 
 __all__ = [
@@ -131,7 +131,10 @@ class TrainRunConfig:
             raise ValueError("lr_milestones must be strictly increasing")
         object.__setattr__(self, "lr_milestones", ms)
         if self.hidden is not None:
-            object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+            hidden = tuple(self.hidden)
+            if not all(_is_int(h) and h >= 1 for h in hidden):
+                raise ValueError(f"hidden sizes must be positive ints, got {hidden}")
+            object.__setattr__(self, "hidden", tuple(map(int, hidden)))
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for ms in self.lr_milestones if epoch >= ms)
@@ -163,15 +166,15 @@ def make_mix_pair(x_base: np.ndarray, fhat_base: np.ndarray, x_adv: np.ndarray,
     return x_mix, y_mix
 
 
-def _minibatch_randomness(seeds, m: int, dim: int, sigma: float):
+def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: float):
     """Each example's private draws, in fixed order: noise batch, then lambda.
 
-    seeds holds one row of PCG64 seed words per example
-    (`StreamId.child_seeds`). Returns noises (B, m, dim) and lambdas (B,).
+    stream is the epoch stream and indices the examples' dataset indices
+    (`StreamId.indexed_generators`). Returns noises (B, m, dim) and lambdas (B,).
     """
-    noises = np.empty((len(seeds), m, dim))
-    lams = np.empty(len(seeds))
-    for i, gen in enumerate(reseeded(seeds)):
+    noises = np.empty((len(indices), m, dim))
+    lams = np.empty(len(indices))
+    for i, gen in enumerate(stream.indexed_generators(indices)):
         gen.standard_normal(out=noises[i])
         lams[i] = gen.uniform(0.0, 0.5)
     noises *= sigma
@@ -196,17 +199,18 @@ def _noisy_ce_step(params, noises, parts):
     return grads, [float(c.mean()) for c in np.split(ce, len(parts))]
 
 
-def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, seeds):
-    noises, _ = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
+def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, stream, indices):
+    noises, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
     grads, (loss,) = _noisy_ce_step(params, noises,
                                     [(X, np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
 
-def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, seeds, epoch: int):
+def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, stream, indices,
+                         epoch: int):
     """The Gaussian step at each example's PGD endpoint, attacked under the
     example's own noise batch with steps of 2 epsilon_at(epoch) / steps."""
-    noises, _ = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
+    noises, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
     eps = cfg.epsilon_at(epoch)
     points, _, _ = _ascend_batch(params, X, Y, noises, 2.0 * eps / cfg.steps, cfg.steps,
                                  epsilon_cap=eps)
@@ -215,7 +219,7 @@ def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, seeds, epoch: int):
     return grads, loss, 0.0
 
 
-def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, seeds):
+def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
     """One SmoothMix step over B examples; B=1 is the single-example case.
 
     Returns (grads, mean natural loss, mean mix loss, diagnostics). The
@@ -223,7 +227,7 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, seeds):
     constant target. Diagnostics hold the per-example anchor, x_adv, lambda,
     x_mix, y_mix and J path ((T+1, B)).
     """
-    noises, lams = _minibatch_randomness(seeds, cfg.m, X.shape[1], cfg.sigma)
+    noises, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
     points, fhat_path, j_path = _ascend_batch(
         params, X, Y, noises, cfg.attack.alpha_step, cfg.attack.steps,
         epsilon_cap=cfg.attack.epsilon_cap)
@@ -273,7 +277,7 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
         t0 = time.perf_counter()
         state.lr = run_cfg.lr_at(epoch)
         order = root.child("shuffle", epoch).generator().permutation(n)
-        seeds = root.child("train", epoch).child_seeds(np.arange(n))
+        stream = root.child("train", epoch)
         nat_sum = mix_sum = 0.0
         seen = 0
         for start in range(0, n, run_cfg.batch_size):
@@ -281,14 +285,14 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
             X, Y = X_all[idx], Y_all[idx]
             if run_cfg.method == "gaussian":
                 grads, loss_nat, loss_mix = _gaussian_minibatch(
-                    params, X, Y, method_cfg, seeds[idx])
+                    params, X, Y, method_cfg, stream, idx)
             elif run_cfg.method == "smoothadv":
                 grads, loss_nat, loss_mix = _smoothadv_minibatch(
-                    params, X, Y, method_cfg, seeds[idx], epoch)
+                    params, X, Y, method_cfg, stream, idx, epoch)
             else:
                 # the diagnostics hold the attack path: let them go now
                 grads, loss_nat, loss_mix = _smoothmix_minibatch(
-                    params, X, Y, method_cfg, seeds[idx])[:3]
+                    params, X, Y, method_cfg, stream, idx)[:3]
             sgd_nesterov_step(params, grads, state)
             del grads  # not held through the next minibatch
             nat_sum += loss_nat * len(idx)

@@ -4,7 +4,6 @@ import json
 import os
 import pathlib
 import pkgutil
-import re
 import subprocess
 import sys
 
@@ -66,30 +65,28 @@ SRC_FUNCTIONS_WITHOUT_SRC_CALLERS = {
 
 def test_src_functions_have_src_callers():
     # a function that only tests call belongs in tests/ (see nn_oracle.py).
-    # The definitions come from the AST; a caller is the name as a word
-    # anywhere in src/ outside the definition itself and the __all__ lists.
+    # The definitions come from the AST; a caller is a Name or Attribute node
+    # naming it anywhere in src/ outside the definition itself, so a mention
+    # in a docstring, a comment or an __all__ string does not count.
     src = pathlib.Path(smoothcert.__file__).resolve().parent
-    lines, exports, defs = {}, set(), []
+    defs, refs = [], []
     for path in sorted(src.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        lines[path.name] = text.splitlines()
-        for node in ast.parse(text).body:
-            if isinstance(node, ast.Assign) and "__all__" in [
-                    getattr(t, "id", None) for t in node.targets]:
-                exports.update((path.name, i) for i in range(node.lineno, node.end_lineno + 1))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
             for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
                     defs.append((path.name, fn))
+        refs += [(path.name, node.lineno, node.id if isinstance(node, ast.Name)
+                  else node.attr) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))]
     unused = []
     for module, fn in defs:
         first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
-        ignored = exports | {(module, i) for i in range(first, fn.end_lineno + 1)}
-        elsewhere = "\n".join(line for name, ls in lines.items()
-                              for i, line in enumerate(ls, start=1)
-                              if (name, i) not in ignored)
         if (fn.name not in smoothcert.__all__
                 and fn.name not in SRC_FUNCTIONS_WITHOUT_SRC_CALLERS
-                and not re.search(rf"\b{fn.name}\b", elsewhere)):
+                and not any(name == fn.name and not (
+                    where == module and first <= line <= fn.end_lineno)
+                    for where, line, name in refs)):
             unused.append(f"{module}:{fn.name}")
     assert unused == []
 

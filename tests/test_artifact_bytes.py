@@ -102,11 +102,11 @@ def test_certify_manifest_bytes(run, monkeypatch):
     "sigma": 0.5
   },
   "format": "smoothcert.manifest",
-  "run_id": "ffbad56fd4c93f09",
+  "run_id": "adb3c0ea7dc0db02",
   "timings": {
     "total_seconds": T
   },
-  "version": "0.4.0"
+  "version": "0.5.0"
 }
 """
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nn_oracle import stream_id_from_json
-from smoothcert.rng import StreamId, _mix_part, map_streams, reseeded
+from smoothcert.rng import StreamId, _mix_part, map_streams
 
 
 def test_same_stream_same_draws():
@@ -77,71 +77,75 @@ def test_numpy_integer_master_seed_is_normalized():
                                   StreamId(7, ("train",)).generator().standard_normal(4))
 
 
-# ------------------------------------------------- batched sibling derivation
+# ------------------------------------------------- per-index Philox streams
 
 
-def _numpy_seed_words(stream):
-    """numpy's own SeedSequence state words for one stream (the oracle)."""
+def _philox(stream, i):
+    """numpy's own Generator for index i of a stream (the oracle): Philox
+    keyed by the stream's SeedSequence state, counter at (0, 0, 0, i)."""
     entropy = [stream.master_seed] + [_mix_part(p) for p in stream.path]
-    return np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    counter = np.array([0, 0, 0, i], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 MASTER_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]  # 1, 1, 2 and 3 uint32 words
-# with the master seed and the child index, entropy shorter than, equal to
-# and longer than the pool of 4 words (checked below)
+# with the master seed, key entropy shorter than, equal to and longer than
+# SeedSequence's pool of 4 words (checked below)
 PARENT_PATHS = [(), ("train",), ("train", 3), ("certify", 0, "estimation"),
                 (2**40, "a", 0, "b", 2**33)]
-INDICES = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 9, 2**40 + 3]  # 1 and 2 words
+INDICES = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 9, 2**40 + 3, 2**64 - 1]
 
 
 @pytest.mark.parametrize("master", MASTER_SEEDS)
 @pytest.mark.parametrize("path", PARENT_PATHS)
 def test_child_seeds_match_numpy_seed_sequence(master, path):
+    # each index's generator is numpy's Philox at that counter, keyed once
+    # from the stream's SeedSequence; the in-place reset leaves no state over
     parent = StreamId(master, path)
-    # one call mixes 1-word and 2-word indices; they are hashed as two groups
-    seeds = parent.child_seeds(INDICES)
-    assert seeds.shape == (len(INDICES), 4) and seeds.dtype == np.uint64
-    for row, i in zip(seeds, INDICES):
-        np.testing.assert_array_equal(row, _numpy_seed_words(parent.child(i)))
-    for gen, i in zip(reseeded(seeds), INDICES):
-        want = parent.child(i).generator()
+    for gen, i in zip(parent.indexed_generators(INDICES), INDICES):
+        want = _philox(parent, i)
         np.testing.assert_array_equal(gen.standard_normal((3, 5)),
                                       want.standard_normal((3, 5)))
         assert gen.uniform(0.0, 0.5) == want.uniform(0.0, 0.5)
         assert gen.integers(0, 2**63) == want.integers(0, 2**63)
-        assert gen.bit_generator.state == want.bit_generator.state
+        assert gen.integers(0, 2**31, dtype=np.uint32) == want.integers(
+            0, 2**31, dtype=np.uint32)  # leaves half a uint64 buffered
+        np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
 
 
 def test_child_seeds_entropy_lengths_cover_the_pool():
     def words(value):
         return max(1, (value.bit_length() + 31) // 32)
 
-    # entropy words of parent.child(i) for a one-word index i
-    lengths = [words(m) + sum(words(_mix_part(p)) for p in path) + 1
+    # SeedSequence entropy words of each parent stream's key
+    lengths = [words(m) + sum(words(_mix_part(p)) for p in path)
                for m in MASTER_SEEDS for path in PARENT_PATHS]
     assert min(lengths) < 4 and 4 in lengths and max(lengths) > 4
 
 
 def test_child_seeds_order_and_duplicates():
+    # an index's draws do not depend on its position or on its neighbours
     parent = StreamId(3, ("train", 1))
     idx = np.array([5, 0, 5, 2**33, 1])
-    seeds = parent.child_seeds(idx)
-    np.testing.assert_array_equal(seeds[0], seeds[2])
-    np.testing.assert_array_equal(seeds, np.stack([parent.child_seeds([i])[0]
-                                                   for i in idx]))
+    draws = [gen.standard_normal(4) for gen in parent.indexed_generators(idx)]
+    np.testing.assert_array_equal(draws[0], draws[2])
+    for i, d in zip(idx, draws):
+        (gen,) = parent.indexed_generators([i])
+        np.testing.assert_array_equal(d, gen.standard_normal(4))
+    assert len({tuple(d) for d in draws}) == 4
 
 
 def test_child_seeds_validation():
     parent = StreamId(3)
-    assert parent.child_seeds([]).shape == (0, 4)
-    with pytest.raises(ValueError):
-        parent.child_seeds([1, -1])
-    with pytest.raises(TypeError):
-        parent.child_seeds([1.5])
-    with pytest.raises(TypeError):
-        parent.child_seeds(np.array([True]))
-    with pytest.raises(TypeError):
-        parent.child_seeds(np.zeros((2, 2), dtype=int))
+    assert list(parent.indexed_generators([])) == []
+    for bad, error in (([1, -1], ValueError), ([np.int64(-2)], ValueError),
+                       ([1.5], TypeError), ([2.0], TypeError), ([True], TypeError),
+                       (np.array([True]), TypeError), (["1"], TypeError),
+                       ([2**64], OverflowError),
+                       (np.zeros((2, 2), dtype=int), TypeError)):
+        with pytest.raises(error):
+            list(parent.indexed_generators(bad))
 
 
 # ---------------------------------------------------------------- map_streams

@@ -8,7 +8,7 @@ from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
 from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
 from smoothcert.data import Dataset, gen_gaussian_blobs, gen_two_moons
 from smoothcert.nn import OptimizerState, init_mlp
-from smoothcert.rng import StreamId
+from smoothcert.rng import StreamId, _mix_part
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
 from smoothcert.training import (
@@ -53,16 +53,20 @@ def _mean_ce(params, x, target, deltas):
                           for d in deltas]))
 
 
-def _seeds(streams):
-    """The batched seed words of each stream parent.child(i)."""
-    return np.concatenate([StreamId(s.master_seed, s.path[:-1]).child_seeds([s.path[-1]])
-                           for s in streams])
+def _keyed(streams):
+    """(epoch stream, indices) of example streams StreamId(seed, (*epoch, i))
+    that share one epoch stream: the arguments of the minibatch steps."""
+    (epoch,) = {StreamId(s.master_seed, s.path[:-1]) for s in streams}
+    return epoch, np.array([s.path[-1] for s in streams])
 
 
 def _draws(stream, m, dim, sigma):
-    """One example's noise batch and lambda, drawn from the stream's own
-    generator() in the training order."""
-    gen = stream.generator()
+    """One example's noise batch and lambda, in the training order, from
+    numpy's own Philox keyed by the epoch stream at counter (0, 0, 0, i)."""
+    epoch, (i,) = _keyed([stream])
+    entropy = [epoch.master_seed] + [_mix_part(p) for p in epoch.path]
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, i]))
     deltas = gen.standard_normal((m, dim)) * sigma
     return deltas, gen.uniform(0.0, 0.5)
 
@@ -70,7 +74,7 @@ def _draws(stream, m, dim, sigma):
 def _example(params, x, y, cfg, stream):
     """The batched SmoothMix step at B=1, with its noise batch."""
     grads, nat, mix, diag = _smoothmix_minibatch(
-        params, np.asarray(x)[None, :], np.array([y]), cfg, _seeds([stream]))
+        params, np.asarray(x)[None, :], np.array([y]), cfg, *_keyed([stream]))
     deltas, _ = _draws(stream, cfg.m, len(x), cfg.sigma)
     return grads, nat, mix, diag, deltas
 
@@ -110,7 +114,7 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     cfg = SmoothAdvConfig(sigma=0.5, m=3, epsilon=0.6, steps=3, warmup_epochs=2)
     X, Y = np.array([[0.2, -0.1], [0.7, 0.3]]), np.array([1, 2])
     streams = [StreamId(5, ("train", 0, i)) for i in range(2)]
-    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, _seeds(streams),
+    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, *_keyed(streams),
                                             epoch=0)
     assert mix == 0.0
     noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
@@ -222,7 +226,7 @@ def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form(monkeypatch):
     # Fhat(x)
     draw = training._minibatch_randomness
     monkeypatch.setattr(training, "_minibatch_randomness",
-                        lambda *a: (draw(*a)[0], np.zeros(len(a[0]))))
+                        lambda *a: (draw(*a)[0], np.zeros(len(a[1]))))
     params = _random_net(8, [2, 5, 2])
     x = np.array([0.4, 0.1])
     _, _, mix, diag, deltas = _example(params, x, 1, _mix_cfg(),
@@ -268,10 +272,10 @@ def test_batch_loss_eta_limit_is_gaussian():
     stream = StreamId(13, ("train", 0, 0))
     X, Y = np.array([[0.2, 0.8]]), np.array([0])
     g_mix, nat, _, _ = _smoothmix_minibatch(params, X, Y, _mix_cfg(eta=1e-12),
-                                            _seeds([stream]))
+                                            *_keyed([stream]))
     g_gauss, loss, _ = _gaussian_minibatch(params, X, Y,
                                            GaussianConfig(sigma=0.5, m=3),
-                                           _seeds([stream]))
+                                           *_keyed([stream]))
     assert nat == loss
     for a, b in zip(g_mix[0] + g_mix[1], g_gauss[0] + g_gauss[1]):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
@@ -333,7 +337,7 @@ def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(31, ("train", 0, i)) for i in range(3)]
-    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, _seeds(streams))
+    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
     noises = np.stack([_draws(s, cfg.m, 2, cfg.sigma)[0] for s in streams])
     fhat = soft_smoothed_predict(params, diag["anchor"], noises)
     lam = diag["lambda"][:, None]
@@ -372,8 +376,8 @@ def test_no_gradient_leakage_through_fhat_target():
 
 def test_lambda_uniform_ks():
     stats = pytest.importorskip("scipy.stats")
-    lams = _minibatch_randomness(
-        StreamId(23, ("train", 0)).child_seeds(np.arange(10_000)), 1, 2, 1.0)[1]
+    lams = _minibatch_randomness(StreamId(23, ("train", 0)), np.arange(10_000),
+                                 1, 2, 1.0)[1]
     assert np.all((lams >= 0) & (lams <= 0.5))
     res = stats.kstest(lams, "uniform", args=(0.0, 0.5))
     assert res.pvalue > 0.01
@@ -389,7 +393,7 @@ def test_minibatch_matches_per_example_pipeline():
     Y = np.array([0, 2, 1])
     streams = [StreamId(25, ("train", 0, i)) for i in range(3)]
     grads_b, nat_b, mix_b, diag_b = _smoothmix_minibatch(params, X, Y, cfg,
-                                                         _seeds(streams))
+                                                         *_keyed(streams))
 
     singles = [_example(params, X[i], int(Y[i]), cfg, streams[i]) for i in range(3)]
     assert nat_b == pytest.approx(np.mean([s[1] for s in singles]), rel=1e-10)
@@ -440,6 +444,15 @@ def test_run_config_rejects_negative_or_nan_optimizer_settings(settings):
     base = dict(method="gaussian", epochs=1, batch_size=1, lr=0.1, lr_milestones=(1,))
     with pytest.raises(ValueError, match="lr_gamma >= 0"):
         TrainRunConfig(**{**base, **settings})
+
+
+@pytest.mark.parametrize("hidden", [(0,), (-3,), (2.7,), (8, 0), (True,), ("8",)],
+                         ids=["zero", "negative", "fraction", "second-zero", "bool", "str"])
+def test_run_config_rejects_untrainable_hidden_sizes(hidden):
+    # zero divided by zero in init_mlp, a negative width failed inside numpy
+    # and 2.7 trained a width-2 layer
+    with pytest.raises(ValueError, match="hidden sizes"):
+        TrainRunConfig(method="gaussian", epochs=1, batch_size=1, lr=0.1, hidden=hidden)
 
 
 @pytest.mark.parametrize("settings", [
@@ -513,15 +526,31 @@ def test_train_gaussian_separable_blobs_high_accuracy():
 
 
 def test_minibatch_randomness_matches_each_stream_generator():
-    # the batched epoch derivation gives every example the draws of its own
-    # StreamId(seed, ("train", epoch, i)).generator(): noise first, then lambda
+    # every example gets the draws of numpy's own Philox keyed by the epoch
+    # stream at counter (0, 0, 0, i): noise first, then lambda
     parent = StreamId(41, ("train", 3))
     idx = np.array([7, 0, 1999, 42])
-    noises, lams = _minibatch_randomness(parent.child_seeds(idx), 3, 5, 0.25)
+    noises, lams = _minibatch_randomness(parent, idx, 3, 5, 0.25)
     for b, i in enumerate(idx):
         deltas, lam = _draws(parent.child(int(i)), 3, 5, 0.25)
         np.testing.assert_array_equal(noises[b], deltas)
         assert lams[b] == lam
+
+
+def test_minibatch_randomness_ignores_the_minibatch():
+    # an example's draws depend on its index alone: not on the minibatch it
+    # sits in or its place there; they differ across indices, epochs and seeds
+    parent = StreamId(43, ("train", 0))
+    whole = _minibatch_randomness(parent, np.arange(12), 2, 3, 0.5)
+    order = np.random.default_rng(0).permutation(12)
+    for batch in (order[:5], order[5:], order[::-1]):
+        noises, lams = _minibatch_randomness(parent, batch, 2, 3, 0.5)
+        np.testing.assert_array_equal(noises, whole[0][batch])
+        np.testing.assert_array_equal(lams, whole[1][batch])
+    draws = [whole] + [_minibatch_randomness(s, np.arange(12), 2, 3, 0.5)
+                       for s in (StreamId(43, ("train", 1)), StreamId(44, ("train", 0)))]
+    assert len({n.tobytes() for d in draws for n in d[0]}) == 36
+    assert len({float(lam) for d in draws for lam in d[1]}) == 36
 
 
 def test_smoothmix_train_peak_at_mnist_shape():
