@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import ModelParams, class_prob_grad_input, first_layer_noise
+from .smoothing import soft_smoothed_predict
 
 __all__ = [
     "AttackConfig",
@@ -86,6 +87,13 @@ def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
     return centers + diff * scale[..., None]
 
 
+def _objective(fhat: np.ndarray, y: np.ndarray):
+    """J = -log Fhat_y (B,) from the soft-smoothed predictions fhat (B, C),
+    and the floored Fhat_y."""
+    fy = np.maximum(fhat[np.arange(len(fhat)), y], PROB_FLOOR)
+    return -np.log(fy), fy
+
+
 def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
                         noise: np.ndarray):
     """J and grad_x J for B points at once, under per-point noise batches as
@@ -99,40 +107,40 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.intp)
     probs, grad_sums = class_prob_grad_input(params, X, y, noise)
     fhat = probs.reshape(B, m, -1).mean(axis=1)
-    fy = np.maximum(fhat[np.arange(B), y], PROB_FLOOR)
-    J = -np.log(fy)
+    J, fy = _objective(fhat, y)
     grads = -grad_sums / (m * fy)[:, None]
     return J, grads, fhat
 
 
 def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                  noises: np.ndarray, alpha_step: float, steps: int,
+                  noise: np.ndarray, alpha_step: float, steps: int,
                   epsilon_cap=None):
     """Shared normalized-ascent loop over a batch of points.
 
-    Returns (points (T+1, B, d), fhat_path (T+1, B, C), j_path (T+1, B)).
-    When epsilon_cap is set, every iterate is projected onto that ball around
-    its start point: PGD's constraint, or the hard-restriction ablation. The
-    noise goes through first_layer_noise once per call.
+    noise holds per-point noise batches as nn.first_layer takes them
+    (nn.first_layer_noise; formed once by the caller, which may reuse it).
+    Returns (points (T+1, B, d), fhat_path (T, B, C), j_path (T, B)): every
+    iterate, and Fhat and J at every iterate but the last, where the loop
+    takes no gradient (a caller that wants Fhat there runs one forward,
+    smoothing.soft_smoothed_predict). When epsilon_cap is set, every iterate
+    is projected onto that ball around its start point: PGD's constraint, or
+    the hard-restriction ablation.
     """
     X0 = np.asarray(X, dtype=np.float64)
-    noise = first_layer_noise(params, noises)
-    cur = X0
-    points = [X0]
-    J, grads, fhat = _objective_and_grad(params, cur, y, noise)
-    fhat_path, j_path = [fhat], [J]
-    for _ in range(steps):
+    points = np.empty((steps + 1,) + X0.shape)
+    fhat_path = np.empty((steps, len(X0), params.class_count))
+    j_path = np.empty((steps, len(X0)))
+    points[0] = cur = X0
+    for t in range(steps):
+        j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
         norms = np.linalg.norm(grads, axis=1)
         move = norms > GRAD_NORM_FLOOR
         direction = np.where(move[:, None], grads / np.maximum(norms, GRAD_NORM_FLOOR)[:, None], 0.0)
         cur = cur + alpha_step * direction
         if epsilon_cap is not None:
             cur = l2_project(cur, X0, epsilon_cap)
-        points.append(cur)
-        J, grads, fhat = _objective_and_grad(params, cur, y, noise)
-        fhat_path.append(fhat)
-        j_path.append(J)
-    return np.stack(points), np.stack(fhat_path), np.stack(j_path)
+        points[t + 1] = cur
+    return points, fhat_path, j_path
 
 
 def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
@@ -143,14 +151,20 @@ def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
     the gradient vanishes); when cfg.epsilon_cap is set, every iterate is
     projected back onto that ball around x after the step. The given noise
     batch (m, d) is reused for every step, and the soft-smoothed prediction
-    is recorded at every iterate.
+    is recorded at every iterate: from the gradient pass along the way, and
+    from one forward at the endpoint.
     """
     x = np.asarray(x, dtype=np.float64)
+    noise = np.asarray(noise)
+    y = np.array([int(y)])
     points, fhat_path, j_path = _ascend_batch(
-        params, x[None, :], np.array([int(y)]), np.asarray(noise)[None],
+        params, x[None, :], y, first_layer_noise(params, noise[None]),
         cfg.alpha_step, cfg.steps, epsilon_cap=cfg.epsilon_cap)
-    return AttackTrajectory(points=points[:, 0, :], fhat_path=fhat_path[:, 0, :],
-                            j_path=j_path[:, 0])
+    fhat_end = soft_smoothed_predict(params, points[-1], noise)
+    j_end, _ = _objective(fhat_end, y)
+    return AttackTrajectory(points=points[:, 0, :],
+                            fhat_path=np.concatenate([fhat_path[:, 0, :], fhat_end]),
+                            j_path=np.concatenate([j_path[:, 0], j_end]))
 
 
 def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
@@ -165,6 +179,7 @@ def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
         raise ValueError("steps must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     points, _, _ = _ascend_batch(
-        params, x[None, :], np.array([int(y)]), np.asarray(noise)[None],
+        params, x[None, :], np.array([int(y)]),
+        first_layer_noise(params, np.asarray(noise)[None]),
         step_size, steps, epsilon_cap=epsilon)
     return points[-1, 0, :]

@@ -63,9 +63,12 @@ __all__ = ["main"]
 # the kernel, so every row chunk of a hot loop (512 KiB at 1,000 x 64, 2 MiB
 # at h1 = 256) is faulted in again page by page. 4 MiB keeps those chunks on
 # the heap; theory-sim's 8 MiB stage buffer is still unmapped when freed.
+# A SmoothMix step at 784-256-256-10 frees about 20 MiB of heap when it
+# ends, so the heap keeps up to 32 MiB free at its top rather than giving
+# it back and faulting it in again at the next step.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers
 MALLOC_MMAP_THRESHOLD = 4 << 20
-MALLOC_TRIM_THRESHOLD = 16 << 20
+MALLOC_TRIM_THRESHOLD = 32 << 20
 
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
                     "correct", "abstain", "seconds"]
@@ -205,6 +208,10 @@ def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
         raise ConfigError("model_ids must match cert_csv in length")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii thresholds must be nondecreasing")
+    if any(r < 0 for r in radii):
+        raise ConfigError("radii thresholds must be >= 0")
+    if not cfg["sigma"] > 0:
+        raise ConfigError("sigma must be positive")
     if not ids:
         ids = tuple(os.path.splitext(os.path.basename(p))[0] for p in paths)
     # sigma is recorded in the manifest; the metrics read only the CSVs

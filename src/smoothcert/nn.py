@@ -7,8 +7,8 @@ hand-derived backprop, not autodiff. ReLU's subgradient at 0 is taken as 0.
 Every forward starts at first_layer, then runs the shared tail
 (forward_tail). Gaussian noise reaches the net only through W1, and
 (x + delta) W1 = x W1 + delta W1, so when d > h1 (factors_noise) first_layer
-takes the noise already through W1 (first_layer_noise): smoothing and the
-attacks then never form a d-wide noisy input.
+takes the noise already through W1 (first_layer_noise): smoothing, the
+attacks and training then never form a d-wide noisy input.
 
 Checkpoint layout (format version 2, a binary file named checkpoint.json):
 one ASCII line holding a JSON object with sorted keys,
@@ -208,13 +208,11 @@ def forward_tail(params: ModelParams, z1: np.ndarray) -> np.ndarray:
     return h
 
 
-def _forward_cached(params: ModelParams, X: np.ndarray, noise=None):
-    """Forward pass keeping pre-activations and activations for backprop.
-
-    Rows are as in first_layer. acts[k] is the input of layer k; acts[0] is
-    X, which are the rows the first layer saw only without noise.
-    """
-    pres, acts = [first_layer(params, X, noise)], [X]
+def _forward_cached(params: ModelParams, z1: np.ndarray):
+    """Logits from the first layer's pre-activation z1 (first_layer), keeping
+    what _backward needs: pres[k] is layer k's pre-activation (pres[0] is z1)
+    and acts[k] the input of layer k + 1."""
+    pres, acts = [z1], []
     for W, b in zip(params.weights[1:], params.biases[1:]):
         acts.append(np.maximum(pres[-1], 0.0))
         pres.append(acts[-1] @ W + b)
@@ -232,35 +230,40 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _backward(params: ModelParams, pres, acts, dlogits, need_params: bool):
     """Backprop the cotangent dlogits (rows, C) to the first layer's pre-activation.
 
-    Returns (param grads or None, dz1). The input gradient is dz1 @ W1.T;
-    callers form it, so that rows sharing a point can be summed first.
+    Returns (param grads or None, dz1). Of the param grads (gW, gb), gW[0] is
+    None: like the input gradient dz1 @ W1.T, the first layer's weight
+    gradient X.T @ dz1 is the caller's, so that rows sharing a point or a
+    noise draw can be summed first.
     """
     gW = [None] * len(params.weights)
     gb = [None] * len(params.biases)
     delta = dlogits
-    for k in range(len(params.weights) - 1, -1, -1):
+    for k in range(len(params.weights) - 1, 0, -1):
         if need_params:
-            gW[k] = acts[k].T @ delta
+            gW[k] = acts[k - 1].T @ delta
             gb[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = delta @ params.weights[k].T
-            delta = delta * (pres[k - 1] > 0.0)
+        delta = delta @ params.weights[k].T
+        delta = delta * (pres[k - 1] > 0.0)
+    if need_params:
+        gb[0] = delta.sum(axis=0)
     return (gW, gb) if need_params else None, delta
 
 
-def _grad_params_weighted(params: ModelParams, X: np.ndarray, targets: np.ndarray,
+def _grad_params_weighted(params: ModelParams, z1: np.ndarray, targets: np.ndarray,
                           row_weights: np.ndarray):
-    """Gradient of sum_r w_r * CE(logits_r, target_r) w.r.t. params.
+    """Gradient of sum_r w_r * CE(logits_r, target_r) w.r.t. params, for the
+    rows whose first-layer pre-activations are z1.
 
-    Returns ((gW list, gb list), per-row CE values). The exact CE cotangent is
+    Returns ((gW list, gb list), dz1, per-row CE values), with gW[0] left to
+    the caller (see _backward). The exact CE cotangent is
     d CE/d logits = softmax - target, scaled per row by w_r.
     """
-    logits, pres, acts = _forward_cached(params, X)
+    logits, pres, acts = _forward_cached(params, z1)
     probs = softmax(logits)
     dlogits = (probs - targets) * row_weights[:, None]
-    grads, _ = _backward(params, pres, acts, dlogits, need_params=True)
+    grads, dz1 = _backward(params, pres, acts, dlogits, need_params=True)
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
-    return grads, ce
+    return grads, dz1, ce
 
 
 def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
@@ -278,7 +281,7 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
     X = np.asarray(X, dtype=np.float64)
     B, m = len(X), 1 if noise is None else noise.shape[-2]
     idx = np.repeat(np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (B,)), m)
-    logits, pres, acts = _forward_cached(params, X, noise)
+    logits, pres, acts = _forward_cached(params, first_layer(params, X, noise))
     p = softmax(logits)
     rows = np.arange(len(p))
     py = p[rows, idx]

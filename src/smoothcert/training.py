@@ -42,7 +42,8 @@ import numpy as np
 from .adversary import AttackConfig, _ascend_batch, l2_project
 from .data import Dataset
 from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
-                 init_mlp, sgd_nesterov_step)
+                 factors_noise, first_layer, first_layer_noise, init_mlp,
+                 sgd_nesterov_step)
 from .rng import StreamId, _is_int
 from .smoothing import soft_smoothed_predict
 
@@ -166,42 +167,60 @@ def make_mix_pair(x_base: np.ndarray, fhat_base: np.ndarray, x_adv: np.ndarray,
     return x_mix, y_mix
 
 
-def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: float):
+def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: float,
+                          lambdas: bool):
     """Each example's private draws, in fixed order: noise batch, then lambda.
 
     stream is the epoch stream and indices the examples' dataset indices
-    (`StreamId.indexed_generators`). Returns noises (B, m, dim) and lambdas (B,).
+    (`StreamId.indexed_generators`). Returns noises (B, m, dim) and, when
+    lambdas is true (SmoothMix), lambdas (B,), else None: skipping the last
+    draw moves no noise bit. 0.5 * gen.random() is gen.uniform(0.0, 0.5)
+    bit for bit.
     """
     noises = np.empty((len(indices), m, dim))
-    lams = np.empty(len(indices))
+    lams = np.empty(len(indices)) if lambdas else None
     for i, gen in enumerate(stream.indexed_generators(indices)):
         gen.standard_normal(out=noises[i])
-        lams[i] = gen.uniform(0.0, 0.5)
+        if lambdas:
+            lams[i] = 0.5 * gen.random()
     noises *= sigma
     return noises, lams
 
 
-def _noisy_ce_step(params, noises, parts):
+def _noisy_ce_step(params, deltas, noise, parts):
     """Gradient of sum over parts (X, T, w) of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b).
 
-    X is (B, d), T the (B, C) targets and noises the (B, m, d) per-example
-    draws that every part shares. All rows go through one backward pass.
+    X is (B, d), T the (B, C) targets, deltas the (B, m, d) per-example draws
+    that every part shares and noise = first_layer_noise(params, deltas).
+    All rows go through one backward pass. When factors_noise, no row is d
+    wide: part k enters as z1 = X_k W1 + b1 + delta W1, and
+    gW1 = sum_k X_k^T (sum_i dz1_k) + delta^T (sum_k dz1_k). Otherwise the
+    rows x_b + delta_{b,i} go through W1 as they are.
     Returns (grads, the mean CE of each part).
     """
-    B, m, d = noises.shape
-    rows = np.empty((len(parts), B, m, d))
-    for k, (X, _, _) in enumerate(parts):
-        np.add(X[:, None, :], noises, out=rows[k])
-    rows = rows.reshape(-1, d)
+    B, m, d = deltas.shape
+    factored = factors_noise(params)
+    if factored:
+        z1 = np.concatenate([first_layer(params, X, noise) for X, _, _ in parts])
+    else:
+        rows = np.concatenate([X[:, None, :] + deltas for X, _, _ in parts]).reshape(-1, d)
+        z1 = first_layer(params, rows)
     targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
     weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
-    grads, ce = _grad_params_weighted(params, rows, targets, weights)
-    return grads, [float(c.mean()) for c in np.split(ce, len(parts))]
+    (gW, gb), dz1, ce = _grad_params_weighted(params, z1, targets, weights)
+    if factored:
+        dz1 = dz1.reshape(len(parts), B, m, -1)
+        gW[0] = deltas.reshape(B * m, d).T @ dz1.sum(axis=0).reshape(B * m, -1)
+        for k, (X, _, _) in enumerate(parts):
+            gW[0] += X.T @ dz1[k].sum(axis=1)
+    else:
+        gW[0] = rows.T @ dz1
+    return (gW, gb), [float(c.mean()) for c in np.split(ce, len(parts))]
 
 
 def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, stream, indices):
-    noises, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
-    grads, (loss,) = _noisy_ce_step(params, noises,
+    deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
+    grads, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
                                     [(X, np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
@@ -210,11 +229,12 @@ def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, stream, indices,
                          epoch: int):
     """The Gaussian step at each example's PGD endpoint, attacked under the
     example's own noise batch with steps of 2 epsilon_at(epoch) / steps."""
-    noises, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
+    deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
+    noise = first_layer_noise(params, deltas)
     eps = cfg.epsilon_at(epoch)
-    points, _, _ = _ascend_batch(params, X, Y, noises, 2.0 * eps / cfg.steps, cfg.steps,
+    points, _, _ = _ascend_batch(params, X, Y, noise, 2.0 * eps / cfg.steps, cfg.steps,
                                  epsilon_cap=eps)
-    grads, (loss,) = _noisy_ce_step(params, noises,
+    grads, (loss,) = _noisy_ce_step(params, deltas, noise,
                                     [(points[-1], np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
@@ -225,27 +245,30 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
     Returns (grads, mean natural loss, mean mix loss, diagnostics). The
     gradient is that of (1/(B m)) sum [CE_nat + eta CE_mix], with y_mix a
     constant target. Diagnostics hold the per-example anchor, x_adv, lambda,
-    x_mix, y_mix and J path ((T+1, B)).
+    x_mix, y_mix and the J path ((T, B): J at every iterate but the last).
     """
-    noises, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma)
-    points, fhat_path, j_path = _ascend_batch(
-        params, X, Y, noises, cfg.attack.alpha_step, cfg.attack.steps,
-        epsilon_cap=cfg.attack.epsilon_cap)
+    deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, True)
+    noise = first_layer_noise(params, deltas)
+    steps = cfg.attack.steps
+    points, fhat_path, j_path = _ascend_batch(params, X, Y, noise, cfg.attack.alpha_step,
+                                              steps, epsilon_cap=cfg.attack.epsilon_cap)
     x_adv = points[-1]
-    # The anchor is x or, one-step, the first iterate (optionally capped). Its
-    # Fhat comes from the attack path unless the cap moved it.
-    anchor, fhat_anchor = X, fhat_path[0]
-    if cfg.use_one_step and cfg.attack.steps >= 1:
-        anchor, fhat_anchor = points[1], fhat_path[1]
-        cap = cfg.one_step_cap
-        if cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
-            anchor = l2_project(anchor, X, cap)
-            fhat_anchor = soft_smoothed_predict(params, anchor, noises)
+    # The anchor is x or, one-step, the first iterate (optionally capped):
+    # iterate t of the attack path. Its Fhat comes from that path when the
+    # loop took a gradient there; at the endpoint (t == steps), or where the
+    # cap moved it (t set to steps), from one forward.
+    t = 1 if cfg.use_one_step and steps >= 1 else 0
+    anchor = points[t]
+    cap = cfg.one_step_cap
+    if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
+        anchor, t = l2_project(anchor, X, cap), steps
+    fhat_anchor = (fhat_path[t] if t < steps
+                   else soft_smoothed_predict(params, anchor, deltas))
     x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
                                  params.class_count)
     grads, (loss_nat, loss_mix) = _noisy_ce_step(
-        params, noises, [(anchor, np.eye(params.class_count)[Y], 1.0),
-                         (x_mix, y_mix, cfg.eta)])
+        params, deltas, noise, [(anchor, np.eye(params.class_count)[Y], 1.0),
+                                (x_mix, y_mix, cfg.eta)])
     diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
                    "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
     return grads, loss_nat, loss_mix, diagnostics

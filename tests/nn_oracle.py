@@ -73,9 +73,17 @@ def grad_params(params, batch) -> tuple:
         raise DimensionMismatch("batch input", params.input_dim, X.shape[1])
     if T.shape[1] != params.class_count:
         raise DimensionMismatch("batch target", params.class_count, T.shape[1])
-    w = np.full(len(batch), 1.0 / len(batch))
-    grads, _ = nn._grad_params_weighted(params, X, T, w)
+    grads, _ = grad_params_weighted(params, X, T, np.full(len(batch), 1.0 / len(batch)))
     return grads
+
+
+def grad_params_weighted(params, X, T, w) -> tuple:
+    """Gradient of sum_r w_r CE(f(x_r), t_r) over input rows X (rows, d), with
+    the first layer's weight gradient X.T @ dz1 formed from every row.
+    Returns ((gW, gb), per-row CE values)."""
+    (gW, gb), dz1, ce = nn._grad_params_weighted(params, first_layer(params, X), T, w)
+    gW[0] = X.T @ dz1
+    return (gW, gb), ce
 
 
 def grad_input(params, x, target) -> np.ndarray:
@@ -86,7 +94,7 @@ def grad_input(params, x, target) -> np.ndarray:
         X, T = x[None, :], validate_soft_label(target)[None, :]
     else:
         X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
-    logits, pres, acts = nn._forward_cached(params, X)
+    logits, pres, acts = nn._forward_cached(params, first_layer(params, X))
     _, dz1 = nn._backward(params, pres, acts, softmax(logits) - T, need_params=False)
     dX = dz1 @ params.weights[0].T
     return dX[0] if squeezed else dX

@@ -8,7 +8,7 @@ W1's row space. These are the plain versions it is checked against.
 
 import numpy as np
 
-from nn_oracle import forward
+from nn_oracle import forward, grad_params_weighted
 from smoothcert.nn import class_prob_grad_input, softmax
 
 
@@ -54,3 +54,16 @@ def direct_objective_and_grad(params, X, y, noises):
     fy = fhat[np.arange(B), y]
     grads = -row_grads.reshape(B, m, d).sum(axis=1) / (m * fy)[:, None]
     return -np.log(fy), grads, fhat
+
+
+def direct_noisy_ce_grads(params, deltas, parts):
+    """What training's CE step computes, with every noisy row x_b + delta_{b,i}
+    of every part (X, T, w) going through W1 as an input row: the gradient of
+    sum over parts of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b), and the
+    mean CE of each part."""
+    B, m, _ = deltas.shape
+    rows = np.concatenate([noisy_rows(X, deltas) for X, _, _ in parts])
+    targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
+    weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
+    grads, ce = grad_params_weighted(params, rows, targets, weights)
+    return grads, [float(c.mean()) for c in np.split(ce, len(parts))]

@@ -440,7 +440,8 @@ def test_criterion_9_invariant_suite(tmp_path):
 
     # lambda ~ U([0, 1/2]) by Kolmogorov-Smirnov at 1%
     stats = pytest.importorskip("scipy.stats")
-    lams = _minibatch_randomness(StreamId(9, ("ks",)), np.arange(10_000), 1, 2, 1.0)[1]
+    lams = _minibatch_randomness(StreamId(9, ("ks",)), np.arange(10_000), 1, 2, 1.0,
+                                 True)[1]
     ks = stats.kstest(lams, "uniform", args=(0.0, 0.5))
     assert ks.pvalue > 0.01
 

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from nn_oracle import forward
+from attack_oracle import ascend_with_endpoint_gradient
+from nn_oracle import forward, init_mlp
 from noise_oracle import direct_objective_and_grad
+from smoothcert import cli
 from smoothcert.adversary import (
     AttackConfig,
+    AttackTrajectory,
     _ascend_batch,
     _objective_and_grad,
     l2_project,
     smoothadv_pgd,
     smoothmix_attack,
 )
-from smoothcert.nn import ModelParams, first_layer_noise, softmax
+from smoothcert.nn import ModelParams, first_layer_noise, save_checkpoint, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 
@@ -83,12 +86,75 @@ def test_objective_and_grad_match_direct_oracle(sizes):
     got = _objective_and_grad(params, X, y, first_layer_noise(params, noises))
     for g, w in zip(got, direct_objective_and_grad(params, X, y, noises)):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-    points, fhat_path, j_path = _ascend_batch(params, X, y, noises, 0.3, 3,
-                                              epsilon_cap=0.5)
-    for t in range(4):
+    points, fhat_path, j_path = _ascend_batch(
+        params, X, y, first_layer_noise(params, noises), 0.3, 3, epsilon_cap=0.5)
+    assert points.shape[0] == 4 and len(fhat_path) == len(j_path) == 3
+    for t in range(3):
         J, _, fhat = direct_objective_and_grad(params, points[t], y, noises)
         np.testing.assert_allclose(j_path[t], J, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fhat_path[t], fhat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes, steps, cap", [
+    ([9, 4, 5, 3], 4, None), ([3, 6, 3], 4, 0.5), ([5, 2], 3, None), ([3, 6, 3], 0, None),
+])
+def test_ascend_batch_keeps_the_bits_of_the_endpoint_gradient_loop(sizes, steps, cap):
+    # the loop stops after its last move; every iterate, and Fhat and J at
+    # every iterate but the last, keep the bits of the loop that also took
+    # the gradient at the endpoint
+    params = _random_net(32, sizes)
+    rng = np.random.default_rng(33)
+    B, m, d = 5, 4, sizes[0]
+    X, y = rng.standard_normal((B, d)), rng.integers(0, sizes[-1], B)
+    noises = rng.standard_normal((B, m, d)) * 0.7
+    points, fhat_path, j_path = _ascend_batch(
+        params, X, y, first_layer_noise(params, noises), 0.4, steps, epsilon_cap=cap)
+    want_points, want_fhat, want_j = ascend_with_endpoint_gradient(
+        params, X, y, noises, 0.4, steps, epsilon_cap=cap)
+    np.testing.assert_array_equal(points, want_points)
+    np.testing.assert_array_equal(fhat_path, want_fhat[:-1])
+    np.testing.assert_array_equal(j_path, want_j[:-1])
+
+
+def _oracle_attack(params, x, y, noise, cfg):
+    points, fhat_path, j_path = ascend_with_endpoint_gradient(
+        params, x[None, :], [y], noise[None], cfg.alpha_step, cfg.steps,
+        epsilon_cap=cfg.epsilon_cap)
+    return AttackTrajectory(points[:, 0], fhat_path[:, 0], j_path[:, 0])
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4])
+def test_attack_trajectory_matches_endpoint_gradient_loop_at_mnist_shape(steps):
+    # the endpoint's Fhat and J come from one forward, bit for bit the values
+    # of the gradient pass; 784-256-256-10 takes the noise after W1
+    params = init_mlp([784, 256, 256, 10], StreamId(34))
+    x = np.random.default_rng(35).uniform(0.0, 1.0, 784)
+    noise = sample_noise(0.5, 784, 8, StreamId(36))
+    cfg = AttackConfig(1.0, steps)
+    traj = smoothmix_attack(params, x, 3, noise, cfg)
+    want = _oracle_attack(params, x, 3, noise, cfg)
+    for got, exp in zip((traj.points, traj.fhat_path, traj.j_path),
+                        (want.points, want.fhat_path, want.j_path)):
+        np.testing.assert_array_equal(got, exp)
+
+
+@pytest.mark.parametrize("sizes", [[2, 64, 64, 2], [2, 1, 8, 2]], ids=["d<=h1", "d>h1"])
+def test_attack_demo_csv_matches_endpoint_gradient_loop(tmp_path, monkeypatch, sizes):
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(str(ckpt), init_mlp(sizes, StreamId(37)))
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text(f"checkpoint = {ckpt}\nsigma = 0.5\nalpha_step = 0.3\nsteps = 5\n"
+                   "m = 6\nepsilon_cap = 1.0\npoint_index = 4\nseed = 38\n"
+                   "dataset.kind = two_moons\ndataset.n = 10\n", encoding="ascii")
+    csvs = []
+    for name in ("library", "oracle"):
+        if name == "oracle":
+            monkeypatch.setattr(cli, "smoothmix_attack", _oracle_attack)
+        out = tmp_path / name
+        assert cli.main(["attack-demo", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append((out / "attack_demo.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count(b"\r\n") == 7  # header + 6 iterates
 
 
 # ---------------------------------------------------------------- smoothmix attack

@@ -102,11 +102,11 @@ def test_certify_manifest_bytes(run, monkeypatch):
     "sigma": 0.5
   },
   "format": "smoothcert.manifest",
-  "run_id": "adb3c0ea7dc0db02",
+  "run_id": "3803faa784bc168a",
   "timings": {
     "total_seconds": T
   },
-  "version": "0.5.0"
+  "version": "0.6.0"
 }
 """
 

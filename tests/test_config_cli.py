@@ -315,6 +315,12 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
     ("certify", _certify_cfg("absent.json", "max_points = -1"),
      "max_points must be >= 0"),
     ("train", TRAIN_CFG + "lr_milestones = 1\nlr_gamma = -1\n", "lr_gamma >= 0"),
+    ("evaluate", "cert_csv = absent.csv\nradii = 0.5\nsigma = -2\n",
+     "sigma must be positive"),
+    ("evaluate", "cert_csv = absent.csv\nradii = 0.5\nsigma = 0\n",
+     "sigma must be positive"),
+    ("evaluate", "cert_csv = absent.csv\nradii = -1, 0.5\nsigma = 0.5\n",
+     "radii thresholds must be >= 0"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -323,7 +329,8 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
         "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families",
         "evaluate-nonfinite-radii", "evaluate-negative-inf-radius",
         "certify-negative-noise-std", "mixratio-negative-spread",
-        "certify-negative-max-points", "train-negative-lr-gamma"])
+        "certify-negative-max-points", "train-negative-lr-gamma",
+        "evaluate-negative-sigma", "evaluate-zero-sigma", "evaluate-negative-radius"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attack_oracle import ascend_with_endpoint_gradient
 from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
+from noise_oracle import direct_noisy_ce_grads
 from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
 from smoothcert.data import Dataset, gen_gaussian_blobs, gen_two_moons
-from smoothcert.nn import OptimizerState, init_mlp
+from smoothcert.nn import OptimizerState, first_layer_noise, init_mlp
 from smoothcert.rng import StreamId, _mix_part
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
@@ -85,7 +87,8 @@ def _example(params, x, y, cfg, stream):
 def test_gaussian_loss_uniform_net():
     params = _constant_net(2, 4)
     noise = sample_noise(0.5, 2, 5, StreamId(0))
-    _, (loss,) = _noisy_ce_step(params, noise[None],
+    deltas = noise[None]
+    _, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
                                 [(np.ones((1, 2)), np.eye(4)[[1]], 1.0)])
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
@@ -93,7 +96,8 @@ def test_gaussian_loss_uniform_net():
 def test_gaussian_loss_perfect_classifier():
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 300.0])])
     noise = sample_noise(0.5, 2, 5, StreamId(1))
-    _, (loss,) = _noisy_ce_step(params, noise[None],
+    deltas = noise[None]
+    _, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
                                 [(np.zeros((1, 2)), np.eye(2)[[1]], 1.0)])
     assert loss < 1e-12
 
@@ -103,7 +107,8 @@ def test_gaussian_loss_manual_two_terms():
     noises = np.stack([sample_noise(0.8, 3, 2, StreamId(3, (i,)))
                        for i in range(2)])
     X, Y = np.array([[0.1, -0.3, 0.2], [0.5, 0.0, -0.4]]), np.array([2, 0])
-    _, (loss,) = _noisy_ce_step(params, noises, [(X, np.eye(4)[Y], 1.0)])
+    _, (loss,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
+                                [(X, np.eye(4)[Y], 1.0)])
     want = np.mean([_mean_ce(params, X[b], np.eye(4)[Y[b]], noises[b])
                     for b in range(2)])
     assert loss == pytest.approx(want, abs=1e-12)
@@ -123,10 +128,41 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
         smoothadv_pgd(params, X[b], int(Y[b]), noises[b],
                       steps=3, step_size=2.0 * eps / 3, epsilon=eps)
         for b in range(2)])
-    want_grads, (want,) = _noisy_ce_step(params, noises, [(x_hat, np.eye(3)[Y], 1.0)])
+    want_grads, (want,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
+                                         [(x_hat, np.eye(3)[Y], 1.0)])
     assert loss == pytest.approx(want, abs=1e-12)
     for a, b in zip(grads[0] + grads[1], want_grads[0] + want_grads[1]):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["gaussian", "smoothadv", "smoothmix"])
+def test_factored_ce_gradient_matches_direct_at_mnist_shape(method, monkeypatch):
+    # at d > h1 the CE step adds x W1 to the delta W1 the attack formed and
+    # splits gW1 over the points and the draws; the oracle sends every
+    # d-wide noisy row of the method's parts through W1
+    params = init_mlp([784, 256, 256, 10], StreamId(50))
+    rng = np.random.default_rng(51)
+    X, Y = rng.uniform(0.0, 1.0, (6, 784)), rng.integers(0, 10, 6)
+    stream, idx = StreamId(52, ("train", 0)), np.arange(6)
+    calls, step = [], training._noisy_ce_step
+
+    def recorded(params, deltas, noise, parts):
+        calls.append((deltas, parts, step(params, deltas, noise, parts)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(training, "_noisy_ce_step", recorded)
+    if method == "gaussian":
+        _gaussian_minibatch(params, X, Y, GaussianConfig(sigma=0.5, m=4), stream, idx)
+    elif method == "smoothadv":
+        _smoothadv_minibatch(params, X, Y, SmoothAdvConfig(sigma=0.5, m=4, epsilon=1.0,
+                                                           steps=2), stream, idx, epoch=3)
+    else:
+        _smoothmix_minibatch(params, X, Y, _mix_cfg(m=4), stream, idx)
+    ((deltas, parts, ((gW, gb), losses)),) = calls
+    (want_W, want_b), want_losses = direct_noisy_ce_grads(params, deltas, parts)
+    for got, want in zip(gW + gb, want_W + want_b):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- mix pair
@@ -262,7 +298,7 @@ def test_batch_loss_additivity_and_recomputable_terms():
     np.testing.assert_allclose(
         diag["x_mix"][0], (1 - lam) * diag["anchor"][0] + lam * diag["x_adv"][0],
         atol=1e-12)
-    assert diag["j_path"].shape == (cfg.attack.steps + 1, 1)
+    assert diag["j_path"].shape == (cfg.attack.steps, 1)
     validate_soft_label(diag["y_mix"][0])
 
 
@@ -346,6 +382,24 @@ def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
         np.testing.assert_allclose(np.linalg.norm(diag["anchor"] - X, axis=1), 0.2)
 
 
+@pytest.mark.parametrize("sizes", [[2, 8, 3], [6, 4, 3]], ids=["d<=h1", "d>h1"])
+def test_one_step_y_mix_at_one_attack_step_keeps_the_endpoint_gradient_bits(sizes):
+    # at attack_steps = 1 the one-step anchor is the attack's endpoint, where
+    # the loop takes no gradient: one forward gives its Fhat, with the bits
+    # of the gradient pass the loop used to run there
+    params = _random_net(34, sizes)
+    cfg = _mix_cfg(use_one_step=True, attack=AttackConfig(0.5, 1))
+    rng = np.random.default_rng(35)
+    X, Y = rng.standard_normal((5, sizes[0])), np.array([0, 2, 1, 1, 0])
+    streams = [StreamId(36, ("train", 0, i)) for i in range(5)]
+    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
+    noises = np.stack([_draws(s, cfg.m, sizes[0], cfg.sigma)[0] for s in streams])
+    points, fhat_path, _ = ascend_with_endpoint_gradient(params, X, Y, noises, 0.5, 1)
+    np.testing.assert_array_equal(diag["anchor"], points[1])
+    _, y_mix = make_mix_pair(points[1], fhat_path[1], points[1], diag["lambda"], 3)
+    np.testing.assert_array_equal(diag["y_mix"], y_mix)
+
+
 def test_no_gradient_leakage_through_fhat_target():
     # the parameter gradient must equal the frozen-target gradient: FD on the
     # loss with the step's anchor, mix pair and noise frozen matches the
@@ -377,7 +431,7 @@ def test_no_gradient_leakage_through_fhat_target():
 def test_lambda_uniform_ks():
     stats = pytest.importorskip("scipy.stats")
     lams = _minibatch_randomness(StreamId(23, ("train", 0)), np.arange(10_000),
-                                 1, 2, 1.0)[1]
+                                 1, 2, 1.0, True)[1]
     assert np.all((lams >= 0) & (lams <= 0.5))
     res = stats.kstest(lams, "uniform", args=(0.0, 0.5))
     assert res.pvalue > 0.01
@@ -530,7 +584,7 @@ def test_minibatch_randomness_matches_each_stream_generator():
     # stream at counter (0, 0, 0, i): noise first, then lambda
     parent = StreamId(41, ("train", 3))
     idx = np.array([7, 0, 1999, 42])
-    noises, lams = _minibatch_randomness(parent, idx, 3, 5, 0.25)
+    noises, lams = _minibatch_randomness(parent, idx, 3, 5, 0.25, True)
     for b, i in enumerate(idx):
         deltas, lam = _draws(parent.child(int(i)), 3, 5, 0.25)
         np.testing.assert_array_equal(noises[b], deltas)
@@ -541,23 +595,24 @@ def test_minibatch_randomness_ignores_the_minibatch():
     # an example's draws depend on its index alone: not on the minibatch it
     # sits in or its place there; they differ across indices, epochs and seeds
     parent = StreamId(43, ("train", 0))
-    whole = _minibatch_randomness(parent, np.arange(12), 2, 3, 0.5)
+    whole = _minibatch_randomness(parent, np.arange(12), 2, 3, 0.5, True)
     order = np.random.default_rng(0).permutation(12)
     for batch in (order[:5], order[5:], order[::-1]):
-        noises, lams = _minibatch_randomness(parent, batch, 2, 3, 0.5)
+        noises, lams = _minibatch_randomness(parent, batch, 2, 3, 0.5, True)
         np.testing.assert_array_equal(noises, whole[0][batch])
         np.testing.assert_array_equal(lams, whole[1][batch])
-    draws = [whole] + [_minibatch_randomness(s, np.arange(12), 2, 3, 0.5)
+    draws = [whole] + [_minibatch_randomness(s, np.arange(12), 2, 3, 0.5, True)
                        for s in (StreamId(43, ("train", 1)), StreamId(44, ("train", 0)))]
     assert len({n.tobytes() for d in draws for n in d[0]}) == 36
     assert len({float(lam) for d in draws for lam in d[1]}) == 36
 
 
 def test_smoothmix_train_peak_at_mnist_shape():
-    # 784-256-256-10, B=100, m=4, T=4: one minibatch's working set. Holding
-    # the previous step's gradients (1.6 MiB) and attack path (3 MiB of
-    # points) into the next step, or building each part's noisy rows before
-    # concatenating them (5 MiB), takes the peak past the bound.
+    # 784-256-256-10, B=100, m=4, T=4: one minibatch's working set, 21.9 MiB
+    # of tracemalloc peak. Building the d-wide noisy rows of both loss terms
+    # again (4.8 MiB; the peak was 26.0 MiB with them), or holding the
+    # previous step's attack path (3 MiB of points) into the next step,
+    # takes the peak past the bound.
     rng = np.random.default_rng(0)
     ds = Dataset(inputs=rng.uniform(0.0, 1.0, (200, 784)),
                  labels=np.arange(200) % 10, class_count=10, split="train")
@@ -570,4 +625,4 @@ def test_smoothmix_train_peak_at_mnist_shape():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 29 * 2**20
+    assert peak < 24 * 2**20
