@@ -155,11 +155,10 @@ def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
     from one forward at the endpoint.
     """
     x = np.asarray(x, dtype=np.float64)
-    noise = np.asarray(noise)
+    noise = first_layer_noise(params, np.asarray(noise)[None])
     y = np.array([int(y)])
-    points, fhat_path, j_path = _ascend_batch(
-        params, x[None, :], y, first_layer_noise(params, noise[None]),
-        cfg.alpha_step, cfg.steps, epsilon_cap=cfg.epsilon_cap)
+    points, fhat_path, j_path = _ascend_batch(params, x[None, :], y, noise, cfg.alpha_step,
+                                              cfg.steps, epsilon_cap=cfg.epsilon_cap)
     fhat_end = soft_smoothed_predict(params, points[-1], noise)
     j_end, _ = _objective(fhat_end, y)
     return AttackTrajectory(points=points[:, 0, :],
@@ -170,7 +169,7 @@ def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
 def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
                   steps: int, step_size: float, epsilon: float) -> np.ndarray:
     """Projected normalized gradient ascent on J within the epsilon ball at x,
-    under one fixed noise batch (m, d)."""
+    under one fixed batch of draws as nn.first_layer_noise gives it."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not step_size > 0:
@@ -178,8 +177,6 @@ def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    points, _, _ = _ascend_batch(
-        params, x[None, :], np.array([int(y)]),
-        first_layer_noise(params, np.asarray(noise)[None]),
-        step_size, steps, epsilon_cap=epsilon)
+    points, _, _ = _ascend_batch(params, x[None, :], np.array([int(y)]), noise[None],
+                                 step_size, steps, epsilon_cap=epsilon)
     return points[-1, 0, :]

@@ -52,7 +52,8 @@ from .evaluation import (
 )
 from .nn import load_checkpoint, save_checkpoint
 from .rng import StreamId, map_streams
-from .smoothing import ABSTAIN, COUNT_CHUNK, CertifyOutcome, certify, sample_noise
+from .smoothing import (ABSTAIN, COUNT_CHUNK, CertifyOutcome, _noise_factor, certify,
+                        sample_noise)
 from .theory import TheorySimConfig, decay_dims, verify_decay
 from .training import train
 
@@ -61,8 +62,8 @@ __all__ = ["main"]
 # glibc allocator policy, set by main. At glibc's defaults a block of 128 KiB
 # or more gets its own mmap and a freed heap top above 128 KiB goes back to
 # the kernel, so every row chunk of a hot loop (512 KiB at 1,000 x 64, 2 MiB
-# at h1 = 256) is faulted in again page by page. 4 MiB keeps those chunks on
-# the heap; theory-sim's 8 MiB stage buffer is still unmapped when freed.
+# at h1 = 256, theory-sim's 512 KiB stage buffer) is faulted in again page
+# by page. 4 MiB keeps those chunks on the heap.
 # A SmoothMix step at 784-256-256-10 frees about 20 MiB of heap when it
 # ends, so the heap keeps up to 32 MiB free at its top rather than giving
 # it back and faulting it in again at the next step.
@@ -183,11 +184,12 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     ds = build_dataset(cfg, "test")
     root = StreamId(cfg["seed"])
     count = min(cfg["max_points"] or len(ds), len(ds))
+    R = _noise_factor(params)
 
     def certify_one(i):
         label = int(ds.labels[i])
         t0 = time.perf_counter()
-        outcome = certify(params, ds.inputs[i], scfg, root.child("certify", i))
+        outcome = certify(params, ds.inputs[i], scfg, root.child("certify", i), R)
         seconds = time.perf_counter() - t0
         return [i, label, outcome.predicted_class, f"{outcome.radius:.6f}",
                 f"{outcome.p_lower:.12g}",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import smoothadv_pgd
-from .nn import ModelParams
+from .nn import ModelParams, first_layer_noise
 from .rng import StreamId
 from .smoothing import (CertifyOutcome, _soft_smoothed_chunks, sample_noise,
                         soft_smoothed_predict)
@@ -100,7 +100,8 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     """
     check_mixing_ratio_args(sigma, pgd_steps, pgd_eps, estimation_m)
     x = np.asarray(x, dtype=np.float64)
-    noise = sample_noise(sigma, x.shape[0], estimation_m, stream.child("estimate"))
+    noise = first_layer_noise(params, sample_noise(sigma, x.shape[0], estimation_m,
+                                                   stream.child("estimate")))
     fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
     if int(np.argmax(fhat)) != int(y):
         return None

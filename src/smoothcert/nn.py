@@ -152,9 +152,9 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     the pre-activation of the B*m noisy rows x_b + delta_i in (b, i) order:
     x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1.
     Every forward starts here, so this is the one input check:
-    DimensionMismatch for X of the wrong shape and ValueError for non-finite
-    X (argmax of a NaN row reads as class 0, so a bad input must not reach a
-    prediction).
+    DimensionMismatch for X or noise of the wrong shape and ValueError for
+    non-finite X (argmax of a NaN row reads as class 0, so a bad input must
+    not reach a prediction).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
@@ -163,8 +163,10 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
         raise ValueError("input has non-finite entries")
     W1, b1 = params.weights[0], params.biases[0]
     if noise is not None:
-        if noise.ndim == 3 and noise.shape[0] != X.shape[0]:
-            raise DimensionMismatch("per-point noise batches", X.shape[0], noise.shape[0])
+        width = W1.shape[1] if factors_noise(params) else W1.shape[0]
+        if (noise.ndim not in (2, 3) or noise.shape[-2] < 1 or noise.shape[-1] != width
+                or noise.ndim == 3 and noise.shape[0] != X.shape[0]):
+            raise DimensionMismatch("noise", f"(*, m >= 1, {width})", noise.shape)
         if factors_noise(params):
             z = X @ W1
             z += b1

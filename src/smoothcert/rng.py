@@ -35,10 +35,10 @@ import numpy as np
 __all__ = ["StreamId", "map_streams"]
 
 # Most threads map_streams runs. Each pooled item holds one row chunk
-# (smoothing.COUNT_CHUNK rows, or theory's 8 MiB chunk), half of the chunk
-# that a subcommand held when it ran its items one at a time, so two threads
-# keep every subcommand's peak memory where it was; more would raise it with
-# the CPU count.
+# (smoothing.COUNT_CHUNK rows, or theory's 512 KiB chunk); a certify point's
+# chunk is half of the one a point held when the CLI ran them one at a time,
+# so two threads kept certify's peak where it was. More would raise every
+# pooled subcommand's peak with the CPU count.
 MAX_STREAM_THREADS = 2
 
 

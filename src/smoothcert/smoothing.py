@@ -33,8 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .nn import (ModelParams, factors_noise, first_layer, first_layer_noise, forward_tail,
-                 softmax)
+from .nn import ModelParams, factors_noise, first_layer, forward_tail, softmax
 from .rng import StreamId
 
 __all__ = [
@@ -90,31 +89,30 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> np.ndarray
     return stream.generator().standard_normal((m, dim)) * sigma
 
 
-def _soft_smoothed_chunks(params: ModelParams, X: np.ndarray, deltas: np.ndarray):
+def _soft_smoothed_chunks(params: ModelParams, X: np.ndarray, noise: np.ndarray):
     """soft_smoothed_predict one forward at a time: yields the (rows, C)
     predictions of consecutive slices of X, in order, so that a caller can
     stop early without changing any forward's row count."""
     X = np.asarray(X, dtype=np.float64)
-    noises = first_layer_noise(params, deltas)
-    m = noises.shape[-2]
+    m = max(1, noise.shape[-2]) if noise.ndim in (2, 3) else 1  # first_layer checks it
     step = max(1, COUNT_CHUNK // m)
     for i in range(0, len(X), step):
-        noise = noises if noises.ndim == 2 else noises[i:i + step]
-        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], noise)))
+        batch = noise if noise.ndim == 2 else noise[i:i + step]
+        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], batch)))
         yield probs.reshape(-1, m, probs.shape[-1]).mean(axis=1)
 
 
 def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
-                          deltas: np.ndarray) -> np.ndarray:
+                          noise: np.ndarray) -> np.ndarray:
     """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
 
-    X holds B points (B, d). deltas is one noise batch (m, d) shared by every
-    point, or per-point batches (B, m, d). When d > h1 the noise goes
-    through W1 once (nn.first_layer_noise), and each point adds x_b @ W1.
+    X holds B points (B, d). noise is nn.first_layer_noise of one batch of
+    draws (m, d) shared by every point, or of per-point batches (B, m, d),
+    formed once by the caller: when d > h1 the draws go through W1 once.
     Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
     one point when m exceeds it; returns (B, C). One point is X[None, :].
     """
-    return np.concatenate(list(_soft_smoothed_chunks(params, X, deltas)))
+    return np.concatenate(list(_soft_smoothed_chunks(params, X, noise)))
 
 
 def _noise_factor(params: ModelParams):
@@ -141,8 +139,7 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     X = np.asarray(x, dtype=np.float64)[None, :]
-    if R is None:
-        R = _noise_factor(params)
+    R = _noise_factor(params) if R is None else R
     gen = stream.generator()
     counts = np.zeros(params.class_count, dtype=np.int64)
     remaining = count
@@ -292,15 +289,16 @@ class CertifyOutcome:
 
 
 def certify(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
-            stream: StreamId) -> CertifyOutcome:
+            stream: StreamId, R=None) -> CertifyOutcome:
     """CERTIFY at x: select top class from n0 draws, bound its probability
 
     from n fresh draws, certify sigma * Phi^{-1}(p_lower) or abstain. The
     selection and estimation rounds use independent substreams, so outcomes
     are identical regardless of scheduling. Both rounds draw through one
-    factor of W1.
+    factor of W1, R as hard_class_counts takes it: a caller certifying many
+    points passes it once.
     """
-    R = _noise_factor(params)
+    R = _noise_factor(params) if R is None else R
     counts0 = hard_class_counts(params, x, cfg.n0, cfg.sigma,
                                 stream.child("selection"), R)
     top = int(np.argmax(counts0))  # ties break toward the lowest class index

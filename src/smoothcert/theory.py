@@ -47,11 +47,11 @@ FAMILY_FOURTH_MOMENT = {"gaussian": 3.0, "rademacher": 1.0, "uniform_pm": 1.8}
 
 _SQRT3 = math.sqrt(3.0)
 # Non-gaussian families: rows per sampling chunk are capped so that the one
-# chunk buffer a stage allocates stays at 8 MiB, and the stages that
-# verify_decay runs side by side (at most rng.MAX_STREAM_THREADS) hold 8 MiB
-# each. Chunks are drawn sequentially from ONE generator, so results do not
-# depend on the chunk size.
-_CHUNK_ELEMENTS = 1 << 20
+# buffer a stage allocates stays at 512 KiB, cache-sized and under
+# cli.MALLOC_MMAP_THRESHOLD (the heap reuses it from stage to stage), for
+# each of the stages verify_decay runs side by side. Chunks are drawn
+# sequentially from ONE generator, so results do not depend on the chunk size.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,7 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
     if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
         anchor, t = l2_project(anchor, X, cap), steps
     fhat_anchor = (fhat_path[t] if t < steps
-                   else soft_smoothed_predict(params, anchor, deltas))
+                   else soft_smoothed_predict(params, anchor, noise))
     x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
                                  params.class_count)
     grads, (loss_nat, loss_mix) = _noisy_ce_step(

@@ -44,7 +44,7 @@ from smoothcert.evaluation import (
     certified_accuracy_curve,
     equal_confidence_mixing_ratio,
 )
-from smoothcert.nn import ModelParams, softmax
+from smoothcert.nn import ModelParams, first_layer_noise, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     SmoothingConfig,
@@ -365,7 +365,7 @@ def test_criterion_7_miscalibration_diagnostics(paired_models):
         for i in range(P):
             noise = sample_noise(SIGMA, 2, 200, root.child("pgdnoise", i))
             x_adv = smoothadv_pgd(params_g, ds.inputs[i], int(ds.labels[i]),
-                                  noise, 20, 2 * eps / 20, eps)
+                                  first_layer_noise(params_g, noise), 20, 2 * eps / 20, eps)
             counts = hard_class_counts(params_g, x_adv, m, SIGMA,
                                        root.child("conf", i))
             f = counts / m
@@ -457,7 +457,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     # smoothadv iterates stay inside the epsilon ball
     x0 = np.array([0.3, -0.2])
     for eps in (0.25, 1.0):
-        x_adv = smoothadv_pgd(params, x0, 0, noise, 6, 0.5, eps)
+        x_adv = smoothadv_pgd(params, x0, 0, first_layer_noise(params, noise), 6, 0.5, eps)
         assert np.linalg.norm(x_adv - x0) <= eps + 1e-9
 
     # certified accuracy curves are nonincreasing

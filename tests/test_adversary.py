@@ -168,7 +168,8 @@ def test_attack_t0_trajectory_is_start_point():
     assert traj.points.shape == (1, 2)
     np.testing.assert_array_equal(traj.points[0], x)
     np.testing.assert_allclose(traj.fhat_path[0],
-                               soft_smoothed_predict(params, x[None, :], noise)[0],
+                               soft_smoothed_predict(params, x[None, :],
+                                                     first_layer_noise(params, noise))[0],
                                atol=1e-12)
 
 
@@ -252,7 +253,7 @@ def test_attack_fhat_path_matches_fresh_prediction():
     noise = sample_noise(0.6, 3, 5, StreamId(23))
     traj = smoothmix_attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
                             AttackConfig(0.3, 4, epsilon_cap=0.5))
-    fresh = soft_smoothed_predict(params, traj.points, noise)
+    fresh = soft_smoothed_predict(params, traj.points, first_layer_noise(params, noise))
     np.testing.assert_array_equal(traj.fhat_path, fresh)
 
 
@@ -270,7 +271,7 @@ def test_attack_config_validation():
 
 def test_pgd_constant_classifier_returns_x():
     params = _constant_net(2, 2)
-    noise = sample_noise(0.5, 2, 3, StreamId(16))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 3, StreamId(16)))
     x = np.array([0.4, 0.9])
     out = smoothadv_pgd(params, x, 0, noise, steps=5, step_size=0.3,
                         epsilon=1.0)
@@ -279,7 +280,7 @@ def test_pgd_constant_classifier_returns_x():
 
 def test_pgd_unprojected_distance_on_linear_model():
     params = _linear_two_class(np.array([1.0, 1.0]), 0.0)
-    noise = sample_noise(0.5, 2, 6, StreamId(17))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(17)))
     x = np.array([0.2, -0.1])
     out = smoothadv_pgd(params, x, 1, noise, steps=4, step_size=0.2,
                         epsilon=1.0)
@@ -288,7 +289,7 @@ def test_pgd_unprojected_distance_on_linear_model():
 
 def test_pgd_projection_hits_ball_boundary():
     params = _linear_two_class(np.array([1.0, 0.0]), 0.0)
-    noise = sample_noise(0.5, 2, 6, StreamId(18))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(18)))
     x = np.array([0.5, 0.5])
     out = smoothadv_pgd(params, x, 1, noise, steps=10, step_size=0.5,
                         epsilon=0.75)
@@ -297,7 +298,7 @@ def test_pgd_projection_hits_ball_boundary():
 
 def test_pgd_always_inside_ball():
     params = _random_net(19, [3, 8, 3])
-    noise = sample_noise(0.7, 3, 4, StreamId(20))
+    noise = first_layer_noise(params, sample_noise(0.7, 3, 4, StreamId(20)))
     x = np.array([0.3, 0.3, -0.6])
     for eps in (0.25, 1.0):
         out = smoothadv_pgd(params, x, 1, noise, steps=7, step_size=0.6,
@@ -307,7 +308,7 @@ def test_pgd_always_inside_ball():
 
 def test_pgd_validation():
     params = _constant_net(2, 2)
-    noise = sample_noise(0.5, 2, 2, StreamId(21))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 2, StreamId(21)))
     with pytest.raises(ValueError):
         smoothadv_pgd(params, np.zeros(2), 0, noise, steps=3, step_size=0.1,
                       epsilon=0.0)

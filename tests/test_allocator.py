@@ -8,7 +8,6 @@ import platform
 import struct
 import subprocess
 import sys
-import threading
 import types
 
 import numpy as np
@@ -32,6 +31,14 @@ FAULT_GAP_BOUND = 2000
 # the heap went back to the kernel after every step, to be faulted in again
 # at the next.
 TRAIN_FAULT_GAP_BOUND = 12000
+
+# A theory-sim child at the theory benchmark's settings (theory_cfg) against
+# the import: on glibc 2.36 its peak RSS gap is 6.4 MiB and its fault gap
+# 930, where a uniform_pm stage fills one 512 KiB row buffer from the heap.
+# With 8 MiB buffers, two of them side by side and each mapped afresh for its
+# stage, the gaps were 20.8 MiB and 3,100-5,200 faults.
+THEORY_RSS_GAP_BOUND_MIB = 12
+THEORY_FAULT_GAP_BOUND = 2000
 
 
 @pytest.fixture(scope="module")
@@ -88,23 +95,48 @@ dataset.subsample = 400
     return str(cfg)
 
 
-def _minor_faults(argv, cwd):
+@pytest.fixture(scope="module")
+def theory_cfg(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("theory-rss") / "theory.cfg"
+    cfg.write_text("""families = gaussian, uniform_pm
+sigma = 1.0
+tau = 1.5
+epsilon = 0.5
+p = 0.8
+dims = 64, 256, 1024, 4096
+trials = 10000
+seed = 11
+""", encoding="utf-8")
+    return str(cfg)
+
+
+# Starts one child, reaps it with wait4 (not proc.wait, so that the rusage
+# is the child's own) and prints its exit code and rusage. Linux starts a
+# child's ru_maxrss at the peak RSS of the process it was spawned from, so
+# the test process, whose peak grows with the suite, does not spawn the
+# measured child itself: this small interpreter does.
+_REAPER = """
+import os, subprocess, sys, threading
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+timer = threading.Timer(120, proc.kill)
+timer.start()
+_, status, usage = os.wait4(proc.pid, 0)
+timer.cancel()
+print(os.waitstatus_to_exitcode(status), usage.ru_minflt, usage.ru_stime, usage.ru_maxrss)
+"""
+
+
+def _child_usage(argv, cwd):
+    """(minor faults, system s, peak RSS in KiB) of one child process."""
     path = os.pathsep.join([SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("SMOOTHCERT_OUT", None)
-    proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    timer = threading.Timer(120, proc.kill)
-    timer.start()
-    try:
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        timer.cancel()
-    # reaped here, not by proc.wait, so that the rusage is the child's own
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_minflt, usage.ru_stime
+    out = subprocess.run([sys.executable, "-c", _REAPER, sys.executable, *argv], cwd=cwd,
+                         env=env, capture_output=True, text=True, timeout=150, check=True)
+    code, faults, system_s, peak_kib = out.stdout.split()
+    assert code == "0"
+    return int(faults), float(system_s), int(peak_kib)
 
 
 needs_glibc_wait4 = pytest.mark.skipif(
@@ -114,18 +146,28 @@ needs_glibc_wait4 = pytest.mark.skipif(
 
 @needs_glibc_wait4
 def test_certify_faults_stay_near_the_import(tmp_path, certify_cfg):
-    base = _minor_faults(["-c", "import smoothcert.cli"], tmp_path)
-    run = _minor_faults(["-m", "smoothcert.cli", "certify", "--config", certify_cfg,
+    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "certify", "--config", certify_cfg,
                          "--out", str(tmp_path)], tmp_path)
     assert run[0] - base[0] < FAULT_GAP_BOUND, ("faults, system s", run, base)
 
 
 @needs_glibc_wait4
 def test_train_faults_stay_near_the_import(tmp_path, train_cfg):
-    base = _minor_faults(["-c", "import smoothcert.cli"], tmp_path)
-    run = _minor_faults(["-m", "smoothcert.cli", "train", "--config", train_cfg,
+    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "train", "--config", train_cfg,
                          "--out", str(tmp_path)], tmp_path)
     assert run[0] - base[0] < TRAIN_FAULT_GAP_BOUND, ("faults, system s", run, base)
+
+
+@needs_glibc_wait4
+def test_theory_sim_memory_stays_near_the_import(tmp_path, theory_cfg):
+    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "theory-sim", "--config", theory_cfg,
+                        "--out", str(tmp_path)], tmp_path)
+    usage = ("faults, system s, peak KiB", run, base)
+    assert run[2] - base[2] < THEORY_RSS_GAP_BOUND_MIB * 1024, usage
+    assert run[0] - base[0] < THEORY_FAULT_GAP_BOUND, usage
 
 
 def _certify_rows(out, cfg):

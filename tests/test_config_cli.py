@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -27,7 +28,9 @@ from smoothcert.config import (
     load_config,
     parse_config_text,
 )
-from smoothcert.nn import load_checkpoint
+from smoothcert.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from smoothcert.nn import init_mlp, load_checkpoint, save_checkpoint
+from smoothcert.rng import StreamId
 from smoothcert.smoothing import certify
 from smoothcert.training import GaussianConfig, SmoothAdvConfig, SmoothMixConfig
 
@@ -436,6 +439,36 @@ def test_certify_within_one_chunk_starts_no_thread(tmp_path, trained, monkeypatc
                  .replace("n = 50", f"n = {smoothing.COUNT_CHUNK}"))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(_read_rows(tmp_path / "certify.csv")) == 7
+
+
+def test_certify_factors_w1_once_per_run(tmp_path, monkeypatch):
+    # d = 16 > h1 = 4: every point draws through the QR factor of W1, and
+    # the run forms it once, not once per point
+    images = np.random.default_rng(3).integers(0, 256, (5, 4, 4), dtype=np.uint8)
+    (tmp_path / "images.idx").write_bytes(
+        struct.pack(">IIII", IDX_IMAGES_MAGIC, 5, 4, 4) + images.tobytes())
+    (tmp_path / "labels.idx").write_bytes(
+        struct.pack(">II", IDX_LABELS_MAGIC, 5) + bytes([0, 1, 2, 3, 4]))
+    save_checkpoint(str(tmp_path / "checkpoint.json"), init_mlp([16, 4, 10], StreamId(6)))
+    cfg = _write(tmp_path / "c.cfg", f"""checkpoint = {tmp_path / 'checkpoint.json'}
+sigma = 0.5
+n0 = 20
+n = 50
+seed = 4
+dataset.kind = mnist
+dataset.images = {tmp_path / 'images.idx'}
+dataset.labels = {tmp_path / 'labels.idx'}
+""")
+    qr, shapes = np.linalg.qr, []
+
+    def counting_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(_read_rows(tmp_path / "o" / "certify.csv")) == 6  # header + 5 points
+    assert shapes == [(16, 4)]
 
 
 @pytest.mark.parametrize("command,text,artifact", [

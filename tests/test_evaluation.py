@@ -19,7 +19,7 @@ from smoothcert.evaluation import (
     certified_accuracy_curve,
     equal_confidence_mixing_ratio,
 )
-from smoothcert.nn import ModelParams, forward_tail
+from smoothcert.nn import ModelParams, first_layer_noise, forward_tail
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -242,8 +242,9 @@ def test_smoothed_prediction_invariant_to_noise_order():
     for lam in (0.0, 0.25, 0.5, 1.0):
         x = np.array([0.3 + lam, 0.0])
         np.testing.assert_allclose(
-            soft_smoothed_predict(params, x[None, :], noise),
-            soft_smoothed_predict(params, x[None, :], noise[perm]), atol=1e-12)
+            soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise)),
+            soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise[perm])),
+            atol=1e-12)
 
 
 # ---------------------------------------------------------------- csv writers

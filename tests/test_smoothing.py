@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from noise_oracle import direct_hard_class_counts, direct_soft_predict
 from smoothcert import smoothing
 from smoothcert.cli import read_certification_csv, write_certification_csv
-from smoothcert.nn import DimensionMismatch, ModelParams, forward_tail, init_mlp
+from smoothcert.nn import (DimensionMismatch, ModelParams, first_layer_noise, forward_tail,
+                           init_mlp)
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -101,7 +102,7 @@ def test_noise_batch_m_validation():
 def test_soft_predict_constant_net_uniform():
     params = _constant_net(dim=3, classes=4)
     noise = sample_noise(1.0, 3, 50, StreamId(2))
-    probs = soft_smoothed_predict(params, np.ones((1, 3)), noise)
+    probs = soft_smoothed_predict(params, np.ones((1, 3)), first_layer_noise(params, noise))
     assert probs.shape == (1, 4)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
@@ -114,7 +115,7 @@ def test_soft_predict_m1_is_plain_softmax():
     noise = sample_noise(0.5, 3, 1, StreamId(5))
     x = rng.standard_normal(3)
     np.testing.assert_allclose(
-        soft_smoothed_predict(params, x[None, :], noise)[0],
+        soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise))[0],
         softmax(forward(params, x + noise[0])), atol=1e-14)
 
 
@@ -128,12 +129,13 @@ def test_soft_predict_batch_is_rowwise():
     per_point = np.stack([sample_noise(0.5, 3, 6, StreamId(9, (b,)))
                           for b in range(3)])
     for deltas in (shared, per_point):
-        got = soft_smoothed_predict(params, X, deltas)
+        noise = first_layer_noise(params, deltas)
+        got = soft_smoothed_predict(params, X, noise)
         assert got.shape == (3, 4)
         for b in range(3):
-            d = deltas if deltas.ndim == 2 else deltas[b]
+            one = noise if noise.ndim == 2 else noise[b]
             np.testing.assert_allclose(
-                got[b], soft_smoothed_predict(params, X[b:b + 1], d)[0], atol=1e-14)
+                got[b], soft_smoothed_predict(params, X[b:b + 1], one)[0], atol=1e-14)
 
 
 def _dyadic_net(rng, sizes):
@@ -151,8 +153,9 @@ def test_soft_predict_chunk_size_does_not_change_results(monkeypatch, per_point)
     params = _dyadic_net(rng, [5, 7, 3])
     B, m = 9, 4
     X = rng.integers(-8, 9, (B, 5)) / 8.0
-    deltas = rng.integers(-8, 9, (B, m, 5) if per_point else (m, 5)) / 8.0
-    whole = soft_smoothed_predict(params, X, deltas)
+    noise = first_layer_noise(params, rng.integers(-8, 9, (B, m, 5) if per_point
+                                                   else (m, 5)) / 8.0)
+    whole = soft_smoothed_predict(params, X, noise)
     rows = []
 
     def counting_tail(p, z1):
@@ -163,7 +166,7 @@ def test_soft_predict_chunk_size_does_not_change_results(monkeypatch, per_point)
     for chunk in (1, 3, 4, 7, 8, 13, 36):
         monkeypatch.setattr(smoothing, "COUNT_CHUNK", chunk)
         rows.clear()
-        np.testing.assert_array_equal(soft_smoothed_predict(params, X, deltas), whole)
+        np.testing.assert_array_equal(soft_smoothed_predict(params, X, noise), whole)
         # whole points per forward, within the budget unless one point exceeds it
         assert sum(rows) == B * m and all(r % m == 0 for r in rows)
         assert max(rows) == max(m, chunk // m * m)
@@ -179,7 +182,7 @@ def test_soft_predict_linear_matches_gaussian_integral():
     noise = sample_noise(sigma, 2, m, StreamId(6, ("mc",)))
     margin = float(w @ x + b)
     p_true = _phi(margin / (sigma * np.linalg.norm(w)))
-    est = soft_smoothed_predict(params, x[None, :], noise)[0, 1]
+    est = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise))[0, 1]
     se = math.sqrt(p_true * (1 - p_true) / m)
     assert abs(est - p_true) < 3 * se
 
@@ -322,9 +325,8 @@ def test_soft_predict_matches_direct_oracle(sizes, per_point):
     B, m, d = 5, 7, sizes[0]
     X = rng.standard_normal((B, d))
     deltas = rng.standard_normal((B, m, d) if per_point else (m, d)) * 0.6
-    np.testing.assert_allclose(soft_smoothed_predict(params, X, deltas),
-                               direct_soft_predict(params, X, deltas),
-                               rtol=0, atol=1e-12)
+    got = soft_smoothed_predict(params, X, first_layer_noise(params, deltas))
+    np.testing.assert_allclose(got, direct_soft_predict(params, X, deltas), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -352,6 +354,9 @@ def test_wrong_width_raises_dimension_mismatch():
         soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((4, 5)))
     with pytest.raises(DimensionMismatch):
         soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((3, 4, 3)))
+    wide = init_mlp([6, 4, 2], StreamId(0))
+    with pytest.raises(DimensionMismatch):  # raw draws where delta W1 belongs
+        soft_smoothed_predict(wide, np.zeros((2, 6)), np.zeros((4, 6)))
 
 
 # ---------------------------------------------------------------- quantile

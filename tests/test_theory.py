@@ -299,8 +299,12 @@ def test_gaussian_d1_has_no_chi_square_remainder():
 
 
 def test_gaussian_memory_does_not_grow_with_dimension():
-    # one 16 MiB row chunk is what a (trials x d) draw would cost at d=4096
+    # (trials x d) rows would take 3 GiB at d = 4,096; the O(trials) path
+    # holds a few arrays of 100,000 doubles (3.1 MiB measured). A small run
+    # first, untraced, so that what a first call imports is not counted.
     cfg = _ref_cfg(d=4096, trials=100_000)
+    small = _ref_cfg(d=4096, trials=10)
+    worst_case_prob(small, interval_halfwidth_k(small, 10, StreamId(53)), None, StreamId(54))
     tracemalloc.start()
     try:
         k = interval_halfwidth_k(cfg, cfg.trials, StreamId(55))
@@ -308,7 +312,7 @@ def test_gaussian_memory_does_not_grow_with_dimension():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (theory._CHUNK_ELEMENTS * 8) // 2
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------- decay check
@@ -381,20 +385,22 @@ def test_verify_decay_k_failure_reaches_the_caller(monkeypatch):
 
 def test_row_family_decay_holds_one_chunk_per_stage(monkeypatch):
     # uniform_pm over 2,048 trials at d = 1,024, 2,048 and 4,096: every stage
-    # fills one 8 MiB buffer in chunks (8 of 256 rows at d = 4,096). At 8
+    # fills one 512 KiB buffer in chunks (128 of 16 rows at d = 4,096). At 8
     # CPUs at most rng.MAX_STREAM_THREADS of the six stages run at once, so
-    # the peak stays under 24 MiB (16 MiB measured); a fresh 16 MiB array per
-    # chunk keeps two of them live at once, 32 MiB, and a stage per CPU would
-    # hold 48 MiB.
+    # the peak stays under three buffers, 1.5 MiB (1.1 MiB measured); a fresh
+    # array per chunk keeps two of them live per stage, 2.1 MiB, and a stage
+    # per CPU holds 3.2 MiB. One run first, untraced, so that what its first
+    # call imports and caches is not counted.
     _set_cpus(monkeypatch, 8)
     cfg = _ref_cfg(trials=2048, noise_family="uniform_pm")
+    verify_decay(cfg, (1024,), StreamId(56))
     tracemalloc.start()
     try:
         verify_decay(cfg, (1024, 2048, 4096), StreamId(57))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_reference_decay_run_passes():

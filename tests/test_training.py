@@ -125,7 +125,7 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
     eps = cfg.epsilon_at(0)
     x_hat = np.stack([
-        smoothadv_pgd(params, X[b], int(Y[b]), noises[b],
+        smoothadv_pgd(params, X[b], int(Y[b]), first_layer_noise(params, noises[b]),
                       steps=3, step_size=2.0 * eps / 3, epsilon=eps)
         for b in range(2)])
     want_grads, (want,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
@@ -268,7 +268,7 @@ def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form(monkeypatch):
     _, _, mix, diag, deltas = _example(params, x, 1, _mix_cfg(),
                                        StreamId(9, ("train", 0, 0)))
     np.testing.assert_array_equal(diag["x_mix"][0], x)
-    fhat = soft_smoothed_predict(params, x[None, :], deltas)[0]
+    fhat = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, deltas))[0]
     np.testing.assert_array_equal(diag["y_mix"][0], fhat)
     assert mix == pytest.approx(_mean_ce(params, x, fhat, deltas), abs=1e-12)
 
@@ -375,7 +375,7 @@ def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
     streams = [StreamId(31, ("train", 0, i)) for i in range(3)]
     *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
     noises = np.stack([_draws(s, cfg.m, 2, cfg.sigma)[0] for s in streams])
-    fhat = soft_smoothed_predict(params, diag["anchor"], noises)
+    fhat = soft_smoothed_predict(params, diag["anchor"], first_layer_noise(params, noises))
     lam = diag["lambda"][:, None]
     np.testing.assert_array_equal(diag["y_mix"], (1 - lam) * fhat + lam / 3)
     if cap == 0.2:  # the cap moved every anchor (the first step has length 0.5)
