@@ -4,14 +4,14 @@ Core pieces: a small NumPy MLP with exact gradients (`nn`), Monte Carlo
 smoothing and Clopper-Pearson certification (`smoothing`), attacks on the
 soft-smoothed classifier (`adversary`), Gaussian / SmoothAdv / SmoothMix
 training loops (`training`), certification metrics (`evaluation`), a
-dimension-decay bound simulator (`theory`), dataset generators and an IDX
-loader (`data`), and a deterministic CLI harness (`cli`).
+dimension-decay bound simulator (`theory`), a two-moons generator and an
+IDX loader (`data`), and a deterministic CLI harness (`cli`).
 
 Only what a library user calls is re-exported here. Submodule internals
 are importable but are not a stable API.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .adversary import AttackConfig
 from .data import gen_two_moons, load_mnist_idx

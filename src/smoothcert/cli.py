@@ -90,22 +90,26 @@ def write_certification_csv(path, rows) -> None:
 
 
 def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
-    """The labels and CERTIFY outcomes of a certify.csv whose header matches."""
+    """The labels and CERTIFY outcomes of a certify.csv whose header matches.
+    A malformed row raises ValueError naming the file and the line."""
+    labels, outcomes = [], []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CERT_CSV_COLUMNS:
-            raise ValueError(f"unexpected certification CSV header: {header}")
-        rows = [r for r in reader if r]
-    labels, outcomes = [], []
-    for _, label, predicted, radius, p_lower, _, abstain, _ in rows:
-        certified = not int(abstain)
-        labels.append(int(label))
-        outcomes.append(CertifyOutcome(
-            certified=certified,
-            predicted_class=int(predicted) if certified else ABSTAIN,
-            radius=float(radius) if certified else 0.0,
-            p_lower=float(p_lower)))
+            raise ValueError(f"{path}: unexpected certification CSV header: {header}")
+        for row in filter(None, reader):
+            try:
+                _, label, predicted, radius, p_lower, _, abstain, _ = row
+                certified = not int(abstain)
+                labels.append(int(label))
+                outcomes.append(CertifyOutcome(
+                    certified=certified,
+                    predicted_class=int(predicted) if certified else ABSTAIN,
+                    radius=float(radius) if certified else 0.0,
+                    p_lower=float(p_lower)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return CertifiedResultSet(tuple(labels), tuple(outcomes), sigma)
 
 
@@ -148,6 +152,11 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _repeated(items) -> list:
+    """The items that occur more than once, sorted."""
+    return sorted({x for x in items if items.count(x) > 1})
 
 
 @contextmanager
@@ -216,6 +225,9 @@ def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
         raise ConfigError("sigma must be positive")
     if not ids:
         ids = tuple(os.path.splitext(os.path.basename(p))[0] for p in paths)
+    if repeated := _repeated(ids):
+        raise ConfigError(f"model ids repeat ({', '.join(repeated)}); "
+                          "give each cert_csv its own name in model_ids")
     # sigma is recorded in the manifest; the metrics read only the CSVs
     model_results = [(model_id, read_certification_csv(p, cfg["sigma"]))
                      for model_id, p in zip(ids, paths)]
@@ -276,6 +288,9 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
 def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
     if not cfg["families"]:
         raise ConfigError("families must name at least one noise family")
+    if repeated := _repeated(cfg["families"]):
+        # a family's stream is root.child(family): a repeat is an identical row
+        raise ConfigError(f"families repeat {', '.join(repeated)}")
     with _config_values():
         # d=1 is a placeholder: verify_decay runs the config at each of dims
         sims = [TheorySimConfig(d=1, sigma=cfg["sigma"], tau=cfg["tau"],

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .adversary import AttackConfig
-from .data import Dataset, gen_gaussian_blobs, gen_two_moons, load_mnist_idx
+from .data import Dataset, gen_two_moons, load_mnist_idx
 from .smoothing import SmoothingConfig
 from .training import (
     GaussianConfig,
@@ -137,16 +135,12 @@ def apply_schema(raw: dict, schema: dict) -> dict:
 
 
 _DATASET_SCHEMA = {
-    "dataset.kind": Field("str", choices=("two_moons", "blobs", "mnist")),
+    "dataset.kind": Field("str", choices=("two_moons", "mnist")),
     "dataset.split": Field("str", default=""),
-    # two_moons / blobs
+    # two_moons
     "dataset.n": Field("int", default=0),
     "dataset.noise_std": Field("float", default=0.1),
     "dataset.seed": Field("int", default=0),
-    # blobs: classes centers sit on a circle of radius dataset.scale
-    "dataset.classes": Field("int", default=2),
-    "dataset.spread": Field("float", default=0.5),
-    "dataset.scale": Field("float", default=4.0),
     # mnist
     "dataset.images": Field("str", default=""),
     "dataset.labels": Field("str", default=""),
@@ -248,12 +242,6 @@ def check_dataset(cfg: dict) -> None:
         raise ConfigError("dataset.n must be >= 2 for two_moons")
     if kind == "two_moons" and cfg["dataset.noise_std"] < 0:
         raise ConfigError("dataset.noise_std must be >= 0")
-    if kind == "blobs" and n < 1:
-        raise ConfigError("dataset.n must be >= 1 for blobs")
-    if kind == "blobs" and cfg["dataset.spread"] < 0:
-        raise ConfigError("dataset.spread must be >= 0")
-    if kind == "blobs" and cfg["dataset.classes"] < 2:
-        raise ConfigError("dataset.classes must be >= 2")
     if kind == "mnist" and not (cfg["dataset.images"] and cfg["dataset.labels"]):
         raise ConfigError("mnist needs dataset.images and dataset.labels")
     if kind == "mnist" and cfg["dataset.subsample"] < 0:
@@ -269,14 +257,6 @@ def build_dataset(cfg: dict, default_split: str) -> Dataset:
     if kind == "two_moons":
         return gen_two_moons(cfg["dataset.n"], cfg["dataset.noise_std"],
                              cfg["dataset.seed"], split=split)
-    if kind == "blobs":
-        k = cfg["dataset.classes"]
-        angles = 2.0 * np.pi * np.arange(k) / k
-        centers = cfg["dataset.scale"] * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=1)
-        return gen_gaussian_blobs(cfg["dataset.n"], centers,
-                                  cfg["dataset.spread"], cfg["dataset.seed"],
-                                  split=split)
     sub = cfg["dataset.subsample"] or None
     return load_mnist_idx(cfg["dataset.images"], cfg["dataset.labels"],
                           subsample=sub, seed=cfg["dataset.seed"], split=split)

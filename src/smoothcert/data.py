@@ -1,7 +1,7 @@
-"""Datasets: synthetic 2-D generators and an IDX-format MNIST loader.
+"""Datasets: a two-moons generator and an IDX-format MNIST loader.
 
 Every Dataset records provenance sufficient to regenerate it bit-exactly:
-generator name and parameters for synthetic data, file SHA-256 digests plus
+generator name and parameters for two-moons, file SHA-256 digests plus
 subsample parameters for files. Images are scaled to [0, 1]; no other
 preprocessing is applied. The IDX loader picks a subsample from the label
 file, then streams the image file once in blocks, hashing every byte and
@@ -25,10 +25,8 @@ __all__ = [
     "TruncatedPayload",
     "CountMismatch",
     "gen_two_moons",
-    "gen_gaussian_blobs",
     "load_mnist_idx",
     "stratified_subsample_indices",
-    "from_provenance",
     "IDX_IMAGES_MAGIC",
     "IDX_LABELS_MAGIC",
 ]
@@ -117,27 +115,6 @@ def gen_two_moons(n: int, noise_std: float, seed: int, split: str = "train") -> 
     prov = {"kind": "two_moons", "n": int(n), "noise_std": float(noise_std),
             "seed": int(seed), "split": split}
     return Dataset(inputs=X, labels=y, class_count=2, split=split, provenance=prov)
-
-
-def gen_gaussian_blobs(n: int, centers, spread: float, seed: int,
-                       split: str = "train") -> Dataset:
-    """Isotropic Gaussian blobs around the given centers, labels by center index.
-
-    Points are assigned to centers round-robin, so class sizes differ by at
-    most one.
-    """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 2:
-        raise ValueError("need at least 2 centers of equal dimension")
-    if n < 1 or spread < 0:
-        raise ValueError("need n >= 1 and spread >= 0")
-    labels = np.arange(n, dtype=np.int64) % centers.shape[0]
-    rng = np.random.default_rng(seed)
-    X = centers[labels] + spread * rng.standard_normal((n, centers.shape[1]))
-    prov = {"kind": "blobs", "n": int(n), "centers": centers.tolist(),
-            "spread": float(spread), "seed": int(seed), "split": split}
-    return Dataset(inputs=X, labels=labels, class_count=centers.shape[0],
-                   split=split, provenance=prov)
 
 
 def stratified_subsample_indices(labels: np.ndarray, size: int, seed: int) -> np.ndarray:
@@ -240,17 +217,3 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
     }
     return Dataset(inputs=pixels / 255.0, labels=y if idx is None else y[idx],
                    class_count=10, split=split, provenance=prov)
-
-
-def from_provenance(prov: dict) -> Dataset:
-    """Regenerate a dataset from its provenance record."""
-    kind = prov.get("kind")
-    if kind == "two_moons":
-        return gen_two_moons(prov["n"], prov["noise_std"], prov["seed"], prov["split"])
-    if kind == "blobs":
-        return gen_gaussian_blobs(prov["n"], prov["centers"], prov["spread"],
-                                  prov["seed"], prov["split"])
-    if kind == "mnist":
-        return load_mnist_idx(prov["images_path"], prov["labels_path"],
-                              prov["subsample"], prov["seed"], prov["split"])
-    raise ValueError(f"unknown provenance kind {kind!r}")

@@ -35,7 +35,6 @@ __all__ = [
     "DecayRow",
     "DecayReport",
     "interval_halfwidth_k",
-    "worst_case_prob",
     "lemma_constant_C",
     "d_threshold",
     "decay_dims",
@@ -159,21 +158,11 @@ class ProbEstimate:
     trials: int
 
 
-def _shift(cfg: TheorySimConfig, z_direction: np.ndarray | None) -> np.ndarray:
-    """z = epsilon * unit(z_direction), the first axis when None."""
-    d = cfg.d
-    if z_direction is None:
-        z = np.zeros(d)
-        z[0] = cfg.epsilon
-        return z
-    z_direction = np.asarray(z_direction, dtype=np.float64)
-    if z_direction.shape != (d,):
-        raise ValueError(f"z_direction must have shape ({d},)")
-    norm = float(np.linalg.norm(z_direction))
-    # NaN or inf entries (or an overflowing norm) leave norm non-finite
-    if not 0.0 < norm < math.inf:
-        raise ValueError("z_direction must have a finite nonzero norm")
-    return (cfg.epsilon / norm) * z_direction
+def _shift(cfg: TheorySimConfig) -> np.ndarray:
+    """z = epsilon along the first coordinate axis."""
+    z = np.zeros(cfg.d)
+    z[0] = cfg.epsilon
+    return z
 
 
 def _event_values(cfg: TheorySimConfig, z: np.ndarray,
@@ -199,25 +188,12 @@ def _event_values(cfg: TheorySimConfig, z: np.ndarray,
 
 def _event_estimate(cfg: TheorySimConfig, values: np.ndarray,
                     k: float) -> ProbEstimate:
+    """The share of values in [sigma^2 - k, sigma^2 + k], the event's
+    Monte Carlo probability, with its binomial standard error."""
     lo, hi = cfg.sigma ** 2 - k, cfg.sigma ** 2 + k
     est = int(np.count_nonzero((values >= lo) & (values <= hi))) / cfg.trials
     se = math.sqrt(est * (1.0 - est) / cfg.trials)
     return ProbEstimate(est, se, cfg.trials)
-
-
-def worst_case_prob(cfg: TheorySimConfig, k: float,
-                    z_direction: np.ndarray | None,
-                    stream: StreamId) -> ProbEstimate:
-    """P(|tau*delta + z|^2 / d in [sigma^2 - k, sigma^2 + k]) by Monte Carlo.
-
-    z = epsilon * unit(z_direction); default direction is the first
-    coordinate axis (configurable for families that are not rotation
-    invariant).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _event_estimate(cfg, _event_values(cfg, _shift(cfg, z_direction),
-                                              stream), k)
 
 
 def _constant_terms(cfg: TheorySimConfig) -> tuple[float, float, float]:
@@ -299,7 +275,7 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
                 k.set_exception(exc)
                 raise
             return None
-        values = _event_values(cfg_d, _shift(cfg_d, None),
+        values = _event_values(cfg_d, _shift(cfg_d),
                                stream.child("event", cfg_d.d))
         # map_streams starts items in order and cancels none, so this d's
         # k stage, which precedes this one, runs and fills k: the wait

@@ -41,10 +41,9 @@ import numpy as np
 
 from .adversary import AttackConfig, _ascend_batch, l2_project
 from .data import Dataset
-from .nn import (ModelParams, OptimizerState, _check_soft_rows, _grad_params_weighted,
-                 factors_noise, first_layer, first_layer_noise, init_mlp,
-                 sgd_nesterov_step)
-from .rng import StreamId, _is_int
+from .nn import (OptimizerState, _check_soft_rows, _grad_params_weighted, factors_noise,
+                 first_layer, first_layer_noise, init_mlp, sgd_nesterov_step)
+from .rng import StreamId
 from .smoothing import soft_smoothed_predict
 
 __all__ = [
@@ -115,7 +114,6 @@ class TrainRunConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
-    hidden: tuple = None  # None -> (256, 256) for 784-dim inputs, else (64, 64)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -131,19 +129,13 @@ class TrainRunConfig:
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("lr_milestones must be strictly increasing")
         object.__setattr__(self, "lr_milestones", ms)
-        if self.hidden is not None:
-            hidden = tuple(self.hidden)
-            if not all(_is_int(h) and h >= 1 for h in hidden):
-                raise ValueError(f"hidden sizes must be positive ints, got {hidden}")
-            object.__setattr__(self, "hidden", tuple(map(int, hidden)))
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for ms in self.lr_milestones if epoch >= ms)
         return self.lr * (self.lr_gamma ** drops)
 
     def hidden_for(self, input_dim: int) -> tuple:
-        if self.hidden is not None:
-            return self.hidden
+        """Hidden widths: (256, 256) for 784-dim inputs and up, else (64, 64)."""
         return (256, 256) if input_dim >= 784 else (64, 64)
 
 

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from data_oracle import from_provenance
 from nn_oracle import (
     cross_entropy,
     forward,
@@ -34,7 +35,6 @@ from smoothcert.cli import main
 from smoothcert.data import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
-    from_provenance,
     gen_two_moons,
     load_mnist_idx,
 )

@@ -85,16 +85,13 @@ def test_certify_manifest_bytes(run, monkeypatch):
   "config": {
     "alpha_cert": 0.001,
     "checkpoint": "absent.json",
-    "dataset.classes": 2,
     "dataset.images": "",
     "dataset.kind": "two_moons",
     "dataset.labels": "",
     "dataset.n": 3,
     "dataset.noise_std": 0.1,
-    "dataset.scale": 4.0,
     "dataset.seed": 0,
     "dataset.split": "",
-    "dataset.spread": 0.5,
     "dataset.subsample": 0,
     "max_points": 0,
     "n": 1000,
@@ -103,11 +100,11 @@ def test_certify_manifest_bytes(run, monkeypatch):
     "sigma": 0.5
   },
   "format": "smoothcert.manifest",
-  "run_id": "3803faa784bc168a",
+  "run_id": "54170b14c78f612a",
   "timings": {
     "total_seconds": T
   },
-  "version": "0.6.0"
+  "version": "0.7.0"
 }
 """
 

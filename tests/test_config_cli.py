@@ -165,22 +165,12 @@ def test_build_dataset_kinds_and_split_defaulting():
     assert build_dataset(cfg2, "train").split == "test"
 
 
-def test_build_dataset_blob_centers_on_circle():
-    raw = _train_raw(**{"dataset.kind": "blobs", "dataset.n": "4",
-                        "dataset.classes": "4", "dataset.scale": "2.0",
-                        "dataset.spread": "0.0"})
-    ds = build_dataset(apply_schema(raw, TRAIN_SCHEMA), "train")
-    want = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]])
-    np.testing.assert_allclose(ds.inputs, want, atol=1e-12)
-    np.testing.assert_array_equal(ds.labels, [0, 1, 2, 3])
-
-
 def test_build_dataset_validation():
     with pytest.raises(ConfigError, match="dataset.n"):
         build_dataset(apply_schema(_train_raw(**{"dataset.n": "1"}),
                                    TRAIN_SCHEMA), "train")
-    raw = _train_raw(**{"dataset.kind": "blobs", "dataset.classes": "1"})
-    with pytest.raises(ConfigError, match="classes"):
+    raw = _train_raw(**{"dataset.noise_std": "-0.5"})
+    with pytest.raises(ConfigError, match="noise_std"):
         build_dataset(apply_schema(raw, TRAIN_SCHEMA), "train")
     raw = _train_raw(**{"dataset.kind": "mnist"})
     with pytest.raises(ConfigError, match="mnist"):
@@ -313,8 +303,8 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
     ("certify", _certify_cfg("absent.json").replace("dataset.noise_std = 0.1",
                                                     "dataset.noise_std = -0.1"),
      "dataset.noise_std must be >= 0"),
-    ("mixratio", "checkpoint = absent.json\nsigma = 0.5\ndataset.kind = blobs\n"
-     "dataset.n = 6\ndataset.spread = -1\n", "dataset.spread must be >= 0"),
+    ("mixratio", MIXRATIO_CFG + "dataset.noise_std = -1\n",
+     "dataset.noise_std must be >= 0"),
     ("certify", _certify_cfg("absent.json", "max_points = -1"),
      "max_points must be >= 0"),
     ("train", TRAIN_CFG + "lr_milestones = 1\nlr_gamma = -1\n", "lr_gamma >= 0"),
@@ -324,6 +314,18 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
      "sigma must be positive"),
     ("evaluate", "cert_csv = absent.csv\nradii = -1, 0.5\nsigma = 0.5\n",
      "radii thresholds must be >= 0"),
+    ("mixratio", MIXRATIO_CFG.replace("two_moons", "blobs"),
+     "'blobs' not one of ('two_moons', 'mnist')"),
+    ("mixratio", MIXRATIO_CFG + "dataset.classes = 2\n",
+     "unknown config keys: dataset.classes"),
+    # both families would draw from one stream and write the same rows
+    ("theory-sim", "families = uniform_pm, gaussian, uniform_pm\ndims = 16, 32\n"
+     "trials = 10\n", "families repeat uniform_pm"),
+    ("evaluate", "cert_csv = a.csv, b.csv\nmodel_ids = m, m\nradii = 0.5\nsigma = 0.5\n",
+     "model ids repeat (m); give each cert_csv its own name in model_ids"),
+    # without model_ids, both files are named by their stem, certify
+    ("evaluate", "cert_csv = a/certify.csv, b/certify.csv\nradii = 0.5\nsigma = 0.5\n",
+     "model ids repeat (certify); give each cert_csv its own name in model_ids"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -331,9 +333,11 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
         "mixratio-estimation-m", "mixratio-points", "mixratio-dataset-n",
         "evaluate-radii", "evaluate-empty-cert-csv", "theory-sim-empty-families",
         "evaluate-nonfinite-radii", "evaluate-negative-inf-radius",
-        "certify-negative-noise-std", "mixratio-negative-spread",
+        "certify-negative-noise-std", "mixratio-negative-noise-std",
         "certify-negative-max-points", "train-negative-lr-gamma",
-        "evaluate-negative-sigma", "evaluate-zero-sigma", "evaluate-negative-radius"])
+        "evaluate-negative-sigma", "evaluate-zero-sigma", "evaluate-negative-radius",
+        "mixratio-blobs-kind", "mixratio-blobs-classes", "theory-sim-repeated-family",
+        "evaluate-repeated-model-ids", "evaluate-repeated-file-stems"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read
@@ -530,6 +534,21 @@ radii = 0.0
 sigma = 0.5
 """)
     assert main(["evaluate", "--config", ecfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("1,0,0,0.5", "not enough values to unpack (expected 8, got 4)"),
+    ("1,0,0,abc,0.9,1,0,0.1250", "could not convert string to float: 'abc'"),
+], ids=["short-row", "non-numeric-radius"])
+def test_evaluate_names_the_malformed_certify_csv_line(tmp_path, capsys, row, reason):
+    # a bad row is a runtime failure that says which file and line it is in
+    cert = tmp_path / "certify.csv"
+    cert.write_text(",".join(CERT_CSV_COLUMNS) + "\r\n0,1,1,0.293001,0.933254300797,1,0,"
+                    "0.1250\r\n" + row + "\r\n", encoding="ascii")
+    cfg = _write(tmp_path / "e.cfg", f"cert_csv = {cert}\nradii = 0.5\nsigma = 0.5\n")
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {cert}, line 3: {reason}\n"
 
 
 def test_attack_demo_trajectory_csv(tmp_path, trained):

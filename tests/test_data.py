@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from data_oracle import from_provenance
 from smoothcert import data
 from smoothcert.cli import main
 from smoothcert.data import (
@@ -16,8 +17,6 @@ from smoothcert.data import (
     IdxFormatError,
     MagicMismatch,
     TruncatedPayload,
-    from_provenance,
-    gen_gaussian_blobs,
     gen_two_moons,
     load_mnist_idx,
     stratified_subsample_indices,
@@ -77,38 +76,6 @@ def test_two_moons_validation():
         gen_two_moons(1, 0.1, 0)
     with pytest.raises(ValueError):
         gen_two_moons(10, -0.1, 0)
-
-
-# ---------------------------------------------------------------- blobs
-
-
-def test_blobs_zero_spread_places_points_on_centers():
-    centers = np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 5.0]])
-    ds = gen_gaussian_blobs(7, centers, 0.0, 3)
-    np.testing.assert_array_equal(ds.labels, [0, 1, 2, 0, 1, 2, 0])
-    np.testing.assert_array_equal(ds.inputs, centers[ds.labels])
-    assert ds.class_count == 3
-
-
-def test_blobs_linearly_separable_at_large_distance():
-    centers = np.array([[4.0, 0.0], [-4.0, 0.0]])
-    ds = gen_gaussian_blobs(100, centers, 0.25, 7)
-    # the hand rule sign(x0) classifies everything at this margin
-    rule = (ds.inputs[:, 0] < 0).astype(int)
-    assert (rule == ds.labels).all()
-
-
-def test_blobs_deterministic_and_validated():
-    centers = [[0.0, 0.0], [1.0, 1.0]]
-    a = gen_gaussian_blobs(20, centers, 0.5, 9)
-    b = gen_gaussian_blobs(20, centers, 0.5, 9)
-    np.testing.assert_array_equal(a.inputs, b.inputs)
-    with pytest.raises(ValueError):
-        gen_gaussian_blobs(10, [[0.0, 0.0]], 0.5, 0)  # one center
-    with pytest.raises(ValueError):
-        gen_gaussian_blobs(0, centers, 0.5, 0)
-    with pytest.raises(ValueError):
-        gen_gaussian_blobs(10, centers, -1.0, 0)
 
 
 # ---------------------------------------------------------------- idx loader
@@ -264,13 +231,6 @@ def test_provenance_round_trip_two_moons():
     np.testing.assert_array_equal(ds.inputs, again.inputs)
     np.testing.assert_array_equal(ds.labels, again.labels)
     assert again.split == "test"
-
-
-def test_provenance_round_trip_blobs():
-    ds = gen_gaussian_blobs(15, [[0.0, 1.0], [2.0, -1.0]], 0.4, 13)
-    again = from_provenance(ds.provenance)
-    np.testing.assert_array_equal(ds.inputs, again.inputs)
-    np.testing.assert_array_equal(ds.labels, again.labels)
 
 
 def test_provenance_round_trip_mnist(tmp_path):
