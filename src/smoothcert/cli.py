@@ -91,7 +91,7 @@ def write_certification_csv(path, rows) -> None:
 
 def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
     """The labels and CERTIFY outcomes of a certify.csv whose header matches.
-    A malformed row raises ValueError naming the file and the line."""
+    A malformed row, or no row at all, raises ValueError naming the file."""
     labels, outcomes = [], []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -110,6 +110,8 @@ def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
                     p_lower=float(p_lower)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if not labels:
+        raise ValueError(f"{path}: no rows after the header")
     return CertifiedResultSet(tuple(labels), tuple(outcomes), sigma)
 
 
@@ -198,7 +200,7 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     def certify_one(i):
         label = int(ds.labels[i])
         t0 = time.perf_counter()
-        outcome = certify(params, ds.inputs[i], scfg, root.child("certify", i), R)
+        outcome = certify(params, ds.rows(i), scfg, root.child("certify", i), R)
         seconds = time.perf_counter() - t0
         return [i, label, outcome.predicted_class, f"{outcome.radius:.6f}",
                 f"{outcome.p_lower:.12g}",
@@ -248,7 +250,7 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     i = cfg["point_index"]
     if not 0 <= i < len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
-    x, y = ds.inputs[i], int(ds.labels[i])
+    x, y = ds.rows(i), int(ds.labels[i])
     root = StreamId(cfg["seed"])
     noise = sample_noise(cfg["sigma"], ds.dim, cfg["m"],
                          root.child("attack", i, "noise"))
@@ -275,7 +277,7 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
 
     def mixing_ratio(i):
         return i, equal_confidence_mixing_ratio(
-            params, ds.inputs[i], int(ds.labels[i]), cfg["sigma"],
+            params, ds.rows(i), int(ds.labels[i]), cfg["sigma"],
             cfg["pgd_steps"], cfg["pgd_eps"], cfg["estimation_m"],
             root.child("mixratio", i))
 

@@ -2,11 +2,13 @@
 
 Every Dataset records provenance sufficient to regenerate it bit-exactly:
 generator name and parameters for two-moons, file SHA-256 digests plus
-subsample parameters for files. Images are scaled to [0, 1]; no other
-preprocessing is applied. The IDX loader picks a subsample from the label
-file, then streams the image file once in blocks, hashing every byte and
-copying out only the rows it keeps, so a subsample costs memory in proportion
-to its size, not to the file's.
+subsample parameters for files. The IDX loader picks a subsample from the
+label file, then streams the image file once in blocks, hashing every byte
+and copying out only the rows it keeps, so a subsample costs memory in
+proportion to its size, not to the file's. It holds the kept images as their
+uint8 pixel codes, one byte per pixel; Dataset.rows scales the rows a caller
+asks for to [0, 1] as float64 (code / 255). No other preprocessing is
+applied.
 """
 
 from __future__ import annotations
@@ -64,7 +66,12 @@ class CountMismatch(IdxFormatError):
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention container: inputs (n, d), integer labels (n,)."""
+    """Immutable-by-convention container: inputs (n, d), integer labels (n,).
+
+    inputs holds float64 features, or uint8 codes of features in [0, 1]
+    (code / 255, as IDX images store pixels); any other dtype becomes
+    float64. rows(idx) gives the float64 features.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -73,11 +80,13 @@ class Dataset:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = np.asarray(self.inputs)
+        if self.inputs.dtype != np.uint8:
+            self.inputs = self.inputs.astype(np.float64, copy=False)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or len(self.inputs) != len(self.labels):
             raise ValueError("inputs must be (n, d) aligned with (n,) labels")
-        if not np.all(np.isfinite(self.inputs)):
+        if self.inputs.dtype != np.uint8 and not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs contain non-finite values")
         if len(self.labels) and (self.labels.min() < 0
                                  or self.labels.max() >= self.class_count):
@@ -89,6 +98,12 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
+
+    def rows(self, idx) -> np.ndarray:
+        """float64 features of the rows idx (an index, a list or an index
+        array), a fresh array: inputs[idx] / 255 for uint8 codes, else
+        inputs[idx] / 1 (x / 1.0 is x bit for bit)."""
+        return self.inputs[idx] / (255.0 if self.inputs.dtype == np.uint8 else 1.0)
 
 
 def gen_two_moons(n: int, noise_std: float, seed: int, split: str = "train") -> Dataset:
@@ -196,10 +211,11 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
                    split: str = "train") -> Dataset:
     """Load an IDX image/label file pair (big-endian magic, dims, ubyte payload).
 
-    Pixels are scaled to [0, 1] by division by 255 and flattened row-major;
+    Images are flattened row-major and kept as their uint8 codes in
+    `inputs`: `rows(idx)` gives them in [0, 1] as float64, code / 255, with
     no further preprocessing. With `subsample`, a deterministic class-
     stratified subset of that size is selected per seed from the labels, and
-    only the selected image rows are kept and converted to float64.
+    only the selected image rows are kept.
     """
     lab_dims, labels, lab_sha = _read_idx(labels_path, IDX_LABELS_MAGIC)
     y = labels.reshape(-1).astype(np.int64)
@@ -215,5 +231,5 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
         "seed": int(seed),
         "split": split,
     }
-    return Dataset(inputs=pixels / 255.0, labels=y if idx is None else y[idx],
+    return Dataset(inputs=pixels, labels=y if idx is None else y[idx],
                    class_count=10, split=split, provenance=prov)

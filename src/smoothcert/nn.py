@@ -194,31 +194,35 @@ def first_layer_noise(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
     return (deltas.reshape(-1, W1.shape[0]) @ W1).reshape(deltas.shape[:-1] + (W1.shape[1],))
 
 
-def forward_tail(params: ModelParams, z1: np.ndarray) -> np.ndarray:
+def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
     """Logits from the first layer's pre-activation z1 (rows, h1).
 
     The layers after the first, keeping only the current activation. The
     ReLUs run in place, so z1 is overwritten (a fresh array per layer made
-    two-moons CERTIFY measurably slower). A single-layer net's z1 is already
-    its logits.
+    two-moons CERTIFY measurably slower). With outs, one (rows, fan_out)
+    array per later layer, each layer's output is written there instead of
+    to a fresh array, and the logits are outs[-1]. A single-layer net's z1
+    is already its logits.
     """
     h = z1
-    for W, b in zip(params.weights[1:], params.biases[1:]):
+    for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
         np.maximum(h, 0.0, out=h)
-        h = h @ W
+        h = np.matmul(h, W, out=None if outs is None else outs[k])
         h += b
     return h
 
 
 def _forward_cached(params: ModelParams, z1: np.ndarray):
     """Logits from the first layer's pre-activation z1 (first_layer), keeping
-    what _backward needs: pres[k] is layer k's pre-activation (pres[0] is z1)
-    and acts[k] the input of layer k + 1."""
-    pres, acts = [z1], []
+    what _backward needs: acts[k] is the input of layer k + 1, the ReLU of
+    layer k's pre-activation. The ReLUs run in place, so acts[0] is z1."""
+    acts, h = [], z1
     for W, b in zip(params.weights[1:], params.biases[1:]):
-        acts.append(np.maximum(pres[-1], 0.0))
-        pres.append(acts[-1] @ W + b)
-    return pres[-1], pres, acts
+        np.maximum(h, 0.0, out=h)
+        acts.append(h)
+        h = h @ W
+        h += b
+    return h, acts
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -229,13 +233,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _backward(params: ModelParams, pres, acts, dlogits, need_params: bool):
+def _backward(params: ModelParams, acts, dlogits, need_params: bool):
     """Backprop the cotangent dlogits (rows, C) to the first layer's pre-activation.
 
-    Returns (param grads or None, dz1). Of the param grads (gW, gb), gW[0] is
-    None: like the input gradient dz1 @ W1.T, the first layer's weight
-    gradient X.T @ dz1 is the caller's, so that rows sharing a point or a
-    noise draw can be summed first.
+    acts are _forward_cached's. A ReLU passes the cotangent where its output
+    is positive, which is where its input is. Returns (param grads or None,
+    dz1). Of the param grads (gW, gb), gW[0] is None: like the input
+    gradient dz1 @ W1.T, the first layer's weight gradient X.T @ dz1 is the
+    caller's, so that rows sharing a point or a noise draw can be summed
+    first.
     """
     gW = [None] * len(params.weights)
     gb = [None] * len(params.biases)
@@ -245,7 +251,7 @@ def _backward(params: ModelParams, pres, acts, dlogits, need_params: bool):
             gW[k] = acts[k - 1].T @ delta
             gb[k] = delta.sum(axis=0)
         delta = delta @ params.weights[k].T
-        delta = delta * (pres[k - 1] > 0.0)
+        delta *= acts[k - 1] > 0.0
     if need_params:
         gb[0] = delta.sum(axis=0)
     return (gW, gb) if need_params else None, delta
@@ -258,12 +264,13 @@ def _grad_params_weighted(params: ModelParams, z1: np.ndarray, targets: np.ndarr
 
     Returns ((gW list, gb list), dz1, per-row CE values), with gW[0] left to
     the caller (see _backward). The exact CE cotangent is
-    d CE/d logits = softmax - target, scaled per row by w_r.
+    d CE/d logits = softmax - target, scaled per row by w_r. z1 is
+    overwritten (_forward_cached).
     """
-    logits, pres, acts = _forward_cached(params, z1)
+    logits, acts = _forward_cached(params, z1)
     probs = softmax(logits)
     dlogits = (probs - targets) * row_weights[:, None]
-    grads, dz1 = _backward(params, pres, acts, dlogits, need_params=True)
+    grads, dz1 = _backward(params, acts, dlogits, need_params=True)
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
     return grads, dz1, ce
 
@@ -283,13 +290,13 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
     X = np.asarray(X, dtype=np.float64)
     B, m = len(X), 1 if noise is None else noise.shape[-2]
     idx = np.repeat(np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (B,)), m)
-    logits, pres, acts = _forward_cached(params, first_layer(params, X, noise))
+    logits, acts = _forward_cached(params, first_layer(params, X, noise))
     p = softmax(logits)
     rows = np.arange(len(p))
     py = p[rows, idx]
     dlogits = -p * py[:, None]
     dlogits[rows, idx] += py
-    _, dz1 = _backward(params, pres, acts, dlogits, need_params=False)
+    _, dz1 = _backward(params, acts, dlogits, need_params=False)
     W1 = params.weights[0]
     if factors_noise(params):
         return p, dz1.reshape(B, m, -1).sum(axis=1) @ W1.T

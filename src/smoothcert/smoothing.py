@@ -52,10 +52,10 @@ __all__ = [
 ABSTAIN = -1
 
 # Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
-# (one point's m rows when m is larger). A chunk holds COUNT_CHUNK x
-# min(d, h1) normals and COUNT_CHUNK x h1 first-layer rows: 1,000 x 256 are
-# 2 MiB, and each of the points that the CLI certifies side by side
-# (rng.map_streams, at most rng.MAX_STREAM_THREADS) holds its own chunk.
+# (one point's m rows when m is larger). hard_class_counts holds two buffers
+# of COUNT_CHUNK rows of the widest layer: 1,000 x 256 are 2 MiB each, and
+# each of the points that the CLI certifies side by side (rng.map_streams, at
+# most rng.MAX_STREAM_THREADS) holds its own.
 # The draws do not depend on it. A row's logits can, in the last bits: some
 # BLAS builds round a product differently for different row counts.
 COUNT_CHUNK = 1_000
@@ -132,24 +132,43 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
     unless the caller passes it. When d <= h1, delta = sigma g is drawn and
     added to x. Argmax ties within a single forward break toward the lowest
     class index. Draws are evaluated in chunks of at most COUNT_CHUNK from
-    one sequential generator.
+    one sequential generator. Each call allocates two buffers of
+    COUNT_CHUNK rows of the widest layer (or draw) and the chunks take turns
+    in them: the draws go in one, the first layer's output in the other
+    (x W1 + b1 added in place, or x added to the draws first), and each
+    later layer writes into the buffer its input is not in.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     X = np.asarray(x, dtype=np.float64)[None, :]
+    z_x = first_layer(params, X)  # x W1 + b1; checks x's shape and values
     R = _noise_factor(params) if R is None else R
+    W1, b1 = params.weights[0], params.biases[0]
+    widths = ([W1.shape[0] if R is None else R.shape[0]]
+              + [W.shape[1] for W in params.weights])
+    chunk = min(count, COUNT_CHUNK)
+    # two arrays, not one of twice the size: each stays under
+    # cli.MALLOC_MMAP_THRESHOLD, so the heap reuses them from call to call
+    pair = [np.empty(chunk * max(widths)) for _ in range(2)]
     gen = stream.generator()
     counts = np.zeros(params.class_count, dtype=np.int64)
     remaining = count
     while remaining > 0:
         m = min(remaining, COUNT_CHUNK)
-        g = gen.standard_normal((m, params.input_dim if R is None else R.shape[0]))
+        g, z1, *outs = (pair[k % 2][:m * w].reshape(m, w) for k, w in enumerate(widths))
+        gen.standard_normal(out=g)
         g *= sigma
-        z1 = first_layer(params, X, g if R is None else g @ R)
-        preds = np.argmax(forward_tail(params, z1), axis=1)
-        counts += np.bincount(preds, minlength=params.class_count)
+        if R is None:
+            g += X  # the rows x + delta
+            np.matmul(g, W1, out=z1)
+            z1 += b1
+        else:
+            np.matmul(g, R, out=z1)
+            z1 += z_x
+        logits = forward_tail(params, z1, outs)
+        counts += np.bincount(np.argmax(logits, axis=1), minlength=params.class_count)
         remaining -= m
     return counts
 

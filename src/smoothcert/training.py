@@ -271,7 +271,8 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
 
     Deterministic given (dataset, configs, seed): initialization, the
     per-epoch shuffle, and every example's noise derive from named substreams
-    of the master seed.
+    of the master seed. Only the current minibatch's rows are float64
+    (dataset.rows), so uint8 images stay one byte per pixel.
     """
     n = len(dataset.labels)
     if n == 0:
@@ -280,10 +281,9 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
                 "smoothmix": SmoothMixConfig}[run_cfg.method]
     if not isinstance(method_cfg, expected):
         raise ValueError(f"method {run_cfg.method!r} needs a {expected.__name__}")
-    X_all = np.asarray(dataset.inputs, dtype=np.float64)
     Y_all = np.asarray(dataset.labels, dtype=np.intp)
     root = StreamId(run_cfg.seed)
-    sizes = [X_all.shape[1], *run_cfg.hidden_for(X_all.shape[1]), dataset.class_count]
+    sizes = [dataset.dim, *run_cfg.hidden_for(dataset.dim), dataset.class_count]
     params = init_mlp(sizes, root.child("init"))
     state = OptimizerState(lr=run_cfg.lr, momentum=run_cfg.momentum,
                            weight_decay=run_cfg.weight_decay)
@@ -297,7 +297,7 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
         seen = 0
         for start in range(0, n, run_cfg.batch_size):
             idx = order[start:start + run_cfg.batch_size]
-            X, Y = X_all[idx], Y_all[idx]
+            X, Y = dataset.rows(idx), Y_all[idx]
             if run_cfg.method == "gaussian":
                 grads, loss_nat, loss_mix = _gaussian_minibatch(
                     params, X, Y, method_cfg, stream, idx)

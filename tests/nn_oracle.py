@@ -94,7 +94,7 @@ def grad_input(params, x, target) -> np.ndarray:
         X, T = x[None, :], validate_soft_label(target)[None, :]
     else:
         X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
-    logits, pres, acts = nn._forward_cached(params, first_layer(params, X))
-    _, dz1 = nn._backward(params, pres, acts, softmax(logits) - T, need_params=False)
+    logits, acts = nn._forward_cached(params, first_layer(params, X))
+    _, dz1 = nn._backward(params, acts, softmax(logits) - T, need_params=False)
     dX = dz1 @ params.weights[0].T
     return dX[0] if squeezed else dX

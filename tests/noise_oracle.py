@@ -9,7 +9,8 @@ W1's row space. These are the plain versions it is checked against.
 import numpy as np
 
 from nn_oracle import forward, grad_params_weighted
-from smoothcert.nn import class_prob_grad_input, softmax
+from smoothcert.nn import class_prob_grad_input, first_layer, forward_tail, softmax
+from smoothcert.smoothing import COUNT_CHUNK, _noise_factor
 
 
 def direct_hard_class_counts(params, x, count, sigma, stream, chunk=2_000):
@@ -28,6 +29,27 @@ def direct_hard_class_counts(params, x, count, sigma, stream, chunk=2_000):
         counts += np.bincount(preds, minlength=params.class_count)
         remaining -= m
     return counts
+
+
+def allocating_hard_class_counts(params, x, count, sigma, stream):
+    """hard_class_counts with fresh arrays for every chunk: the same draws,
+    chunks and products, so the same counts and logits bit for bit.
+    Returns (counts, each chunk's logits)."""
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    R = _noise_factor(params)
+    gen = stream.generator()
+    counts = np.zeros(params.class_count, dtype=np.int64)
+    chunks = []
+    remaining = count
+    while remaining > 0:
+        m = min(remaining, COUNT_CHUNK)
+        g = gen.standard_normal((m, params.input_dim if R is None else R.shape[0]))
+        g *= sigma
+        z1 = first_layer(params, X, g if R is None else g @ R)
+        chunks.append(forward_tail(params, z1))
+        counts += np.bincount(np.argmax(chunks[-1], axis=1), minlength=params.class_count)
+        remaining -= m
+    return counts, chunks
 
 
 def noisy_rows(X, deltas):

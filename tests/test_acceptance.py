@@ -276,7 +276,7 @@ def test_criterion_4_smoothmix_beats_gaussian_mnist():
                                          attack=AttackConfig(1.0, 4), m=4))
             params, _ = train(ds, run, mcfg)
             root = StreamId(seed)
-            outcomes = tuple(certify(params, ds_test.inputs[i], CERT,
+            outcomes = tuple(certify(params, ds_test.rows(i), CERT,
                                      root.child("certify", i))
                              for i in range(len(ds_test)))
             acrs[method] = acr(CertifiedResultSet(

@@ -1,5 +1,7 @@
 """The allocator policy cli.main sets: it removes the page faults of the hot
-loops on glibc, and it is a no-op wherever glibc's mallopt is missing."""
+loops on glibc, and it is a no-op wherever glibc's mallopt is missing. Also
+the peak RSS of CLI children against an import-only child: the IDX images
+stay bytes and CERTIFY's row chunks reuse their buffers."""
 
 import csv
 import ctypes
@@ -40,6 +42,19 @@ TRAIN_FAULT_GAP_BOUND = 12000
 THEORY_RSS_GAP_BOUND_MIB = 12
 THEORY_FAULT_GAP_BOUND = 2000
 
+# A one-point certify child over 5,000 IDX test images against one over 100:
+# the dataset is all that differs, and its 4,900 extra images are 3.7 MiB of
+# pixel codes. On glibc 2.36 the peak gap is 3.7 MiB; it was 29.3 MiB when
+# the loader kept the images as float64 (29.9 MiB more).
+IDX_RSS_GAP_BOUND_MIB = 10
+
+# A two-point certify child at 784-256-256-10 with n = 2,500 > COUNT_CHUNK,
+# so the points run side by side, against the import: on glibc 2.36 the peak
+# RSS gap is 22.9 MiB when each hard_class_counts call takes turns in two
+# 2 MiB chunk buffers, and was 31.4 MiB with four or five fresh
+# 1,000 x 256 arrays per chunk.
+POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 27
+
 
 @pytest.fixture(scope="module")
 def certify_cfg(tmp_path_factory):
@@ -62,20 +77,50 @@ dataset.seed = 3
     return str(cfg)
 
 
+def _write_idx_pair(d, n):
+    """n random 28 x 28 IDX images (one block of at most 1,000, repeated)
+    in 10 classes; returns the image and label paths."""
+    block = np.random.default_rng(8).integers(0, 256, (min(n, 1000), 28, 28),
+                                              dtype=np.uint8)
+    images, labels = d / f"images-{n}.idx", d / f"labels-{n}.idx"
+    with open(images, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 28, 28))
+        for _ in range(n // len(block)):
+            fh.write(block.tobytes())
+    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, n)
+                       + (np.arange(n) % 10).astype(np.uint8).tobytes())
+    return images, labels
+
+
+def _mnist_certify_cfg(d, images_count, n, max_points):
+    """A certify config for a 784-256-256-10 net over images_count IDX
+    test images."""
+    ckpt = d / "checkpoint.json"
+    if not ckpt.exists():
+        save_checkpoint(str(ckpt), init_mlp([784, 256, 256, 10], StreamId(12)))
+    images, labels = _write_idx_pair(d, images_count)
+    cfg = d / f"certify-{images_count}-{n}-{max_points}.cfg"
+    cfg.write_text(f"""checkpoint = {ckpt}
+sigma = 0.5
+n0 = 100
+n = {n}
+max_points = {max_points}
+seed = 13
+dataset.kind = mnist
+dataset.images = {images}
+dataset.labels = {labels}
+dataset.split = test
+""", encoding="utf-8")
+    return str(cfg)
+
+
 @pytest.fixture(scope="module")
 def train_cfg(tmp_path_factory):
     # SmoothMix at the mnist workload's shape and step (784-256-256-10,
     # B = 100, m = 4, four attack steps) on 400 of 20,000 synthetic 28 x 28
     # IDX images: four minibatches
     d = tmp_path_factory.mktemp("train-faults")
-    block = np.random.default_rng(8).integers(0, 256, (1000, 28, 28), dtype=np.uint8)
-    images, labels = d / "images.idx", d / "labels.idx"
-    with open(images, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, 20_000, 28, 28))
-        for _ in range(20):
-            fh.write(block.tobytes())
-    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 20_000)
-                       + (np.arange(20_000) % 10).astype(np.uint8).tobytes())
+    images, labels = _write_idx_pair(d, 20_000)
     cfg = d / "train.cfg"
     cfg.write_text(f"""method = smoothmix
 sigma = 0.5
@@ -168,6 +213,25 @@ def test_theory_sim_memory_stays_near_the_import(tmp_path, theory_cfg):
     usage = ("faults, system s, peak KiB", run, base)
     assert run[2] - base[2] < THEORY_RSS_GAP_BOUND_MIB * 1024, usage
     assert run[0] - base[0] < THEORY_FAULT_GAP_BOUND, usage
+
+
+@needs_glibc_wait4
+def test_certify_keeps_idx_pixels_as_bytes(tmp_path):
+    small, large = (_child_usage(["-m", "smoothcert.cli", "certify", "--config",
+                                  _mnist_certify_cfg(tmp_path, count, 1000, 1),
+                                  "--out", str(tmp_path / str(count))], tmp_path)
+                    for count in (100, 5000))
+    assert large[2] - small[2] < IDX_RSS_GAP_BOUND_MIB * 1024, ("peak KiB", large, small)
+
+
+@needs_glibc_wait4
+def test_pooled_certify_memory_stays_near_the_import(tmp_path):
+    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "certify", "--config",
+                        _mnist_certify_cfg(tmp_path, 100, 2500, 2),
+                        "--out", str(tmp_path)], tmp_path)
+    usage = ("faults, system s, peak KiB", run, base)
+    assert run[2] - base[2] < POOLED_CERTIFY_RSS_GAP_BOUND_MIB * 1024, usage
 
 
 def _certify_rows(out, cfg):

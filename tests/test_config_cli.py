@@ -551,6 +551,15 @@ def test_evaluate_names_the_malformed_certify_csv_line(tmp_path, capsys, row, re
     assert err == f"error: {cert}, line 3: {reason}\n"
 
 
+def test_evaluate_names_the_header_only_certify_csv(tmp_path, capsys):
+    # a header with no rows is a runtime failure that says which file it is
+    cert = tmp_path / "certify.csv"
+    cert.write_text(",".join(CERT_CSV_COLUMNS) + "\r\n", encoding="ascii")
+    cfg = _write(tmp_path / "e.cfg", f"cert_csv = {cert}\nradii = 0.5\nsigma = 0.5\n")
+    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {cert}: no rows after the header\n"
+
+
 def test_attack_demo_trajectory_csv(tmp_path, trained):
     cfg = _write(tmp_path / "a.cfg", f"""
 checkpoint = {trained / 'checkpoint.json'}

@@ -85,12 +85,41 @@ def test_idx_fixture_exact_pixels(tmp_path):
     imgs = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
     ip, lp = _fixture_pair(tmp_path, imgs, [3, 8])
     ds = load_mnist_idx(ip, lp)
-    assert ds.inputs.shape == (2, 6)
-    np.testing.assert_array_equal(ds.inputs[0], np.arange(6) / 255.0)
-    np.testing.assert_array_equal(ds.inputs[1], np.arange(6, 12) / 255.0)
+    assert ds.inputs.shape == (2, 6) and ds.inputs.dtype == np.uint8
+    np.testing.assert_array_equal(ds.rows(0), np.arange(6) / 255.0)
+    np.testing.assert_array_equal(ds.rows(1), np.arange(6, 12) / 255.0)
     np.testing.assert_array_equal(ds.labels, [3, 8])
     assert ds.class_count == 10
-    assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
+    assert ds.rows([0, 1]).min() >= 0.0 and ds.rows([0, 1]).max() <= 1.0
+
+
+@pytest.mark.parametrize("idx", [0, 29, [4, 4, 17, 2], "minibatch"],
+                         ids=["first", "last", "list", "minibatch"])
+def test_idx_rows_are_the_codes_over_255_bit_for_bit(tmp_path, idx):
+    # the images stay uint8 codes; rows() forms the floats the loader used to
+    # hold, pixels / 255.0, for any index set
+    imgs = np.random.default_rng(6).integers(0, 256, (30, 4, 3), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, imgs, np.arange(30) % 10)
+    ds = load_mnist_idx(ip, lp)
+    if idx == "minibatch":  # a shuffled minibatch, as training draws it
+        idx = StreamId(3).child("shuffle", 0).generator().permutation(30)[:8]
+    pixels = imgs.reshape(30, 12)
+    np.testing.assert_array_equal(ds.inputs, pixels)
+    assert ds.inputs.dtype == np.uint8
+    got, want = ds.rows(idx), (pixels / 255.0)[idx]
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("idx", [0, [5, 1, 5], np.arange(3, 9)],
+                         ids=["scalar", "list", "array"])
+def test_two_moons_rows_come_back_unchanged(idx):
+    ds = gen_two_moons(12, 0.2, 4)
+    assert ds.inputs.dtype == np.float64
+    got = ds.rows(idx)
+    assert got.tobytes() == ds.inputs[idx].tobytes()
+    got += 1.0  # a fresh array: the dataset keeps its rows
+    assert not np.shares_memory(got, ds.inputs)
 
 
 def test_idx_magic_mismatch(tmp_path):
@@ -163,8 +192,9 @@ def test_idx_blocks_do_not_change_the_rows(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(data, "IDX_BLOCK_BYTES", block_bytes)
     sub = load_mnist_idx(ip, lp, subsample=17, seed=4)
     idx = stratified_subsample_indices(np.arange(60) % 10, 17, 4)
-    np.testing.assert_array_equal(sub.inputs, imgs.reshape(60, 12)[idx] / 255.0)
-    np.testing.assert_array_equal(load_mnist_idx(ip, lp).inputs,
+    np.testing.assert_array_equal(sub.rows(np.arange(17)),
+                                  imgs.reshape(60, 12)[idx] / 255.0)
+    np.testing.assert_array_equal(load_mnist_idx(ip, lp).rows(np.arange(60)),
                                   imgs.reshape(60, 12) / 255.0)
 
 
@@ -175,7 +205,7 @@ def test_idx_digest_covers_trailing_bytes(tmp_path):
         fh.write(b"trailing")
     ds = load_mnist_idx(ip, lp, subsample=2)
     assert ds.provenance["images_sha256"] == hashlib.sha256(ip.read_bytes()).hexdigest()
-    np.testing.assert_array_equal(ds.inputs, imgs.reshape(2, 12) / 255.0)
+    np.testing.assert_array_equal(ds.rows([0, 1]), imgs.reshape(2, 12) / 255.0)
 
 
 def test_idx_subsample_memory_follows_subsample(tmp_path):

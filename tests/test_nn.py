@@ -98,7 +98,7 @@ def test_forward_matches_cached_forward_bitwise():
     params = _random_net(rng, [6, 16, 16, 4])
     X = rng.standard_normal((40, 6))
     X_before = X.copy()
-    logits, _, _ = _forward_cached(params, first_layer(params, X))
+    logits, _ = _forward_cached(params, first_layer(params, X))
     np.testing.assert_array_equal(forward(params, X), logits)
     np.testing.assert_array_equal(X, X_before)  # the in-place steps leave x alone
 

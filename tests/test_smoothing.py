@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noise_oracle import direct_hard_class_counts, direct_soft_predict
+from noise_oracle import (allocating_hard_class_counts, direct_hard_class_counts,
+                          direct_soft_predict)
 from smoothcert import smoothing
 from smoothcert.cli import read_certification_csv, write_certification_csv
 from smoothcert.nn import (DimensionMismatch, ModelParams, first_layer_noise, forward_tail,
@@ -270,9 +271,9 @@ def test_hard_counts_draws_equal_direct_at_d_le_h1(monkeypatch):
     x = np.array([0.4, -0.2, 0.1])
     seen = []
 
-    def spying_tail(p, z1):
+    def spying_tail(p, z1, outs=None):
         seen.append(z1.copy())
-        return forward_tail(p, z1)
+        return forward_tail(p, z1, outs)
 
     monkeypatch.setattr(smoothing, "forward_tail", spying_tail)
     got = hard_class_counts(params, x, 1500, 0.8, StreamId(44))
@@ -282,6 +283,35 @@ def test_hard_counts_draws_equal_direct_at_d_le_h1(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_array_equal(
         got, direct_hard_class_counts(params, x, 1500, 0.8, StreamId(44)))
+
+
+@pytest.mark.parametrize("count", [1, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize("sizes", [[784, 256, 256, 10], [2, 64, 64, 2]],
+                         ids=["d>h1", "d<=h1"])
+def test_hard_counts_buffers_match_the_allocating_loop(monkeypatch, sizes, count):
+    # every chunk runs in the buffers of the first, with the allocating
+    # loop's logits bit for bit
+    params = init_mlp(sizes, StreamId(50))
+    x = np.random.default_rng(51).uniform(0.0, 1.0, sizes[0])
+    seen = []
+
+    def spying_tail(p, z1, outs=None):
+        logits = forward_tail(p, z1) if outs is None else forward_tail(p, z1, outs)
+        seen.append((z1, outs, logits.copy()))
+        return logits
+
+    monkeypatch.setattr(smoothing, "forward_tail", spying_tail)
+    got = hard_class_counts(params, x, count, 0.5, StreamId(52))
+    want, want_logits = allocating_hard_class_counts(params, x, count, 0.5, StreamId(52))
+    np.testing.assert_array_equal(got, want)
+    assert len(seen) == len(want_logits)
+    first_z1, first_outs, _ = seen[0]
+    for (z1, outs, logits), want_chunk in zip(seen, want_logits):
+        assert np.shares_memory(z1, first_z1)
+        assert outs is not None
+        assert all(np.shares_memory(a, b) for a, b in zip(outs, first_outs))
+        assert logits.shape == want_chunk.shape
+        assert logits.tobytes() == want_chunk.tobytes()
 
 
 def _binomial_upper_quantile(n, p, level):
