@@ -1,18 +1,21 @@
-"""Attacks on the soft-smoothed classifier.
+"""Attacks on the soft-smoothed classifier: one batched loop, ascend.
 
-Both attacks ascend the objective J(x) = -log((1/m) sum_i F_y(x + delta_i)),
-the negative log of the Monte Carlo soft-smoothed true-class probability over
-one fixed noise batch (the same m draws are reused at every step):
+Every attack here ascends the objective J(x) = -log((1/m) sum_i F_y(x + delta_i)),
+the negative log of the Monte Carlo soft-smoothed true-class probability
+over one fixed noise batch per point (the same m draws are reused at every
+step). ascend takes T steps of exactly alpha_step in the direction
+grad J / ||grad J|| and, when a cap is configured, projects each iterate
+onto the l2 ball of that radius around its start point:
 
-- the unrestricted normalized-ascent attack takes T steps of exactly
-  alpha_step in the direction grad J / ||grad J||, optionally projecting each
-  iterate onto an l2 ball when a hard cap is configured;
-- the constrained PGD variant takes normalized steps and projects onto the
-  epsilon ball around the start point after every step.
+- SmoothMix's unrestricted attack is AttackConfig(alpha_step, T), and the
+  hard-restriction ablation adds the cap;
+- SmoothAdv's PGD (Salman et al. 2019) is AttackConfig(2 epsilon / T, T,
+  epsilon), which training and the mixing-ratio scan use.
 
-Gradients flow through the Monte Carlo average exactly. When the gradient
-norm falls below 1e-12 the step is skipped (the point repeats); this keeps
-the procedure deterministic for degenerate classifiers.
+One point is a batch of one (B = 1). Gradients flow through the Monte Carlo
+average exactly. When the gradient norm falls below 1e-12 the step is
+skipped (the point repeats); this keeps the procedure deterministic for
+degenerate classifiers.
 """
 
 from __future__ import annotations
@@ -21,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, class_prob_grad_input, first_layer_noise
-from .smoothing import soft_smoothed_predict
+from .nn import ModelParams, class_prob_grad_input
 
 __all__ = [
     "AttackConfig",
-    "AttackTrajectory",
-    "smoothmix_attack",
-    "smoothadv_pgd",
+    "ascend",
     "l2_project",
 ]
 
@@ -38,7 +38,7 @@ PROB_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Unrestricted-ascent parameters: step size, step count, optional l2 cap."""
+    """Normalized-ascent parameters: step size, step count, optional l2 cap."""
 
     alpha_step: float
     steps: int
@@ -51,20 +51,6 @@ class AttackConfig:
             raise ValueError("steps must be >= 0")
         if self.epsilon_cap is not None and not self.epsilon_cap > 0:
             raise ValueError("epsilon_cap, when set, must be positive")
-
-
-@dataclass(frozen=True)
-class AttackTrajectory:
-    """All iterates of one attack plus the smoothed soft predictions along them.
-
-    points has shape (T+1, d) with points[0] == x; fhat_path has shape
-    (T+1, C) holding the soft-smoothed prediction at every iterate under the
-    shared noise batch; j_path holds J at every iterate.
-    """
-
-    points: np.ndarray
-    fhat_path: np.ndarray
-    j_path: np.ndarray
 
 
 def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
@@ -112,71 +98,32 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     return J, grads, fhat
 
 
-def _ascend_batch(params: ModelParams, X: np.ndarray, y: np.ndarray,
-                  noise: np.ndarray, alpha_step: float, steps: int,
-                  epsilon_cap=None):
-    """Shared normalized-ascent loop over a batch of points.
+def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
+           cfg: AttackConfig):
+    """cfg.steps normalized-ascent steps on J from each of the B points X (B, d).
 
-    noise holds per-point noise batches as nn.first_layer takes them
-    (nn.first_layer_noise; formed once by the caller, which may reuse it).
-    Returns (points (T+1, B, d), fhat_path (T, B, C), j_path (T, B)): every
-    iterate, and Fhat and J at every iterate but the last, where the loop
-    takes no gradient (a caller that wants Fhat there runs one forward,
-    smoothing.soft_smoothed_predict). When epsilon_cap is set, every iterate
-    is projected onto that ball around its start point: PGD's constraint, or
-    the hard-restriction ablation.
+    y holds the points' classes and noise their noise batches as
+    nn.first_layer takes them (nn.first_layer_noise; formed once by the
+    caller, which may reuse it). Returns (points (T+1, B, d), fhat_path
+    (T, B, C), j_path (T, B)): every iterate, and Fhat and J at every
+    iterate but the last, where the loop takes no gradient (a caller that
+    wants Fhat there runs one forward, smoothing.soft_smoothed_predict).
+    When cfg.epsilon_cap is set, every iterate is projected onto that ball
+    around its start point: PGD's constraint, or the hard-restriction
+    ablation.
     """
     X0 = np.asarray(X, dtype=np.float64)
-    points = np.empty((steps + 1,) + X0.shape)
-    fhat_path = np.empty((steps, len(X0), params.class_count))
-    j_path = np.empty((steps, len(X0)))
+    points = np.empty((cfg.steps + 1,) + X0.shape)
+    fhat_path = np.empty((cfg.steps, len(X0), params.class_count))
+    j_path = np.empty((cfg.steps, len(X0)))
     points[0] = cur = X0
-    for t in range(steps):
+    for t in range(cfg.steps):
         j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
         norms = np.linalg.norm(grads, axis=1)
         move = norms > GRAD_NORM_FLOOR
         direction = np.where(move[:, None], grads / np.maximum(norms, GRAD_NORM_FLOOR)[:, None], 0.0)
-        cur = cur + alpha_step * direction
-        if epsilon_cap is not None:
-            cur = l2_project(cur, X0, epsilon_cap)
+        cur = cur + cfg.alpha_step * direction
+        if cfg.epsilon_cap is not None:
+            cur = l2_project(cur, X0, cfg.epsilon_cap)
         points[t + 1] = cur
     return points, fhat_path, j_path
-
-
-def smoothmix_attack(params: ModelParams, x: np.ndarray, y: int,
-                     noise: np.ndarray, cfg: AttackConfig) -> AttackTrajectory:
-    """T-step unrestricted normalized gradient ascent on J from x.
-
-    Each step moves exactly alpha_step along grad J / ||grad J|| (skipped when
-    the gradient vanishes); when cfg.epsilon_cap is set, every iterate is
-    projected back onto that ball around x after the step. The given noise
-    batch (m, d) is reused for every step, and the soft-smoothed prediction
-    is recorded at every iterate: from the gradient pass along the way, and
-    from one forward at the endpoint.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    noise = first_layer_noise(params, np.asarray(noise)[None])
-    y = np.array([int(y)])
-    points, fhat_path, j_path = _ascend_batch(params, x[None, :], y, noise, cfg.alpha_step,
-                                              cfg.steps, epsilon_cap=cfg.epsilon_cap)
-    fhat_end = soft_smoothed_predict(params, points[-1], noise)
-    j_end, _ = _objective(fhat_end, y)
-    return AttackTrajectory(points=points[:, 0, :],
-                            fhat_path=np.concatenate([fhat_path[:, 0, :], fhat_end]),
-                            j_path=np.concatenate([j_path[:, 0], j_end]))
-
-
-def smoothadv_pgd(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
-                  steps: int, step_size: float, epsilon: float) -> np.ndarray:
-    """Projected normalized gradient ascent on J within the epsilon ball at x,
-    under one fixed batch of draws as nn.first_layer_noise gives it."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not step_size > 0:
-        raise ValueError("step_size must be positive")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    points, _, _ = _ascend_batch(params, x[None, :], np.array([int(y)]), noise[None],
-                                 step_size, steps, epsilon_cap=epsilon)
-    return points[-1, 0, :]

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .adversary import AttackConfig, smoothmix_attack
+from .adversary import AttackConfig, _objective, ascend
 from .config import (
     SCHEMAS,
     ConfigError,
@@ -50,10 +50,10 @@ from .evaluation import (
     check_mixing_ratio_args,
     equal_confidence_mixing_ratio,
 )
-from .nn import load_checkpoint, save_checkpoint
+from .nn import first_layer_noise, load_checkpoint, save_checkpoint
 from .rng import StreamId, map_streams
 from .smoothing import (ABSTAIN, COUNT_CHUNK, CertifyOutcome, _noise_factor, certify,
-                        sample_noise)
+                        sample_noise, soft_smoothed_predict)
 from .theory import TheorySimConfig, decay_dims, verify_decay
 from .training import train
 
@@ -91,7 +91,9 @@ def write_certification_csv(path, rows) -> None:
 
 def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
     """The labels and CERTIFY outcomes of a certify.csv whose header matches.
-    A malformed row, or no row at all, raises ValueError naming the file."""
+    A row that does not parse, whose correct or abstain is not 0 or 1, or
+    that is certified with a negative prediction, or no row at all, raises
+    ValueError naming the file."""
     labels, outcomes = [], []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -100,8 +102,13 @@ def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
             raise ValueError(f"{path}: unexpected certification CSV header: {header}")
         for row in filter(None, reader):
             try:
-                _, label, predicted, radius, p_lower, _, abstain, _ = row
+                _, label, predicted, radius, p_lower, correct, abstain, _ = row
+                if not {int(correct), int(abstain)} <= {0, 1}:
+                    raise ValueError(f"correct and abstain must be 0 or 1, "
+                                     f"got {correct} and {abstain}")
                 certified = not int(abstain)
+                if certified and int(predicted) < 0:
+                    raise ValueError(f"a certified row predicts class {predicted}")
                 labels.append(int(label))
                 outcomes.append(CertifyOutcome(
                     certified=certified,
@@ -250,16 +257,20 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     i = cfg["point_index"]
     if not 0 <= i < len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
-    x, y = ds.rows(i), int(ds.labels[i])
+    x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
     root = StreamId(cfg["seed"])
-    noise = sample_noise(cfg["sigma"], ds.dim, cfg["m"],
-                         root.child("attack", i, "noise"))
-    traj = smoothmix_attack(params, x, y, noise, acfg)
+    noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],
+                                                   root.child("attack", i, "noise"))[None])
+    points, fhat_path, j_path = ascend(params, x, y, noise, acfg)
+    # the loop takes no gradient at the endpoint: one forward gives Fhat and J there
+    fhat_end = soft_smoothed_predict(params, points[-1], noise)
+    fhat_path = np.concatenate([fhat_path[:, 0], fhat_end])
+    j_path = np.concatenate([j_path[:, 0], _objective(fhat_end, y)[0]])
     path = os.path.join(out_dir, "attack_demo.csv")
     _write_csv(path, ["step", "distance_from_x", "J", "true_class_prob"],
-               [[s, f"{float(np.linalg.norm(traj.points[s] - x)):.8g}",
-                 f"{traj.j_path[s]:.8g}", f"{traj.fhat_path[s][y]:.8g}"]
-                for s in range(traj.points.shape[0])])
+               [[s, f"{float(np.linalg.norm(points[s, 0] - x[0])):.8g}",
+                 f"{j_path[s]:.8g}", f"{fhat_path[s, y[0]]:.8g}"]
+                for s in range(len(points))])
     return {"trajectory_csv": path}
 
 
@@ -339,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="flat key=value config file")
         sp.add_argument("--out", default=None,
                         help="output directory (default $SMOOTHCERT_OUT or .)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config master seed")
+        if "seed" in SCHEMAS[name]:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the config master seed")
     return parser
 
 
@@ -361,7 +373,7 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         cfg = apply_schema(raw, SCHEMAS[args.command])
-        if args.seed is not None and "seed" in cfg:
+        if getattr(args, "seed", None) is not None:
             cfg["seed"] = args.seed
         out_dir = args.out or os.environ.get("SMOOTHCERT_OUT", ".")
         os.makedirs(out_dir, exist_ok=True)

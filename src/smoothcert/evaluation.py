@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import smoothadv_pgd
+from .adversary import AttackConfig, ascend
 from .nn import ModelParams, first_layer_noise
 from .rng import StreamId
 from .smoothing import (CertifyOutcome, _soft_smoothed_chunks, sample_noise,
@@ -101,17 +101,18 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     check_mixing_ratio_args(sigma, pgd_steps, pgd_eps, estimation_m)
     x = np.asarray(x, dtype=np.float64)
     noise = first_layer_noise(params, sample_noise(sigma, x.shape[0], estimation_m,
-                                                   stream.child("estimate")))
+                                                   stream.child("estimate"))[None])
     fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
     if int(np.argmax(fhat)) != int(y):
         return None
-    x_adv = smoothadv_pgd(params, x, int(y), noise, pgd_steps,
-                          step_size=2.0 * pgd_eps / max(pgd_steps, 1),
-                          epsilon=pgd_eps)
+    pgd = AttackConfig(2.0 * pgd_eps / max(pgd_steps, 1), pgd_steps, pgd_eps)
+    x_adv = ascend(params, x[None, :], [int(y)], noise, pgd)[0][-1, 0]
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
     seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
+    # every grid point reuses the one batch: a view, not LAMBDA_GRID_POINTS copies
+    grid_noise = np.broadcast_to(noise, (len(seg),) + noise.shape[1:])
     start = 0
-    for fhat_seg in _soft_smoothed_chunks(params, seg, noise):
+    for fhat_seg in _soft_smoothed_chunks(params, seg, grid_noise):
         flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
         if len(flips):
             return float(lams[start + flips[0]])

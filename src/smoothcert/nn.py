@@ -147,10 +147,11 @@ def factors_noise(params: ModelParams) -> bool:
 def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     """Pre-activation of the first dense layer, X @ W1 + b1, for points X (B, d).
 
-    With noise in the space factors_noise picks, as first_layer_noise gives
-    it (m draws shared by every point, or B per-point batches of m), it is
-    the pre-activation of the B*m noisy rows x_b + delta_i in (b, i) order:
-    x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1.
+    With noise, B per-point batches of m draws (B, m, .) in the space
+    factors_noise picks, as first_layer_noise gives them, it is the
+    pre-activation of the B*m noisy rows x_b + delta_{b,i} in (b, i) order:
+    x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1. Points
+    that share one batch take a broadcast view of it (np.broadcast_to).
     Every forward starts here, so this is the one input check:
     DimensionMismatch for X or noise of the wrong shape and ValueError for
     non-finite X (argmax of a NaN row reads as class 0, so a bad input must
@@ -164,9 +165,9 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     W1, b1 = params.weights[0], params.biases[0]
     if noise is not None:
         width = W1.shape[1] if factors_noise(params) else W1.shape[0]
-        if (noise.ndim not in (2, 3) or noise.shape[-2] < 1 or noise.shape[-1] != width
-                or noise.ndim == 3 and noise.shape[0] != X.shape[0]):
-            raise DimensionMismatch("noise", f"(*, m >= 1, {width})", noise.shape)
+        if (noise.ndim != 3 or noise.shape[0] != len(X) or noise.shape[1] < 1
+                or noise.shape[2] != width):
+            raise DimensionMismatch("noise", f"({len(X)}, m >= 1, {width})", noise.shape)
         if factors_noise(params):
             z = X @ W1
             z += b1
@@ -178,16 +179,15 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
 
 
 def first_layer_noise(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
-    """Noise rows (m, d) or per-point batches (B, m, d) as first_layer takes them.
+    """Per-point noise batches (B, m, d) as first_layer takes them.
 
     That is delta @ W1 when factors_noise, in one matrix product: a fixed
     batch shared by many inputs then goes through W1 once, and each input
     adds only x @ W1. Otherwise delta itself.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
-    if (deltas.ndim not in (2, 3) or deltas.shape[-1] != params.input_dim
-            or deltas.shape[-2] < 1):
-        raise DimensionMismatch("noise", f"(*, m >= 1, {params.input_dim})", deltas.shape)
+    if deltas.ndim != 3 or deltas.shape[1] < 1 or deltas.shape[2] != params.input_dim:
+        raise DimensionMismatch("noise", f"(B, m >= 1, {params.input_dim})", deltas.shape)
     if not factors_noise(params):
         return deltas
     W1 = params.weights[0]
@@ -201,8 +201,9 @@ def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
     ReLUs run in place, so z1 is overwritten (a fresh array per layer made
     two-moons CERTIFY measurably slower). With outs, one (rows, fan_out)
     array per later layer, each layer's output is written there instead of
-    to a fresh array, and the logits are outs[-1]. A single-layer net's z1
-    is already its logits.
+    to a fresh array, and the logits are outs[-1]; [z1, *outs[:-1]] then
+    hold the inputs of the later layers, after their ReLUs, as _backward
+    reads them. A single-layer net's z1 is already its logits.
     """
     h = z1
     for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
@@ -210,19 +211,6 @@ def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
         h = np.matmul(h, W, out=None if outs is None else outs[k])
         h += b
     return h
-
-
-def _forward_cached(params: ModelParams, z1: np.ndarray):
-    """Logits from the first layer's pre-activation z1 (first_layer), keeping
-    what _backward needs: acts[k] is the input of layer k + 1, the ReLU of
-    layer k's pre-activation. The ReLUs run in place, so acts[0] is z1."""
-    acts, h = [], z1
-    for W, b in zip(params.weights[1:], params.biases[1:]):
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
-        h = h @ W
-        h += b
-    return h, acts
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -236,7 +224,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _backward(params: ModelParams, acts, dlogits, need_params: bool):
     """Backprop the cotangent dlogits (rows, C) to the first layer's pre-activation.
 
-    acts are _forward_cached's. A ReLU passes the cotangent where its output
+    acts are the inputs of the layers after the first, [z1, *outs[:-1]] of
+    forward_tail with outs. A ReLU passes the cotangent where its output
     is positive, which is where its input is. Returns (param grads or None,
     dz1). Of the param grads (gW, gb), gW[0] is None: like the input
     gradient dz1 @ W1.T, the first layer's weight gradient X.T @ dz1 is the
@@ -265,12 +254,12 @@ def _grad_params_weighted(params: ModelParams, z1: np.ndarray, targets: np.ndarr
     Returns ((gW list, gb list), dz1, per-row CE values), with gW[0] left to
     the caller (see _backward). The exact CE cotangent is
     d CE/d logits = softmax - target, scaled per row by w_r. z1 is
-    overwritten (_forward_cached).
+    overwritten (forward_tail).
     """
-    logits, acts = _forward_cached(params, z1)
-    probs = softmax(logits)
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    probs = softmax(forward_tail(params, z1, outs))
     dlogits = (probs - targets) * row_weights[:, None]
-    grads, dz1 = _backward(params, acts, dlogits, need_params=True)
+    grads, dz1 = _backward(params, [z1, *outs[:-1]], dlogits, need_params=True)
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
     return grads, dz1, ce
 
@@ -290,13 +279,14 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
     X = np.asarray(X, dtype=np.float64)
     B, m = len(X), 1 if noise is None else noise.shape[-2]
     idx = np.repeat(np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (B,)), m)
-    logits, acts = _forward_cached(params, first_layer(params, X, noise))
-    p = softmax(logits)
+    z1 = first_layer(params, X, noise)
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    p = softmax(forward_tail(params, z1, outs))
     rows = np.arange(len(p))
     py = p[rows, idx]
     dlogits = -p * py[:, None]
     dlogits[rows, idx] += py
-    _, dz1 = _backward(params, acts, dlogits, need_params=False)
+    _, dz1 = _backward(params, [z1, *outs[:-1]], dlogits, need_params=False)
     W1 = params.weights[0]
     if factors_noise(params):
         return p, dz1.reshape(B, m, -1).sum(axis=1) @ W1.T

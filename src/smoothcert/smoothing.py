@@ -94,11 +94,12 @@ def _soft_smoothed_chunks(params: ModelParams, X: np.ndarray, noise: np.ndarray)
     predictions of consecutive slices of X, in order, so that a caller can
     stop early without changing any forward's row count."""
     X = np.asarray(X, dtype=np.float64)
-    m = max(1, noise.shape[-2]) if noise.ndim in (2, 3) else 1  # first_layer checks it
+    m = max(1, noise.shape[1]) if noise.ndim == 3 else 1  # first_layer checks it
     step = max(1, COUNT_CHUNK // m)
-    for i in range(0, len(X), step):
-        batch = noise if noise.ndim == 2 else noise[i:i + step]
-        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step], batch)))
+    # over the longer of the two, so that first_layer sees a count mismatch
+    for i in range(0, max(len(X), len(noise)), step):
+        probs = softmax(forward_tail(params, first_layer(params, X[i:i + step],
+                                                         noise[i:i + step])))
         yield probs.reshape(-1, m, probs.shape[-1]).mean(axis=1)
 
 
@@ -106,9 +107,10 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
                           noise: np.ndarray) -> np.ndarray:
     """Monte Carlo soft-smoothed predictions (1/m) sum_i softmax(f(x_b + delta_i)).
 
-    X holds B points (B, d). noise is nn.first_layer_noise of one batch of
-    draws (m, d) shared by every point, or of per-point batches (B, m, d),
-    formed once by the caller: when d > h1 the draws go through W1 once.
+    X holds B points (B, d). noise is nn.first_layer_noise of per-point
+    batches of draws (B, m, d), formed once by the caller: when d > h1 the
+    draws go through W1 once, and points that share one batch take a
+    broadcast view of it.
     Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
     one point when m exceeds it; returns (B, C). One point is X[None, :].
     """

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackConfig, _ascend_batch, l2_project
+from .adversary import AttackConfig, ascend, l2_project
 from .data import Dataset
 from .nn import (OptimizerState, _check_soft_rows, _grad_params_weighted, factors_noise,
                  first_layer, first_layer_noise, init_mlp, sgd_nesterov_step)
@@ -224,8 +224,7 @@ def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, stream, indices,
     deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
     noise = first_layer_noise(params, deltas)
     eps = cfg.epsilon_at(epoch)
-    points, _, _ = _ascend_batch(params, X, Y, noise, 2.0 * eps / cfg.steps, cfg.steps,
-                                 epsilon_cap=eps)
+    points, _, _ = ascend(params, X, Y, noise, AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps))
     grads, (loss,) = _noisy_ce_step(params, deltas, noise,
                                     [(points[-1], np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
@@ -242,8 +241,7 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
     deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, True)
     noise = first_layer_noise(params, deltas)
     steps = cfg.attack.steps
-    points, fhat_path, j_path = _ascend_batch(params, X, Y, noise, cfg.attack.alpha_step,
-                                              steps, epsilon_cap=cfg.attack.epsilon_cap)
+    points, fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack)
     x_adv = points[-1]
     # The anchor is x or, one-step, the first iterate (optionally capped):
     # iterate t of the attack path. Its Fhat comes from that path when the

@@ -5,7 +5,7 @@ nn._grad_params_weighted, the attacks through nn.class_prob_grad_input.
 These are the per-example forms the tests check it in: the logits of one
 input or a batch, the cross-entropy of one row, and its gradients with
 respect to the parameters and to the input. The gradients run the library's
-own passes (nn._forward_cached, nn._backward, nn._grad_params_weighted), so
+own passes (nn.forward_tail, nn._backward, nn._grad_params_weighted), so
 a finite-difference check of them checks the backprop that training runs.
 """
 
@@ -94,7 +94,9 @@ def grad_input(params, x, target) -> np.ndarray:
         X, T = x[None, :], validate_soft_label(target)[None, :]
     else:
         X, T = x, np.stack([validate_soft_label(t) for t in np.asarray(target)])
-    logits, acts = nn._forward_cached(params, first_layer(params, X))
-    _, dz1 = nn._backward(params, acts, softmax(logits) - T, need_params=False)
+    z1 = first_layer(params, X)
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    logits = forward_tail(params, z1, outs)
+    _, dz1 = nn._backward(params, [z1, *outs[:-1]], softmax(logits) - T, need_params=False)
     dX = dz1 @ params.weights[0].T
     return dX[0] if squeezed else dX

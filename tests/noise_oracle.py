@@ -45,7 +45,7 @@ def allocating_hard_class_counts(params, x, count, sigma, stream):
         m = min(remaining, COUNT_CHUNK)
         g = gen.standard_normal((m, params.input_dim if R is None else R.shape[0]))
         g *= sigma
-        z1 = first_layer(params, X, g if R is None else g @ R)
+        z1 = first_layer(params, X, (g if R is None else g @ R)[None])
         chunks.append(forward_tail(params, z1))
         counts += np.bincount(np.argmax(chunks[-1], axis=1), minlength=params.class_count)
         remaining -= m

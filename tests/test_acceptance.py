@@ -30,7 +30,7 @@ from nn_oracle import (
     init_mlp,
     validate_soft_label,
 )
-from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
+from smoothcert.adversary import AttackConfig, ascend
 from smoothcert.cli import main
 from smoothcert.data import (
     IDX_IMAGES_MAGIC,
@@ -364,8 +364,9 @@ def test_criterion_7_miscalibration_diagnostics(paired_models):
         freqs = []
         for i in range(P):
             noise = sample_noise(SIGMA, 2, 200, root.child("pgdnoise", i))
-            x_adv = smoothadv_pgd(params_g, ds.inputs[i], int(ds.labels[i]),
-                                  first_layer_noise(params_g, noise), 20, 2 * eps / 20, eps)
+            x_adv = ascend(params_g, ds.inputs[i][None], [int(ds.labels[i])],
+                           first_layer_noise(params_g, noise[None]),
+                           AttackConfig(2 * eps / 20, 20, eps))[0][-1, 0]
             counts = hard_class_counts(params_g, x_adv, m, SIGMA,
                                        root.child("conf", i))
             f = counts / m
@@ -448,16 +449,17 @@ def test_criterion_9_invariant_suite(tmp_path):
     # attack step norms are exactly alpha (or zero), trajectory-wide
     params = init_mlp([2, 6, 2], StreamId(91))
     noise = sample_noise(SIGMA, 2, 3, StreamId(92))
-    traj = smoothmix_attack(params, np.array([0.3, -0.2]), 0, noise,
-                            AttackConfig(0.37, 5))
-    for a, b in zip(traj.points, traj.points[1:]):
+    points = ascend(params, np.array([[0.3, -0.2]]), [0], first_layer_noise(params, noise[None]),
+                    AttackConfig(0.37, 5))[0][:, 0]
+    for a, b in zip(points, points[1:]):
         step = float(np.linalg.norm(b - a))
         assert step == 0.0 or abs(step - 0.37) < 1e-9
 
     # smoothadv iterates stay inside the epsilon ball
     x0 = np.array([0.3, -0.2])
     for eps in (0.25, 1.0):
-        x_adv = smoothadv_pgd(params, x0, 0, first_layer_noise(params, noise), 6, 0.5, eps)
+        x_adv = ascend(params, x0[None], [0], first_layer_noise(params, noise[None]),
+                       AttackConfig(0.5, 6, eps))[0][-1, 0]
         assert np.linalg.norm(x_adv - x0) <= eps + 1e-9
 
     # certified accuracy curves are nonincreasing

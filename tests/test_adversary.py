@@ -9,12 +9,10 @@ from noise_oracle import direct_objective_and_grad
 from smoothcert import cli
 from smoothcert.adversary import (
     AttackConfig,
-    AttackTrajectory,
-    _ascend_batch,
+    _objective,
     _objective_and_grad,
+    ascend,
     l2_project,
-    smoothadv_pgd,
-    smoothmix_attack,
 )
 from smoothcert.nn import ModelParams, first_layer_noise, save_checkpoint, softmax
 from smoothcert.rng import StreamId
@@ -39,11 +37,30 @@ def _random_net(seed, sizes):
     return ModelParams(weights, biases)
 
 
-def _objective(params, x, y, noise):
+def _j(params, x, y, noise):
     """J at one point under one noise batch (m, d), through the attack's path."""
     J, _, _ = _objective_and_grad(params, np.asarray(x, dtype=np.float64)[None], [y],
                                   first_layer_noise(params, noise[None]))
     return float(J[0])
+
+
+def _attack(params, x, y, noise, cfg):
+    """The attack-demo trajectory of one point under one noise batch (m, d):
+    ascend with B = 1, then Fhat and J at the endpoint from one forward.
+    Returns points (T+1, d), fhat_path (T+1, C) and j_path (T+1,)."""
+    noise = first_layer_noise(params, np.asarray(noise)[None])
+    y = np.array([y])
+    points, fhat_path, j_path = ascend(params, np.asarray(x, dtype=np.float64)[None], y,
+                                       noise, cfg)
+    fhat_end = soft_smoothed_predict(params, points[-1], noise)
+    return (points[:, 0], np.concatenate([fhat_path[:, 0], fhat_end]),
+            np.concatenate([j_path[:, 0], _objective(fhat_end, y)[0]]))
+
+
+def _pgd(params, x, y, noise, steps, step_size, epsilon):
+    """The PGD endpoint of one point, noise as nn.first_layer_noise gives it."""
+    cfg = AttackConfig(step_size, steps, epsilon)
+    return ascend(params, np.asarray(x, dtype=np.float64)[None], [y], noise, cfg)[0][-1, 0]
 
 
 # ---------------------------------------------------------------- objective
@@ -53,13 +70,13 @@ def test_objective_certain_true_class_is_zero():
     # logits pinned far toward class 1 -> F_y ~ 1 -> J ~ 0
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 200.0])])
     noise = sample_noise(1.0, 2, 4, StreamId(0))
-    assert abs(_objective(params, np.zeros(2), 1, noise)) < 1e-12
+    assert abs(_j(params, np.zeros(2), 1, noise)) < 1e-12
 
 
 def test_objective_uniform_is_log_c():
     params = _constant_net(3, 5)
     noise = sample_noise(1.0, 3, 6, StreamId(1))
-    assert _objective(params, np.ones(3), 2, noise) == pytest.approx(
+    assert _j(params, np.ones(3), 2, noise) == pytest.approx(
         math.log(5), abs=1e-12)
 
 
@@ -70,7 +87,7 @@ def test_objective_matches_recomputation():
     y = 1
     probs = [softmax(forward(params, x + d))[y] for d in noise]
     want = -math.log(sum(probs) / len(probs))
-    assert _objective(params, x, y, noise) == pytest.approx(want, abs=1e-12)
+    assert _j(params, x, y, noise) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [[9, 4, 5, 3], [3, 6, 3], [5, 2]])
@@ -86,8 +103,8 @@ def test_objective_and_grad_match_direct_oracle(sizes):
     got = _objective_and_grad(params, X, y, first_layer_noise(params, noises))
     for g, w in zip(got, direct_objective_and_grad(params, X, y, noises)):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-    points, fhat_path, j_path = _ascend_batch(
-        params, X, y, first_layer_noise(params, noises), 0.3, 3, epsilon_cap=0.5)
+    points, fhat_path, j_path = ascend(
+        params, X, y, first_layer_noise(params, noises), AttackConfig(0.3, 3, 0.5))
     assert points.shape[0] == 4 and len(fhat_path) == len(j_path) == 3
     for t in range(3):
         J, _, fhat = direct_objective_and_grad(params, points[t], y, noises)
@@ -107,10 +124,9 @@ def test_ascend_batch_keeps_the_bits_of_the_endpoint_gradient_loop(sizes, steps,
     B, m, d = 5, 4, sizes[0]
     X, y = rng.standard_normal((B, d)), rng.integers(0, sizes[-1], B)
     noises = rng.standard_normal((B, m, d)) * 0.7
-    points, fhat_path, j_path = _ascend_batch(
-        params, X, y, first_layer_noise(params, noises), 0.4, steps, epsilon_cap=cap)
-    want_points, want_fhat, want_j = ascend_with_endpoint_gradient(
-        params, X, y, noises, 0.4, steps, epsilon_cap=cap)
+    noise, cfg = first_layer_noise(params, noises), AttackConfig(0.4, steps, cap)
+    points, fhat_path, j_path = ascend(params, X, y, noise, cfg)
+    want_points, want_fhat, want_j = ascend_with_endpoint_gradient(params, X, y, noise, cfg)
     np.testing.assert_array_equal(points, want_points)
     np.testing.assert_array_equal(fhat_path, want_fhat[:-1])
     np.testing.assert_array_equal(j_path, want_j[:-1])
@@ -118,9 +134,22 @@ def test_ascend_batch_keeps_the_bits_of_the_endpoint_gradient_loop(sizes, steps,
 
 def _oracle_attack(params, x, y, noise, cfg):
     points, fhat_path, j_path = ascend_with_endpoint_gradient(
-        params, x[None, :], [y], noise[None], cfg.alpha_step, cfg.steps,
-        epsilon_cap=cfg.epsilon_cap)
-    return AttackTrajectory(points[:, 0], fhat_path[:, 0], j_path[:, 0])
+        params, x[None, :], [y], first_layer_noise(params, noise[None]), cfg)
+    return points[:, 0], fhat_path[:, 0], j_path[:, 0]
+
+
+def _patch_cli_with_oracle(monkeypatch):
+    """Make attack-demo take its iterates, and Fhat at the endpoint, from the
+    loop that also takes the gradient there."""
+    endpoints = []
+
+    def oracle_ascend(params, X, y, noise, cfg):
+        points, fhat_path, j_path = ascend_with_endpoint_gradient(params, X, y, noise, cfg)
+        endpoints.append(fhat_path[-1])
+        return points, fhat_path[:-1], j_path[:-1]
+
+    monkeypatch.setattr(cli, "ascend", oracle_ascend)
+    monkeypatch.setattr(cli, "soft_smoothed_predict", lambda *args: endpoints.pop())
 
 
 @pytest.mark.parametrize("steps", [0, 1, 4])
@@ -131,10 +160,8 @@ def test_attack_trajectory_matches_endpoint_gradient_loop_at_mnist_shape(steps):
     x = np.random.default_rng(35).uniform(0.0, 1.0, 784)
     noise = sample_noise(0.5, 784, 8, StreamId(36))
     cfg = AttackConfig(1.0, steps)
-    traj = smoothmix_attack(params, x, 3, noise, cfg)
-    want = _oracle_attack(params, x, 3, noise, cfg)
-    for got, exp in zip((traj.points, traj.fhat_path, traj.j_path),
-                        (want.points, want.fhat_path, want.j_path)):
+    for got, exp in zip(_attack(params, x, 3, noise, cfg),
+                        _oracle_attack(params, x, 3, noise, cfg)):
         np.testing.assert_array_equal(got, exp)
 
 
@@ -149,7 +176,7 @@ def test_attack_demo_csv_matches_endpoint_gradient_loop(tmp_path, monkeypatch, s
     csvs = []
     for name in ("library", "oracle"):
         if name == "oracle":
-            monkeypatch.setattr(cli, "smoothmix_attack", _oracle_attack)
+            _patch_cli_with_oracle(monkeypatch)
         out = tmp_path / name
         assert cli.main(["attack-demo", "--config", str(cfg), "--out", str(out)]) == 0
         csvs.append((out / "attack_demo.csv").read_bytes())
@@ -164,12 +191,12 @@ def test_attack_t0_trajectory_is_start_point():
     params = _random_net(4, [2, 5, 3])
     noise = sample_noise(0.5, 2, 3, StreamId(5))
     x = np.array([0.3, 0.8])
-    traj = smoothmix_attack(params, x, 0, noise, AttackConfig(1.0, 0))
-    assert traj.points.shape == (1, 2)
-    np.testing.assert_array_equal(traj.points[0], x)
-    np.testing.assert_allclose(traj.fhat_path[0],
+    points, fhat_path, _ = _attack(params, x, 0, noise, AttackConfig(1.0, 0))
+    assert points.shape == (1, 2)
+    np.testing.assert_array_equal(points[0], x)
+    np.testing.assert_allclose(fhat_path[0],
                                soft_smoothed_predict(params, x[None, :],
-                                                     first_layer_noise(params, noise))[0],
+                                                     first_layer_noise(params, noise[None]))[0],
                                atol=1e-12)
 
 
@@ -177,9 +204,9 @@ def test_attack_zero_gradient_skips_steps():
     params = _constant_net(2, 3)
     noise = sample_noise(0.5, 2, 3, StreamId(6))
     x = np.array([1.5, -0.5])
-    traj = smoothmix_attack(params, x, 0, noise, AttackConfig(0.7, 5))
-    assert traj.points.shape == (6, 2)
-    for pt in traj.points:
+    points = _attack(params, x, 0, noise, AttackConfig(0.7, 5))[0]
+    assert points.shape == (6, 2)
+    for pt in points:
         np.testing.assert_array_equal(pt, x)
 
 
@@ -189,16 +216,16 @@ def test_attack_linear_model_straight_line():
     noise = sample_noise(0.5, 2, 8, StreamId(7))
     x = np.array([0.4, 0.2])
     cfg = AttackConfig(alpha_step=0.25, steps=6)
-    traj = smoothmix_attack(params, x, 1, noise, cfg)
+    points, _, j_path = _attack(params, x, 1, noise, cfg)
     # ascent on J for true class 1 walks exactly along -w/|w|
     direction = -w / np.linalg.norm(w)
     for t in range(1, 7):
-        np.testing.assert_allclose(traj.points[t],
+        np.testing.assert_allclose(points[t],
                                    x + 0.25 * t * direction, atol=1e-9)
-    assert np.linalg.norm(traj.points[-1] - x) == pytest.approx(
+    assert np.linalg.norm(points[-1] - x) == pytest.approx(
         6 * 0.25, abs=1e-9)
     # on a linear model J is nondecreasing along the trajectory
-    assert np.all(np.diff(traj.j_path) >= -1e-12)
+    assert np.all(np.diff(j_path) >= -1e-12)
 
 
 def test_attack_step_norm_exact():
@@ -206,8 +233,8 @@ def test_attack_step_norm_exact():
     noise = sample_noise(0.8, 3, 4, StreamId(9))
     x = np.array([0.1, -0.2, 0.5])
     cfg = AttackConfig(alpha_step=0.42, steps=5)
-    traj = smoothmix_attack(params, x, 2, noise, cfg)
-    steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
+    points = _attack(params, x, 2, noise, cfg)[0]
+    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     moved = steps > 1e-12
     assert np.all(np.abs(steps[moved] - 0.42) < 1e-9)
     assert np.all(steps <= 0.42 + 1e-9)
@@ -218,8 +245,8 @@ def test_attack_cap_projection():
     noise = sample_noise(0.6, 2, 4, StreamId(11))
     x = np.array([0.7, -0.3])
     cfg = AttackConfig(alpha_step=0.5, steps=8, epsilon_cap=0.6)
-    traj = smoothmix_attack(params, x, 1, noise, cfg)
-    dists = np.linalg.norm(traj.points - x, axis=1)
+    points = _attack(params, x, 1, noise, cfg)[0]
+    dists = np.linalg.norm(points - x, axis=1)
     assert np.all(dists <= 0.6 + 1e-9)
 
 
@@ -228,22 +255,21 @@ def test_attack_noise_reuse_provenance():
     # caller's batch unchanged for reuse
     params = _random_net(12, [2, 6, 3])
     noise = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
-    traj = smoothmix_attack(params, np.zeros(2), 0, noise,
-                            AttackConfig(0.3, 3))
+    points = _attack(params, np.zeros(2), 0, noise, AttackConfig(0.3, 3))[0]
     again = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
     np.testing.assert_array_equal(noise, again)
-    redo = smoothmix_attack(params, np.zeros(2), 0, again, AttackConfig(0.3, 3))
-    np.testing.assert_array_equal(redo.points, traj.points)
+    redo = _attack(params, np.zeros(2), 0, again, AttackConfig(0.3, 3))[0]
+    np.testing.assert_array_equal(redo, points)
 
 
 def test_attack_trajectory_invariants():
     params = _random_net(14, [3, 7, 2])
     noise = sample_noise(0.4, 3, 3, StreamId(15))
     x = np.array([0.0, 0.1, -0.1])
-    traj = smoothmix_attack(params, x, 0, noise, AttackConfig(0.2, 4))
-    assert traj.points.shape[0] == 5
-    np.testing.assert_array_equal(traj.points[0], x)
-    np.testing.assert_allclose(traj.fhat_path.sum(axis=1), 1.0, atol=1e-9)
+    points, fhat_path, _ = _attack(params, x, 0, noise, AttackConfig(0.2, 4))
+    assert points.shape[0] == 5
+    np.testing.assert_array_equal(points[0], x)
+    np.testing.assert_allclose(fhat_path.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_attack_fhat_path_matches_fresh_prediction():
@@ -251,10 +277,11 @@ def test_attack_fhat_path_matches_fresh_prediction():
     # a separate soft-smoothed prediction at every iterate, bit for bit
     params = _random_net(22, [3, 7, 4])
     noise = sample_noise(0.6, 3, 5, StreamId(23))
-    traj = smoothmix_attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
-                            AttackConfig(0.3, 4, epsilon_cap=0.5))
-    fresh = soft_smoothed_predict(params, traj.points, first_layer_noise(params, noise))
-    np.testing.assert_array_equal(traj.fhat_path, fresh)
+    points, fhat_path, _ = _attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
+                                   AttackConfig(0.3, 4, epsilon_cap=0.5))
+    shared = np.broadcast_to(first_layer_noise(params, noise[None]), (5,) + noise.shape)
+    fresh = soft_smoothed_predict(params, points, shared)
+    np.testing.assert_array_equal(fhat_path, fresh)
 
 
 def test_attack_config_validation():
@@ -271,50 +298,44 @@ def test_attack_config_validation():
 
 def test_pgd_constant_classifier_returns_x():
     params = _constant_net(2, 2)
-    noise = first_layer_noise(params, sample_noise(0.5, 2, 3, StreamId(16)))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 3, StreamId(16))[None])
     x = np.array([0.4, 0.9])
-    out = smoothadv_pgd(params, x, 0, noise, steps=5, step_size=0.3,
-                        epsilon=1.0)
+    out = _pgd(params, x, 0, noise, steps=5, step_size=0.3, epsilon=1.0)
     np.testing.assert_array_equal(out, x)
 
 
 def test_pgd_unprojected_distance_on_linear_model():
     params = _linear_two_class(np.array([1.0, 1.0]), 0.0)
-    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(17)))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(17))[None])
     x = np.array([0.2, -0.1])
-    out = smoothadv_pgd(params, x, 1, noise, steps=4, step_size=0.2,
-                        epsilon=1.0)
+    out = _pgd(params, x, 1, noise, steps=4, step_size=0.2, epsilon=1.0)
     assert np.linalg.norm(out - x) == pytest.approx(0.8, abs=1e-9)
 
 
 def test_pgd_projection_hits_ball_boundary():
     params = _linear_two_class(np.array([1.0, 0.0]), 0.0)
-    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(18)))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 6, StreamId(18))[None])
     x = np.array([0.5, 0.5])
-    out = smoothadv_pgd(params, x, 1, noise, steps=10, step_size=0.5,
-                        epsilon=0.75)
+    out = _pgd(params, x, 1, noise, steps=10, step_size=0.5, epsilon=0.75)
     assert np.linalg.norm(out - x) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_pgd_always_inside_ball():
     params = _random_net(19, [3, 8, 3])
-    noise = first_layer_noise(params, sample_noise(0.7, 3, 4, StreamId(20)))
+    noise = first_layer_noise(params, sample_noise(0.7, 3, 4, StreamId(20))[None])
     x = np.array([0.3, 0.3, -0.6])
     for eps in (0.25, 1.0):
-        out = smoothadv_pgd(params, x, 1, noise, steps=7, step_size=0.6,
-                            epsilon=eps)
+        out = _pgd(params, x, 1, noise, steps=7, step_size=0.6, epsilon=eps)
         assert np.linalg.norm(out - x) <= eps + 1e-9
 
 
 def test_pgd_validation():
     params = _constant_net(2, 2)
-    noise = first_layer_noise(params, sample_noise(0.5, 2, 2, StreamId(21)))
+    noise = first_layer_noise(params, sample_noise(0.5, 2, 2, StreamId(21))[None])
     with pytest.raises(ValueError):
-        smoothadv_pgd(params, np.zeros(2), 0, noise, steps=3, step_size=0.1,
-                      epsilon=0.0)
+        _pgd(params, np.zeros(2), 0, noise, steps=3, step_size=0.1, epsilon=0.0)
     with pytest.raises(ValueError):
-        smoothadv_pgd(params, np.zeros(2), 0, noise, steps=3, step_size=0.0,
-                      epsilon=1.0)
+        _pgd(params, np.zeros(2), 0, noise, steps=3, step_size=0.0, epsilon=1.0)
 
 
 # ---------------------------------------------------------------- projection

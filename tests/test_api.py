@@ -29,7 +29,10 @@ def test_package_exports_are_the_library_surface():
 def test_benchmark_trace_finds_its_names():
     # perfbench/trace_child.py rebinds names on the modules where their
     # callers look them up; a name that moves away silently zeroes its
-    # per-layer metrics. These four are already unreachable. The last,
+    # per-layer metrics. These five are already unreachable.
+    # evaluation.smoothadv_pgd is gone: the mixing ratio calls
+    # adversary.ascend with one point, and its PGD time stays inside the
+    # evaluation.equal_confidence_mixing_ratio span. The last,
     # theory.worst_case_prob, moved to tests/test_theory.py: verify_decay
     # had stopped calling it, so its traced metrics already read 0.
     src = pathlib.Path(smoothcert.__file__).resolve().parents[1]
@@ -41,6 +44,7 @@ def test_benchmark_trace_finds_its_names():
     assert json.loads(out) == ["smoothcert.smoothing.forward",
                                "smoothcert.adversary.forward",
                                "smoothcert.evaluation.forward",
+                               "smoothcert.evaluation.smoothadv_pgd",
                                "smoothcert.theory.worst_case_prob"]
 
 

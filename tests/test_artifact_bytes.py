@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from smoothcert import cli
-from smoothcert.adversary import AttackTrajectory
 from smoothcert.data import Dataset
 from smoothcert.smoothing import ABSTAIN, CertifyOutcome
 from smoothcert.theory import DecayReport, DecayRow
@@ -169,17 +168,20 @@ def test_theory_csv_bytes(run, monkeypatch):
 
 
 def test_attack_demo_csv_bytes(run, monkeypatch):
-    def attack(params, x, y, noise, acfg):
+    def ascend(params, X, y, noise, acfg):
         steps = np.array([[0.0, 0.0], [0.3, 0.4], [0.6, 0.8]])
-        fhat = np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1234567891]])
-        return AttackTrajectory(points=x + steps, fhat_path=fhat,
-                                j_path=np.array([0.1, 0.2345678912, 3.0]))
+        fhat = np.array([[0.25, 0.75], [0.5, 0.5]])
+        return X + steps[:, None], fhat[:, None], np.array([[0.1], [0.2345678912]])
 
-    monkeypatch.setattr(cli, "smoothmix_attack", attack)
+    # the endpoint's Fhat, from one forward; J there is -log Fhat_y
+    monkeypatch.setattr(cli, "first_layer_noise", lambda params, deltas: deltas)
+    monkeypatch.setattr(cli, "ascend", ascend)
+    monkeypatch.setattr(cli, "soft_smoothed_predict",
+                        lambda params, X, noise: np.array([[0.8765432109, 0.1234567891]]))
     out = run("attack-demo", "checkpoint = absent.json\nsigma = 0.5\n"
               "alpha_step = 0.5\nsteps = 2\npoint_index = 2\n" + DATA_KEYS)
     assert (out / "attack_demo.csv").read_bytes() == (
         b"step,distance_from_x,J,true_class_prob\r\n"
         b"0,0,0.1,0.75\r\n"
         b"1,0.5,0.23456789,0.5\r\n"
-        b"2,1,3,0.12345679\r\n")
+        b"2,1,2.0918641,0.12345679\r\n")

@@ -20,6 +20,7 @@ from smoothcert.config import (
     CERTIFY_SCHEMA,
     ConfigError,
     EVALUATE_SCHEMA,
+    SCHEMAS,
     TRAIN_SCHEMA,
     apply_schema,
     build_dataset,
@@ -508,6 +509,20 @@ def test_certify_max_points_and_seed_override(tmp_path, trained):
     assert man["config"]["seed"] == 99
 
 
+def test_seed_flag_only_where_the_config_has_a_seed(tmp_path, capsys):
+    # evaluate reads no randomness: --seed there is a usage error, not ignored
+    cfg = _write(tmp_path / "e.cfg", "cert_csv = a.csv\nradii = 0.5\nsigma = 0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--config", cfg, "--out", str(tmp_path), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    with_seed = [command for command, schema in SCHEMAS.items() if "seed" in schema]
+    assert with_seed == ["train", "certify", "attack-demo", "mixratio", "theory-sim"]
+    for command in with_seed:
+        args = cli.build_parser().parse_args([command, "--config", "c.cfg", "--seed", "7"])
+        assert args.seed == 7
+
+
 def test_evaluate_pipeline_and_model_id_default(tmp_path, trained):
     ckpt = trained / "checkpoint.json"
     cert_out = tmp_path / "cert"
@@ -539,7 +554,11 @@ sigma = 0.5
 @pytest.mark.parametrize("row, reason", [
     ("1,0,0,0.5", "not enough values to unpack (expected 8, got 4)"),
     ("1,0,0,abc,0.9,1,0,0.1250", "could not convert string to float: 'abc'"),
-], ids=["short-row", "non-numeric-radius"])
+    ("1,0,-1,0.000000,0.41,0,2,0.1250", "correct and abstain must be 0 or 1, got 0 and 2"),
+    ("1,0,0,0.500000,0.9,2,0,0.1250", "correct and abstain must be 0 or 1, got 2 and 0"),
+    ("1,0,-1,0.500000,0.9,0,0,0.1250", "a certified row predicts class -1"),
+], ids=["short-row", "non-numeric-radius", "abstain-2", "correct-2",
+        "certified-without-class"])
 def test_evaluate_names_the_malformed_certify_csv_line(tmp_path, capsys, row, reason):
     # a bad row is a runtime failure that says which file and line it is in
     cert = tmp_path / "certify.csv"

@@ -242,8 +242,9 @@ def test_smoothed_prediction_invariant_to_noise_order():
     for lam in (0.0, 0.25, 0.5, 1.0):
         x = np.array([0.3 + lam, 0.0])
         np.testing.assert_allclose(
-            soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise)),
-            soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise[perm])),
+            soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise[None])),
+            soft_smoothed_predict(params, x[None, :],
+                                  first_layer_noise(params, noise[perm][None])),
             atol=1e-12)
 
 

@@ -93,12 +93,15 @@ def test_forward_batch_matches_rows():
 
 
 def test_forward_matches_cached_forward_bitwise():
-    from smoothcert.nn import _forward_cached, first_layer
+    # the backward passes' forward writes each layer into the caller's outs
+    from smoothcert.nn import first_layer, forward_tail
     rng = np.random.default_rng(5)
     params = _random_net(rng, [6, 16, 16, 4])
     X = rng.standard_normal((40, 6))
     X_before = X.copy()
-    logits, _ = _forward_cached(params, first_layer(params, X))
+    outs = [np.empty((40, W.shape[1])) for W in params.weights[1:]]
+    logits = forward_tail(params, first_layer(params, X), outs)
+    assert logits is outs[-1]
     np.testing.assert_array_equal(forward(params, X), logits)
     np.testing.assert_array_equal(X, X_before)  # the in-place steps leave x alone
 

@@ -103,7 +103,7 @@ def test_noise_batch_m_validation():
 def test_soft_predict_constant_net_uniform():
     params = _constant_net(dim=3, classes=4)
     noise = sample_noise(1.0, 3, 50, StreamId(2))
-    probs = soft_smoothed_predict(params, np.ones((1, 3)), first_layer_noise(params, noise))
+    probs = soft_smoothed_predict(params, np.ones((1, 3)), first_layer_noise(params, noise[None]))
     assert probs.shape == (1, 4)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
@@ -116,12 +116,13 @@ def test_soft_predict_m1_is_plain_softmax():
     noise = sample_noise(0.5, 3, 1, StreamId(5))
     x = rng.standard_normal(3)
     np.testing.assert_allclose(
-        soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise))[0],
+        soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise[None]))[0],
         softmax(forward(params, x + noise[0])), atol=1e-14)
 
 
 def test_soft_predict_batch_is_rowwise():
-    # a batch under shared or per-point noise equals B one-point calls
+    # a batch under shared noise (a broadcast view) or per-point noise
+    # equals B one-point calls
     rng = np.random.default_rng(8)
     params = ModelParams([rng.standard_normal((3, 5)), rng.standard_normal((5, 4))],
                          [rng.standard_normal(5), rng.standard_normal(4)])
@@ -129,14 +130,15 @@ def test_soft_predict_batch_is_rowwise():
     shared = sample_noise(0.5, 3, 6, StreamId(9))
     per_point = np.stack([sample_noise(0.5, 3, 6, StreamId(9, (b,)))
                           for b in range(3)])
-    for deltas in (shared, per_point):
-        noise = first_layer_noise(params, deltas)
+    one = first_layer_noise(params, shared[None])
+    for noise in (np.broadcast_to(one, (3,) + one.shape[1:]),
+                  first_layer_noise(params, per_point)):
         got = soft_smoothed_predict(params, X, noise)
         assert got.shape == (3, 4)
         for b in range(3):
-            one = noise if noise.ndim == 2 else noise[b]
             np.testing.assert_allclose(
-                got[b], soft_smoothed_predict(params, X[b:b + 1], one)[0], atol=1e-14)
+                got[b], soft_smoothed_predict(params, X[b:b + 1], noise[b:b + 1])[0],
+                atol=1e-14)
 
 
 def _dyadic_net(rng, sizes):
@@ -154,8 +156,8 @@ def test_soft_predict_chunk_size_does_not_change_results(monkeypatch, per_point)
     params = _dyadic_net(rng, [5, 7, 3])
     B, m = 9, 4
     X = rng.integers(-8, 9, (B, 5)) / 8.0
-    noise = first_layer_noise(params, rng.integers(-8, 9, (B, m, 5) if per_point
-                                                   else (m, 5)) / 8.0)
+    noise = first_layer_noise(params, rng.integers(-8, 9, (B if per_point else 1, m, 5)) / 8.0)
+    noise = np.broadcast_to(noise, (B,) + noise.shape[1:])  # shared: one batch for all
     whole = soft_smoothed_predict(params, X, noise)
     rows = []
 
@@ -183,7 +185,7 @@ def test_soft_predict_linear_matches_gaussian_integral():
     noise = sample_noise(sigma, 2, m, StreamId(6, ("mc",)))
     margin = float(w @ x + b)
     p_true = _phi(margin / (sigma * np.linalg.norm(w)))
-    est = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise))[0, 1]
+    est = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, noise[None]))[0, 1]
     se = math.sqrt(p_true * (1 - p_true) / m)
     assert abs(est - p_true) < 3 * se
 
@@ -355,7 +357,8 @@ def test_soft_predict_matches_direct_oracle(sizes, per_point):
     B, m, d = 5, 7, sizes[0]
     X = rng.standard_normal((B, d))
     deltas = rng.standard_normal((B, m, d) if per_point else (m, d)) * 0.6
-    got = soft_smoothed_predict(params, X, first_layer_noise(params, deltas))
+    noise = first_layer_noise(params, deltas if per_point else deltas[None])
+    got = soft_smoothed_predict(params, X, np.broadcast_to(noise, (B,) + noise.shape[1:]))
     np.testing.assert_allclose(got, direct_soft_predict(params, X, deltas), rtol=0, atol=1e-12)
 
 
@@ -369,7 +372,7 @@ def test_non_finite_input_raises(bad):
     with pytest.raises(ValueError, match="non-finite"):
         hard_class_counts(params, x, 10, 0.5, StreamId(1))
     with pytest.raises(ValueError, match="non-finite"):
-        soft_smoothed_predict(params, x[None, :], np.zeros((4, 3)))
+        soft_smoothed_predict(params, x[None, :], np.zeros((1, 4, 3)))
 
 
 def test_wrong_width_raises_dimension_mismatch():
@@ -379,14 +382,25 @@ def test_wrong_width_raises_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hard_class_counts(params, np.zeros(2), 10, 0.5, StreamId(1))
     with pytest.raises(DimensionMismatch):
-        soft_smoothed_predict(params, np.zeros((2, 4)), np.zeros((4, 4)))
+        soft_smoothed_predict(params, np.zeros((2, 4)), np.zeros((2, 4, 4)))
     with pytest.raises(DimensionMismatch):
-        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((4, 5)))
+        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((2, 4, 5)))
     with pytest.raises(DimensionMismatch):
         soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((3, 4, 3)))
+    with pytest.raises(DimensionMismatch):  # one (m, d) batch is a (1, m, d) batch
+        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((4, 3)))
     wide = init_mlp([6, 4, 2], StreamId(0))
     with pytest.raises(DimensionMismatch):  # raw draws where delta W1 belongs
-        soft_smoothed_predict(wide, np.zeros((2, 6)), np.zeros((4, 6)))
+        soft_smoothed_predict(wide, np.zeros((2, 6)), np.zeros((2, 4, 6)))
+
+
+def test_noise_for_more_points_than_inputs_raises(monkeypatch):
+    # one point per forward: the forwards over X alone would each see a
+    # matching slice of the noise and never the extra batches
+    monkeypatch.setattr(smoothing, "COUNT_CHUNK", 1)
+    params = init_mlp([3, 8, 2], StreamId(0))
+    with pytest.raises(DimensionMismatch):
+        soft_smoothed_predict(params, np.zeros((2, 3)), np.zeros((5, 4, 3)))
 
 
 # ---------------------------------------------------------------- quantile

@@ -7,7 +7,7 @@ import pytest
 from attack_oracle import ascend_with_endpoint_gradient
 from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
 from noise_oracle import direct_noisy_ce_grads
-from smoothcert.adversary import AttackConfig, smoothadv_pgd, smoothmix_attack
+from smoothcert.adversary import AttackConfig, ascend
 from smoothcert.data import Dataset, gen_two_moons
 from smoothcert.nn import OptimizerState, first_layer_noise, init_mlp
 from smoothcert.rng import StreamId, _mix_part
@@ -124,9 +124,11 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     assert mix == 0.0
     noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
     eps = cfg.epsilon_at(0)
+    # each example's PGD on its own (B = 1): with some BLAS builds a row's
+    # product differs in the last bits with the row count, hence the tolerance
     x_hat = np.stack([
-        smoothadv_pgd(params, X[b], int(Y[b]), first_layer_noise(params, noises[b]),
-                      steps=3, step_size=2.0 * eps / 3, epsilon=eps)
+        ascend(params, X[b:b + 1], Y[b:b + 1], first_layer_noise(params, noises[b:b + 1]),
+               AttackConfig(2.0 * eps / 3, 3, eps))[0][-1, 0]
         for b in range(2)])
     want_grads, (want,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
                                          [(x_hat, np.eye(3)[Y], 1.0)])
@@ -268,7 +270,7 @@ def test_smoothmix_loss_lambda_zero_is_soft_target_gaussian_form(monkeypatch):
     _, _, mix, diag, deltas = _example(params, x, 1, _mix_cfg(),
                                        StreamId(9, ("train", 0, 0)))
     np.testing.assert_array_equal(diag["x_mix"][0], x)
-    fhat = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, deltas))[0]
+    fhat = soft_smoothed_predict(params, x[None, :], first_layer_noise(params, deltas[None]))[0]
     np.testing.assert_array_equal(diag["y_mix"][0], fhat)
     assert mix == pytest.approx(_mean_ce(params, x, fhat, deltas), abs=1e-12)
 
@@ -351,10 +353,10 @@ def test_one_step_substitution_changes_anchor():
     d_one = _example(params, x, y, _mix_cfg(use_one_step=True), stream)[3]
     np.testing.assert_array_equal(d_plain["anchor"][0], x)
     # one-step anchor is the first ascent iterate, one full step from x
-    noise = _draws(stream, 3, 2, 0.5)[0]
-    traj = smoothmix_attack(params, x, y, noise, AttackConfig(0.5, 2))
-    np.testing.assert_array_equal(d_one["anchor"][0], traj.points[1])
-    np.testing.assert_array_equal(d_one["x_adv"][0], traj.points[-1])
+    noise = first_layer_noise(params, _draws(stream, 3, 2, 0.5)[0][None])
+    points = ascend(params, x[None], [y], noise, AttackConfig(0.5, 2))[0][:, 0]
+    np.testing.assert_array_equal(d_one["anchor"][0], points[1])
+    np.testing.assert_array_equal(d_one["x_adv"][0], points[-1])
     assert np.linalg.norm(d_one["anchor"][0] - x) == pytest.approx(0.5, abs=1e-9)
     # with a cap the anchor stays inside the cap ball
     d_cap = _example(params, x, y,
@@ -394,7 +396,8 @@ def test_one_step_y_mix_at_one_attack_step_keeps_the_endpoint_gradient_bits(size
     streams = [StreamId(36, ("train", 0, i)) for i in range(5)]
     *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
     noises = np.stack([_draws(s, cfg.m, sizes[0], cfg.sigma)[0] for s in streams])
-    points, fhat_path, _ = ascend_with_endpoint_gradient(params, X, Y, noises, 0.5, 1)
+    points, fhat_path, _ = ascend_with_endpoint_gradient(
+        params, X, Y, first_layer_noise(params, noises), cfg.attack)
     np.testing.assert_array_equal(diag["anchor"], points[1])
     _, y_mix = make_mix_pair(points[1], fhat_path[1], points[1], diag["lambda"], 3)
     np.testing.assert_array_equal(diag["y_mix"], y_mix)
