@@ -28,6 +28,7 @@ from .nn import ModelParams, class_prob_grad_input
 
 __all__ = [
     "AttackConfig",
+    "objective",
     "ascend",
     "l2_project",
 ]
@@ -73,7 +74,7 @@ def l2_project(points: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
     return centers + diff * scale[..., None]
 
 
-def _objective(fhat: np.ndarray, y: np.ndarray):
+def objective(fhat: np.ndarray, y: np.ndarray):
     """J = -log Fhat_y (B,) from the soft-smoothed predictions fhat (B, C),
     and the floored Fhat_y."""
     fy = np.maximum(fhat[np.arange(len(fhat)), y], PROB_FLOOR)
@@ -93,7 +94,7 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.intp)
     probs, grad_sums = class_prob_grad_input(params, X, y, noise)
     fhat = probs.reshape(B, m, -1).mean(axis=1)
-    J, fy = _objective(fhat, y)
+    J, fy = objective(fhat, y)
     grads = -grad_sums / (m * fy)[:, None]
     return J, grads, fhat
 

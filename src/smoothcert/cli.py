@@ -32,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .adversary import AttackConfig, _objective, ascend
+from .adversary import AttackConfig, ascend, objective
 from .config import (
     SCHEMAS,
     ConfigError,
@@ -52,7 +52,7 @@ from .evaluation import (
 )
 from .nn import first_layer_noise, load_checkpoint, save_checkpoint
 from .rng import StreamId, map_streams
-from .smoothing import (ABSTAIN, COUNT_CHUNK, CertifyOutcome, _noise_factor, certify,
+from .smoothing import (COUNT_CHUNK, CertifyOutcome, certify, noise_factor,
                         sample_noise, soft_smoothed_predict)
 from .theory import TheorySimConfig, decay_dims, verify_decay
 from .training import train
@@ -91,9 +91,10 @@ def write_certification_csv(path, rows) -> None:
 
 def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
     """The labels and CERTIFY outcomes of a certify.csv whose header matches.
-    A row that does not parse, whose correct or abstain is not 0 or 1, or
-    that is certified with a negative prediction, or no row at all, raises
-    ValueError naming the file."""
+    A row that does not parse, whose correct or abstain is not 0 or 1, that
+    abstains with a class or a nonzero radius, that is certified with a
+    negative prediction, or whose correct is not (certified and predicted ==
+    label), or no row at all, raises ValueError naming the file."""
     labels, outcomes = [], []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -103,18 +104,21 @@ def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
         for row in filter(None, reader):
             try:
                 _, label, predicted, radius, p_lower, correct, abstain, _ = row
-                if not {int(correct), int(abstain)} <= {0, 1}:
+                label, predicted, correct, abstain = map(int, (label, predicted,
+                                                               correct, abstain))
+                if not {correct, abstain} <= {0, 1}:
                     raise ValueError(f"correct and abstain must be 0 or 1, "
                                      f"got {correct} and {abstain}")
-                certified = not int(abstain)
-                if certified and int(predicted) < 0:
+                certified = not abstain
+                if certified and predicted < 0:
                     raise ValueError(f"a certified row predicts class {predicted}")
-                labels.append(int(label))
-                outcomes.append(CertifyOutcome(
-                    certified=certified,
-                    predicted_class=int(predicted) if certified else ABSTAIN,
-                    radius=float(radius) if certified else 0.0,
-                    p_lower=float(p_lower)))
+                if correct != int(certified and predicted == label):
+                    raise ValueError(f"correct is {correct} for label {label}, "
+                                     f"predicted {predicted} and abstain {abstain}")
+                labels.append(label)
+                # an abstain row's class and radius are checked by CertifyOutcome
+                outcomes.append(CertifyOutcome(certified=certified, predicted_class=predicted,
+                                               radius=float(radius), p_lower=float(p_lower)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not labels:
@@ -198,11 +202,11 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
         check_dataset(cfg)
         if cfg["max_points"] < 0:
             raise ConfigError("max_points must be >= 0 (0 certifies every point)")
+        root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
-    root = StreamId(cfg["seed"])
     count = min(cfg["max_points"] or len(ds), len(ds))
-    R = _noise_factor(params)
+    R = noise_factor(params)
 
     def certify_one(i):
         label = int(ds.labels[i])
@@ -252,20 +256,20 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
         check_dataset(cfg)
         if not cfg["sigma"] > 0 or cfg["m"] < 1:
             raise ConfigError("need sigma > 0 and m >= 1")
+        root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
     if not 0 <= i < len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
     x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
-    root = StreamId(cfg["seed"])
     noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],
                                                    root.child("attack", i, "noise"))[None])
     points, fhat_path, j_path = ascend(params, x, y, noise, acfg)
     # the loop takes no gradient at the endpoint: one forward gives Fhat and J there
     fhat_end = soft_smoothed_predict(params, points[-1], noise)
     fhat_path = np.concatenate([fhat_path[:, 0], fhat_end])
-    j_path = np.concatenate([j_path[:, 0], _objective(fhat_end, y)[0]])
+    j_path = np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]])
     path = os.path.join(out_dir, "attack_demo.csv")
     _write_csv(path, ["step", "distance_from_x", "J", "true_class_prob"],
                [[s, f"{float(np.linalg.norm(points[s, 0] - x[0])):.8g}",
@@ -281,9 +285,9 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
         check_dataset(cfg)
         if cfg["points"] < 1:
             raise ConfigError("points must be >= 1")
+        root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
-    root = StreamId(cfg["seed"])
     count = min(cfg["points"], len(ds))
 
     def mixing_ratio(i):
@@ -312,7 +316,7 @@ def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
                 for family in cfg["families"]]
         for sim in sims:
             decay_dims(sim, cfg["dims"])
-    root = StreamId(cfg["seed"])
+        root = StreamId(cfg["seed"])
     reports = [verify_decay(sim, cfg["dims"], root.child(sim.noise_family))
                for sim in sims]
     path = os.path.join(out_dir, "theory.csv")

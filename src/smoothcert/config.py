@@ -238,6 +238,8 @@ SCHEMAS = {
 def check_dataset(cfg: dict) -> None:
     """Reject out-of-range dataset.* values of a typed config; reads no file."""
     kind, n = cfg["dataset.kind"], cfg["dataset.n"]
+    if cfg["dataset.seed"] < 0:
+        raise ConfigError("dataset.seed must be >= 0")
     if kind == "two_moons" and n < 2:
         raise ConfigError("dataset.n must be >= 2 for two_moons")
     if kind == "two_moons" and cfg["dataset.noise_std"] < 0:

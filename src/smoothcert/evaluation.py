@@ -21,7 +21,7 @@ import numpy as np
 from .adversary import AttackConfig, ascend
 from .nn import ModelParams, first_layer_noise
 from .rng import StreamId
-from .smoothing import (CertifyOutcome, _soft_smoothed_chunks, sample_noise,
+from .smoothing import (CertifyOutcome, sample_noise, soft_smoothed_chunks,
                         soft_smoothed_predict)
 
 __all__ = [
@@ -112,7 +112,7 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     # every grid point reuses the one batch: a view, not LAMBDA_GRID_POINTS copies
     grid_noise = np.broadcast_to(noise, (len(seg),) + noise.shape[1:])
     start = 0
-    for fhat_seg in _soft_smoothed_chunks(params, seg, grid_noise):
+    for fhat_seg in soft_smoothed_chunks(params, seg, grid_noise):
         flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
         if len(flips):
             return float(lams[start + flips[0]])

@@ -10,6 +10,11 @@ Every forward starts at first_layer, then runs the shared tail
 takes the noise already through W1 (first_layer_noise): smoothing, the
 attacks and training then never form a d-wide noisy input.
 
+Two gradients share the one backward pass (_backward): class_prob_grad_input,
+the input gradient the attacks ascend, and noisy_ce_grads, the parameter
+gradient of the noisy-row cross-entropy that every training method takes a
+step on (the optimizer is training's).
+
 Checkpoint layout (format version 2, a binary file named checkpoint.json):
 one ASCII line holding a JSON object with sorted keys,
     format:        "smoothcert.checkpoint"
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +47,6 @@ __all__ = [
     "CheckpointError",
     "DimensionMismatch",
     "ModelParams",
-    "OptimizerState",
     "init_mlp",
     "factors_noise",
     "first_layer",
@@ -50,7 +54,7 @@ __all__ = [
     "forward_tail",
     "softmax",
     "class_prob_grad_input",
-    "sgd_nesterov_step",
+    "noisy_ce_grads",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -71,15 +75,6 @@ class DimensionMismatch(ValueError):
         super().__init__(f"{what}: expected {expected}, got {actual}")
         self.expected = expected
         self.actual = actual
-
-
-def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise ValueError unless every row (last axis) of probs is a valid soft label."""
-    if np.any(probs < -tol) or np.any(probs > 1 + tol):
-        raise ValueError(f"soft label entries outside [0,1]: {probs}")
-    s = probs.sum(axis=-1)
-    if np.any(np.abs(s - 1.0) > tol):
-        raise ValueError(f"soft label sums to {s!r}, not 1 within {tol}")
 
 
 @dataclass
@@ -246,24 +241,6 @@ def _backward(params: ModelParams, acts, dlogits, need_params: bool):
     return (gW, gb) if need_params else None, delta
 
 
-def _grad_params_weighted(params: ModelParams, z1: np.ndarray, targets: np.ndarray,
-                          row_weights: np.ndarray):
-    """Gradient of sum_r w_r * CE(logits_r, target_r) w.r.t. params, for the
-    rows whose first-layer pre-activations are z1.
-
-    Returns ((gW list, gb list), dz1, per-row CE values), with gW[0] left to
-    the caller (see _backward). The exact CE cotangent is
-    d CE/d logits = softmax - target, scaled per row by w_r. z1 is
-    overwritten (forward_tail).
-    """
-    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
-    probs = softmax(forward_tail(params, z1, outs))
-    dlogits = (probs - targets) * row_weights[:, None]
-    grads, dz1 = _backward(params, [z1, *outs[:-1]], dlogits, need_params=True)
-    ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
-    return grads, dz1, ce
-
-
 def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
                           noise=None) -> tuple:
     """Softmax of each row and the input gradient of a chosen class's probability.
@@ -293,43 +270,42 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
     return p, (dz1 @ W1.T).reshape(B, m, -1).sum(axis=1)
 
 
-@dataclass
-class OptimizerState:
-    """SGD-with-Nesterov-momentum state. The exact recursion (fixed, documented):
+def noisy_ce_grads(params: ModelParams, deltas: np.ndarray, noise: np.ndarray, parts):
+    """Gradient of sum over parts (X, T, w) of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b).
 
-        g' = g + weight_decay * theta
-        v  = momentum * v + g'
-        theta = theta - lr * (g' + momentum * v)
-
-    applied independently to every weight matrix and bias vector.
+    X is (B, d), T the (B, C) targets, deltas the (B, m, d) per-example draws
+    that every part shares and noise = first_layer_noise(params, deltas).
+    All rows go through one backward pass, with the exact CE cotangent
+    d CE/d logits = softmax - target scaled per row by w/(B m). When
+    factors_noise, no row is d wide: part k enters as
+    z1 = X_k W1 + b1 + delta W1, and
+    gW1 = sum_k X_k^T (sum_i dz1_k) + delta^T (sum_k dz1_k). Otherwise the
+    rows x_b + delta_{b,i} go through W1 as they are.
+    Returns ((gW, gb), the mean CE of each part).
     """
-
-    lr: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocity: list = field(default=None)
-
-    def __post_init__(self):
-        # every comparison with NaN is false, so NaN is rejected too
-        if not (self.lr >= 0 and 0 <= self.momentum < 1 and self.weight_decay >= 0):
-            raise ValueError("need lr >= 0, 0 <= momentum < 1, weight_decay >= 0")
-
-
-def sgd_nesterov_step(params: ModelParams, grads, state: OptimizerState) -> None:
-    """One optimizer step, in place, following OptimizerState's recursion."""
-    gW, gb = grads
-    if state.velocity is None:
-        state.velocity = [(np.zeros_like(W), np.zeros_like(b))
-                          for W, b in zip(params.weights, params.biases)]
-    for k in range(len(params.weights)):
-        for theta, g, v in ((params.weights[k], gW[k], state.velocity[k][0]),
-                            (params.biases[k], gb[k], state.velocity[k][1])):
-            if theta.shape != g.shape:
-                raise DimensionMismatch(f"grad for layer {k}", theta.shape, g.shape)
-            gp = g + state.weight_decay * theta
-            v *= state.momentum
-            v += gp
-            theta -= state.lr * (gp + state.momentum * v)
+    B, m, d = deltas.shape
+    factored = factors_noise(params)
+    if factored:
+        z1 = np.concatenate([first_layer(params, X, noise) for X, _, _ in parts])
+    else:
+        rows = np.concatenate([X[:, None, :] + deltas for X, _, _ in parts]).reshape(-1, d)
+        z1 = first_layer(params, rows)
+    targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
+    weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    probs = softmax(forward_tail(params, z1, outs))
+    (gW, gb), dz1 = _backward(params, [z1, *outs[:-1]], (probs - targets) * weights[:, None],
+                              need_params=True)
+    del outs  # not held through the gW1 products: 1.5 MiB of peak at 784-256-256-10
+    ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
+    if factored:
+        dz1 = dz1.reshape(len(parts), B, m, -1)
+        gW[0] = deltas.reshape(B * m, d).T @ dz1.sum(axis=0).reshape(B * m, -1)
+        for k, (X, _, _) in enumerate(parts):
+            gW[0] += X.T @ dz1[k].sum(axis=1)
+    else:
+        gW[0] = rows.T @ dz1
+    return (gW, gb), [float(c.mean()) for c in np.split(ce, len(parts))]
 
 
 def save_checkpoint(path, params: ModelParams, init_stream: StreamId = None) -> None:

@@ -43,6 +43,8 @@ __all__ = [
     "NotCertifiable",
     "sample_noise",
     "soft_smoothed_predict",
+    "soft_smoothed_chunks",
+    "noise_factor",
     "hard_class_counts",
     "clopper_pearson_lower",
     "certified_radius",
@@ -89,7 +91,7 @@ def sample_noise(sigma: float, dim: int, m: int, stream: StreamId) -> np.ndarray
     return stream.generator().standard_normal((m, dim)) * sigma
 
 
-def _soft_smoothed_chunks(params: ModelParams, X: np.ndarray, noise: np.ndarray):
+def soft_smoothed_chunks(params: ModelParams, X: np.ndarray, noise: np.ndarray):
     """soft_smoothed_predict one forward at a time: yields the (rows, C)
     predictions of consecutive slices of X, in order, so that a caller can
     stop early without changing any forward's row count."""
@@ -114,10 +116,10 @@ def soft_smoothed_predict(params: ModelParams, X: np.ndarray,
     Each forward takes whole points and at most COUNT_CHUNK noisy rows, or
     one point when m exceeds it; returns (B, C). One point is X[None, :].
     """
-    return np.concatenate(list(_soft_smoothed_chunks(params, X, noise)))
+    return np.concatenate(list(soft_smoothed_chunks(params, X, noise)))
 
 
-def _noise_factor(params: ModelParams):
+def noise_factor(params: ModelParams):
     """R of W1 = QR when factors_noise (the factor CERTIFY draws through), else None."""
     return np.linalg.qr(params.weights[0], mode="r") if factors_noise(params) else None
 
@@ -130,7 +132,7 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
     sees delta only as delta W1, whose law is N(0, sigma^2 W1^T W1). With
     W1 = QR that is the law of sigma g R for g = delta Q / sigma ~
     N(0, I_h1), so h1 normals per draw give i.i.d. draws of f(x + delta),
-    which is all CERTIFY needs. R is _noise_factor(params), factored here
+    which is all CERTIFY needs. R is noise_factor(params), factored here
     unless the caller passes it. When d <= h1, delta = sigma g is drawn and
     added to x. Argmax ties within a single forward break toward the lowest
     class index. Draws are evaluated in chunks of at most COUNT_CHUNK from
@@ -146,7 +148,7 @@ def hard_class_counts(params: ModelParams, x: np.ndarray, count: int,
         raise ValueError("sigma must be positive")
     X = np.asarray(x, dtype=np.float64)[None, :]
     z_x = first_layer(params, X)  # x W1 + b1; checks x's shape and values
-    R = _noise_factor(params) if R is None else R
+    R = noise_factor(params) if R is None else R
     W1, b1 = params.weights[0], params.biases[0]
     widths = ([W1.shape[0] if R is None else R.shape[0]]
               + [W.shape[1] for W in params.weights])
@@ -319,7 +321,7 @@ def certify(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     factor of W1, R as hard_class_counts takes it: a caller certifying many
     points passes it once.
     """
-    R = _noise_factor(params) if R is None else R
+    R = noise_factor(params) if R is None else R
     counts0 = hard_class_counts(params, x, cfg.n0, cfg.sigma,
                                 stream.child("selection"), R)
     top = int(np.argmax(counts0))  # ties break toward the lowest class index

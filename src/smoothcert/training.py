@@ -27,9 +27,11 @@ identical noise: a Philox generator keyed by the epoch stream
 (master_seed, "train", epoch) whose counter starts at (0, 0, 0, index)
 (`StreamId.indexed_generators`). Its draws depend on the example's index
 only, not on the minibatch it lands in.
-Minibatch gradients are computed by one stacked backward pass per minibatch;
-the reduction order is fixed, making training bit-reproducible for a given
-(config, seed).
+Each method states its loss as parts of nn.noisy_ce_grads under one noise
+batch (an anchor part, and for SmoothMix an eta-weighted mix part), so a
+minibatch's gradient is one stacked backward pass; the reduction order is
+fixed, making training bit-reproducible for a given (config, seed). The
+optimizer, SGD with Nesterov momentum (sgd_nesterov_step), lives here.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import numpy as np
 
 from .adversary import AttackConfig, ascend, l2_project
 from .data import Dataset
-from .nn import (OptimizerState, _check_soft_rows, _grad_params_weighted, factors_noise,
-                 first_layer, first_layer_noise, init_mlp, sgd_nesterov_step)
+from .nn import DimensionMismatch, first_layer_noise, init_mlp, noisy_ce_grads
 from .rng import StreamId
 from .smoothing import soft_smoothed_predict
 
@@ -120,6 +121,8 @@ class TrainRunConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # every comparison with NaN is false, so NaN is rejected too
         if not (self.lr >= 0 and self.lr_gamma >= 0 and 0 <= self.momentum < 1
                 and self.weight_decay >= 0):
@@ -137,6 +140,15 @@ class TrainRunConfig:
     def hidden_for(self, input_dim: int) -> tuple:
         """Hidden widths: (256, 256) for 784-dim inputs and up, else (64, 64)."""
         return (256, 256) if input_dim >= 784 else (64, 64)
+
+
+def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise ValueError unless every row (last axis) of probs is a valid soft label."""
+    if np.any(probs < -tol) or np.any(probs > 1 + tol):
+        raise ValueError(f"soft label entries outside [0,1]: {probs}")
+    s = probs.sum(axis=-1)
+    if np.any(np.abs(s - 1.0) > tol):
+        raise ValueError(f"soft label sums to {s!r}, not 1 within {tol}")
 
 
 def make_mix_pair(x_base: np.ndarray, fhat_base: np.ndarray, x_adv: np.ndarray,
@@ -179,40 +191,9 @@ def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: fl
     return noises, lams
 
 
-def _noisy_ce_step(params, deltas, noise, parts):
-    """Gradient of sum over parts (X, T, w) of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b).
-
-    X is (B, d), T the (B, C) targets, deltas the (B, m, d) per-example draws
-    that every part shares and noise = first_layer_noise(params, deltas).
-    All rows go through one backward pass. When factors_noise, no row is d
-    wide: part k enters as z1 = X_k W1 + b1 + delta W1, and
-    gW1 = sum_k X_k^T (sum_i dz1_k) + delta^T (sum_k dz1_k). Otherwise the
-    rows x_b + delta_{b,i} go through W1 as they are.
-    Returns (grads, the mean CE of each part).
-    """
-    B, m, d = deltas.shape
-    factored = factors_noise(params)
-    if factored:
-        z1 = np.concatenate([first_layer(params, X, noise) for X, _, _ in parts])
-    else:
-        rows = np.concatenate([X[:, None, :] + deltas for X, _, _ in parts]).reshape(-1, d)
-        z1 = first_layer(params, rows)
-    targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
-    weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
-    (gW, gb), dz1, ce = _grad_params_weighted(params, z1, targets, weights)
-    if factored:
-        dz1 = dz1.reshape(len(parts), B, m, -1)
-        gW[0] = deltas.reshape(B * m, d).T @ dz1.sum(axis=0).reshape(B * m, -1)
-        for k, (X, _, _) in enumerate(parts):
-            gW[0] += X.T @ dz1[k].sum(axis=1)
-    else:
-        gW[0] = rows.T @ dz1
-    return (gW, gb), [float(c.mean()) for c in np.split(ce, len(parts))]
-
-
 def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, stream, indices):
     deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
-    grads, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
+    grads, (loss,) = noisy_ce_grads(params, deltas, first_layer_noise(params, deltas),
                                     [(X, np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
@@ -225,7 +206,7 @@ def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, stream, indices,
     noise = first_layer_noise(params, deltas)
     eps = cfg.epsilon_at(epoch)
     points, _, _ = ascend(params, X, Y, noise, AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps))
-    grads, (loss,) = _noisy_ce_step(params, deltas, noise,
+    grads, (loss,) = noisy_ce_grads(params, deltas, noise,
                                     [(points[-1], np.eye(params.class_count)[Y], 1.0)])
     return grads, loss, 0.0
 
@@ -256,12 +237,36 @@ def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
                    else soft_smoothed_predict(params, anchor, noise))
     x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
                                  params.class_count)
-    grads, (loss_nat, loss_mix) = _noisy_ce_step(
+    grads, (loss_nat, loss_mix) = noisy_ce_grads(
         params, deltas, noise, [(anchor, np.eye(params.class_count)[Y], 1.0),
                                 (x_mix, y_mix, cfg.eta)])
     diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
                    "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
     return grads, loss_nat, loss_mix, diagnostics
+
+
+def sgd_nesterov_step(params, grads, velocity, lr: float, momentum: float,
+                      weight_decay: float) -> None:
+    """One SGD step with Nesterov momentum, in place. The exact recursion:
+
+        g' = g + weight_decay * theta
+        v  = momentum * v + g'
+        theta = theta - lr * (g' + momentum * v)
+
+    applied independently to every weight matrix and bias vector. grads is
+    (gW, gb) and velocity one (vW, vb) pair per layer, zeros before the
+    first step. TrainRunConfig validates lr, momentum and weight_decay.
+    """
+    gW, gb = grads
+    for k in range(len(params.weights)):
+        for theta, g, v in ((params.weights[k], gW[k], velocity[k][0]),
+                            (params.biases[k], gb[k], velocity[k][1])):
+            if theta.shape != g.shape:
+                raise DimensionMismatch(f"grad for layer {k}", theta.shape, g.shape)
+            gp = g + weight_decay * theta
+            v *= momentum
+            v += gp
+            theta -= lr * (gp + momentum * v)
 
 
 def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
@@ -283,12 +288,12 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
     root = StreamId(run_cfg.seed)
     sizes = [dataset.dim, *run_cfg.hidden_for(dataset.dim), dataset.class_count]
     params = init_mlp(sizes, root.child("init"))
-    state = OptimizerState(lr=run_cfg.lr, momentum=run_cfg.momentum,
-                           weight_decay=run_cfg.weight_decay)
+    velocity = [(np.zeros_like(W), np.zeros_like(b))
+                for W, b in zip(params.weights, params.biases)]
     log_rows = []
     for epoch in range(run_cfg.epochs):
         t0 = time.perf_counter()
-        state.lr = run_cfg.lr_at(epoch)
+        lr = run_cfg.lr_at(epoch)
         order = root.child("shuffle", epoch).generator().permutation(n)
         stream = root.child("train", epoch)
         nat_sum = mix_sum = 0.0
@@ -306,7 +311,8 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
                 # the diagnostics hold the attack path: let them go now
                 grads, loss_nat, loss_mix = _smoothmix_minibatch(
                     params, X, Y, method_cfg, stream, idx)[:3]
-            sgd_nesterov_step(params, grads, state)
+            sgd_nesterov_step(params, grads, velocity, lr, run_cfg.momentum,
+                              run_cfg.weight_decay)
             del grads  # not held through the next minibatch
             nat_sum += loss_nat * len(idx)
             mix_sum += loss_mix * len(idx)
@@ -315,7 +321,7 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
             "epoch": epoch,
             "loss_nat": nat_sum / seen,
             "loss_mix": mix_sum / seen,
-            "lr": state.lr,
+            "lr": lr,
             "seconds": time.perf_counter() - t0,
         })
     return params, log_rows

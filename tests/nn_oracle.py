@@ -1,17 +1,17 @@
 """The single-example network API, which only tests use.
 
 The library has one batched backprop: training reaches the net through
-nn._grad_params_weighted, the attacks through nn.class_prob_grad_input.
+nn.noisy_ce_grads, the attacks through nn.class_prob_grad_input.
 These are the per-example forms the tests check it in: the logits of one
 input or a batch, the cross-entropy of one row, and its gradients with
 respect to the parameters and to the input. The gradients run the library's
-own passes (nn.forward_tail, nn._backward, nn._grad_params_weighted), so
-a finite-difference check of them checks the backprop that training runs.
+own passes (nn.forward_tail, nn._backward) on input rows as they are, so a
+finite-difference check of them checks the backprop that training runs.
 """
 
 import numpy as np
 
-from smoothcert import nn
+from smoothcert import nn, training
 from smoothcert.nn import CE_PROB_FLOOR, DimensionMismatch, first_layer, forward_tail, softmax
 from smoothcert.rng import StreamId
 
@@ -40,7 +40,7 @@ def validate_soft_label(probs, tol: float = 1e-9) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise DimensionMismatch("soft label", "1-D vector", probs.shape)
-    nn._check_soft_rows(probs, tol)
+    training._check_soft_rows(probs, tol)
     return probs
 
 
@@ -78,12 +78,17 @@ def grad_params(params, batch) -> tuple:
 
 
 def grad_params_weighted(params, X, T, w) -> tuple:
-    """Gradient of sum_r w_r CE(f(x_r), t_r) over input rows X (rows, d), with
-    the first layer's weight gradient X.T @ dz1 formed from every row.
+    """Gradient of sum_r w_r CE(f(x_r), t_r) over input rows X (rows, d): the
+    CE cotangent w_r (softmax - t_r) through one backward pass, with the
+    first layer's weight gradient X.T @ dz1 formed from every row.
     Returns ((gW, gb), per-row CE values)."""
-    (gW, gb), dz1, ce = nn._grad_params_weighted(params, first_layer(params, X), T, w)
+    z1 = first_layer(params, X)
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    probs = softmax(forward_tail(params, z1, outs))
+    (gW, gb), dz1 = nn._backward(params, [z1, *outs[:-1]], (probs - T) * w[:, None],
+                                 need_params=True)
     gW[0] = X.T @ dz1
-    return (gW, gb), ce
+    return (gW, gb), -(T * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
 
 
 def grad_input(params, x, target) -> np.ndarray:

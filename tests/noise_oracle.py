@@ -10,7 +10,7 @@ import numpy as np
 
 from nn_oracle import forward, grad_params_weighted
 from smoothcert.nn import class_prob_grad_input, first_layer, forward_tail, softmax
-from smoothcert.smoothing import COUNT_CHUNK, _noise_factor
+from smoothcert.smoothing import COUNT_CHUNK, noise_factor
 
 
 def direct_hard_class_counts(params, x, count, sigma, stream, chunk=2_000):
@@ -36,7 +36,7 @@ def allocating_hard_class_counts(params, x, count, sigma, stream):
     chunks and products, so the same counts and logits bit for bit.
     Returns (counts, each chunk's logits)."""
     X = np.asarray(x, dtype=np.float64)[None, :]
-    R = _noise_factor(params)
+    R = noise_factor(params)
     gen = stream.generator()
     counts = np.zeros(params.class_count, dtype=np.int64)
     chunks = []
@@ -79,7 +79,7 @@ def direct_objective_and_grad(params, X, y, noises):
 
 
 def direct_noisy_ce_grads(params, deltas, parts):
-    """What training's CE step computes, with every noisy row x_b + delta_{b,i}
+    """What nn.noisy_ce_grads computes, with every noisy row x_b + delta_{b,i}
     of every part (X, T, w) going through W1 as an input row: the gradient of
     sum over parts of (w/(B m)) sum CE(f(x_b + delta_{b,i}), t_b), and the
     mean CE of each part."""

@@ -9,10 +9,10 @@ from noise_oracle import direct_objective_and_grad
 from smoothcert import cli
 from smoothcert.adversary import (
     AttackConfig,
-    _objective,
     _objective_and_grad,
     ascend,
     l2_project,
+    objective,
 )
 from smoothcert.nn import ModelParams, first_layer_noise, save_checkpoint, softmax
 from smoothcert.rng import StreamId
@@ -54,7 +54,7 @@ def _attack(params, x, y, noise, cfg):
                                        noise, cfg)
     fhat_end = soft_smoothed_predict(params, points[-1], noise)
     return (points[:, 0], np.concatenate([fhat_path[:, 0], fhat_end]),
-            np.concatenate([j_path[:, 0], _objective(fhat_end, y)[0]]))
+            np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]]))
 
 
 def _pgd(params, x, y, noise, steps, step_size, epsilon):

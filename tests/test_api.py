@@ -61,6 +61,19 @@ def test_only_cli_knows_the_csv_formats():
     assert importers == ["cli.py"]
 
 
+def test_no_module_imports_a_private_name():
+    # a name one module needs from another is public: in the other's __all__.
+    # Dunders such as __version__ are not private.
+    src = pathlib.Path(smoothcert.__file__).resolve().parent
+    private = [f"{path.name}: from .{node.module} import {alias.name}"
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+
+
 def test_src_functions_have_src_callers():
     # a function that only tests call belongs in tests/ (see nn_oracle.py).
     # The definitions come from the AST; a caller is a Name or Attribute node

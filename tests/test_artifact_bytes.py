@@ -59,7 +59,7 @@ def run(tmp_path, monkeypatch):
 
 
 def _certify(run, monkeypatch):
-    monkeypatch.setattr(cli, "_noise_factor", lambda params: None)
+    monkeypatch.setattr(cli, "noise_factor", lambda params: None)
     monkeypatch.setattr(cli, "certify",
                         lambda params, x, scfg, stream, R: OUTCOMES[int(x[0])])
     return run("certify", "checkpoint = absent.json\nsigma = 0.5\nseed = 7\n"

@@ -262,8 +262,9 @@ MIXRATIO_CFG = ("checkpoint = absent.json\nsigma = 0.5\ndataset.kind = two_moons
                 "dataset.n = 6\n")
 ATTACK_CFG = ("checkpoint = absent.json\nsigma = 0.5\nalpha_step = 0.5\n"
               "steps = 2\ndataset.kind = two_moons\ndataset.n = 6\n")
-ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
-                "dataset.labels = absent-labels\ndataset.subsample = -3\n")
+ABSENT_IDX = ("dataset.kind = mnist\ndataset.images = absent-images\n"
+              "dataset.labels = absent-labels\n")
+ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -327,6 +328,16 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
     # without model_ids, both files are named by their stem, certify
     ("evaluate", "cert_csv = a/certify.csv, b/certify.csv\nradii = 0.5\nsigma = 0.5\n",
      "model ids repeat (certify); give each cert_csv its own name in model_ids"),
+    # a negative seed is refused before the dataset or the checkpoint is read
+    ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n"
+     "seed = -1\n" + ABSENT_IDX, "seed must be nonnegative"),
+    ("certify", "checkpoint = absent.json\nsigma = 0.5\nseed = -1\n" + ABSENT_IDX,
+     "seed must be nonnegative"),
+    ("certify --seed -5", "checkpoint = absent.json\nsigma = 0.5\n" + ABSENT_IDX,
+     "seed must be nonnegative"),
+    ("attack-demo", ATTACK_CFG + "seed = -1\n", "seed must be nonnegative"),
+    ("mixratio", MIXRATIO_CFG + "dataset.seed = -2\n", "dataset.seed must be >= 0"),
+    ("theory-sim", "seed = -1\n", "seed must be nonnegative"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -338,12 +349,17 @@ ABSENT_MNIST = ("dataset.kind = mnist\ndataset.images = absent-images\n"
         "certify-negative-max-points", "train-negative-lr-gamma",
         "evaluate-negative-sigma", "evaluate-zero-sigma", "evaluate-negative-radius",
         "mixratio-blobs-kind", "mixratio-blobs-classes", "theory-sim-repeated-family",
-        "evaluate-repeated-model-ids", "evaluate-repeated-file-stems"])
+        "evaluate-repeated-model-ids", "evaluate-repeated-file-stems",
+        "train-negative-seed", "certify-negative-seed", "certify-negative-seed-flag",
+        "attack-demo-negative-seed", "mixratio-negative-dataset-seed",
+        "theory-sim-negative-seed"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
-    # any checkpoint, dataset or certification CSV is read
+    # any checkpoint, dataset or certification CSV is read; command may
+    # carry flags after the subcommand
     cfg = _write(tmp_path / "bad.cfg", text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    command, *flags = command.split()
+    assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
 
@@ -557,8 +573,15 @@ sigma = 0.5
     ("1,0,-1,0.000000,0.41,0,2,0.1250", "correct and abstain must be 0 or 1, got 0 and 2"),
     ("1,0,0,0.500000,0.9,2,0,0.1250", "correct and abstain must be 0 or 1, got 2 and 0"),
     ("1,0,-1,0.500000,0.9,0,0,0.1250", "a certified row predicts class -1"),
+    ("0,1,3,0.700000,0.4,0,1,0.1", "abstain carries no prediction and zero radius"),
+    ("0,1,-1,0.700000,0.4,0,1,0.1", "abstain carries no prediction and zero radius"),
+    ("1,0,0,0.300000,0.9,0,0,0.1",
+     "correct is 0 for label 0, predicted 0 and abstain 0"),
+    ("1,0,-1,0.000000,0.4,1,1,0.1",
+     "correct is 1 for label 0, predicted -1 and abstain 1"),
 ], ids=["short-row", "non-numeric-radius", "abstain-2", "correct-2",
-        "certified-without-class"])
+        "certified-without-class", "abstain-with-class", "abstain-with-radius",
+        "correct-contradicts-prediction", "correct-on-abstain"])
 def test_evaluate_names_the_malformed_certify_csv_line(tmp_path, capsys, row, reason):
     # a bad row is a runtime failure that says which file and line it is in
     cert = tmp_path / "certify.csv"

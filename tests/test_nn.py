@@ -15,15 +15,14 @@ from nn_oracle import (
 from smoothcert.nn import (
     CheckpointError,
     DimensionMismatch,
-    OptimizerState,
     class_prob_grad_input,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
-    sgd_nesterov_step,
     softmax,
 )
 from smoothcert.rng import StreamId
+from smoothcert.training import sgd_nesterov_step
 
 
 def _random_net(rng, sizes):
@@ -212,10 +211,14 @@ def test_class_prob_grad_input_fd():
 # ---------------------------------------------------------------- optimizer
 
 
+def _zero_velocity(params):
+    return [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(params.weights, params.biases)]
+
+
 def test_nesterov_two_steps_by_hand():
     # theta 1-d, constant gradient g: check the documented recursion exactly
     params = ModelParams([np.array([[1.0]])], [np.array([0.0])])
-    state = OptimizerState(lr=0.1, momentum=0.9, weight_decay=0.0)
+    velocity = _zero_velocity(params)
     grads = ([np.array([[2.0]])], [np.array([0.0])])
 
     theta, v = 1.0, 0.0
@@ -223,16 +226,15 @@ def test_nesterov_two_steps_by_hand():
         gp = 2.0
         v = 0.9 * v + gp
         theta = theta - 0.1 * (gp + 0.9 * v)
-    sgd_nesterov_step(params, grads, state)
-    sgd_nesterov_step(params, grads, state)
+    sgd_nesterov_step(params, grads, velocity, 0.1, 0.9, 0.0)
+    sgd_nesterov_step(params, grads, velocity, 0.1, 0.9, 0.0)
     assert params.weights[0][0, 0] == pytest.approx(theta, abs=1e-15)
 
 
 def test_weight_decay_enters_gradient():
     params = ModelParams([np.array([[1.0]])], [np.array([0.0])])
-    state = OptimizerState(lr=0.1, momentum=0.0, weight_decay=0.5)
     grads = ([np.array([[0.0]])], [np.array([0.0])])
-    sgd_nesterov_step(params, grads, state)
+    sgd_nesterov_step(params, grads, _zero_velocity(params), 0.1, 0.0, 0.5)
     # gp = 0 + 0.5*1.0; theta = 1 - 0.1*0.5
     assert params.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
@@ -243,10 +245,16 @@ def test_zero_lr_is_noop():
     before = params.copy()
     grads = ([np.ones_like(W) for W in params.weights],
              [np.ones_like(b) for b in params.biases])
-    sgd_nesterov_step(params, grads, OptimizerState(lr=0.0, momentum=0.9,
-                                                    weight_decay=1e-4))
+    sgd_nesterov_step(params, grads, _zero_velocity(params), 0.0, 0.9, 1e-4)
     for a, b in zip(params.weights, before.weights):
         np.testing.assert_array_equal(a, b)
+
+
+def test_nesterov_step_rejects_misshapen_grad():
+    params = ModelParams([np.array([[1.0]])], [np.array([0.0])])
+    grads = ([np.array([[1.0, 2.0]])], [np.array([0.0])])
+    with pytest.raises(DimensionMismatch, match="grad for layer 0"):
+        sgd_nesterov_step(params, grads, _zero_velocity(params), 0.1, 0.9, 0.0)
 
 
 # ---------------------------------------------------------------- init / io

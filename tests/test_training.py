@@ -9,7 +9,7 @@ from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
 from noise_oracle import direct_noisy_ce_grads
 from smoothcert.adversary import AttackConfig, ascend
 from smoothcert.data import Dataset, gen_two_moons
-from smoothcert.nn import OptimizerState, first_layer_noise, init_mlp
+from smoothcert.nn import first_layer_noise, init_mlp, noisy_ce_grads
 from smoothcert.rng import StreamId, _mix_part
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
@@ -20,7 +20,6 @@ from smoothcert.training import (
     TrainRunConfig,
     _gaussian_minibatch,
     _minibatch_randomness,
-    _noisy_ce_step,
     _smoothadv_minibatch,
     _smoothmix_minibatch,
     make_mix_pair,
@@ -88,7 +87,7 @@ def test_gaussian_loss_uniform_net():
     params = _constant_net(2, 4)
     noise = sample_noise(0.5, 2, 5, StreamId(0))
     deltas = noise[None]
-    _, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
+    _, (loss,) = noisy_ce_grads(params, deltas, first_layer_noise(params, deltas),
                                 [(np.ones((1, 2)), np.eye(4)[[1]], 1.0)])
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
@@ -97,7 +96,7 @@ def test_gaussian_loss_perfect_classifier():
     params = ModelParams([np.zeros((2, 2))], [np.array([0.0, 300.0])])
     noise = sample_noise(0.5, 2, 5, StreamId(1))
     deltas = noise[None]
-    _, (loss,) = _noisy_ce_step(params, deltas, first_layer_noise(params, deltas),
+    _, (loss,) = noisy_ce_grads(params, deltas, first_layer_noise(params, deltas),
                                 [(np.zeros((1, 2)), np.eye(2)[[1]], 1.0)])
     assert loss < 1e-12
 
@@ -107,7 +106,7 @@ def test_gaussian_loss_manual_two_terms():
     noises = np.stack([sample_noise(0.8, 3, 2, StreamId(3, (i,)))
                        for i in range(2)])
     X, Y = np.array([[0.1, -0.3, 0.2], [0.5, 0.0, -0.4]]), np.array([2, 0])
-    _, (loss,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
+    _, (loss,) = noisy_ce_grads(params, noises, first_layer_noise(params, noises),
                                 [(X, np.eye(4)[Y], 1.0)])
     want = np.mean([_mean_ce(params, X[b], np.eye(4)[Y[b]], noises[b])
                     for b in range(2)])
@@ -130,7 +129,7 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
         ascend(params, X[b:b + 1], Y[b:b + 1], first_layer_noise(params, noises[b:b + 1]),
                AttackConfig(2.0 * eps / 3, 3, eps))[0][-1, 0]
         for b in range(2)])
-    want_grads, (want,) = _noisy_ce_step(params, noises, first_layer_noise(params, noises),
+    want_grads, (want,) = noisy_ce_grads(params, noises, first_layer_noise(params, noises),
                                          [(x_hat, np.eye(3)[Y], 1.0)])
     assert loss == pytest.approx(want, abs=1e-12)
     for a, b in zip(grads[0] + grads[1], want_grads[0] + want_grads[1]):
@@ -146,13 +145,13 @@ def test_factored_ce_gradient_matches_direct_at_mnist_shape(method, monkeypatch)
     rng = np.random.default_rng(51)
     X, Y = rng.uniform(0.0, 1.0, (6, 784)), rng.integers(0, 10, 6)
     stream, idx = StreamId(52, ("train", 0)), np.arange(6)
-    calls, step = [], training._noisy_ce_step
+    calls, step = [], training.noisy_ce_grads
 
     def recorded(params, deltas, noise, parts):
         calls.append((deltas, parts, step(params, deltas, noise, parts)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(training, "_noisy_ce_step", recorded)
+    monkeypatch.setattr(training, "noisy_ce_grads", recorded)
     if method == "gaussian":
         _gaussian_minibatch(params, X, Y, GaussianConfig(sigma=0.5, m=4), stream, idx)
     elif method == "smoothadv":
@@ -493,8 +492,9 @@ def test_smoothadv_warmup_linear_ramp():
 @pytest.mark.parametrize("settings", [
     dict(lr=math.nan), dict(lr=-0.1), dict(weight_decay=math.nan),
     dict(weight_decay=-1e-4), dict(lr_gamma=math.nan), dict(lr_gamma=-1.0),
+    dict(momentum=math.nan),
 ], ids=["lr-nan", "lr-negative", "weight-decay-nan", "weight-decay-negative",
-        "lr-gamma-nan", "lr-gamma-negative"])
+        "lr-gamma-nan", "lr-gamma-negative", "momentum-nan"])
 def test_run_config_rejects_negative_or_nan_optimizer_settings(settings):
     # a NaN learning rate trains into a checkpoint load_checkpoint refuses,
     # and a negative lr_gamma turns every step after a milestone into ascent
@@ -503,12 +503,20 @@ def test_run_config_rejects_negative_or_nan_optimizer_settings(settings):
         TrainRunConfig(**{**base, **settings})
 
 
-@pytest.mark.parametrize("settings", [
-    dict(lr=math.nan), dict(weight_decay=math.nan), dict(momentum=math.nan),
-], ids=["lr-nan", "weight-decay-nan", "momentum-nan"])
-def test_optimizer_state_rejects_nan(settings):
+@pytest.mark.parametrize("settings", [dict(lr=math.nan), dict(weight_decay=math.nan)],
+                         ids=["lr-nan", "weight-decay-nan"])
+def test_optimizer_state_rejects_nan(settings, monkeypatch):
+    # the optimizer keeps no settings of its own: train hands the run config's
+    # lr and weight_decay to sgd_nesterov_step, so a NaN there is refused
+    # before any step is taken
+    steps = []
+    monkeypatch.setattr(training, "sgd_nesterov_step", lambda *args: steps.append(args))
     with pytest.raises(ValueError, match="need lr >= 0"):
-        OptimizerState(**{"lr": 0.1, **settings})
+        train(gen_two_moons(10, 0.1, 0),
+              TrainRunConfig(**{"method": "gaussian", "epochs": 1, "batch_size": 5,
+                                "lr": 0.1, **settings}),
+              GaussianConfig(sigma=0.5))
+    assert steps == []
 
 
 def test_config_validation():
