@@ -8,25 +8,26 @@ dimension-decay bound simulator (`theory`), a two-moons generator and an
 IDX loader (`data`), and a deterministic CLI harness (`cli`).
 
 Only what a library user calls is re-exported here. Submodule internals
-are importable but are not a stable API.
+are importable but are not a stable API. Each re-exported name is imported
+on first use, so importing the package loads no numpy.
 """
+
+from ._lazy import module_getattr
 
 __version__ = "0.7.0"
 
-from .adversary import AttackConfig
-from .data import gen_two_moons, load_mnist_idx
-from .evaluation import CertifiedResultSet, acr
-from .nn import load_checkpoint, save_checkpoint
-from .rng import StreamId
-from .smoothing import SmoothingConfig, certify
-from .theory import TheorySimConfig, verify_decay
-from .training import (
-    GaussianConfig,
-    SmoothAdvConfig,
-    SmoothMixConfig,
-    TrainRunConfig,
-    train,
-)
+_EXPORTS = {
+    "adversary": ("AttackConfig",),
+    "data": ("gen_two_moons", "load_mnist_idx"),
+    "evaluation": ("CertifiedResultSet", "acr"),
+    "nn": ("load_checkpoint", "save_checkpoint"),
+    "rng": ("StreamId",),
+    "smoothing": ("SmoothingConfig", "certify"),
+    "theory": ("TheorySimConfig", "verify_decay"),
+    "training": ("GaussianConfig", "SmoothAdvConfig", "SmoothMixConfig",
+                 "TrainRunConfig", "train"),
+}
+__getattr__ = module_getattr(globals(), _EXPORTS)
 
 __all__ = [
     "__version__",

@@ -29,10 +29,8 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import __version__
-from .adversary import AttackConfig, ascend, objective
+from ._lazy import bind, module_getattr
 from .config import (
     SCHEMAS,
     ConfigError,
@@ -45,19 +43,30 @@ from .config import (
 )
 from .evaluation import (
     CertifiedResultSet,
+    CertifyOutcome,
     acr,
     certified_accuracy_curve,
     check_mixing_ratio_args,
     equal_confidence_mixing_ratio,
 )
-from .nn import first_layer_noise, load_checkpoint, save_checkpoint
-from .rng import StreamId, map_streams
-from .smoothing import (COUNT_CHUNK, CertifyOutcome, certify, noise_factor,
-                        sample_noise, soft_smoothed_predict)
-from .theory import TheorySimConfig, decay_dims, verify_decay
-from .training import train
 
 __all__ = ["main"]
+
+# What the subcommands run from the modules that need numpy. The dispatcher
+# imports the modules a subcommand runs (_DISPATCH) and binds their names
+# here, so `import smoothcert.cli`, --version, a config error and `evaluate`
+# load no numpy. A name bound already, as a test or a tracer rebinds it,
+# keeps its value.
+_LAZY = {
+    "adversary": ("AttackConfig", "ascend", "objective"),
+    "nn": ("first_layer_noise", "load_checkpoint", "save_checkpoint"),
+    "rng": ("StreamId", "map_streams"),
+    "smoothing": ("COUNT_CHUNK", "certify", "noise_factor", "sample_noise",
+                  "soft_smoothed_predict"),
+    "theory": ("TheorySimConfig", "decay_dims", "verify_decay"),
+    "training": ("train",),
+}
+__getattr__ = module_getattr(globals(), _LAZY)
 
 # glibc allocator policy, set by main. At glibc's defaults a block of 128 KiB
 # or more gets its own mmap and a freed heap top above 128 KiB goes back to
@@ -250,6 +259,8 @@ def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
 
 
 def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
+    import numpy as np
+
     with _config_values():
         acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
                             epsilon_cap=cfg["epsilon_cap"] or None)
@@ -324,13 +335,14 @@ def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
     return {"theory_csv": path}
 
 
+# Each subcommand, and the modules of _LAZY that it runs.
 _DISPATCH = {
-    "train": _cmd_train,
-    "certify": _cmd_certify,
-    "evaluate": _cmd_evaluate,
-    "attack-demo": _cmd_attack_demo,
-    "mixratio": _cmd_mixratio,
-    "theory-sim": _cmd_theory_sim,
+    "train": (_cmd_train, ("nn", "rng", "training")),
+    "certify": (_cmd_certify, ("nn", "rng", "smoothing")),
+    "evaluate": (_cmd_evaluate, ()),
+    "attack-demo": (_cmd_attack_demo, ("adversary", "nn", "rng", "smoothing")),
+    "mixratio": (_cmd_mixratio, ("nn", "rng")),
+    "theory-sim": (_cmd_theory_sim, ("rng", "theory")),
 }
 
 _HELP = {
@@ -381,8 +393,10 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         out_dir = args.out or os.environ.get("SMOOTHCERT_OUT", ".")
         os.makedirs(out_dir, exist_ok=True)
+        run, modules = _DISPATCH[args.command]
         t0 = time.perf_counter()
-        artifacts = _DISPATCH[args.command](cfg, out_dir)
+        bind(globals(), _LAZY, *modules)
+        artifacts = run(cfg, out_dir)
         manifest = _write_manifest(out_dir, args.command, cfg, artifacts,
                                    time.perf_counter() - t0)
     except ConfigError as exc:

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .adversary import AttackConfig
-from .data import Dataset, gen_two_moons, load_mnist_idx
-from .smoothing import SmoothingConfig
-from .training import (
-    GaussianConfig,
-    SmoothAdvConfig,
-    SmoothMixConfig,
-    TrainRunConfig,
-)
+from ._lazy import bind, module_getattr
+
+if TYPE_CHECKING:
+    from .data import Dataset
+    from .smoothing import SmoothingConfig
 
 __all__ = [
     "ConfigError",
@@ -39,6 +36,18 @@ __all__ = [
     "build_train_configs",
     "build_smoothing_config",
 ]
+
+
+# What the builders make, imported when a builder first runs: parsing and
+# checking a config loads no numpy.
+_LAZY = {
+    "adversary": ("AttackConfig",),
+    "data": ("gen_two_moons", "load_mnist_idx"),
+    "smoothing": ("SmoothingConfig",),
+    "training": ("GaussianConfig", "SmoothAdvConfig", "SmoothMixConfig",
+                 "TrainRunConfig"),
+}
+__getattr__ = module_getattr(globals(), _LAZY)
 
 
 class ConfigError(ValueError):
@@ -254,6 +263,7 @@ def build_dataset(cfg: dict, default_split: str) -> Dataset:
     """Instantiate the dataset named by the dataset.* keys of a typed config,
     after check_dataset."""
     check_dataset(cfg)
+    bind(globals(), _LAZY, "data")
     kind = cfg["dataset.kind"]
     split = cfg["dataset.split"] or default_split
     if kind == "two_moons":
@@ -266,6 +276,7 @@ def build_dataset(cfg: dict, default_split: str) -> Dataset:
 
 def build_train_configs(cfg: dict):
     """(TrainRunConfig, method config) from a typed train config dict."""
+    bind(globals(), _LAZY, "adversary", "training")
     method = cfg["method"]
     run = TrainRunConfig(
         method=method,
@@ -296,5 +307,6 @@ def build_train_configs(cfg: dict):
 
 
 def build_smoothing_config(cfg: dict) -> SmoothingConfig:
+    bind(globals(), _LAZY, "smoothing")
     return SmoothingConfig(sigma=cfg["sigma"], n0=cfg["n0"], n=cfg["n"],
                            alpha_cert=cfg["alpha_cert"])

@@ -1,4 +1,7 @@
-"""Metrics over certification results and the equal-confidence mixing ratio.
+"""CERTIFY outcomes, their metrics, and the equal-confidence mixing ratio.
+
+The outcome records and the metrics are plain Python, so that `evaluate`
+runs without numpy; ACR sums in numpy's order, so it keeps numpy's bits.
 
 - ACR: mean certified radius over ALL points, counting 0 for abstentions and
   for certified-but-wrong predictions.
@@ -15,16 +18,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from ._lazy import bind, module_getattr
 
-from .adversary import AttackConfig, ascend
-from .nn import ModelParams, first_layer_noise
-from .rng import StreamId
-from .smoothing import (CertifyOutcome, sample_noise, soft_smoothed_chunks,
-                        soft_smoothed_predict)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .nn import ModelParams
+    from .rng import StreamId
 
 __all__ = [
+    "ABSTAIN",
+    "CertifyOutcome",
     "CertifiedResultSet",
     "acr",
     "certified_accuracy_curve",
@@ -32,7 +38,42 @@ __all__ = [
     "equal_confidence_mixing_ratio",
 ]
 
+# What the mixing ratio runs, imported when it first runs.
+_LAZY = {
+    "adversary": ("AttackConfig", "ascend"),
+    "nn": ("first_layer_noise",),
+    "smoothing": ("sample_noise", "soft_smoothed_chunks", "soft_smoothed_predict"),
+}
+__getattr__ = module_getattr(globals(), _LAZY)
+
+ABSTAIN = -1
 LAMBDA_GRID_POINTS = 101
+
+
+@dataclass(frozen=True)
+class CertifyOutcome:
+    """CERTIFY result. certified=False means abstain: predicted_class is the
+
+    ABSTAIN sentinel (-1) and radius is 0. p_lower always records the
+    Clopper-Pearson bound computed in the estimation round (diagnostic on
+    abstain rows; the certified radius equals sigma * Phi^{-1}(p_lower) only
+    when certified).
+    """
+
+    certified: bool
+    predicted_class: int
+    radius: float
+    p_lower: float
+
+    def __post_init__(self):
+        if self.certified:
+            if not (self.p_lower > 0.5):
+                raise ValueError("certified outcome requires p_lower > 1/2")
+            if self.radius < 0:
+                raise ValueError("certified radius must be nonnegative")
+        else:
+            if self.predicted_class != ABSTAIN or self.radius != 0.0:
+                raise ValueError("abstain carries no prediction and zero radius")
 
 
 @dataclass(frozen=True)
@@ -51,30 +92,44 @@ class CertifiedResultSet:
                 raise TypeError("outcomes must be CertifyOutcome instances")
 
 
-def _correct_radii(results: CertifiedResultSet) -> np.ndarray:
-    """Per-row certified radius when certified and correct, else 0."""
-    return np.array([
-        o.radius if (o.certified and o.predicted_class == y) else 0.0
-        for y, o in zip(results.labels, results.outcomes)
-    ])
+def _pairwise_sum(values) -> float:
+    """The float64 sum of values in the order numpy's pairwise summation
+    adds them: a run of more than 128 splits in two at a multiple of 8, and
+    a shorter run of 8 or more goes to eight interleaved partial sums. So a
+    mean taken with it has the bits of numpy's mean."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    head, total = (0 if n < 8 else n - n % 8), 0.0
+    if head:
+        parts = list(values[:8])
+        for i in range(8, head):
+            parts[i % 8] += values[i]
+        total = ((parts[0] + parts[1]) + (parts[2] + parts[3])) \
+            + ((parts[4] + parts[5]) + (parts[6] + parts[7]))
+    for v in values[head:]:
+        total += v
+    return total
 
 
 def acr(results: CertifiedResultSet) -> float:
     """Average certified radius over all rows (abstain/wrong count as 0)."""
-    return float(_correct_radii(results).mean())
+    radii = [o.radius if (o.certified and o.predicted_class == y) else 0.0
+             for y, o in zip(results.labels, results.outcomes)]
+    # numpy's sum starts from 0.0, so a sum of -0.0 radii reads 0.0
+    return (0.0 + _pairwise_sum(radii)) / len(radii)
 
 
-def certified_accuracy_curve(results: CertifiedResultSet, radii) -> np.ndarray:
+def certified_accuracy_curve(results: CertifiedResultSet, radii) -> list:
     """Fraction certified correct with radius >= r, for each threshold r."""
-    radii = np.asarray(radii, dtype=np.float64)
-    if np.any(np.diff(radii) < 0):
+    radii = [float(r) for r in radii]
+    if any(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii thresholds must be nondecreasing")
-    rr = _correct_radii(results)
-    certified_correct = np.array([
-        o.certified and o.predicted_class == y
-        for y, o in zip(results.labels, results.outcomes)
-    ])
-    return np.array([(certified_correct & (rr >= r)).mean() for r in radii])
+    correct = [o.radius for y, o in zip(results.labels, results.outcomes)
+               if o.certified and o.predicted_class == y]
+    return [sum(radius >= r for radius in correct) / len(results.labels)
+            for r in radii]
 
 
 def check_mixing_ratio_args(sigma: float, pgd_steps: int, pgd_eps: float,
@@ -99,6 +154,9 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     (check_mixing_ratio_args).
     """
     check_mixing_ratio_args(sigma, pgd_steps, pgd_eps, estimation_m)
+    import numpy as np
+
+    bind(globals(), _LAZY, *_LAZY)
     x = np.asarray(x, dtype=np.float64)
     noise = first_layer_noise(params, sample_noise(sigma, x.shape[0], estimation_m,
                                                    stream.child("estimate"))[None])

@@ -309,7 +309,10 @@ def noisy_ce_grads(params: ModelParams, deltas: np.ndarray, noise: np.ndarray, p
 
 
 def save_checkpoint(path, params: ModelParams, init_stream: StreamId = None) -> None:
-    """Write params as a format-2 checkpoint (see the module docstring)."""
+    """Write params as a format-2 checkpoint (see the module docstring).
+    Params that fail ModelParams.validate, a non-finite entry among them,
+    raise ValueError before the file is opened."""
+    params.validate()
     blocks = [np.ascontiguousarray(a, dtype="<f8")
               for W, b in zip(params.weights, params.biases) for a in (W, b)]
     digest = hashlib.sha256()

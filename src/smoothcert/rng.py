@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +80,8 @@ def map_streams(fn, items, pooled: bool = True) -> list:
     width = min(cpus, MAX_STREAM_THREADS, len(items)) if pooled else 1
     if width <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=width) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [f.result() for f in futures]

@@ -143,11 +143,12 @@ class TrainRunConfig:
 
 
 def _check_soft_rows(probs: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise ValueError unless every row (last axis) of probs is a valid soft label."""
-    if np.any(probs < -tol) or np.any(probs > 1 + tol):
+    """Raise ValueError unless every row (last axis) of probs is a valid soft
+    label; a NaN entry is not."""
+    if not np.all((probs >= -tol) & (probs <= 1 + tol)):
         raise ValueError(f"soft label entries outside [0,1]: {probs}")
     s = probs.sum(axis=-1)
-    if np.any(np.abs(s - 1.0) > tol):
+    if not np.all(np.abs(s - 1.0) <= tol):
         raise ValueError(f"soft label sums to {s!r}, not 1 within {tol}")
 
 

@@ -1,7 +1,11 @@
 """The allocator policy cli.main sets: it removes the page faults of the hot
 loops on glibc, and it is a no-op wherever glibc's mallopt is missing. Also
 the peak RSS of CLI children against an import-only child: the IDX images
-stay bytes and CERTIFY's row chunks reuse their buffers."""
+stay bytes and CERTIFY's row chunks reuse their buffers.
+
+Each import-only child imports what its subcommand loads (numpy, and the
+smoothcert modules the subcommand's run imports; tests/test_startup.py pins
+those), so that a gap is the run's own and not an import."""
 
 import csv
 import ctypes
@@ -184,6 +188,18 @@ def _child_usage(argv, cwd):
     return int(faults), float(system_s), int(peak_kib)
 
 
+def _import_only(*modules):
+    """argv of a child that imports numpy, smoothcert.cli and modules."""
+    return ["-c", "import " + ", ".join(["numpy", "smoothcert.cli"]
+                                        + [f"smoothcert.{m}" for m in modules])]
+
+
+# what certify, train and theory-sim import
+CERTIFY_MODULES = ("data", "nn", "rng", "smoothing")
+TRAIN_MODULES = ("adversary", "data", "nn", "rng", "smoothing", "training")
+THEORY_MODULES = ("rng", "theory")
+
+
 needs_glibc_wait4 = pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc" or not hasattr(os, "wait4"),
     reason="the policy and the fault count are glibc and Linux only")
@@ -191,7 +207,7 @@ needs_glibc_wait4 = pytest.mark.skipif(
 
 @needs_glibc_wait4
 def test_certify_faults_stay_near_the_import(tmp_path, certify_cfg):
-    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    base = _child_usage(_import_only(*CERTIFY_MODULES), tmp_path)
     run = _child_usage(["-m", "smoothcert.cli", "certify", "--config", certify_cfg,
                          "--out", str(tmp_path)], tmp_path)
     assert run[0] - base[0] < FAULT_GAP_BOUND, ("faults, system s", run, base)
@@ -199,7 +215,7 @@ def test_certify_faults_stay_near_the_import(tmp_path, certify_cfg):
 
 @needs_glibc_wait4
 def test_train_faults_stay_near_the_import(tmp_path, train_cfg):
-    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    base = _child_usage(_import_only(*TRAIN_MODULES), tmp_path)
     run = _child_usage(["-m", "smoothcert.cli", "train", "--config", train_cfg,
                          "--out", str(tmp_path)], tmp_path)
     assert run[0] - base[0] < TRAIN_FAULT_GAP_BOUND, ("faults, system s", run, base)
@@ -207,7 +223,7 @@ def test_train_faults_stay_near_the_import(tmp_path, train_cfg):
 
 @needs_glibc_wait4
 def test_theory_sim_memory_stays_near_the_import(tmp_path, theory_cfg):
-    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    base = _child_usage(_import_only(*THEORY_MODULES), tmp_path)
     run = _child_usage(["-m", "smoothcert.cli", "theory-sim", "--config", theory_cfg,
                         "--out", str(tmp_path)], tmp_path)
     usage = ("faults, system s, peak KiB", run, base)
@@ -226,7 +242,7 @@ def test_certify_keeps_idx_pixels_as_bytes(tmp_path):
 
 @needs_glibc_wait4
 def test_pooled_certify_memory_stays_near_the_import(tmp_path):
-    base = _child_usage(["-c", "import smoothcert.cli"], tmp_path)
+    base = _child_usage(_import_only(*CERTIFY_MODULES), tmp_path)
     run = _child_usage(["-m", "smoothcert.cli", "certify", "--config",
                         _mnist_certify_cfg(tmp_path, 100, 2500, 2),
                         "--out", str(tmp_path)], tmp_path)

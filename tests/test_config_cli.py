@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 import smoothcert.cli as cli
-import smoothcert.rng as rng
 import smoothcert.smoothing as smoothing
 from smoothcert.cli import CERT_CSV_COLUMNS, main
 from smoothcert.config import (
@@ -380,6 +380,24 @@ def test_cli_nonfinite_checkpoint_exits_3(tmp_path, capsys, trained):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_diverged_train_exits_3_and_writes_no_artifact(tmp_path):
+    # at lr = 1e6 the weights are NaN after epoch 1: save_checkpoint refuses
+    # them, so the run leaves no checkpoint, log or manifest behind
+    cfg = _write(tmp_path / "t.cfg", TRAIN_CFG.replace("lr = 0.05", "lr = 1e6")
+                 .replace("batch_size = 10", "batch_size = 50")
+                 .replace("dataset.n = 20", "dataset.n = 200"))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "error: layer 0 has non-finite entries" in proc.stderr
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -455,7 +473,7 @@ def test_certify_within_one_chunk_starts_no_thread(tmp_path, trained, monkeypatc
         raise AssertionError("a thread pool was started")
 
     _set_cpus(monkeypatch, 8)
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json")
                  .replace("n = 50", f"n = {smoothing.COUNT_CHUNK}"))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -554,13 +554,23 @@ def test_cp_equals_bisection_at_extreme_alpha():
             assert clopper_pearson_lower(k, n, alpha) == _bisection_lower(k, n, alpha)
 
 
+def test_cp_memo_returns_the_uncached_values():
+    uncached = clopper_pearson_lower.__wrapped__
+    keys = [(k, n, alpha) for n in (1, 50, 1000) for alpha in (1e-12, 0.001, 0.5)
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n})]
+    first = [clopper_pearson_lower(*key) for key in keys]
+    again = [clopper_pearson_lower(*key) for key in keys]  # from the memo
+    assert first == again == [uncached(*key) for key in keys]
+    assert clopper_pearson_lower.cache_info().hits >= len(keys)
+
+
 def test_cp_evaluates_the_tail_far_fewer_times(monkeypatch):
     calls = []
     tail = smoothing._binom_upper_tail
     monkeypatch.setattr(smoothing, "_binom_upper_tail",
                         lambda *a: calls.append(a) or tail(*a))
     for k in range(900, 1000, 7):
-        clopper_pearson_lower(k, 1000, 0.001)
+        clopper_pearson_lower.__wrapped__(k, 1000, 0.001)  # past the memo
     # the plain bisection makes 34 evaluations per call
     assert len(calls) <= 14 * len(range(900, 1000, 7))
 

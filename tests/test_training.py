@@ -225,6 +225,16 @@ def test_mix_pair_invariant_enforced():
                       np.array([0.2, 0.7]), 2)
 
 
+def test_mix_pair_rejects_nan_soft_labels():
+    # NaN fails every comparison, so a range check written as "< lo or > hi"
+    # lets it through
+    with pytest.raises(ValueError, match="outside"):
+        make_mix_pair(np.zeros(2), np.full(2, np.nan), np.ones(2), 0.2, 2)
+    with pytest.raises(ValueError, match="outside"):
+        make_mix_pair(np.zeros((2, 2)), np.array([[0.5, 0.5], [np.nan, 0.5]]),
+                      np.ones((2, 2)), np.array([0.2, 0.2]), 2)
+
+
 def test_mix_pair_batch_is_rowwise():
     rng = np.random.default_rng(5)
     X, V = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
