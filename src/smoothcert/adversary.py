@@ -15,7 +15,8 @@ onto the l2 ball of that radius around its start point:
 One point is a batch of one (B = 1). Gradients flow through the Monte Carlo
 average exactly. When the gradient norm falls below 1e-12 the step is
 skipped (the point repeats); this keeps the procedure deterministic for
-degenerate classifiers.
+degenerate classifiers. A NaN or infinite norm raises nn.NonFiniteError
+rather than read as a zero gradient (NaN > 1e-12 is false).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, class_prob_grad_input
+from .nn import ModelParams, NonFiniteError, class_prob_grad_input
 
 __all__ = [
     "AttackConfig",
@@ -121,6 +122,8 @@ def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
     for t in range(cfg.steps):
         j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
         norms = np.linalg.norm(grads, axis=1)
+        if not np.isfinite(norms).all():
+            raise NonFiniteError(f"non-finite attack gradient at step {t}")
         move = norms > GRAD_NORM_FLOOR
         direction = np.where(move[:, None], grads / np.maximum(norms, GRAD_NORM_FLOOR)[:, None], 0.0)
         cur = cur + cfg.alpha_step * direction

@@ -157,7 +157,7 @@ _DATASET_SCHEMA = {
 }
 
 TRAIN_SCHEMA = {
-    "method": Field("str", choices=("gaussian", "smoothadv", "smoothmix")),
+    "method": Field("str", choices=("gaussian", "smoothadv", "smoothmix")),  # training.METHODS
     "sigma": Field("float"),
     "m": Field("int", default=1),
     # smoothmix

@@ -4,8 +4,8 @@ The network is logits = L_k(relu(L_{k-1}(... relu(L_1(x)) ...))) with dense
 layers L_i(h) = h @ W_i + b_i. Everything here is plain numpy; gradients are
 hand-derived backprop, not autodiff. ReLU's subgradient at 0 is taken as 0.
 
-Every forward starts at first_layer, then runs the shared tail
-(forward_tail). Gaussian noise reaches the net only through W1, and
+Every forward starts at first_layer and ends in forward_tail, which refuses
+a non-finite logit (NonFiniteError). Gaussian noise reaches the net only through W1, and
 (x + delta) W1 = x W1 + delta W1, so when d > h1 (factors_noise) first_layer
 takes the noise already through W1 (first_layer_noise): smoothing, the
 attacks and training then never form a d-wide noisy input.
@@ -46,6 +46,7 @@ from .rng import StreamId
 __all__ = [
     "CheckpointError",
     "DimensionMismatch",
+    "NonFiniteError",
     "ModelParams",
     "init_mlp",
     "factors_noise",
@@ -66,6 +67,11 @@ CE_PROB_FLOOR = 1e-12
 
 class CheckpointError(ValueError):
     """Raised for a checkpoint file that is truncated, corrupt or unreadable."""
+
+
+class NonFiniteError(ValueError):
+    """Raised where a NaN or an infinity appears: in weights, inputs, logits
+    or gradients."""
 
 
 class DimensionMismatch(ValueError):
@@ -98,7 +104,7 @@ class ModelParams:
                 raise DimensionMismatch(
                     f"layer {k} fan_in", self.weights[k - 1].shape[1], W.shape[0])
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {k} has non-finite entries")
+                raise NonFiniteError(f"layer {k} has non-finite entries")
 
     @property
     def input_dim(self) -> int:
@@ -148,7 +154,7 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1. Points
     that share one batch take a broadcast view of it (np.broadcast_to).
     Every forward starts here, so this is the one input check:
-    DimensionMismatch for X or noise of the wrong shape and ValueError for
+    DimensionMismatch for X or noise of the wrong shape and NonFiniteError for
     non-finite X (argmax of a NaN row reads as class 0, so a bad input must
     not reach a prediction).
     """
@@ -156,7 +162,7 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DimensionMismatch("input", f"(*, {params.input_dim})", X.shape)
     if not np.isfinite(X).all():
-        raise ValueError("input has non-finite entries")
+        raise NonFiniteError("input has non-finite entries")
     W1, b1 = params.weights[0], params.biases[0]
     if noise is not None:
         width = W1.shape[1] if factors_noise(params) else W1.shape[0]
@@ -198,13 +204,17 @@ def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
     array per later layer, each layer's output is written there instead of
     to a fresh array, and the logits are outs[-1]; [z1, *outs[:-1]] then
     hold the inputs of the later layers, after their ReLUs, as _backward
-    reads them. A single-layer net's z1 is already its logits.
+    reads them. A single-layer net's z1 is already its logits. A NaN or
+    infinite logit, which finite weights can make, raises NonFiniteError:
+    argmax would read a NaN row as class 0.
     """
     h = z1
     for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
         np.maximum(h, 0.0, out=h)
         h = np.matmul(h, W, out=None if outs is None else outs[k])
         h += b
+    if not np.isfinite(h).all():
+        raise NonFiniteError("non-finite logits")
     return h
 
 

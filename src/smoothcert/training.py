@@ -27,11 +27,12 @@ identical noise: a Philox generator keyed by the epoch stream
 (master_seed, "train", epoch) whose counter starts at (0, 0, 0, index)
 (`StreamId.indexed_generators`). Its draws depend on the example's index
 only, not on the minibatch it lands in.
-Each method states its loss as parts of nn.noisy_ce_grads under one noise
-batch (an anchor part, and for SmoothMix an eta-weighted mix part), so a
-minibatch's gradient is one stacked backward pass; the reduction order is
-fixed, making training bit-reproducible for a given (config, seed). The
-optimizer, SGD with Nesterov momentum (sgd_nesterov_step), lives here.
+One step (_minibatch_step) serves all three methods: the CE at an anchor
+and, for SmoothMix, an eta-weighted mix part, under one noise batch in one
+nn.noisy_ce_grads call, so a minibatch's gradient is one stacked backward
+pass; the reduction order is fixed, making training bit-reproducible for a
+given (config, seed). The optimizer, SGD with Nesterov momentum
+(sgd_nesterov_step), lives here.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .adversary import AttackConfig, ascend, l2_project
 from .data import Dataset
-from .nn import DimensionMismatch, first_layer_noise, init_mlp, noisy_ce_grads
+from .nn import DimensionMismatch, NonFiniteError, first_layer_noise, init_mlp, noisy_ce_grads
 from .rng import StreamId
 from .smoothing import soft_smoothed_predict
 
@@ -55,9 +56,6 @@ __all__ = [
     "make_mix_pair",
     "train",
 ]
-
-METHODS = ("gaussian", "smoothadv", "smoothmix")
-
 
 @dataclass(frozen=True)
 class GaussianConfig:
@@ -104,6 +102,11 @@ class SmoothMixConfig:
             raise ValueError("one_step_cap, when set, must be positive")
 
 
+# The one table of methods (config.TRAIN_SCHEMA repeats its names).
+METHODS = {"gaussian": GaussianConfig, "smoothadv": SmoothAdvConfig,
+           "smoothmix": SmoothMixConfig}
+
+
 @dataclass(frozen=True)
 class TrainRunConfig:
     method: str
@@ -118,7 +121,7 @@ class TrainRunConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.seed < 0:
@@ -192,58 +195,50 @@ def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: fl
     return noises, lams
 
 
-def _gaussian_minibatch(params, X, Y, cfg: GaussianConfig, stream, indices):
-    deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
-    grads, (loss,) = noisy_ce_grads(params, deltas, first_layer_noise(params, deltas),
-                                    [(X, np.eye(params.class_count)[Y], 1.0)])
-    return grads, loss, 0.0
+def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
+    """One minibatch's gradient under cfg's method; B=1 is one example.
 
-
-def _smoothadv_minibatch(params, X, Y, cfg: SmoothAdvConfig, stream, indices,
-                         epoch: int):
-    """The Gaussian step at each example's PGD endpoint, attacked under the
-    example's own noise batch with steps of 2 epsilon_at(epoch) / steps."""
-    deltas, _ = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, False)
-    noise = first_layer_noise(params, deltas)
-    eps = cfg.epsilon_at(epoch)
-    points, _, _ = ascend(params, X, Y, noise, AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps))
-    grads, (loss,) = noisy_ce_grads(params, deltas, noise,
-                                    [(points[-1], np.eye(params.class_count)[Y], 1.0)])
-    return grads, loss, 0.0
-
-
-def _smoothmix_minibatch(params, X, Y, cfg: SmoothMixConfig, stream, indices):
-    """One SmoothMix step over B examples; B=1 is the single-example case.
-
-    Returns (grads, mean natural loss, mean mix loss, diagnostics). The
-    gradient is that of (1/(B m)) sum [CE_nat + eta CE_mix], with y_mix a
-    constant target. Diagnostics hold the per-example anchor, x_adv, lambda,
-    x_mix, y_mix and the J path ((T, B): J at every iterate but the last).
+    The CE is taken at an anchor, under each example's own noise batch: x
+    (Gaussian), the PGD endpoint at epsilon_at(epoch) (SmoothAdv), or x or
+    the one-step iterate (SmoothMix), which adds the eta-weighted CE at its
+    mix pair (y_mix a constant target). Returns (grads, mean natural loss,
+    mean mix loss or 0.0, diagnostics): for SmoothMix the per-example anchor,
+    x_adv, lambda, x_mix, y_mix and J path ((T, B): J at every iterate but
+    the last), else None. A non-finite gradient raises NonFiniteError.
     """
-    deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, True)
+    mix = isinstance(cfg, SmoothMixConfig)
+    deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, mix)
     noise = first_layer_noise(params, deltas)
-    steps = cfg.attack.steps
-    points, fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack)
-    x_adv = points[-1]
-    # The anchor is x or, one-step, the first iterate (optionally capped):
-    # iterate t of the attack path. Its Fhat comes from that path when the
-    # loop took a gradient there; at the endpoint (t == steps), or where the
-    # cap moved it (t set to steps), from one forward.
-    t = 1 if cfg.use_one_step and steps >= 1 else 0
-    anchor = points[t]
-    cap = cfg.one_step_cap
-    if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
-        anchor, t = l2_project(anchor, X, cap), steps
-    fhat_anchor = (fhat_path[t] if t < steps
-                   else soft_smoothed_predict(params, anchor, noise))
-    x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
-                                 params.class_count)
-    grads, (loss_nat, loss_mix) = noisy_ce_grads(
-        params, deltas, noise, [(anchor, np.eye(params.class_count)[Y], 1.0),
-                                (x_mix, y_mix, cfg.eta)])
-    diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
-                   "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
-    return grads, loss_nat, loss_mix, diagnostics
+    anchor, diagnostics = X, None
+    if isinstance(cfg, SmoothAdvConfig):
+        eps = cfg.epsilon_at(epoch)
+        pgd = AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps)
+        anchor = ascend(params, X, Y, noise, pgd)[0][-1]
+    elif mix:
+        steps = cfg.attack.steps
+        points, fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack)
+        # The anchor is x or, one-step, the first iterate (optionally capped):
+        # iterate t of the attack path. Its Fhat comes from that path when the
+        # loop took a gradient there; at the endpoint (t == steps), or where the
+        # cap moved it (t set to steps), from one forward.
+        t = 1 if cfg.use_one_step and steps >= 1 else 0
+        anchor = points[t]
+        cap = cfg.one_step_cap
+        if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
+            anchor, t = l2_project(anchor, X, cap), steps
+        fhat_anchor = (fhat_path[t] if t < steps
+                       else soft_smoothed_predict(params, anchor, noise))
+        x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, points[-1], lams,
+                                     params.class_count)
+        diagnostics = {"anchor": anchor, "x_adv": points[-1], "lambda": lams,
+                       "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
+    parts = [(anchor, np.eye(params.class_count)[Y], 1.0)]
+    if mix:
+        parts.append((x_mix, y_mix, cfg.eta))
+    grads, losses = noisy_ce_grads(params, deltas, noise, parts)
+    if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
+        raise NonFiniteError("non-finite gradient")
+    return grads, losses[0], losses[1] if mix else 0.0, diagnostics
 
 
 def sgd_nesterov_step(params, grads, velocity, lr: float, momentum: float,
@@ -276,15 +271,14 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
     Deterministic given (dataset, configs, seed): initialization, the
     per-epoch shuffle, and every example's noise derive from named substreams
     of the master seed. Only the current minibatch's rows are float64
-    (dataset.rows), so uint8 images stay one byte per pixel.
+    (dataset.rows), so uint8 images stay one byte per pixel. A non-finite
+    logit or gradient raises NonFiniteError naming the epoch and minibatch.
     """
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("dataset is empty")
-    expected = {"gaussian": GaussianConfig, "smoothadv": SmoothAdvConfig,
-                "smoothmix": SmoothMixConfig}[run_cfg.method]
-    if not isinstance(method_cfg, expected):
-        raise ValueError(f"method {run_cfg.method!r} needs a {expected.__name__}")
+    if not isinstance(method_cfg, need := METHODS[run_cfg.method]):
+        raise ValueError(f"method {run_cfg.method!r} needs a {need.__name__}")
     Y_all = np.asarray(dataset.labels, dtype=np.intp)
     root = StreamId(run_cfg.seed)
     sizes = [dataset.dim, *run_cfg.hidden_for(dataset.dim), dataset.class_count]
@@ -299,19 +293,15 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
         stream = root.child("train", epoch)
         nat_sum = mix_sum = 0.0
         seen = 0
-        for start in range(0, n, run_cfg.batch_size):
+        for step, start in enumerate(range(0, n, run_cfg.batch_size)):
             idx = order[start:start + run_cfg.batch_size]
             X, Y = dataset.rows(idx), Y_all[idx]
-            if run_cfg.method == "gaussian":
-                grads, loss_nat, loss_mix = _gaussian_minibatch(
-                    params, X, Y, method_cfg, stream, idx)
-            elif run_cfg.method == "smoothadv":
-                grads, loss_nat, loss_mix = _smoothadv_minibatch(
-                    params, X, Y, method_cfg, stream, idx, epoch)
-            else:
+            try:
                 # the diagnostics hold the attack path: let them go now
-                grads, loss_nat, loss_mix = _smoothmix_minibatch(
-                    params, X, Y, method_cfg, stream, idx)[:3]
+                grads, loss_nat, loss_mix = _minibatch_step(
+                    params, X, Y, method_cfg, stream, idx, epoch)[:3]
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"epoch {epoch}, minibatch {step}: {exc}") from exc
             sgd_nesterov_step(params, grads, velocity, lr, run_cfg.momentum,
                               run_cfg.weight_decay)
             del grads  # not held through the next minibatch

@@ -6,7 +6,7 @@ import pytest
 from attack_oracle import ascend_with_endpoint_gradient
 from nn_oracle import forward, init_mlp
 from noise_oracle import direct_objective_and_grad
-from smoothcert import cli
+from smoothcert import adversary, cli
 from smoothcert.adversary import (
     AttackConfig,
     _objective_and_grad,
@@ -14,7 +14,8 @@ from smoothcert.adversary import (
     l2_project,
     objective,
 )
-from smoothcert.nn import ModelParams, first_layer_noise, save_checkpoint, softmax
+from smoothcert.nn import (ModelParams, NonFiniteError, first_layer_noise, save_checkpoint,
+                           softmax)
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 
@@ -377,3 +378,22 @@ def test_project_all_inside_returns_copy():
 def test_project_radius_validation():
     with pytest.raises(ValueError):
         l2_project(np.ones(2), np.zeros(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ascend_refuses_a_non_finite_gradient(bad, monkeypatch):
+    # NaN > GRAD_NORM_FLOOR is false: a NaN gradient read as a zero one and
+    # the point stayed put
+    params = _random_net(3, [2, 5, 2])
+    real = adversary.class_prob_grad_input
+
+    def poisoned(*args):
+        probs, grads = real(*args)
+        grads[-1] = bad
+        return probs, grads
+
+    monkeypatch.setattr(adversary, "class_prob_grad_input", poisoned)
+    X = np.array([[0.2, -0.1], [0.4, 0.3]])
+    noise = first_layer_noise(params, np.zeros((2, 3, 2)))
+    with pytest.raises(NonFiniteError, match="non-finite attack gradient at step 0"):
+        ascend(params, X, [1, 0], noise, AttackConfig(0.5, 2))

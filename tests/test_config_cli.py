@@ -14,6 +14,7 @@ import pytest
 
 import smoothcert.cli as cli
 import smoothcert.smoothing as smoothing
+import smoothcert.training as training
 from smoothcert.cli import CERT_CSV_COLUMNS, main
 from smoothcert.config import (
     ATTACK_DEMO_SCHEMA,
@@ -200,6 +201,16 @@ def test_build_train_configs_per_method():
             apply_schema(_train_raw(method="smoothmix"), TRAIN_SCHEMA))
 
 
+def test_train_schema_names_the_method_table():
+    # config loads without training (and numpy), so TRAIN_SCHEMA repeats the
+    # names of training.METHODS; each name builds its config class there
+    assert TRAIN_SCHEMA["method"].choices == tuple(training.METHODS)
+    for method, cls in training.METHODS.items():
+        run, mcfg = build_train_configs(apply_schema(_train_raw(method=method, eta=1.0),
+                                                     TRAIN_SCHEMA))
+        assert run.method == method and type(mcfg) is cls
+
+
 def test_build_smoothing_config():
     raw = {"checkpoint": "c.json", "sigma": "0.25", "n0": "50", "n": "200",
            "alpha_cert": "0.01", "dataset.kind": "two_moons",
@@ -381,8 +392,9 @@ def test_cli_nonfinite_checkpoint_exits_3(tmp_path, capsys, trained):
 
 
 def test_diverged_train_exits_3_and_writes_no_artifact(tmp_path):
-    # at lr = 1e6 the weights are NaN after epoch 1: save_checkpoint refuses
-    # them, so the run leaves no checkpoint, log or manifest behind
+    # at lr = 1e6 the logits overflow within two epochs: train stops there,
+    # naming the epoch and the minibatch, and leaves no checkpoint, log or
+    # manifest behind
     cfg = _write(tmp_path / "t.cfg", TRAIN_CFG.replace("lr = 0.05", "lr = 1e6")
                  .replace("batch_size = 10", "batch_size = 50")
                  .replace("dataset.n = 20", "dataset.n = 200"))
@@ -394,7 +406,36 @@ def test_diverged_train_exits_3_and_writes_no_artifact(tmp_path):
                            "--out", str(out)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
-    assert "error: layer 0 has non-finite entries" in proc.stderr
+    assert re.search(r"^error: epoch \d+, minibatch \d+: non-finite", proc.stderr, re.M)
+    assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def overflowing(trained, tmp_path_factory):
+    # every weight is finite, so the checkpoint loads, but W1 and W2 scaled
+    # by 1e300 overflow the logits of every forward
+    params, _ = load_checkpoint(trained / "checkpoint.json")
+    params.weights[0] *= 1e300
+    params.weights[1] *= 1e300
+    path = tmp_path_factory.mktemp("overflow") / "checkpoint.json"
+    save_checkpoint(path, params)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, keys", [
+    ("certify", "n0 = 20\nn = 50"),
+    ("mixratio", "pgd_steps = 2\nestimation_m = 20\npoints = 3"),
+    ("attack-demo", "alpha_step = 0.5\nsteps = 2"),
+], ids=["certify", "mixratio", "attack-demo"])
+def test_overflowing_checkpoint_exits_3_and_writes_nothing(tmp_path, capsys, overflowing,
+                                                           command, keys):
+    # argmax read the NaN rows as votes: certify certified such a net
+    cfg = _write(tmp_path / "c.cfg", f"checkpoint = {overflowing}\nsigma = 0.5\n{keys}\n"
+                 "dataset.kind = two_moons\ndataset.n = 6\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite logits")
     assert list(out.iterdir()) == []
 
 

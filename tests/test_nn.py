@@ -15,7 +15,9 @@ from nn_oracle import (
 from smoothcert.nn import (
     CheckpointError,
     DimensionMismatch,
+    NonFiniteError,
     class_prob_grad_input,
+    forward_tail,
     init_mlp,
     load_checkpoint,
     save_checkpoint,
@@ -109,6 +111,17 @@ def test_dimension_mismatch():
     params = _random_net(np.random.default_rng(2), [4, 3])
     with pytest.raises(DimensionMismatch):
         forward(params, np.zeros(5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sizes", [[2, 3, 2], [3, 2]], ids=["hidden", "single-layer"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_tail_refuses_non_finite_logits(sizes, bad):
+    params = init_mlp(sizes, StreamId(0))
+    z1 = np.ones((4, sizes[1]))
+    z1[2, 0] = bad
+    with pytest.raises(NonFiniteError, match="non-finite logits"):
+        forward_tail(params, z1)
 
 
 def test_cross_entropy_gibbs():

@@ -9,8 +9,8 @@ from noise_oracle import (allocating_hard_class_counts, direct_hard_class_counts
                           direct_soft_predict)
 from smoothcert import smoothing
 from smoothcert.cli import read_certification_csv, write_certification_csv
-from smoothcert.nn import (DimensionMismatch, ModelParams, first_layer_noise, forward_tail,
-                           init_mlp)
+from smoothcert.nn import (DimensionMismatch, ModelParams, NonFiniteError, first_layer_noise,
+                           forward_tail, init_mlp)
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
     ABSTAIN,
@@ -373,6 +373,25 @@ def test_non_finite_input_raises(bad):
         hard_class_counts(params, x, 10, 0.5, StreamId(1))
     with pytest.raises(ValueError, match="non-finite"):
         soft_smoothed_predict(params, x[None, :], np.zeros((1, 4, 3)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sizes", [[2, 8, 8, 3], [12, 8, 8, 3]], ids=["d<=h1", "d>h1"])
+def test_overflowing_logits_raise_instead_of_voting(sizes):
+    # every weight is finite, but W1 and W2 scaled by 1e300 overflow the
+    # logits to inf and NaN: argmax counted those rows as votes and CERTIFY
+    # certified such a net
+    params = init_mlp(sizes, StreamId(0))
+    params.weights[0] *= 1e300
+    params.weights[1] *= 1e300
+    x = np.full(sizes[0], 0.5)
+    with pytest.raises(NonFiniteError, match="non-finite logits"):
+        hard_class_counts(params, x, 200, 0.5, StreamId(1))
+    with pytest.raises(NonFiniteError, match="non-finite logits"):
+        certify(params, x, SmoothingConfig(sigma=0.5), StreamId(2))
+    with pytest.raises(NonFiniteError, match="non-finite logits"):
+        soft_smoothed_predict(params, x[None, :],
+                              first_layer_noise(params, np.zeros((1, 4, sizes[0]))))
 
 
 def test_wrong_width_raises_dimension_mismatch():

@@ -9,7 +9,7 @@ from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
 from noise_oracle import direct_noisy_ce_grads
 from smoothcert.adversary import AttackConfig, ascend
 from smoothcert.data import Dataset, gen_two_moons
-from smoothcert.nn import first_layer_noise, init_mlp, noisy_ce_grads
+from smoothcert.nn import NonFiniteError, first_layer_noise, init_mlp, noisy_ce_grads
 from smoothcert.rng import StreamId, _mix_part
 from smoothcert.smoothing import sample_noise, soft_smoothed_predict
 from smoothcert import training
@@ -18,10 +18,8 @@ from smoothcert.training import (
     SmoothAdvConfig,
     SmoothMixConfig,
     TrainRunConfig,
-    _gaussian_minibatch,
     _minibatch_randomness,
-    _smoothadv_minibatch,
-    _smoothmix_minibatch,
+    _minibatch_step,
     make_mix_pair,
     train,
 )
@@ -43,6 +41,12 @@ def _mix_cfg(**kw):
     base = dict(sigma=0.5, eta=2.0, attack=AttackConfig(0.5, 2), m=3)
     base.update(kw)
     return SmoothMixConfig(**base)
+
+
+def _method_cfg(method, m):
+    return {"gaussian": GaussianConfig(sigma=0.5, m=m),
+            "smoothadv": SmoothAdvConfig(sigma=0.5, m=m, epsilon=1.0, steps=2),
+            "smoothmix": _mix_cfg(m=m)}[method]
 
 
 # ---------------------------------------------------------------- oracles
@@ -74,8 +78,8 @@ def _draws(stream, m, dim, sigma):
 
 def _example(params, x, y, cfg, stream):
     """The batched SmoothMix step at B=1, with its noise batch."""
-    grads, nat, mix, diag = _smoothmix_minibatch(
-        params, np.asarray(x)[None, :], np.array([y]), cfg, *_keyed([stream]))
+    grads, nat, mix, diag = _minibatch_step(
+        params, np.asarray(x)[None, :], np.array([y]), cfg, *_keyed([stream]), 0)
     deltas, _ = _draws(stream, cfg.m, len(x), cfg.sigma)
     return grads, nat, mix, diag, deltas
 
@@ -118,9 +122,8 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     cfg = SmoothAdvConfig(sigma=0.5, m=3, epsilon=0.6, steps=3, warmup_epochs=2)
     X, Y = np.array([[0.2, -0.1], [0.7, 0.3]]), np.array([1, 2])
     streams = [StreamId(5, ("train", 0, i)) for i in range(2)]
-    grads, loss, mix = _smoothadv_minibatch(params, X, Y, cfg, *_keyed(streams),
-                                            epoch=0)
-    assert mix == 0.0
+    grads, loss, mix, diag = _minibatch_step(params, X, Y, cfg, *_keyed(streams), epoch=0)
+    assert mix == 0.0 and diag is None
     noises = np.stack([_draws(s, 3, 2, 0.5)[0] for s in streams])
     eps = cfg.epsilon_at(0)
     # each example's PGD on its own (B = 1): with some BLAS builds a row's
@@ -152,13 +155,7 @@ def test_factored_ce_gradient_matches_direct_at_mnist_shape(method, monkeypatch)
         return calls[-1][-1]
 
     monkeypatch.setattr(training, "noisy_ce_grads", recorded)
-    if method == "gaussian":
-        _gaussian_minibatch(params, X, Y, GaussianConfig(sigma=0.5, m=4), stream, idx)
-    elif method == "smoothadv":
-        _smoothadv_minibatch(params, X, Y, SmoothAdvConfig(sigma=0.5, m=4, epsilon=1.0,
-                                                           steps=2), stream, idx, epoch=3)
-    else:
-        _smoothmix_minibatch(params, X, Y, _mix_cfg(m=4), stream, idx)
+    _minibatch_step(params, X, Y, _method_cfg(method, 4), stream, idx, epoch=3)
     ((deltas, parts, ((gW, gb), losses)),) = calls
     (want_W, want_b), want_losses = direct_noisy_ce_grads(params, deltas, parts)
     for got, want in zip(gW + gb, want_W + want_b):
@@ -318,12 +315,12 @@ def test_batch_loss_eta_limit_is_gaussian():
     params = _random_net(12, [2, 6, 2])
     stream = StreamId(13, ("train", 0, 0))
     X, Y = np.array([[0.2, 0.8]]), np.array([0])
-    g_mix, nat, _, _ = _smoothmix_minibatch(params, X, Y, _mix_cfg(eta=1e-12),
-                                            *_keyed([stream]))
-    g_gauss, loss, _ = _gaussian_minibatch(params, X, Y,
-                                           GaussianConfig(sigma=0.5, m=3),
-                                           *_keyed([stream]))
+    g_mix, nat, _, _ = _minibatch_step(params, X, Y, _mix_cfg(eta=1e-12),
+                                       *_keyed([stream]), 0)
+    g_gauss, loss, mix, diag = _minibatch_step(params, X, Y, GaussianConfig(sigma=0.5, m=3),
+                                               *_keyed([stream]), 0)
     assert nat == loss
+    assert mix == 0.0 and diag is None
     for a, b in zip(g_mix[0] + g_mix[1], g_gauss[0] + g_gauss[1]):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
@@ -384,7 +381,7 @@ def test_y_mix_uses_fresh_anchor_fhat(one_step, cap):
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(31, ("train", 0, i)) for i in range(3)]
-    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
+    *_, diag = _minibatch_step(params, X, Y, cfg, *_keyed(streams), 0)
     noises = np.stack([_draws(s, cfg.m, 2, cfg.sigma)[0] for s in streams])
     fhat = soft_smoothed_predict(params, diag["anchor"], first_layer_noise(params, noises))
     lam = diag["lambda"][:, None]
@@ -403,7 +400,7 @@ def test_one_step_y_mix_at_one_attack_step_keeps_the_endpoint_gradient_bits(size
     rng = np.random.default_rng(35)
     X, Y = rng.standard_normal((5, sizes[0])), np.array([0, 2, 1, 1, 0])
     streams = [StreamId(36, ("train", 0, i)) for i in range(5)]
-    *_, diag = _smoothmix_minibatch(params, X, Y, cfg, *_keyed(streams))
+    *_, diag = _minibatch_step(params, X, Y, cfg, *_keyed(streams), 0)
     noises = np.stack([_draws(s, cfg.m, sizes[0], cfg.sigma)[0] for s in streams])
     points, fhat_path, _ = ascend_with_endpoint_gradient(
         params, X, Y, first_layer_noise(params, noises), cfg.attack)
@@ -458,8 +455,8 @@ def test_minibatch_matches_per_example_pipeline():
     X = np.array([[0.3, -0.2], [0.8, 0.4], [-0.5, 0.1]])
     Y = np.array([0, 2, 1])
     streams = [StreamId(25, ("train", 0, i)) for i in range(3)]
-    grads_b, nat_b, mix_b, diag_b = _smoothmix_minibatch(params, X, Y, cfg,
-                                                         *_keyed(streams))
+    grads_b, nat_b, mix_b, diag_b = _minibatch_step(params, X, Y, cfg,
+                                                    *_keyed(streams), 0)
 
     singles = [_example(params, X[i], int(Y[i]), cfg, streams[i]) for i in range(3)]
     assert nat_b == pytest.approx(np.mean([s[1] for s in singles]), rel=1e-10)
@@ -548,6 +545,28 @@ def test_train_method_config_mismatch_fails_before_compute():
     run = TrainRunConfig(method="smoothmix", epochs=1, batch_size=5, lr=0.1)
     with pytest.raises(ValueError):
         train(ds, run, GaussianConfig(sigma=0.5))
+
+
+@pytest.mark.parametrize("method", ["gaussian", "smoothadv", "smoothmix"])
+def test_train_stops_at_the_first_non_finite_gradient(method, monkeypatch):
+    # the second minibatch's gradient holds a NaN: train names the epoch and
+    # the minibatch, and takes no optimizer step with it
+    calls, steps = [], []
+    real = training.noisy_ce_grads
+
+    def poisoned(*args):
+        (gW, gb), losses = real(*args)
+        calls.append(args)
+        if len(calls) == 2:
+            gW[0][0, 0] = np.nan
+        return (gW, gb), losses
+
+    monkeypatch.setattr(training, "noisy_ce_grads", poisoned)
+    monkeypatch.setattr(training, "sgd_nesterov_step", lambda *args: steps.append(args))
+    run = TrainRunConfig(method=method, epochs=2, batch_size=5, lr=0.1)
+    with pytest.raises(NonFiniteError, match="^epoch 0, minibatch 1: non-finite gradient$"):
+        train(gen_two_moons(20, 0.1, 0), run, _method_cfg(method, 1))
+    assert len(steps) == 1
 
 
 def test_train_zero_lr_no_weight_decay_is_noop():
