@@ -120,8 +120,9 @@ def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
     j_path = np.empty((cfg.steps, len(X0)))
     points[0] = cur = X0
     for t in range(cfg.steps):
-        j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
-        norms = np.linalg.norm(grads, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
+            norms = np.linalg.norm(grads, axis=1)
         if not np.isfinite(norms).all():
             raise NonFiniteError(f"non-finite attack gradient at step {t}")
         move = norms > GRAD_NORM_FLOOR

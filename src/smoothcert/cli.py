@@ -267,11 +267,13 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
         check_dataset(cfg)
         if not cfg["sigma"] > 0 or cfg["m"] < 1:
             raise ConfigError("need sigma > 0 and m >= 1")
+        if cfg["point_index"] < 0:
+            raise ConfigError("point_index must be >= 0")
         root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
-    if not 0 <= i < len(ds):
+    if i >= len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
     x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
     noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],

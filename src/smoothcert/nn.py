@@ -164,18 +164,20 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
     if not np.isfinite(X).all():
         raise NonFiniteError("input has non-finite entries")
     W1, b1 = params.weights[0], params.biases[0]
+    factored = noise is not None and factors_noise(params)
     if noise is not None:
-        width = W1.shape[1] if factors_noise(params) else W1.shape[0]
+        width = W1.shape[1] if factored else W1.shape[0]
         if (noise.ndim != 3 or noise.shape[0] != len(X) or noise.shape[1] < 1
                 or noise.shape[2] != width):
             raise DimensionMismatch("noise", f"({len(X)}, m >= 1, {width})", noise.shape)
-        if factors_noise(params):
-            z = X @ W1
-            z += b1
-            return (z[:, None, :] + noise).reshape(-1, W1.shape[1])
-        X = (X[:, None, :] + noise).reshape(-1, X.shape[1])
-    z = X @ W1
-    z += b1
+    # an overflow here reaches forward_tail, which raises NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise is not None and not factored:
+            X = (X[:, None, :] + noise).reshape(-1, X.shape[1])
+        z = X @ W1
+        z += b1
+        if factored:
+            z = (z[:, None, :] + noise).reshape(-1, W1.shape[1])
     return z
 
 
@@ -192,7 +194,9 @@ def first_layer_noise(params: ModelParams, deltas: np.ndarray) -> np.ndarray:
     if not factors_noise(params):
         return deltas
     W1 = params.weights[0]
-    return (deltas.reshape(-1, W1.shape[0]) @ W1).reshape(deltas.shape[:-1] + (W1.shape[1],))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in first_layer
+        z = deltas.reshape(-1, W1.shape[0]) @ W1
+    return z.reshape(deltas.shape[:-1] + (W1.shape[1],))
 
 
 def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
@@ -209,10 +213,12 @@ def forward_tail(params: ModelParams, z1: np.ndarray, outs=None) -> np.ndarray:
     argmax would read a NaN row as class 0.
     """
     h = z1
-    for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
-        np.maximum(h, 0.0, out=h)
-        h = np.matmul(h, W, out=None if outs is None else outs[k])
-        h += b
+    # an overflow or NaN here is reported once, as the NonFiniteError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (W, b) in enumerate(zip(params.weights[1:], params.biases[1:])):
+            np.maximum(h, 0.0, out=h)
+            h = np.matmul(h, W, out=None if outs is None else outs[k])
+            h += b
     if not np.isfinite(h).all():
         raise NonFiniteError("non-finite logits")
     return h

@@ -13,8 +13,9 @@ Noise families are unit-variance, zero-mean, finite fourth moment;
 E[r^4] - 1 enters the constant. rademacher is degenerate
 (|delta|^2 = d exactly, k = 0) and is excluded from default runs.
 
-Both estimates need only |delta|^2 and delta.z per trial. The gaussian family
-draws those from their exact law (a normal and a chi-square per trial, O(trials)
+The shift z is epsilon along the first coordinate axis, so both estimates
+need only |delta|^2 and epsilon * delta_1 per trial. The gaussian family draws
+those from their exact law (a normal and a chi-square per trial, O(trials)
 work); the other families draw full (trials x d) rows in chunks.
 """
 
@@ -31,7 +32,6 @@ from .rng import StreamId, map_streams
 __all__ = [
     "FAMILY_FOURTH_MOMENT",
     "TheorySimConfig",
-    "ProbEstimate",
     "DecayRow",
     "DecayReport",
     "interval_halfwidth_k",
@@ -101,28 +101,28 @@ def _draw_rows(gen: np.random.Generator, family: str, out: np.ndarray) -> np.nda
 
 
 def _noise_stats(gen: np.random.Generator, family: str, trials: int, d: int,
-                 z: np.ndarray | None = None):
-    """Yield (|delta|^2, delta.z) chunk by chunk for `trials` noise draws;
-    delta.z is None when z is None.
+                 shift: float | None = None):
+    """Yield (|delta|^2, shift * delta_1) chunk by chunk for `trials` noise
+    draws; the second is None when shift is None.
 
-    gaussian: N(0, I_d) is rotation invariant, so with u ~ N(0, 1) standing
-    for delta.unit(z), delta.z = |z| u and |delta|^2 = u^2 + chi2_{d-1}
-    (chi2_0 = 0). One chunk, 2 * trials draws. The other families draw
-    rows into one chunk buffer, allocated once.
+    gaussian: N(0, I_d) has independent coordinates, so with u ~ N(0, 1)
+    standing for delta_1, |delta|^2 = u^2 + chi2_{d-1} (chi2_0 = 0). One
+    chunk, 2 * trials draws. The other families draw rows into one chunk
+    buffer, allocated once.
     """
     if family == "gaussian":
         u = gen.standard_normal(trials)
         sq = u * u
         if d > 1:
             sq += gen.chisquare(d - 1, trials)
-        yield sq, None if z is None else float(np.linalg.norm(z)) * u
+        yield sq, None if shift is None else shift * u
         return
     step = min(trials, max(1, _CHUNK_ELEMENTS // d))
     buf = np.empty((step, d))
     for done in range(0, trials, step):
         delta = _draw_rows(gen, family, buf[:min(step, trials - done)])
         yield (np.einsum("ij,ij->i", delta, delta),
-               None if z is None else delta @ z)
+               None if shift is None else shift * delta[:, 0])
 
 
 def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
@@ -149,51 +149,34 @@ def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
     return float(np.quantile(devs, cfg.p, overwrite_input=True))
 
 
-@dataclass(frozen=True)
-class ProbEstimate:
-    """Binomial frequency with its standard error."""
-
-    estimate: float
-    std_error: float
-    trials: int
-
-
-def _shift(cfg: TheorySimConfig) -> np.ndarray:
-    """z = epsilon along the first coordinate axis."""
-    z = np.zeros(cfg.d)
-    z[0] = cfg.epsilon
-    return z
-
-
-def _event_values(cfg: TheorySimConfig, z: np.ndarray,
-                  stream: StreamId) -> np.ndarray:
-    """|tau*delta + z|^2 / d for each of cfg.trials draws of delta; the
-    event counts the values inside the k-interval."""
-    tau, zz = cfg.tau, float(z @ z)
+def _event_values(cfg: TheorySimConfig, stream: StreamId) -> np.ndarray:
+    """|tau*delta + z|^2 / d for each of cfg.trials draws of delta, with z
+    epsilon along the first axis; the event counts the values inside the
+    k-interval."""
+    tau, eps = cfg.tau, cfg.epsilon
     values = np.empty(cfg.trials)
     done = 0
     for sq, dz in _noise_stats(stream.generator(), cfg.noise_family,
-                               cfg.trials, cfg.d, z):
-        # |tau*delta + z|^2 = tau^2|delta|^2 + 2*tau*(delta.z) + |z|^2, in
-        # that order of operations, in place
+                               cfg.trials, cfg.d, eps):
+        # |tau*delta + z|^2 = tau^2|delta|^2 + 2*tau*(eps*delta_1) + eps^2,
+        # in that order of operations, in place
         val = values[done:done + len(sq)]
         np.multiply(tau * tau, sq, out=val)
         dz *= 2.0 * tau
         val += dz
-        val += zz
+        val += eps * eps
         val /= cfg.d
         done += len(sq)
     return values
 
 
 def _event_estimate(cfg: TheorySimConfig, values: np.ndarray,
-                    k: float) -> ProbEstimate:
-    """The share of values in [sigma^2 - k, sigma^2 + k], the event's
-    Monte Carlo probability, with its binomial standard error."""
+                    k: float) -> tuple[float, float]:
+    """(estimate, std_error): the share of values in [sigma^2 - k,
+    sigma^2 + k], the event's Monte Carlo probability, and its binomial SE."""
     lo, hi = cfg.sigma ** 2 - k, cfg.sigma ** 2 + k
     est = int(np.count_nonzero((values >= lo) & (values <= hi))) / cfg.trials
-    se = math.sqrt(est * (1.0 - est) / cfg.trials)
-    return ProbEstimate(est, se, cfg.trials)
+    return est, math.sqrt(est * (1.0 - est) / cfg.trials)
 
 
 def _constant_terms(cfg: TheorySimConfig) -> tuple[float, float, float]:
@@ -275,8 +258,7 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
                 k.set_exception(exc)
                 raise
             return None
-        values = _event_values(cfg_d, _shift(cfg_d),
-                               stream.child("event", cfg_d.d))
+        values = _event_values(cfg_d, stream.child("event", cfg_d.d))
         # map_streams starts items in order and cancels none, so this d's
         # k stage, which precedes this one, runs and fills k: the wait
         # cannot deadlock
@@ -284,11 +266,11 @@ def verify_decay(cfg: TheorySimConfig, dims, stream: StreamId) -> DecayReport:
 
     pooled = cfg.noise_family != "gaussian"
     rows = []
-    for (_, cfg_d), (k, est) in zip(stages[1::2],
-                                   map_streams(run, stages, pooled)[1::2]):
+    for (_, cfg_d), (k, (est, se)) in zip(stages[1::2],
+                                         map_streams(run, stages, pooled)[1::2]):
         bound = c / cfg_d.d
-        rows.append(DecayRow(cfg_d.d, k, est.estimate, est.std_error, bound,
-                             est.estimate <= bound + 3.0 * est.std_error))
+        rows.append(DecayRow(cfg_d.d, k, est, se, bound,
+                             est <= bound + 3.0 * se))
     rows.reverse()
     return DecayReport(cfg.noise_family, c, tuple(rows),
                        all(r.passed for r in rows))

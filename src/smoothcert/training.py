@@ -131,9 +131,10 @@ class TrainRunConfig:
                 and self.weight_decay >= 0):
             raise ValueError("need lr >= 0, lr_gamma >= 0, 0 <= momentum < 1, "
                              "weight_decay >= 0")
+        # a milestone at epoch 0 or below would only rescale lr
         ms = tuple(self.lr_milestones)
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError("lr_milestones must be strictly increasing")
+        if any(b <= a for a, b in zip((0,) + ms, ms)):
+            raise ValueError("lr_milestones must be strictly increasing and >= 1")
         object.__setattr__(self, "lr_milestones", ms)
 
     def lr_at(self, epoch: int) -> float:
@@ -235,7 +236,8 @@ def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
     parts = [(anchor, np.eye(params.class_count)[Y], 1.0)]
     if mix:
         parts.append((x_mix, y_mix, cfg.eta))
-    grads, losses = noisy_ce_grads(params, deltas, noise, parts)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        grads, losses = noisy_ce_grads(params, deltas, noise, parts)
     if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
         raise NonFiniteError("non-finite gradient")
     return grads, losses[0], losses[1] if mix else 0.0, diagnostics

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -397,3 +398,14 @@ def test_ascend_refuses_a_non_finite_gradient(bad, monkeypatch):
     noise = first_layer_noise(params, np.zeros((2, 3, 2)))
     with pytest.raises(NonFiniteError, match="non-finite attack gradient at step 0"):
         ascend(params, X, [1, 0], noise, AttackConfig(0.5, 2))
+
+
+def test_overflowing_attack_gradient_raises_without_a_warning():
+    # the gradient (1e308, -1e308) is finite but its norm overflows: the one
+    # report is the typed error, with no numpy RuntimeWarning ahead of it
+    params = ModelParams([np.array([[1e308, -1e308], [0.0, 0.0]])], [np.zeros(2)])
+    noise = first_layer_noise(params, np.zeros((1, 1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="non-finite attack gradient at step 0"):
+            ascend(params, np.array([[0.0, 0.5]]), [0], noise, AttackConfig(0.5, 1))

@@ -349,6 +349,10 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
     ("attack-demo", ATTACK_CFG + "seed = -1\n", "seed must be nonnegative"),
     ("mixratio", MIXRATIO_CFG + "dataset.seed = -2\n", "dataset.seed must be >= 0"),
     ("theory-sim", "seed = -1\n", "seed must be nonnegative"),
+    # a milestone at epoch 0 or below only rescales lr
+    ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n"
+     "lr_milestones = -5, 1\n" + ABSENT_IDX, "lr_milestones must be strictly increasing and >= 1"),
+    ("attack-demo", ATTACK_CFG + "point_index = -1\n", "point_index must be >= 0"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -363,7 +367,8 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
         "evaluate-repeated-model-ids", "evaluate-repeated-file-stems",
         "train-negative-seed", "certify-negative-seed", "certify-negative-seed-flag",
         "attack-demo-negative-seed", "mixratio-negative-dataset-seed",
-        "theory-sim-negative-seed"])
+        "theory-sim-negative-seed", "train-negative-milestone",
+        "attack-demo-negative-point-index"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
     # any checkpoint, dataset or certification CSV is read; command may
@@ -407,6 +412,7 @@ def test_diverged_train_exits_3_and_writes_no_artifact(tmp_path):
                           timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert re.search(r"^error: epoch \d+, minibatch \d+: non-finite", proc.stderr, re.M)
+    assert "Warning" not in proc.stderr
     assert list(out.iterdir()) == []
 
 
@@ -422,7 +428,6 @@ def overflowing(trained, tmp_path_factory):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, keys", [
     ("certify", "n0 = 20\nn = 50"),
     ("mixratio", "pgd_steps = 2\nestimation_m = 20\npoints = 3"),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -113,7 +114,6 @@ def test_dimension_mismatch():
         forward(params, np.zeros(5))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sizes", [[2, 3, 2], [3, 2]], ids=["hidden", "single-layer"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_forward_tail_refuses_non_finite_logits(sizes, bad):
@@ -122,6 +122,17 @@ def test_forward_tail_refuses_non_finite_logits(sizes, bad):
     z1[2, 0] = bad
     with pytest.raises(NonFiniteError, match="non-finite logits"):
         forward_tail(params, z1)
+
+
+def test_overflowing_first_layer_raises_without_a_warning():
+    # x W1 overflows to inf: the one report is forward_tail's typed error,
+    # with no numpy RuntimeWarning printed ahead of it
+    params = ModelParams([np.full((2, 3), 1.7e308), np.ones((3, 2))],
+                         [np.zeros(3), np.zeros(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="non-finite logits"):
+            class_prob_grad_input(params, np.array([[3.0, 3.0]]), 0)
 
 
 def test_cross_entropy_gibbs():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import smoothcert.theory as theory
-from smoothcert.cli import write_theory_csv
+from smoothcert.cli import main, write_theory_csv
 from smoothcert.rng import StreamId
 from smoothcert.theory import (
     FAMILY_FOURTH_MOMENT,
@@ -56,14 +57,52 @@ def _gaussian_rows_oracle(gen, trials, d, z, chunk=10_000):
 
 
 def _direct_gaussian(gen, trials, d, z):
-    ((sq, dz),) = theory._noise_stats(gen, "gaussian", trials, d, z)
+    """(|delta|^2, delta.z) from the gaussian law theory samples: rotation
+    invariance makes delta.z equal in law to |z| times delta_1."""
+    ((sq, dz),) = theory._noise_stats(gen, "gaussian", trials, d,
+                                      float(np.linalg.norm(z)))
     return sq, dz
 
 
+def _row_stats(gen, family, trials, d, z):
+    """(|delta|^2, delta.z) for a row-sampled family, drawn with
+    theory._draw_rows in theory's chunking and generator order."""
+    step = min(trials, max(1, theory._CHUNK_ELEMENTS // d))
+    buf, sq, dz = np.empty((step, d)), [], []
+    for done in range(0, trials, step):
+        delta = theory._draw_rows(gen, family, buf[:min(step, trials - done)])
+        sq.append(np.einsum("ij,ij->i", delta, delta))
+        dz.append(delta @ z)
+    return np.concatenate(sq), np.concatenate(dz)
+
+
+def _event_stat(cfg, sq, dz, z):
+    """val = |tau*delta + z|^2 / d, the statistic the event bins, in
+    theory._event_values' order of operations."""
+    return (cfg.tau * cfg.tau * sq + 2.0 * cfg.tau * dz + float(z @ z)) / cfg.d
+
+
+def _oracle_values(cfg, z, stream):
+    """The event statistic for cfg.trials draws under a shift z in any
+    direction."""
+    gen = stream.generator()
+    if cfg.noise_family == "gaussian":
+        sq, dz = _direct_gaussian(gen, cfg.trials, cfg.d, z)
+    else:
+        sq, dz = _row_stats(gen, cfg.noise_family, cfg.trials, cfg.d, z)
+    return _event_stat(cfg, sq, dz, z)
+
+
 def worst_case_prob(cfg, k, z, stream):
-    """P(|tau*delta + z|^2 / d in [sigma^2 - k, sigma^2 + k]) by Monte Carlo,
-    through the event stage that verify_decay runs; z is the shift itself."""
-    return theory._event_estimate(cfg, theory._event_values(cfg, z, stream), k)
+    """(estimate, std_error) of P(|tau*delta + z|^2 / d in [sigma^2 - k,
+    sigma^2 + k]) by Monte Carlo; z is the shift itself, in any direction."""
+    return theory._event_estimate(cfg, _oracle_values(cfg, z, stream), k)
+
+
+def _axis_prob(cfg, k, stream):
+    """The event stage verify_decay runs: the shift is epsilon along the
+    first axis."""
+    return theory._event_estimate(cfg, theory._event_values(cfg, stream), k)
 
 
 def _toward(cfg, direction):
@@ -72,9 +111,8 @@ def _toward(cfg, direction):
     return (cfg.epsilon / float(np.linalg.norm(direction))) * direction
 
 
-def _event_stat(cfg, sq, dz, z):
-    """val = |tau*delta + z|^2 / d, the statistic worst_case_prob bins."""
-    return (cfg.tau ** 2 * sq + 2.0 * cfg.tau * dz + float(z @ z)) / cfg.d
+def _first_axis(cfg):
+    return _toward(cfg, np.eye(1, cfg.d)[0])
 
 
 # ---------------------------------------------------------------- constants
@@ -195,20 +233,31 @@ def test_halfwidth_trials_validation():
 
 def test_worst_case_prob_se_formula_and_range():
     cfg = _ref_cfg(trials=20_000)
-    est = worst_case_prob(cfg, 1.0, theory._shift(cfg), StreamId(5))
-    assert 0.0 < est.estimate < 1.0
-    assert est.trials == 20_000
-    want_se = math.sqrt(est.estimate * (1 - est.estimate) / 20_000)
-    assert est.std_error == pytest.approx(want_se, rel=1e-12)
+    est, se = _axis_prob(cfg, 1.0, StreamId(5))
+    assert 0.0 < est < 1.0
+    assert se == pytest.approx(math.sqrt(est * (1 - est) / 20_000), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform_pm", "rademacher"])
+def test_oracle_on_the_first_axis_is_the_event_stage(monkeypatch, family):
+    # the scalar shift epsilon * delta_1 gives the bits of delta.z with the
+    # d-long z = epsilon e_1; 1,024 elements per chunk end 1,001 trials in a
+    # partial chunk at d = 100
+    monkeypatch.setattr(theory, "_CHUNK_ELEMENTS", 1024)
+    for d in (1, 16, 100):
+        cfg = _ref_cfg(d=d, trials=1001, noise_family=family)
+        got = theory._event_values(cfg, StreamId(44, (d,)))
+        want = _oracle_values(cfg, _first_axis(cfg), StreamId(44, (d,)))
+        assert got.tobytes() == want.tobytes(), d
 
 
 def test_rotation_invariance_of_gaussian_event():
     # isotropic noise: the shift direction must not matter beyond MC error
     cfg = _ref_cfg(trials=200_000)
-    a = worst_case_prob(cfg, 1.0, theory._shift(cfg), StreamId(6, ("a",)))
-    b = worst_case_prob(cfg, 1.0, _toward(cfg, np.ones(64)), StreamId(6, ("b",)))
-    combined = math.hypot(a.std_error, b.std_error)
-    assert abs(a.estimate - b.estimate) <= 4.0 * combined
+    a, se_a = _axis_prob(cfg, 1.0, StreamId(6, ("a",)))
+    b, se_b = worst_case_prob(cfg, 1.0, _toward(cfg, np.ones(64)),
+                              StreamId(6, ("b",)))
+    assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
@@ -216,13 +265,13 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     for family in ("gaussian", "uniform_pm"):
         cfg = _ref_cfg(d=16, trials=500, noise_family=family)
         k_big = interval_halfwidth_k(cfg, 500, StreamId(7))
-        p_big = worst_case_prob(cfg, 0.8, theory._shift(cfg), StreamId(8))
+        p_big = _axis_prob(cfg, 0.8, StreamId(8))
         with monkeypatch.context() as m:
             m.setattr(theory, "_CHUNK_ELEMENTS", 128)  # 8 rows per chunk
             k_small = interval_halfwidth_k(cfg, 500, StreamId(7))
-            p_small = worst_case_prob(cfg, 0.8, theory._shift(cfg), StreamId(8))
+            p_small = _axis_prob(cfg, 0.8, StreamId(8))
         assert k_big == k_small, family
-        assert p_big.estimate == p_small.estimate, family
+        assert p_big == p_small, family
 
 
 # Reference values of the row sampler at version 0.1.0; the families that
@@ -238,11 +287,11 @@ def test_row_sampled_families_unchanged():
     for family, (k_want, axis_want, diag_want) in _ROW_FAMILY_PINS.items():
         cfg = _ref_cfg(d=16, trials=3000, noise_family=family)
         assert interval_halfwidth_k(cfg, 3000, StreamId(41)) == k_want
-        axis = worst_case_prob(cfg, 1.3, theory._shift(cfg), StreamId(42))
-        diag = worst_case_prob(cfg, 1.3, _toward(cfg, np.arange(1.0, 17.0)),
-                               StreamId(43))
-        assert axis.estimate == axis_want, family
-        assert diag.estimate == diag_want, family
+        axis, _ = _axis_prob(cfg, 1.3, StreamId(42))
+        diag, _ = worst_case_prob(cfg, 1.3, _toward(cfg, np.arange(1.0, 17.0)),
+                                  StreamId(43))
+        assert axis == axis_want, family
+        assert diag == diag_want, family
 
 
 # ------------------------------------------------ gaussian chi-square sampler
@@ -265,16 +314,15 @@ def test_gaussian_law_matches_row_oracle_ks(d):
 
 def test_gaussian_event_matches_row_oracle_at_d64():
     cfg = _ref_cfg(d=64, trials=100_000)
-    z = np.zeros(64)
-    z[0] = cfg.epsilon
+    z = _first_axis(cfg)
     sq, dz = _gaussian_rows_oracle(StreamId(52, ("oracle",)).generator(),
                                    cfg.trials, 64, z)
     val = _event_stat(cfg, sq, dz, z)
     p_o = float(np.count_nonzero((val >= 0.0) & (val <= 2.0))) / cfg.trials
     se_o = math.sqrt(p_o * (1.0 - p_o) / cfg.trials)
-    got = worst_case_prob(cfg, 1.0, theory._shift(cfg), StreamId(52, ("direct",)))
-    assert 0.05 < got.estimate < 0.95
-    assert abs(got.estimate - p_o) <= 4.0 * math.hypot(got.std_error, se_o)
+    got, se = _axis_prob(cfg, 1.0, StreamId(52, ("direct",)))
+    assert 0.05 < got < 0.95
+    assert abs(got - p_o) <= 4.0 * math.hypot(se, se_o)
 
 
 def test_gaussian_d1_has_no_chi_square_remainder():
@@ -284,8 +332,8 @@ def test_gaussian_d1_has_no_chi_square_remainder():
     np.testing.assert_array_equal(sq, (dz / 0.5) ** 2)
     cfg = _ref_cfg(d=1, trials=1000)
     assert interval_halfwidth_k(cfg, 1000, StreamId(53)) > 0.0
-    est = worst_case_prob(cfg, 1.0, theory._shift(cfg), StreamId(54))
-    assert 0.0 < est.estimate < 1.0
+    est, _ = _axis_prob(cfg, 1.0, StreamId(54))
+    assert 0.0 < est < 1.0
 
 
 def test_gaussian_memory_does_not_grow_with_dimension():
@@ -294,12 +342,12 @@ def test_gaussian_memory_does_not_grow_with_dimension():
     # first, untraced, so that what a first call imports is not counted.
     cfg = _ref_cfg(d=4096, trials=100_000)
     small = _ref_cfg(d=4096, trials=10)
-    worst_case_prob(small, interval_halfwidth_k(small, 10, StreamId(53)),
-                    theory._shift(small), StreamId(54))
+    _axis_prob(small, interval_halfwidth_k(small, 10, StreamId(53)),
+               StreamId(54))
     tracemalloc.start()
     try:
         k = interval_halfwidth_k(cfg, cfg.trials, StreamId(55))
-        worst_case_prob(cfg, k, theory._shift(cfg), StreamId(56))
+        _axis_prob(cfg, k, StreamId(56))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -311,17 +359,16 @@ def test_gaussian_memory_does_not_grow_with_dimension():
 
 def _sequential_decay(cfg, dims, stream):
     """The k-then-event loop over dims, one stage at a time, through the
-    public interval_halfwidth_k and the worst_case_prob above."""
+    public interval_halfwidth_k and the d-long shift of worst_case_prob."""
     c = lemma_constant_C(cfg)
     rows = []
     for d in dims:
         cfg_d = replace(cfg, d=d)
         k = interval_halfwidth_k(cfg_d, cfg_d.trials, stream.child("k", d))
-        est = worst_case_prob(cfg_d, k, theory._shift(cfg_d),
-                              stream.child("event", d))
+        est, se = worst_case_prob(cfg_d, k, _first_axis(cfg_d),
+                                  stream.child("event", d))
         bound = c / d
-        rows.append(DecayRow(d, k, est.estimate, est.std_error, bound,
-                             est.estimate <= bound + 3.0 * est.std_error))
+        rows.append(DecayRow(d, k, est, se, bound, est <= bound + 3.0 * se))
     return DecayReport(cfg.noise_family, c, tuple(rows),
                        all(r.passed for r in rows))
 
@@ -433,3 +480,15 @@ def test_theory_csv_layout(tmp_path):
                       "bound_C_over_d", "pass"]
     assert got[1] == ["gaussian", "64", "0.1234", "0.01", "0.001", "0.5", "1"]
     assert got[2][0] == "gaussian" and got[2][-1] == "0"
+
+
+def test_theory_sim_csv_bytes(tmp_path):
+    # a real run of all three families, pinned by the sha256 of version
+    # 0.7.0's theory.csv; tau = 1.8 puts d = 16 above every d-threshold and
+    # leaves nonzero estimates at d = 16
+    cfg = tmp_path / "theory.cfg"
+    cfg.write_text("families = gaussian, uniform_pm, rademacher\ntau = 1.8\n"
+                   "dims = 16, 64\ntrials = 2000\nseed = 3\n", encoding="ascii")
+    assert main(["theory-sim", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "theory.csv").read_bytes()).hexdigest() == (
+        "4ce3e810d2ccf74d5165243e537d37e52e47a5f45129cc227e56a469644affd1")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,9 +483,10 @@ def test_lr_schedule_milestones():
     assert cfg.lr_at(2) == pytest.approx(0.01)
     assert cfg.lr_at(3) == pytest.approx(0.01)
     assert cfg.lr_at(4) == pytest.approx(0.001)
-    with pytest.raises(ValueError):
-        TrainRunConfig(method="gaussian", epochs=1, batch_size=1, lr=0.1,
-                       lr_milestones=(4, 2))
+    for bad in ((4, 2), (0, 2), (-5, 1)):
+        with pytest.raises(ValueError, match="lr_milestones"):
+            TrainRunConfig(method="gaussian", epochs=1, batch_size=1, lr=0.1,
+                           lr_milestones=bad)
 
 
 def test_smoothadv_warmup_linear_ramp():
@@ -567,6 +569,19 @@ def test_train_stops_at_the_first_non_finite_gradient(method, monkeypatch):
     with pytest.raises(NonFiniteError, match="^epoch 0, minibatch 1: non-finite gradient$"):
         train(gen_two_moons(20, 0.1, 0), run, _method_cfg(method, 1))
     assert len(steps) == 1
+
+
+def test_overflowing_gradient_raises_without_a_warning():
+    # the logits are finite (+-8e8), but the first layer's cotangent sums to
+    # 2e308 over the minibatch: the one report is the typed error, with no
+    # numpy RuntimeWarning ahead of it
+    params = ModelParams([np.full((2, 4), 1e-300), np.tile([1e308, -1e308], (4, 1))],
+                         [np.zeros(4), np.zeros(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="^non-finite gradient$"):
+            _minibatch_step(params, np.ones((4, 2)), np.ones(4, dtype=int),
+                            GaussianConfig(sigma=1e-3, m=2), StreamId(0), np.arange(4), 0)
 
 
 def test_train_zero_lr_no_weight_decay_is_noop():
