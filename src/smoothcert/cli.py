@@ -214,6 +214,8 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
         root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
+    if not len(ds):
+        raise ValueError("dataset is empty")
     count = min(cfg["max_points"] or len(ds), len(ds))
     R = noise_factor(params)
 
@@ -301,6 +303,8 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
         root = StreamId(cfg["seed"])
     params, _ = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
+    if not len(ds):
+        raise ValueError("dataset is empty")
     count = min(cfg["points"], len(ds))
 
     def mixing_ratio(i):

@@ -444,6 +444,25 @@ def test_overflowing_checkpoint_exits_3_and_writes_nothing(tmp_path, capsys, ove
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("certify", "n0 = 20\nn = 50"),
+    ("mixratio", "pgd_steps = 2\nestimation_m = 20\npoints = 3"),
+], ids=["certify", "mixratio"])
+def test_empty_idx_dataset_exits_3_and_writes_nothing(tmp_path, capsys, trained,
+                                                      command, keys):
+    # as train does: a header-only CSV would only fail later, in evaluate
+    (tmp_path / "images.idx").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 2, 1))
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+    cfg = _write(tmp_path / "c.cfg", f"checkpoint = {trained / 'checkpoint.json'}\n"
+                 f"sigma = 0.5\n{keys}\ndataset.kind = mnist\n"
+                 f"dataset.images = {tmp_path / 'images.idx'}\n"
+                 f"dataset.labels = {tmp_path / 'labels.idx'}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------- pipeline
 
 

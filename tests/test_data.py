@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import tracemalloc
 
@@ -183,19 +184,97 @@ def test_idx_subsample_equals_full_load_then_index(tmp_path):
     np.testing.assert_array_equal(sub.labels, full.labels[idx])
 
 
-@pytest.mark.parametrize("block_bytes", [1, 25, 1 << 20])
-def test_idx_blocks_do_not_change_the_rows(tmp_path, monkeypatch, block_bytes):
-    # rows kept from blocks of one item, of two (12-byte items), and of all
-    rng = np.random.default_rng(2)
-    imgs = rng.integers(0, 256, (60, 4, 3), dtype=np.uint8)
+@pytest.mark.parametrize("rows", [[0, 21, 22, 59], [0, 1, 2], [59], []],
+                         ids=["first-adjacent-last", "one-run", "last", "none"])
+def test_idx_kept_rows_match_the_full_load(tmp_path, rows):
+    # one seek and read per run of adjacent rows: the first, the last, a
+    # pair, a run from the start and no rows all give the full load's rows
+    imgs = np.random.default_rng(2).integers(0, 256, (60, 4, 3), dtype=np.uint8)
     ip, lp = _fixture_pair(tmp_path, imgs, np.arange(60) % 10)
-    monkeypatch.setattr(data, "IDX_BLOCK_BYTES", block_bytes)
-    sub = load_mnist_idx(ip, lp, subsample=17, seed=4)
-    idx = stratified_subsample_indices(np.arange(60) % 10, 17, 4)
-    np.testing.assert_array_equal(sub.rows(np.arange(17)),
-                                  imgs.reshape(60, 12)[idx] / 255.0)
-    np.testing.assert_array_equal(load_mnist_idx(ip, lp).rows(np.arange(60)),
-                                  imgs.reshape(60, 12) / 255.0)
+    dims, kept, _ = data._read_idx(ip, IDX_IMAGES_MAGIC, 60, rows)
+    full = load_mnist_idx(ip, lp).inputs
+    assert dims == (60, 4, 3) and kept.shape == (len(rows), 12)
+    np.testing.assert_array_equal(kept, full[rows])
+    np.testing.assert_array_equal(full, imgs.reshape(60, 12))
+
+
+class _RecordingFile:
+    """A binary file whose read and readinto record the byte ranges they return."""
+
+    def __init__(self, fh, ranges):
+        self._fh, self.ranges = fh, ranges
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, size=-1):
+        at, chunk = self._fh.tell(), self._fh.read(size)
+        self.ranges.append((at, len(chunk)))
+        return chunk
+
+    def readinto(self, buf):
+        at, got = self._fh.tell(), self._fh.readinto(buf)
+        self.ranges.append((at, got))
+        return got
+
+
+def _bytes_read(path, ranges):
+    """Per byte of the file at path, how many times the ranges read it."""
+    hits = np.zeros(os.path.getsize(path), dtype=np.int64)
+    for at, size in ranges:
+        hits[at:at + size] += 1
+    return hits
+
+
+def test_idx_subsample_reads_only_the_header_and_kept_rows(tmp_path, monkeypatch):
+    n, width, header = 500, 12, 16
+    imgs = np.random.default_rng(3).integers(0, 256, (n, 4, 3), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, imgs, np.arange(n) % 10)
+    ranges = {str(ip): [], str(lp): []}
+    monkeypatch.setattr(
+        data, "open", lambda path, *args, **kwargs: _RecordingFile(
+            open(path, *args, **kwargs), ranges[str(path)]), raising=False)
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
+    ds = load_mnist_idx(ip, lp, subsample=37, seed=8)
+    assert hashed == []
+    kept = stratified_subsample_indices(np.arange(n) % 10, 37, 8)
+    want = np.zeros(header + n * width, dtype=np.int64)
+    want[:header] = 1
+    for i in kept:
+        want[header + i * width:header + (i + 1) * width] = 1
+    np.testing.assert_array_equal(_bytes_read(ip, ranges[str(ip)]), want)
+    np.testing.assert_array_equal(_bytes_read(lp, ranges[str(lp)]), 1)
+    np.testing.assert_array_equal(ds.inputs, imgs.reshape(n, width)[kept])
+    # the digest reads and hashes the whole file once, when first asked for
+    ranges[str(ip)].clear()
+    for _ in range(2):
+        assert ds.provenance["images_sha256"] == sha256(ip.read_bytes()).hexdigest()
+    assert len(hashed) == 1
+    np.testing.assert_array_equal(_bytes_read(ip, ranges[str(ip)]), 1)
+
+
+@pytest.mark.parametrize("rewrite", ["in-place", "replaced"])
+def test_idx_digest_of_a_changed_file_raises(tmp_path, rewrite):
+    imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    ip, lp = _fixture_pair(tmp_path, imgs, [1, 2])
+    ds = load_mnist_idx(ip, lp)
+    if rewrite == "in-place":  # same inode, another size
+        _write_idx_images(ip, np.zeros((3, 3, 4), dtype=np.uint8))
+    else:  # a new file of the same size moved over the old one
+        _write_idx_images(tmp_path / "new.idx", imgs[::-1])
+        os.replace(tmp_path / "new.idx", ip)
+    for _ in range(2):  # a failed digest is not cached
+        with pytest.raises(ValueError, match=re.escape(str(ip))):
+            ds.provenance["images_sha256"]
+    assert ds.provenance["labels_sha256"] == hashlib.sha256(lp.read_bytes()).hexdigest()
 
 
 def test_idx_digest_covers_trailing_bytes(tmp_path):
@@ -209,21 +288,21 @@ def test_idx_digest_covers_trailing_bytes(tmp_path):
 
 
 def test_idx_subsample_memory_follows_subsample(tmp_path):
-    # the image file is streamed in blocks and only the kept rows are
-    # copied out: the peak stays below the file's uint8 payload (4.5 MiB),
-    # which reading the whole file first would exceed
-    n, side = 6000, 28
+    # only the kept rows of the image file are read: beyond them the peak is
+    # what picking the subsample from the label file takes, a few int64
+    # copies of its n labels
+    n, side, kept = 6000, 28, 20
     imgs = np.random.default_rng(1).integers(0, 256, (n, side, side), dtype=np.uint8)
     ip, lp = _fixture_pair(tmp_path, imgs, np.arange(n) % 10)
     del imgs
     tracemalloc.start()
     try:
-        ds = load_mnist_idx(ip, lp, subsample=20)
+        ds = load_mnist_idx(ip, lp, subsample=kept)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ds) == 20
-    assert peak < n * side * side
+    assert len(ds) == kept
+    assert peak < 4 * 8 * n + kept * side * side
 
 
 # ---------------------------------------------------------------- subsampling
