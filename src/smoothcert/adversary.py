@@ -96,8 +96,8 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
     probs, grad_sums = class_prob_grad_input(params, X, y, noise)
     fhat = probs.reshape(B, m, -1).mean(axis=1)
     J, fy = objective(fhat, y)
-    grads = -grad_sums / (m * fy)[:, None]
-    return J, grads, fhat
+    grad_sums /= -(m * fy)[:, None]  # in place: the bits of -grad_sums / (m fy)
+    return J, grad_sums, fhat
 
 
 def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
@@ -112,23 +112,25 @@ def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
     wants Fhat there runs one forward, smoothing.soft_smoothed_predict).
     When cfg.epsilon_cap is set, every iterate is projected onto that ball
     around its start point: PGD's constraint, or the hard-restriction
-    ablation.
+    ablation. Each step turns its gradient into the step alpha * direction
+    in place and adds it into points[t + 1]; a caller that keeps an iterate
+    past the next large allocation copies it out and drops the path.
     """
     X0 = np.asarray(X, dtype=np.float64)
     points = np.empty((cfg.steps + 1,) + X0.shape)
     fhat_path = np.empty((cfg.steps, len(X0), params.class_count))
     j_path = np.empty((cfg.steps, len(X0)))
-    points[0] = cur = X0
+    points[0] = X0
     for t in range(cfg.steps):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            j_path[t], grads, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
-            norms = np.linalg.norm(grads, axis=1)
+            j_path[t], step, fhat_path[t] = _objective_and_grad(params, points[t], y, noise)
+            norms = np.linalg.norm(step, axis=1)
         if not np.isfinite(norms).all():
             raise NonFiniteError(f"non-finite attack gradient at step {t}")
-        move = norms > GRAD_NORM_FLOOR
-        direction = np.where(move[:, None], grads / np.maximum(norms, GRAD_NORM_FLOOR)[:, None], 0.0)
-        cur = cur + cfg.alpha_step * direction
+        step /= np.maximum(norms, GRAD_NORM_FLOOR)[:, None]
+        step[norms <= GRAD_NORM_FLOOR] = 0.0  # a skipped step: the point repeats
+        step *= cfg.alpha_step
+        np.add(points[t], step, out=points[t + 1])
         if cfg.epsilon_cap is not None:
-            cur = l2_project(cur, X0, cfg.epsilon_cap)
-        points[t + 1] = cur
+            points[t + 1] = l2_project(points[t + 1], X0, cfg.epsilon_cap)
     return points, fhat_path, j_path

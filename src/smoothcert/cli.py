@@ -10,8 +10,8 @@ and certify.csv is read back here. All randomness fans out from the master
 seed through named substreams, so the pair (config, seed) determines every
 artifact byte-for-byte except the wall-clock `seconds` fields and the
 manifest timings, whatever the CPU count. rng.map_streams runs mixratio
-points, certify points at n > COUNT_CHUNK and uniform_pm/rademacher theory
-stages on one thread per CPU, at most rng.MAX_STREAM_THREADS, each on its
+points, certify points at n > smoothing.POOL_MIN_DRAWS and uniform_pm and
+rademacher theory stages on one thread per CPU (at most two), each on its
 own substream; gaussian stages and smaller certify points run one at a time.
 
 Exit codes: 0 success, 2 config error, 3 runtime failure.
@@ -61,7 +61,7 @@ _LAZY = {
     "adversary": ("AttackConfig", "ascend", "objective"),
     "nn": ("first_layer_noise", "load_checkpoint", "save_checkpoint"),
     "rng": ("StreamId", "map_streams"),
-    "smoothing": ("COUNT_CHUNK", "certify", "noise_factor", "sample_noise",
+    "smoothing": ("POOL_MIN_DRAWS", "certify", "noise_factor", "sample_noise",
                   "soft_smoothed_predict"),
     "theory": ("TheorySimConfig", "decay_dims", "verify_decay"),
     "training": ("train",),
@@ -229,7 +229,7 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
                 int(outcome.certified and outcome.predicted_class == label),
                 int(not outcome.certified), f"{seconds:.4f}"]
 
-    rows = map_streams(certify_one, range(count), pooled=scfg.n > COUNT_CHUNK)
+    rows = map_streams(certify_one, range(count), pooled=scfg.n > POOL_MIN_DRAWS)
     path = os.path.join(out_dir, "certify.csv")
     write_certification_csv(path, rows)
     return {"certify_csv": path}

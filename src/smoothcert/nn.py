@@ -236,12 +236,15 @@ def _backward(params: ModelParams, acts, dlogits, need_params: bool):
     """Backprop the cotangent dlogits (rows, C) to the first layer's pre-activation.
 
     acts are the inputs of the layers after the first, [z1, *outs[:-1]] of
-    forward_tail with outs. A ReLU passes the cotangent where its output
-    is positive, which is where its input is. Returns (param grads or None,
-    dz1). Of the param grads (gW, gb), gW[0] is None: like the input
-    gradient dz1 @ W1.T, the first layer's weight gradient X.T @ dz1 is the
-    caller's, so that rows sharing a point or a noise draw can be summed
-    first.
+    forward_tail with outs, and are consumed: each layer's cotangent is
+    written into the activation buffer it was computed from, once that
+    activation has been read, so no rows x width array is allocated per
+    layer and dz1 is z1's buffer. A ReLU passes the cotangent where its
+    output is positive, which is where its input is. Returns (param grads
+    or None, dz1). Of the param grads (gW, gb), gW[0] is None: like the
+    input gradient dz1 @ W1.T, the first layer's weight gradient X.T @ dz1
+    is the caller's, so that rows sharing a point or a noise draw can be
+    summed first.
     """
     gW = [None] * len(params.weights)
     gb = [None] * len(params.biases)
@@ -250,8 +253,9 @@ def _backward(params: ModelParams, acts, dlogits, need_params: bool):
         if need_params:
             gW[k] = acts[k - 1].T @ delta
             gb[k] = delta.sum(axis=0)
-        delta = delta @ params.weights[k].T
-        delta *= acts[k - 1] > 0.0
+        mask = acts[k - 1] > 0.0
+        delta = np.matmul(delta, params.weights[k].T, out=acts[k - 1])
+        delta *= mask
     if need_params:
         gb[0] = delta.sum(axis=0)
     return (gW, gb) if need_params else None, delta
@@ -280,6 +284,7 @@ def class_prob_grad_input(params: ModelParams, X: np.ndarray, class_idx,
     dlogits = -p * py[:, None]
     dlogits[rows, idx] += py
     _, dz1 = _backward(params, [z1, *outs[:-1]], dlogits, need_params=False)
+    del outs  # a layer's cotangent is in outs[0]: not held through the W1 product
     W1 = params.weights[0]
     if factors_noise(params):
         return p, dz1.reshape(B, m, -1).sum(axis=1) @ W1.T
@@ -316,9 +321,14 @@ def noisy_ce_grads(params: ModelParams, deltas: np.ndarray, noise: np.ndarray, p
     ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
     if factored:
         dz1 = dz1.reshape(len(parts), B, m, -1)
-        gW[0] = deltas.reshape(B * m, d).T @ dz1.sum(axis=0).reshape(B * m, -1)
-        for k, (X, _, _) in enumerate(parts):
-            gW[0] += X.T @ dz1[k].sum(axis=1)
+        point_sums = [dz1[k].sum(axis=1) for k in range(len(parts))]
+        noise_sums = dz1.sum(axis=0).reshape(B * m, -1)
+        del dz1, z1  # the row cotangents, z1's buffer: not held through the products
+        gW[0] = deltas.reshape(B * m, d).T @ noise_sums
+        del noise_sums
+        term = np.empty_like(gW[0])
+        for (X, _, _), s in zip(parts, point_sums):
+            gW[0] += np.matmul(X.T, s, out=term)
     else:
         gW[0] = rows.T @ dz1
     return (gW, gb), [float(c.mean()) for c in np.split(ce, len(parts))]

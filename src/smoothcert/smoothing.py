@@ -51,12 +51,16 @@ __all__ = [
 
 # Most noisy rows one forward sees in hard_class_counts and soft_smoothed_predict
 # (one point's m rows when m is larger). hard_class_counts holds two buffers
-# of COUNT_CHUNK rows of the widest layer: 1,000 x 256 are 2 MiB each, and
-# each of the points that the CLI certifies side by side (rng.map_streams, at
-# most rng.MAX_STREAM_THREADS) holds its own.
+# of COUNT_CHUNK rows of the widest layer: 500 x 256 are 1 MiB each, and
+# each of the points that the CLI certifies or scans side by side
+# (rng.map_streams, at most rng.MAX_STREAM_THREADS) holds its own.
 # The draws do not depend on it. A row's logits can, in the last bits: some
 # BLAS builds round a product differently for different row counts.
-COUNT_CHUNK = 1_000
+COUNT_CHUNK = 500
+# The CLI certifies points side by side only above this many estimation
+# draws (n): below it a point is too small for a thread to pay for its start
+# and its chunk buffers (two-moons, n = 1,000, peaked 2.1 MiB higher pooled).
+POOL_MIN_DRAWS = 1_000
 
 
 @dataclass(frozen=True)

@@ -214,24 +214,26 @@ def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
     if isinstance(cfg, SmoothAdvConfig):
         eps = cfg.epsilon_at(epoch)
         pgd = AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps)
-        anchor = ascend(params, X, Y, noise, pgd)[0][-1]
+        anchor = ascend(params, X, Y, noise, pgd)[0][-1].copy()  # not the whole path
     elif mix:
         steps = cfg.attack.steps
         points, fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack)
         # The anchor is x or, one-step, the first iterate (optionally capped):
         # iterate t of the attack path. Its Fhat comes from that path when the
         # loop took a gradient there; at the endpoint (t == steps), or where the
-        # cap moved it (t set to steps), from one forward.
+        # cap moved it (t set to steps), from one forward. The two iterates
+        # kept are copied out, so the path is not held through the CE step.
         t = 1 if cfg.use_one_step and steps >= 1 else 0
-        anchor = points[t]
+        anchor, x_adv = (points[t].copy() if t else X), points[-1].copy()
+        del points
         cap = cfg.one_step_cap
         if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
             anchor, t = l2_project(anchor, X, cap), steps
         fhat_anchor = (fhat_path[t] if t < steps
                        else soft_smoothed_predict(params, anchor, noise))
-        x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, points[-1], lams,
+        x_mix, y_mix = make_mix_pair(anchor, fhat_anchor, x_adv, lams,
                                      params.class_count)
-        diagnostics = {"anchor": anchor, "x_adv": points[-1], "lambda": lams,
+        diagnostics = {"anchor": anchor, "x_adv": x_adv, "lambda": lams,
                        "x_mix": x_mix, "y_mix": y_mix, "j_path": j_path}
     parts = [(anchor, np.eye(params.class_count)[Y], 1.0)]
     if mix:

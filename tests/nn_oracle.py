@@ -105,3 +105,70 @@ def grad_input(params, x, target) -> np.ndarray:
     _, dz1 = nn._backward(params, [z1, *outs[:-1]], softmax(logits) - T, need_params=False)
     dX = dz1 @ params.weights[0].T
     return dX[0] if squeezed else dX
+
+
+def backward_allocating(params, acts, dlogits, need_params: bool):
+    """nn._backward as it ran before it wrote each layer's cotangent into
+    that layer's activation buffer: a fresh rows x width array per layer,
+    acts left as they were. The differential tests check the in-place pass
+    against it bit for bit."""
+    gW = [None] * len(params.weights)
+    gb = [None] * len(params.biases)
+    delta = dlogits
+    for k in range(len(params.weights) - 1, 0, -1):
+        if need_params:
+            gW[k] = acts[k - 1].T @ delta
+            gb[k] = delta.sum(axis=0)
+        delta = delta @ params.weights[k].T
+        delta *= acts[k - 1] > 0.0
+    if need_params:
+        gb[0] = delta.sum(axis=0)
+    return (gW, gb) if need_params else None, delta
+
+
+def class_prob_grad_input_allocating(params, X, class_idx, noise=None) -> tuple:
+    """nn.class_prob_grad_input over backward_allocating, holding every
+    activation to the end."""
+    X = np.asarray(X, dtype=np.float64)
+    B, m = len(X), 1 if noise is None else noise.shape[-2]
+    idx = np.repeat(np.broadcast_to(np.asarray(class_idx, dtype=np.intp), (B,)), m)
+    z1 = first_layer(params, X, noise)
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    p = softmax(forward_tail(params, z1, outs))
+    rows = np.arange(len(p))
+    py = p[rows, idx]
+    dlogits = -p * py[:, None]
+    dlogits[rows, idx] += py
+    _, dz1 = backward_allocating(params, [z1, *outs[:-1]], dlogits, need_params=False)
+    W1 = params.weights[0]
+    if nn.factors_noise(params):
+        return p, dz1.reshape(B, m, -1).sum(axis=1) @ W1.T
+    return p, (dz1 @ W1.T).reshape(B, m, -1).sum(axis=1)
+
+
+def noisy_ce_grads_allocating(params, deltas, noise, parts):
+    """nn.noisy_ce_grads over backward_allocating, with a fresh array for
+    each first-layer product and the row cotangents held through them."""
+    B, m, d = deltas.shape
+    factored = nn.factors_noise(params)
+    if factored:
+        z1 = np.concatenate([first_layer(params, X, noise) for X, _, _ in parts])
+    else:
+        rows = np.concatenate([X[:, None, :] + deltas for X, _, _ in parts]).reshape(-1, d)
+        z1 = first_layer(params, rows)
+    targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
+    weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    probs = softmax(forward_tail(params, z1, outs))
+    (gW, gb), dz1 = backward_allocating(params, [z1, *outs[:-1]],
+                                        (probs - targets) * weights[:, None],
+                                        need_params=True)
+    ce = -(targets * np.log(np.maximum(probs, CE_PROB_FLOOR))).sum(axis=1)
+    if factored:
+        dz1 = dz1.reshape(len(parts), B, m, -1)
+        gW[0] = deltas.reshape(B * m, d).T @ dz1.sum(axis=0).reshape(B * m, -1)
+        for k, (X, _, _) in enumerate(parts):
+            gW[0] += X.T @ dz1[k].sum(axis=1)
+    else:
+        gW[0] = rows.T @ dz1
+    return (gW, gb), [float(c.mean()) for c in np.split(ce, len(parts))]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from attack_oracle import ascend_with_endpoint_gradient
+from attack_oracle import ascend_allocating, ascend_with_endpoint_gradient
 from nn_oracle import forward, init_mlp
 from noise_oracle import direct_objective_and_grad
 from smoothcert import adversary, cli
@@ -132,6 +132,38 @@ def test_ascend_batch_keeps_the_bits_of_the_endpoint_gradient_loop(sizes, steps,
     np.testing.assert_array_equal(points, want_points)
     np.testing.assert_array_equal(fhat_path, want_fhat[:-1])
     np.testing.assert_array_equal(j_path, want_j[:-1])
+
+
+@pytest.mark.parametrize("sizes, steps, cap, skipped_row", [
+    ([3, 6, 5, 4], 4, None, False),
+    ([9, 4, 5, 3], 4, None, False),
+    ([9, 4, 5, 3], 4, 0.5, False),
+    ([9, 4, 5, 3], 3, None, True),
+    ([784, 256, 256, 10], 2, None, False),
+], ids=["unfactored", "factored", "capped", "skipped-row", "mnist"])
+def test_ascend_in_place_keeps_the_bits_of_the_allocating_loop(sizes, steps, cap, skipped_row):
+    # the gradient, direction and next iterate are formed in place, over the
+    # in-place backward pass; the loop that allocates each keeps the bits
+    params = _random_net(34, sizes)
+    rng = np.random.default_rng(35)
+    B, m, d = 5, 4, sizes[0]
+    X, y = rng.standard_normal((B, d)), rng.integers(0, sizes[-1], B)
+    noise = first_layer_noise(params, rng.standard_normal((B, m, d)) * 0.5)
+    if skipped_row:
+        # class 0 outweighs the others by e^60 everywhere: point 0 (class 0)
+        # has a gradient norm in (0, GRAD_NORM_FLOOR], so it does not move,
+        # and the others (class 1) ascend as usual
+        params.biases[-1][0] += 60.0
+        y[0], y[1:] = 0, 1
+        norms = np.linalg.norm(_objective_and_grad(params, X, y, noise)[1], axis=1)
+        assert 0.0 < norms[0] <= adversary.GRAD_NORM_FLOOR < norms[1:].min()
+    cfg = AttackConfig(0.4, steps, cap)
+    got = ascend(params, X, y, noise, cfg)
+    want = ascend_allocating(params, X, y, noise, cfg)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    if skipped_row:
+        assert (got[0][:, 0] == X[0]).all()
+        assert (got[0][1:, 1:] != X[1:]).any(axis=-1).all()
 
 
 def _oracle_attack(params, x, y, noise, cfg):

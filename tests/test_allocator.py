@@ -1,7 +1,8 @@
 """The allocator policy cli.main sets: it removes the page faults of the hot
 loops on glibc, and it is a no-op wherever glibc's mallopt is missing. Also
 the peak RSS of CLI children against an import-only child: the IDX images
-stay bytes and CERTIFY's row chunks reuse their buffers.
+stay bytes, CERTIFY's row chunks reuse their buffers, and train and mixratio
+hold one step's or one row chunk's arrays at a time.
 
 Each import-only child imports what its subcommand loads (numpy, and the
 smoothcert modules the subcommand's run imports; tests/test_startup.py pins
@@ -52,18 +53,29 @@ THEORY_FAULT_GAP_BOUND = 2000
 # the loader kept the images as float64 (29.9 MiB more).
 IDX_RSS_GAP_BOUND_MIB = 10
 
-# A two-point certify child at 784-256-256-10 with n = 2,500 > COUNT_CHUNK,
+# A two-point certify child at 784-256-256-10 with n = 2,500 > POOL_MIN_DRAWS,
 # so the points run side by side, against the import: on glibc 2.36 the peak
-# RSS gap is 22.9 MiB when each hard_class_counts call takes turns in two
-# 2 MiB chunk buffers, and was 31.4 MiB with four or five fresh
-# 1,000 x 256 arrays per chunk.
-POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 27
+# RSS gap is 17.8 MiB when each hard_class_counts call takes turns in two
+# 1 MiB buffers of 500-row chunks. It was 22.9-23.6 MiB with 1,000-row
+# chunks, and 31.4 MiB with four or five fresh 1,000 x 256 arrays per chunk.
+POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 22
+
+# The SmoothMix train child of the fault test (train_cfg) against the
+# import: on glibc 2.36 the peak RSS gap is 21.1-21.4 MiB. It was 26.7 MiB
+# when the backward pass took a fresh rows x width array per layer and the
+# step held the whole attack path through its CE gradient.
+TRAIN_RSS_GAP_BOUND_MIB = 25
+
+# A two-point mixratio child (mixratio_cfg) against the import: on glibc
+# 2.36 the peak RSS gap is 18.4-18.7 MiB, and was 24.3 MiB when each of its
+# two pool threads ran the lambda grid in 1,000-row forwards.
+MIXRATIO_RSS_GAP_BOUND_MIB = 22
 
 
 @pytest.fixture(scope="module")
 def certify_cfg(tmp_path_factory):
-    # a 2-64-64-2 net on 30 two-moons points, certified at n = COUNT_CHUNK
-    # (one row chunk per round, so no pool thread starts)
+    # a 2-64-64-2 net on 30 two-moons points, certified at n = POOL_MIN_DRAWS
+    # (so no pool thread starts)
     d = tmp_path_factory.mktemp("alloc")
     ckpt = d / "checkpoint.json"
     save_checkpoint(str(ckpt), init_mlp([2, 64, 64, 2], StreamId(5)))
@@ -81,9 +93,9 @@ dataset.seed = 3
     return str(cfg)
 
 
-def _write_idx_pair(d, n):
+def _write_idx_pair(d, n, one_class=False):
     """n random 28 x 28 IDX images (one block of at most 1,000, repeated)
-    in 10 classes; returns the image and label paths."""
+    in 10 classes, or all in class 0; returns the image and label paths."""
     block = np.random.default_rng(8).integers(0, 256, (min(n, 1000), 28, 28),
                                               dtype=np.uint8)
     images, labels = d / f"images-{n}.idx", d / f"labels-{n}.idx"
@@ -92,7 +104,7 @@ def _write_idx_pair(d, n):
         for _ in range(n // len(block)):
             fh.write(block.tobytes())
     labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, n)
-                       + (np.arange(n) % 10).astype(np.uint8).tobytes())
+                       + (np.arange(n) % (1 if one_class else 10)).astype(np.uint8).tobytes())
     return images, labels
 
 
@@ -140,6 +152,33 @@ dataset.kind = mnist
 dataset.images = {images}
 dataset.labels = {labels}
 dataset.subsample = 400
+""", encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.fixture(scope="module")
+def mixratio_cfg(tmp_path_factory):
+    # two points at the mnist workload's mixratio settings (estimation_m =
+    # 100, eight PGD steps) on a 784-256-256-10 net that puts every input in
+    # class 0 by a wide margin, so that no grid point flips and each point
+    # scans the whole 101-point lambda grid
+    d = tmp_path_factory.mktemp("mixratio-rss")
+    params = init_mlp([784, 256, 256, 10], StreamId(14))
+    params.biases[-1][0] = 100.0
+    save_checkpoint(str(d / "checkpoint.json"), params)
+    images, labels = _write_idx_pair(d, 100, one_class=True)
+    cfg = d / "mixratio.cfg"
+    cfg.write_text(f"""checkpoint = {d / 'checkpoint.json'}
+sigma = 0.5
+pgd_steps = 8
+pgd_eps = 1.0
+estimation_m = 100
+points = 2
+seed = 15
+dataset.kind = mnist
+dataset.images = {images}
+dataset.labels = {labels}
+dataset.split = test
 """, encoding="utf-8")
     return str(cfg)
 
@@ -197,6 +236,7 @@ def _import_only(*modules):
 # what certify, train and theory-sim import
 CERTIFY_MODULES = ("data", "nn", "rng", "smoothing")
 TRAIN_MODULES = ("adversary", "data", "nn", "rng", "smoothing", "training")
+MIXRATIO_MODULES = ("adversary", "data", "evaluation", "nn", "rng", "smoothing")
 THEORY_MODULES = ("rng", "theory")
 
 
@@ -219,6 +259,24 @@ def test_train_faults_stay_near_the_import(tmp_path, train_cfg):
     run = _child_usage(["-m", "smoothcert.cli", "train", "--config", train_cfg,
                          "--out", str(tmp_path)], tmp_path)
     assert run[0] - base[0] < TRAIN_FAULT_GAP_BOUND, ("faults, system s", run, base)
+
+
+@needs_glibc_wait4
+def test_train_memory_stays_near_the_import(tmp_path, train_cfg):
+    base = _child_usage(_import_only(*TRAIN_MODULES), tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "train", "--config", train_cfg,
+                        "--out", str(tmp_path)], tmp_path)
+    usage = ("faults, system s, peak KiB", run, base)
+    assert run[2] - base[2] < TRAIN_RSS_GAP_BOUND_MIB * 1024, usage
+
+
+@needs_glibc_wait4
+def test_mixratio_memory_stays_near_the_import(tmp_path, mixratio_cfg):
+    base = _child_usage(_import_only(*MIXRATIO_MODULES), tmp_path)
+    run = _child_usage(["-m", "smoothcert.cli", "mixratio", "--config", mixratio_cfg,
+                        "--out", str(tmp_path)], tmp_path)
+    usage = ("faults, system s, peak KiB", run, base)
+    assert run[2] - base[2] < MIXRATIO_RSS_GAP_BOUND_MIB * 1024, usage
 
 
 @needs_glibc_wait4

@@ -511,9 +511,9 @@ def _set_cpus(monkeypatch, count):
 
 
 def test_certify_rows_independent_of_worker_count(tmp_path, trained, monkeypatch):
-    # n > COUNT_CHUNK, so the points run on the pool when CPUs allow
+    # n > POOL_MIN_DRAWS, so the points run on the pool when CPUs allow
     cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json")
-                 .replace("n = 50", f"n = {smoothing.COUNT_CHUNK + 200}"))
+                 .replace("n = 50", f"n = {smoothing.POOL_MIN_DRAWS + 200}"))
     threads = set()
 
     def spying_certify(*args):
@@ -532,15 +532,15 @@ def test_certify_rows_independent_of_worker_count(tmp_path, trained, monkeypatch
         _strip_seconds(_read_rows(outs[8] / "certify.csv"))
 
 
-def test_certify_within_one_chunk_starts_no_thread(tmp_path, trained, monkeypatch):
-    # n <= COUNT_CHUNK: threads cost more than they gain, whatever the CPUs
+def test_certify_at_pool_threshold_starts_no_thread(tmp_path, trained, monkeypatch):
+    # n <= POOL_MIN_DRAWS: threads cost more than they gain, whatever the CPUs
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     _set_cpus(monkeypatch, 8)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json")
-                 .replace("n = 50", f"n = {smoothing.COUNT_CHUNK}"))
+                 .replace("n = 50", f"n = {smoothing.POOL_MIN_DRAWS}"))
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(_read_rows(tmp_path / "certify.csv")) == 7
 

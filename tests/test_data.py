@@ -446,7 +446,7 @@ radii = 0.0, 0.5
 
 
 def test_certify_peak_does_not_grow_with_cpu_count(tmp_path, monkeypatch):
-    # 8 points at 784-256-256-10 with n > COUNT_CHUNK, so certify pools them:
+    # 8 points at 784-256-256-10 with n > POOL_MIN_DRAWS, so certify pools them:
     # at 8 CPUs at most rng.MAX_STREAM_THREADS points hold a chunk at once,
     # and the peak stays under 24 MiB (17 MiB measured); a point per CPU
     # would hold 45 MiB

@@ -229,7 +229,10 @@ def test_mixratio_memory_bounded_at_mnist_shape(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sum(rows) == (1 + LAMBDA_GRID_POINTS) * m
-    assert max(rows) <= smoothing.COUNT_CHUNK
+    # whole points per forward: as many as fit in COUNT_CHUNK rows, or one
+    # point when its m rows exceed it
+    assert all(r % m == 0 for r in rows)
+    assert max(rows) <= max(smoothing.COUNT_CHUNK, m)
     assert peak < 40 * 2**20
 
 

@@ -7,20 +7,27 @@ import pytest
 
 from nn_oracle import (
     ModelParams,
+    backward_allocating,
+    class_prob_grad_input_allocating,
     cross_entropy,
     forward,
     grad_input,
     grad_params,
+    noisy_ce_grads_allocating,
     validate_soft_label,
 )
+from smoothcert import nn
 from smoothcert.nn import (
     CheckpointError,
     DimensionMismatch,
     NonFiniteError,
     class_prob_grad_input,
+    first_layer,
+    first_layer_noise,
     forward_tail,
     init_mlp,
     load_checkpoint,
+    noisy_ce_grads,
     save_checkpoint,
     softmax,
 )
@@ -230,6 +237,69 @@ def test_class_prob_grad_input_fd():
             fd = (softmax(forward(params, up))[1]
                   - softmax(forward(params, dn))[1]) / (2 * eps)
             assert abs(fd - dX[r, i]) < 1e-6 * max(1.0, abs(fd))
+
+
+# ------------------------------------------- in-place passes, bit for bit
+
+# noise added to x (d <= h1), noise after W1 (d > h1), one hidden layer, and
+# the mnist shape
+DIFF_NETS = {"unfactored": [3, 6, 5, 4], "factored": [9, 4, 5, 3],
+             "one-hidden": [7, 3, 2], "mnist": [784, 256, 256, 10]}
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("need_params", [True, False])
+@pytest.mark.parametrize("sizes", DIFF_NETS.values(), ids=DIFF_NETS.keys())
+def test_backward_in_place_keeps_the_bits_of_the_allocating_pass(sizes, need_params):
+    rng = np.random.default_rng(40)
+    params = _random_net(rng, sizes)
+    X = rng.standard_normal((5, sizes[0]))
+    z1 = first_layer(params, X, first_layer_noise(params, rng.standard_normal((5, 3, sizes[0]))))
+    outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]
+    dlogits = softmax(forward_tail(params, z1, outs)) - np.eye(sizes[-1])[
+        rng.integers(0, sizes[-1], len(z1))]
+    acts = [z1, *outs[:-1]]
+    want, want_dz1 = backward_allocating(params, [a.copy() for a in acts], dlogits, need_params)
+    got, dz1 = nn._backward(params, acts, dlogits, need_params)
+    assert dz1.tobytes() == want_dz1.tobytes()
+    assert np.shares_memory(dz1, z1)  # the activations were consumed
+    if need_params:
+        assert got[0][0] is None and _bytes(got[0][1:]) == _bytes(want[0][1:])
+        assert _bytes(got[1]) == _bytes(want[1])
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+@pytest.mark.parametrize("sizes", DIFF_NETS.values(), ids=DIFF_NETS.keys())
+def test_class_prob_grad_input_keeps_the_bits_of_the_allocating_pass(sizes, noisy):
+    rng = np.random.default_rng(41)
+    params = _random_net(rng, sizes)
+    X, y = rng.standard_normal((6, sizes[0])), rng.integers(0, sizes[-1], 6)
+    noise = (first_layer_noise(params, rng.standard_normal((6, 4, sizes[0])) * 0.5)
+             if noisy else None)
+    assert (_bytes(class_prob_grad_input(params, X, y, noise))
+            == _bytes(class_prob_grad_input_allocating(params, X, y, noise)))
+
+
+@pytest.mark.parametrize("part_count", [1, 2])
+@pytest.mark.parametrize("sizes", DIFF_NETS.values(), ids=DIFF_NETS.keys())
+def test_noisy_ce_grads_keeps_the_bits_of_the_allocating_step(sizes, part_count):
+    # one part is the Gaussian and SmoothAdv step, two the SmoothMix step
+    rng = np.random.default_rng(42)
+    params = _random_net(rng, sizes)
+    B, m, d, C = 8, 4, sizes[0], sizes[-1]
+    deltas = rng.standard_normal((B, m, d)) * 0.5
+    noise = first_layer_noise(params, deltas)
+    parts = [(rng.standard_normal((B, d)), softmax(rng.standard_normal((B, C))), w)
+             for w in (1.0, 5.0)[:part_count]]
+    (gW, gb), ce = noisy_ce_grads(params, deltas, noise, parts)
+    (want_gW, want_gb), want_ce = noisy_ce_grads_allocating(params, deltas, noise, parts)
+    assert _bytes(gW) == _bytes(want_gW) and _bytes(gb) == _bytes(want_gb)
+    assert ce == want_ce
 
 
 # ---------------------------------------------------------------- optimizer
