@@ -76,9 +76,12 @@ __getattr__ = module_getattr(globals(), _LAZY)
 # A SmoothMix step at 784-256-256-10 frees about 20 MiB of heap when it
 # ends, so the heap keeps up to 32 MiB free at its top rather than giving
 # it back and faulting it in again at the next step.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers
+# One arena: the map_streams pool threads allocate from the main heap and reuse
+# the chunks earlier phases freed there, rather than each growing a heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters
 MALLOC_MMAP_THRESHOLD = 4 << 20
 MALLOC_TRIM_THRESHOLD = 32 << 20
+MALLOC_ARENA_MAX = 1
 
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
                     "correct", "abstain", "seconds"]
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _set_allocator_policy() -> None:
-    """Apply the thresholds above through glibc's mallopt; elsewhere, nothing."""
+    """Apply the settings above through glibc's mallopt; elsewhere, nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
@@ -387,6 +390,7 @@ def _set_allocator_policy() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, MALLOC_ARENA_MAX)
 
 
 def main(argv=None) -> int:

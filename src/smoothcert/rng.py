@@ -33,11 +33,11 @@ import numpy as np
 
 __all__ = ["StreamId", "map_streams"]
 
-# Most threads map_streams runs. Each pooled item holds its own row chunk
-# (smoothing.COUNT_CHUNK rows, or theory's 512 KiB chunk), so a pooled
-# subcommand's peak grows with its threads: two certify points side by side
-# hold two pairs of 1 MiB chunk buffers at h1 = 256. A thread per CPU would
-# raise every pooled subcommand's peak with the CPU count.
+# Most threads map_streams runs. The threads share one heap (cli.main sets one
+# malloc arena), but each pooled item holds its own row chunk (COUNT_CHUNK rows,
+# or theory's 512 KiB chunk): two certify points side by side hold two pairs of
+# 1 MiB chunk buffers at h1 = 256. A thread per CPU would raise every pooled
+# subcommand's peak with the CPU count.
 MAX_STREAM_THREADS = 2
 
 

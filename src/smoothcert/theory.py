@@ -131,6 +131,7 @@ def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
 
     This is the half-width k of the tightest symmetric interval around
     sigma^2 that the per-sample squared scale hits with probability ~p.
+    It is np.quantile's, taken without the numpy.ma import np.quantile brings.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -146,7 +147,17 @@ def interval_halfwidth_k(cfg: TheorySimConfig, trials: int,
         dev -= s2
         np.abs(dev, out=dev)
         done += len(sq)
-    return float(np.quantile(devs, cfg.p, overwrite_input=True))
+    return _linear_quantile(devs, cfg.p)
+
+
+def _linear_quantile(values: np.ndarray, p: float) -> float:
+    """np.quantile(values, p), bit for bit; reorders values in place."""
+    at = (len(values) - 1) * p
+    lo = math.floor(at)
+    hi = min(lo + 1, len(values) - 1)
+    values.partition([lo, hi])
+    a, b, gamma = float(values[lo]), float(values[hi]), at - lo
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 
 
 def _event_values(cfg: TheorySimConfig, stream: StreamId) -> np.ndarray:

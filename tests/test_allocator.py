@@ -1,8 +1,9 @@
 """The allocator policy cli.main sets: it removes the page faults of the hot
-loops on glibc, and it is a no-op wherever glibc's mallopt is missing. Also
-the peak RSS of CLI children against an import-only child: the IDX images
-stay bytes, CERTIFY's row chunks reuse their buffers, and train and mixratio
-hold one step's or one row chunk's arrays at a time.
+loops on glibc and gives the pool threads the main heap's malloc arena, and
+it is a no-op wherever glibc's mallopt is missing. Also the peak RSS of CLI
+children against an import-only child: the IDX images stay bytes, CERTIFY's
+row chunks reuse their buffers, and train and mixratio hold one step's or
+one row chunk's arrays at a time.
 
 Each import-only child imports what its subcommand loads (numpy, and the
 smoothcert modules the subcommand's run imports; tests/test_startup.py pins
@@ -40,11 +41,13 @@ FAULT_GAP_BOUND = 2000
 TRAIN_FAULT_GAP_BOUND = 12000
 
 # A theory-sim child at the theory benchmark's settings (theory_cfg) against
-# the import: on glibc 2.36 its peak RSS gap is 6.4 MiB and its fault gap
-# 930, where a uniform_pm stage fills one 512 KiB row buffer from the heap.
-# With 8 MiB buffers, two of them side by side and each mapped afresh for its
-# stage, the gaps were 20.8 MiB and 3,100-5,200 faults.
-THEORY_RSS_GAP_BOUND_MIB = 12
+# the import: on glibc 2.36 its peak RSS gap is 5.0 MiB and its fault gap
+# 535, where a uniform_pm stage fills one 512 KiB row buffer from the heap
+# and both pool threads allocate from the main arena. It was 6.4-7.2 MiB and
+# 930-1,050 faults with an arena per thread and numpy.ma imported by
+# np.quantile. With 8 MiB buffers, two of them side by side and each mapped
+# afresh for its stage, the gaps were 20.8 MiB and 3,100-5,200 faults.
+THEORY_RSS_GAP_BOUND_MIB = 8
 THEORY_FAULT_GAP_BOUND = 2000
 
 # A one-point certify child over 5,000 IDX test images against one over 100:
@@ -55,21 +58,25 @@ IDX_RSS_GAP_BOUND_MIB = 10
 
 # A two-point certify child at 784-256-256-10 with n = 2,500 > POOL_MIN_DRAWS,
 # so the points run side by side, against the import: on glibc 2.36 the peak
-# RSS gap is 17.8 MiB when each hard_class_counts call takes turns in two
-# 1 MiB buffers of 500-row chunks. It was 22.9-23.6 MiB with 1,000-row
-# chunks, and 31.4 MiB with four or five fresh 1,000 x 256 arrays per chunk.
-POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 22
+# RSS gap is 15.9-16.1 MiB when each hard_class_counts call takes turns in
+# two 1 MiB buffers of 500-row chunks and both pool threads allocate from the
+# main arena. It was 17.8 MiB with an arena per thread, 22.9-23.6 MiB with
+# 1,000-row chunks, and 31.4 MiB with four or five fresh 1,000 x 256 arrays
+# per chunk.
+POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 19
 
 # The SmoothMix train child of the fault test (train_cfg) against the
-# import: on glibc 2.36 the peak RSS gap is 21.1-21.4 MiB. It was 26.7 MiB
+# import: on glibc 2.36 the peak RSS gap is 21.1-21.6 MiB (train starts no
+# pool thread, so one malloc arena does not move it). It was 26.7 MiB
 # when the backward pass took a fresh rows x width array per layer and the
 # step held the whole attack path through its CE gradient.
 TRAIN_RSS_GAP_BOUND_MIB = 25
 
 # A two-point mixratio child (mixratio_cfg) against the import: on glibc
-# 2.36 the peak RSS gap is 18.4-18.7 MiB, and was 24.3 MiB when each of its
+# 2.36 the peak RSS gap is 15.8-15.9 MiB with one malloc arena. It was
+# 18.3-18.7 MiB with an arena per pool thread, and 24.3 MiB when each of its
 # two pool threads ran the lambda grid in 1,000-row forwards.
-MIXRATIO_RSS_GAP_BOUND_MIB = 22
+MIXRATIO_RSS_GAP_BOUND_MIB = 20
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +334,7 @@ def test_policy_values_and_fallbacks(tmp_path, certify_cfg, monkeypatch):
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     assert _certify_rows(tmp_path / "recorded", certify_cfg) == expected
-    assert calls == [(-3, 4 << 20), (-1, 32 << 20)]
+    assert calls == [(-3, 4 << 20), (-1, 32 << 20), (-8, 1)]
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
     def no_libc(name):

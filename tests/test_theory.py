@@ -228,6 +228,27 @@ def test_halfwidth_trials_validation():
         interval_halfwidth_k(_ref_cfg(), 0, StreamId(0))
 
 
+def test_linear_quantile_is_np_quantile_bit_for_bit():
+    # np.quantile, the oracle, at 10,000 random (n, p) pairs and at the edges:
+    # n = 1 and 2, ties, whole (n - 1) p, both interpolation branches, p near 1
+    rng = np.random.default_rng(61)
+    cases = [(1, 0.8), (2, 0.8), (2, 0.25), (5, 0.75), (11, 0.81), (11, 0.87),
+             (1000, float(np.nextafter(1.0, 0.0))), (7, 1.0), (7, 0.0)]
+    cases += [(int(n), float(p)) for n, p in zip(rng.integers(1, 300, 10_000),
+                                                  rng.random(10_000))]
+    gammas = []
+    for i, (n, p) in enumerate(cases):
+        if i % 3 == 0:  # ties
+            values = rng.integers(0, 5, n).astype(np.float64)
+        else:
+            values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4)
+        want = np.quantile(values, p)
+        got = theory._linear_quantile(values.copy(), p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, p)
+        gammas.append((n - 1) * p - math.floor((n - 1) * p))
+    assert 0.0 in gammas and min(g for g in gammas if g > 0) < 0.5 <= max(gammas)
+
+
 # ---------------------------------------------------------------- event prob
 
 
