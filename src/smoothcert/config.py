@@ -3,6 +3,7 @@
 Format: one `key = value` per line, `#` starts a comment, blank lines are
 skipped. Keys are flat; dataset parameters use a `dataset.` prefix. Unknown
 keys are rejected so typos fail loudly instead of silently using defaults.
+A key's own range is declared in its schema Field and checked as it parses.
 No environment-variable overrides except the output directory handled by the
 CLI layer.
 """
@@ -62,6 +63,10 @@ class Field:
     kind: str  # str | int | float | bool | int_list | float_list | str_list
     default: object = _REQUIRED
     choices: tuple = ()
+    lo: float | None = None  # the value, or each list entry, is >= lo
+    positive: bool = False  # the value, or each list entry, is > 0
+    nonempty: bool = False  # a list holds at least one entry
+    distinct: bool = False  # a list repeats no entry
 
 
 def parse_config_text(text: str) -> dict:
@@ -98,32 +103,38 @@ def _finite_float(value: str) -> float:
     return parsed
 
 
+def _bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value.lower() == "true"
+
+
+# a `<kind>_list` value is comma-separated entries of kind, empty ones skipped
+_PARSERS = {"str": str, "int": int, "float": _finite_float, "bool": _bool}
+
+
 def _parse_value(key: str, value: str, field: Field):
+    parse = _PARSERS[field.kind.removesuffix("_list")]
     try:
-        if field.kind == "str":
-            parsed = value
-        elif field.kind == "int":
-            parsed = int(value)
-        elif field.kind == "float":
-            parsed = _finite_float(value)
-        elif field.kind == "bool":
-            low = value.lower()
-            if low not in ("true", "false"):
-                raise ValueError("expected true or false")
-            parsed = low == "true"
-        elif field.kind == "int_list":
-            parsed = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        elif field.kind == "float_list":
-            parsed = tuple(_finite_float(v) for v in value.split(",") if v.strip())
-        elif field.kind == "str_list":
-            parsed = tuple(v.strip() for v in value.split(",") if v.strip())
-        else:  # pragma: no cover - schema authoring error
-            raise AssertionError(f"unknown field kind {field.kind}")
+        if field.kind.endswith("_list"):
+            parsed = tuple(parse(v.strip()) for v in value.split(",") if v.strip())
+        else:
+            parsed = parse(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {field.kind}"
                           f" ({exc})") from exc
     if field.choices and parsed not in field.choices:
         raise ConfigError(f"key {key!r}: {parsed!r} not one of {field.choices}")
+    entries = parsed if field.kind.endswith("_list") else (parsed,)
+    for v in entries:
+        if field.lo is not None and v < field.lo:
+            raise ConfigError(f"key {key!r}: must be >= {field.lo}, got {v!r}")
+        if field.positive and not v > 0:
+            raise ConfigError(f"key {key!r}: must be > 0, got {v!r}")
+    if field.nonempty and not entries:
+        raise ConfigError(f"key {key!r}: must name at least one entry")
+    if field.distinct and (repeated := sorted({v for v in entries if entries.count(v) > 1})):
+        raise ConfigError(f"key {key!r}: repeats {', '.join(map(str, repeated))}")
     return parsed
 
 
@@ -148,12 +159,12 @@ _DATASET_SCHEMA = {
     "dataset.split": Field("str", default=""),
     # two_moons
     "dataset.n": Field("int", default=0),
-    "dataset.noise_std": Field("float", default=0.1),
-    "dataset.seed": Field("int", default=0),
+    "dataset.noise_std": Field("float", default=0.1, lo=0),
+    "dataset.seed": Field("int", default=0, lo=0),
     # mnist
     "dataset.images": Field("str", default=""),
     "dataset.labels": Field("str", default=""),
-    "dataset.subsample": Field("int", default=0),
+    "dataset.subsample": Field("int", default=0, lo=0),  # 0 keeps every image
 }
 
 TRAIN_SCHEMA = {
@@ -188,43 +199,44 @@ CERTIFY_SCHEMA = {
     "n0": Field("int", default=100),
     "n": Field("int", default=1000),
     "alpha_cert": Field("float", default=0.001),
-    "max_points": Field("int", default=0),  # 0 = all points
+    "max_points": Field("int", default=0, lo=0),  # 0 = all points
     "seed": Field("int", default=0),
     **_DATASET_SCHEMA,
 }
 
 EVALUATE_SCHEMA = {
-    "cert_csv": Field("str_list"),
+    "cert_csv": Field("str_list", nonempty=True),
     "model_ids": Field("str_list", default=()),
-    "radii": Field("float_list"),
-    "sigma": Field("float"),
+    "radii": Field("float_list", lo=0),
+    "sigma": Field("float", positive=True),
 }
 
 ATTACK_DEMO_SCHEMA = {
     "checkpoint": Field("str"),
-    "sigma": Field("float"),
+    "sigma": Field("float", positive=True),
     "alpha_step": Field("float"),
     "steps": Field("int"),
-    "m": Field("int", default=4),
+    "m": Field("int", default=4, lo=1),
     "epsilon_cap": Field("float", default=0.0),  # 0 disables the cap
-    "point_index": Field("int", default=0),
+    "point_index": Field("int", default=0, lo=0),
     "seed": Field("int", default=0),
     **_DATASET_SCHEMA,
 }
 
 MIXRATIO_SCHEMA = {
     "checkpoint": Field("str"),
-    "sigma": Field("float"),
-    "pgd_steps": Field("int", default=8),
-    "pgd_eps": Field("float", default=1.0),
-    "estimation_m": Field("int", default=1000),
-    "points": Field("int", default=200),
+    "sigma": Field("float", positive=True),
+    "pgd_steps": Field("int", default=8, lo=0),
+    "pgd_eps": Field("float", default=1.0, positive=True),
+    "estimation_m": Field("int", default=1000, lo=1),
+    "points": Field("int", default=200, lo=1),
     "seed": Field("int", default=0),
     **_DATASET_SCHEMA,
 }
 
 THEORY_SIM_SCHEMA = {
-    "families": Field("str_list", default=("gaussian", "uniform_pm")),
+    "families": Field("str_list", default=("gaussian", "uniform_pm"),
+                      nonempty=True, distinct=True),
     "sigma": Field("float", default=1.0),
     "tau": Field("float", default=1.5),
     "epsilon": Field("float", default=0.5),
@@ -245,18 +257,12 @@ SCHEMAS = {
 
 
 def check_dataset(cfg: dict) -> None:
-    """Reject out-of-range dataset.* values of a typed config; reads no file."""
-    kind, n = cfg["dataset.kind"], cfg["dataset.n"]
-    if cfg["dataset.seed"] < 0:
-        raise ConfigError("dataset.seed must be >= 0")
-    if kind == "two_moons" and n < 2:
+    """Reject dataset.* values out of range for dataset.kind; reads no file."""
+    kind = cfg["dataset.kind"]
+    if kind == "two_moons" and cfg["dataset.n"] < 2:
         raise ConfigError("dataset.n must be >= 2 for two_moons")
-    if kind == "two_moons" and cfg["dataset.noise_std"] < 0:
-        raise ConfigError("dataset.noise_std must be >= 0")
     if kind == "mnist" and not (cfg["dataset.images"] and cfg["dataset.labels"]):
         raise ConfigError("mnist needs dataset.images and dataset.labels")
-    if kind == "mnist" and cfg["dataset.subsample"] < 0:
-        raise ConfigError("dataset.subsample must be >= 0 (0 keeps every image)")
 
 
 def build_dataset(cfg: dict, default_split: str) -> Dataset:

@@ -34,7 +34,6 @@ __all__ = [
     "CertifiedResultSet",
     "acr",
     "certified_accuracy_curve",
-    "check_mixing_ratio_args",
     "equal_confidence_mixing_ratio",
 ]
 
@@ -132,15 +131,6 @@ def certified_accuracy_curve(results: CertifiedResultSet, radii) -> list:
             for r in radii]
 
 
-def check_mixing_ratio_args(sigma: float, pgd_steps: int, pgd_eps: float,
-                            estimation_m: int) -> None:
-    """Raise ValueError unless sigma > 0, pgd_steps >= 0, pgd_eps > 0 and
-    estimation_m >= 1."""
-    if not (sigma > 0 and pgd_steps >= 0 and pgd_eps > 0 and estimation_m >= 1):
-        raise ValueError("need sigma > 0, pgd_steps >= 0, pgd_eps > 0 and "
-                         "estimation_m >= 1")
-
-
 def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
                                   sigma: float, pgd_steps: int, pgd_eps: float,
                                   estimation_m: int, stream: StreamId):
@@ -150,10 +140,11 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     the same fixed estimation noise batch (size estimation_m) is used for the
     attack and for every evaluation on the 101-point lambda grid. Returns
     None (not found) when the prediction at x already differs from y or when
-    no grid point flips it. The arguments are checked first, whatever the data
-    (check_mixing_ratio_args).
+    no grid point flips it. The arguments are checked first, whatever the data.
     """
-    check_mixing_ratio_args(sigma, pgd_steps, pgd_eps, estimation_m)
+    if not (sigma > 0 and pgd_steps >= 0 and pgd_eps > 0 and estimation_m >= 1):
+        raise ValueError("need sigma > 0, pgd_steps >= 0, pgd_eps > 0 and "
+                         "estimation_m >= 1")
     import numpy as np
 
     bind(globals(), _LAZY, *_LAZY)

@@ -221,14 +221,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_minflt, usage.ru_stime, usage.
 """
 
 
-def _child_usage(argv, cwd):
-    """(minor faults, system s, peak RSS in KiB) of one child process."""
+def _child_env():
+    """The environment of a child that imports smoothcert from src/."""
     path = os.pathsep.join([SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("SMOOTHCERT_OUT", None)
+    return env
+
+
+def _child_usage(argv, cwd):
+    """(minor faults, system s, peak RSS in KiB) of one child process."""
     out = subprocess.run([sys.executable, "-c", _REAPER, sys.executable, *argv], cwd=cwd,
-                         env=env, capture_output=True, text=True, timeout=150, check=True)
+                         env=_child_env(), capture_output=True, text=True, timeout=150,
+                         check=True)
     code, faults, system_s, peak_kib = out.stdout.split()
     assert code == "0"
     return int(faults), float(system_s), int(peak_kib)
@@ -313,6 +319,42 @@ def test_pooled_certify_memory_stays_near_the_import(tmp_path):
                         "--out", str(tmp_path)], tmp_path)
     usage = ("faults, system s, peak KiB", run, base)
     assert run[2] - base[2] < POOLED_CERTIFY_RSS_GAP_BOUND_MIB * 1024, usage
+
+
+def _has_malloc_stats():
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_stats")
+    except OSError:
+        return False
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Eight pooled items of 256 KiB each, under the mmap threshold the policy
+# sets, then glibc's per-arena report on stderr.
+_ARENA_CHILD = """
+import ctypes
+from smoothcert import cli, rng
+cli._set_allocator_policy()
+rng.map_streams(lambda i: len(bytearray(256 << 10)), range(8))
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+@pytest.mark.skipif(not _has_malloc_stats() or _cpus() < 2,
+                    reason="needs glibc's malloc_stats and two CPUs for the pool")
+def test_pool_threads_share_one_arena(tmp_path):
+    # with an arena per thread (glibc's default), the report lists three:
+    # the main arena and one for each pool thread
+    out = subprocess.run([sys.executable, "-c", _ARENA_CHILD], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    arenas = [line for line in out.stderr.splitlines() if line.startswith("Arena ")]
+    assert len(arenas) == 1, out.stderr
 
 
 def _certify_rows(out, cfg):

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -291,49 +292,49 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
     ("train", TRAIN_CFG.replace("method = gaussian", "method = smoothmix"),
      "eta > 0"),
     ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\n"
-     "lr = 0.1\n" + ABSENT_MNIST, "dataset.subsample must be >= 0"),
+     "lr = 0.1\n" + ABSENT_MNIST, "key 'dataset.subsample'"),
     ("certify", "checkpoint = absent.json\nsigma = 0.5\n" + ABSENT_MNIST,
-     "dataset.subsample must be >= 0"),
+     "key 'dataset.subsample'"),
     ("attack-demo", ATTACK_CFG.replace("sigma = 0.5", "sigma = -1"),
-     "need sigma > 0 and m >= 1"),
-    ("attack-demo", ATTACK_CFG + "m = 0\n", "need sigma > 0 and m >= 1"),
+     "key 'sigma'"),
+    ("attack-demo", ATTACK_CFG + "m = 0\n", "key 'm'"),
     ("mixratio", MIXRATIO_CFG.replace("sigma = 0.5", "sigma = -1"),
-     "need sigma > 0, pgd_steps >= 0"),
-    ("mixratio", MIXRATIO_CFG + "pgd_steps = -1\n", "pgd_steps >= 0"),
-    ("mixratio", MIXRATIO_CFG + "pgd_eps = 0\n", "pgd_eps > 0"),
-    ("mixratio", MIXRATIO_CFG + "estimation_m = 0\n", "estimation_m >= 1"),
-    ("mixratio", MIXRATIO_CFG + "points = -4\n", "points must be >= 1"),
+     "key 'sigma'"),
+    ("mixratio", MIXRATIO_CFG + "pgd_steps = -1\n", "key 'pgd_steps'"),
+    ("mixratio", MIXRATIO_CFG + "pgd_eps = 0\n", "key 'pgd_eps'"),
+    ("mixratio", MIXRATIO_CFG + "estimation_m = 0\n", "key 'estimation_m'"),
+    ("mixratio", MIXRATIO_CFG + "points = -4\n", "key 'points'"),
     ("mixratio", MIXRATIO_CFG.replace("dataset.n = 6", "dataset.n = 1"),
      "dataset.n must be >= 2"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.5, 0.25\nsigma = 0.5\n",
      "radii thresholds must be nondecreasing"),
-    ("evaluate", "cert_csv =\nradii = 0.5\nsigma = 0.5\n", "cert_csv must name at least one file"),
-    ("theory-sim", "families =\n", "families must name at least one noise family"),
+    ("evaluate", "cert_csv =\nradii = 0.5\nsigma = 0.5\n", "key 'cert_csv'"),
+    ("theory-sim", "families =\n", "key 'families'"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.0, nan, inf\nsigma = 0.5\n",
      "as float_list (not finite)"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.0, -inf\nsigma = 0.5\n",
      "as float_list (not finite)"),
     ("certify", _certify_cfg("absent.json").replace("dataset.noise_std = 0.1",
                                                     "dataset.noise_std = -0.1"),
-     "dataset.noise_std must be >= 0"),
+     "key 'dataset.noise_std'"),
     ("mixratio", MIXRATIO_CFG + "dataset.noise_std = -1\n",
-     "dataset.noise_std must be >= 0"),
+     "key 'dataset.noise_std'"),
     ("certify", _certify_cfg("absent.json", "max_points = -1"),
-     "max_points must be >= 0"),
+     "key 'max_points'"),
     ("train", TRAIN_CFG + "lr_milestones = 1\nlr_gamma = -1\n", "lr_gamma >= 0"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.5\nsigma = -2\n",
-     "sigma must be positive"),
+     "key 'sigma'"),
     ("evaluate", "cert_csv = absent.csv\nradii = 0.5\nsigma = 0\n",
-     "sigma must be positive"),
+     "key 'sigma'"),
     ("evaluate", "cert_csv = absent.csv\nradii = -1, 0.5\nsigma = 0.5\n",
-     "radii thresholds must be >= 0"),
+     "key 'radii'"),
     ("mixratio", MIXRATIO_CFG.replace("two_moons", "blobs"),
      "'blobs' not one of ('two_moons', 'mnist')"),
     ("mixratio", MIXRATIO_CFG + "dataset.classes = 2\n",
      "unknown config keys: dataset.classes"),
     # both families would draw from one stream and write the same rows
     ("theory-sim", "families = uniform_pm, gaussian, uniform_pm\ndims = 16, 32\n"
-     "trials = 10\n", "families repeat uniform_pm"),
+     "trials = 10\n", "key 'families': repeats uniform_pm"),
     ("evaluate", "cert_csv = a.csv, b.csv\nmodel_ids = m, m\nradii = 0.5\nsigma = 0.5\n",
      "model ids repeat (m); give each cert_csv its own name in model_ids"),
     # without model_ids, both files are named by their stem, certify
@@ -347,12 +348,12 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
     ("certify --seed -5", "checkpoint = absent.json\nsigma = 0.5\n" + ABSENT_IDX,
      "seed must be nonnegative"),
     ("attack-demo", ATTACK_CFG + "seed = -1\n", "seed must be nonnegative"),
-    ("mixratio", MIXRATIO_CFG + "dataset.seed = -2\n", "dataset.seed must be >= 0"),
+    ("mixratio", MIXRATIO_CFG + "dataset.seed = -2\n", "key 'dataset.seed'"),
     ("theory-sim", "seed = -1\n", "seed must be nonnegative"),
     # a milestone at epoch 0 or below only rescales lr
     ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n"
      "lr_milestones = -5, 1\n" + ABSENT_IDX, "lr_milestones must be strictly increasing and >= 1"),
-    ("attack-demo", ATTACK_CFG + "point_index = -1\n", "point_index must be >= 0"),
+    ("attack-demo", ATTACK_CFG + "point_index = -1\n", "key 'point_index'"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -378,6 +379,83 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+# A valid config of each subcommand, every input path absent; a subcommand
+# with a dataset block is walked once with each dataset kind.
+WALK_BASES = {
+    "train": "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n",
+    "certify": "checkpoint = absent.json\nsigma = 0.5\n",
+    "evaluate": "cert_csv = absent.csv\nradii = 0.5\nsigma = 0.5\n",
+    "attack-demo": "checkpoint = absent.json\nsigma = 0.5\nalpha_step = 0.5\nsteps = 2\n",
+    "mixratio": "checkpoint = absent.json\nsigma = 0.5\n",
+    "theory-sim": "",
+}
+WALK_DATASETS = {"two_moons": "dataset.kind = two_moons\ndataset.n = 6\n",
+                 "mnist": ABSENT_IDX}
+
+
+def _bound_cases():
+    """(command, dataset kind, key, bound, value just outside, value at the
+    bound) for every bound of every schema."""
+    cases = []
+    for command, schema in SCHEMAS.items():
+        kinds = WALK_DATASETS if "dataset.kind" in schema else {"": ""}
+        for kind, block in kinds.items():
+            raw = parse_config_text(WALK_BASES[command] + block)
+            for key, field in schema.items():
+                if field.lo is not None:
+                    below = field.lo - 1 if field.kind.startswith("int") \
+                        else math.nextafter(field.lo, -math.inf)
+                    cases.append((command, kind, key, "lo", repr(below), repr(field.lo)))
+                if field.positive:
+                    cases.append((command, kind, key, "positive", "0",
+                                  repr(math.nextafter(0.0, math.inf))))
+                if field.nonempty or field.distinct:
+                    # the first entry of the list's base or default value
+                    first = (raw.get(key) or ", ".join(field.default)).split(",")[0]
+                if field.nonempty:
+                    cases.append((command, kind, key, "nonempty", "", first))
+                if field.distinct:
+                    cases.append((command, kind, key, "distinct", f"{first}, {first}",
+                                  ", ".join(field.default)))
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+
+
+def test_schema_bounds_are_declared_where_the_contract_says():
+    bounds = {(command, key, bound) for command, _, key, bound, _, _ in BOUND_CASES}
+    dataset = {(command, key, "lo") for command in ("train", "certify", "attack-demo", "mixratio")
+               for key in ("dataset.seed", "dataset.noise_std", "dataset.subsample")}
+    assert bounds == dataset | {
+        ("certify", "max_points", "lo"),
+        ("attack-demo", "sigma", "positive"), ("attack-demo", "m", "lo"),
+        ("attack-demo", "point_index", "lo"),
+        ("mixratio", "sigma", "positive"), ("mixratio", "pgd_eps", "positive"),
+        ("mixratio", "pgd_steps", "lo"), ("mixratio", "estimation_m", "lo"),
+        ("mixratio", "points", "lo"),
+        ("evaluate", "cert_csv", "nonempty"), ("evaluate", "radii", "lo"),
+        ("evaluate", "sigma", "positive"),
+        ("theory-sim", "families", "nonempty"), ("theory-sim", "families", "distinct"),
+    }
+
+
+@pytest.mark.parametrize("command, kind, key, bound, outside, at", BOUND_CASES,
+                         ids=["-".join(filter(None, c[:4])) for c in BOUND_CASES])
+def test_every_schema_bound_exits_2_naming_its_key(tmp_path, monkeypatch, capsys, command,
+                                                     kind, key, bound, outside, at):
+    # just outside the bound: exit 2 from the schema, with no input file present
+    monkeypatch.chdir(tmp_path)
+    raw = parse_config_text(WALK_BASES[command] + WALK_DATASETS.get(kind, ""))
+    cfg = _write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in
+                                               {**raw, key: outside}.items()))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key {key!r}")
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+    # at the bound: the schema accepts the value
+    apply_schema({**raw, key: at}, SCHEMAS[command])
 
 
 def test_cli_nonfinite_checkpoint_exits_3(tmp_path, capsys, trained):
