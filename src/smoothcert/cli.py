@@ -14,6 +14,9 @@ points, certify points at n > smoothing.POOL_MIN_DRAWS and uniform_pm and
 rademacher theory stages on one thread per CPU (at most two), each on its
 own substream; gaussian stages and smaller certify points run one at a time.
 
+main first sets the process policy: glibc's allocator settings
+(_set_allocator_policy) and CPython's built-in SHA-256 (_set_hash_policy).
+
 Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
 
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import json
 import os
 import sys
@@ -81,6 +83,13 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt param
 MALLOC_MMAP_THRESHOLD = 4 << 20
 MALLOC_TRIM_THRESHOLD = 32 << 20
 MALLOC_ARENA_MAX = 1
+
+# Hash policy, set by main: SHA-256 from CPython's built-in _sha256, which
+# gives OpenSSL's digests, so that numpy.random's import of secrets, hmac and
+# hashlib does not load libcrypto (3.4 MiB of peak RSS). A None entry in
+# sys.modules blocks _hashlib; hashlib and hmac fall back to their built-ins.
+# Bulk hashing is slower: 2 MiB in 8-9 ms against 1.5 ms with SHA-NI. A
+# process that has imported hashlib already keeps OpenSSL.
 
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
                     "correct", "abstain", "seconds"]
@@ -168,6 +177,7 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in sorted(cfg.items())}
     run = {"command": command, "config": config, "version": __version__}
+    import hashlib  # here, after main's hash policy
     run_id = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:16]
     obj = dict(run, format="smoothcert.manifest", run_id=run_id,
                artifacts=artifacts, timings={"total_seconds": round(seconds, 4)})
@@ -367,8 +377,15 @@ def _set_allocator_policy() -> None:
     mallopt(_M_ARENA_MAX, MALLOC_ARENA_MAX)
 
 
+def _set_hash_policy() -> None:
+    """Block _hashlib, as above, unless hashlib is loaded already."""
+    if "hashlib" not in sys.modules:
+        sys.modules.setdefault("_hashlib", None)
+
+
 def main(argv=None) -> int:
     _set_allocator_policy()
+    _set_hash_policy()
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)

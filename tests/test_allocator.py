@@ -5,9 +5,12 @@ children against an import-only child: the IDX images stay bytes, CERTIFY's
 row chunks reuse their buffers, and train and mixratio hold one step's or
 one row chunk's arrays at a time.
 
-Each import-only child imports what its subcommand loads (numpy, and the
-smoothcert modules the subcommand's run imports; tests/test_startup.py pins
-those), so that a gap is the run's own and not an import."""
+Each import-only child sets cli.main's hash policy, then imports what its
+subcommand loads (numpy, and the smoothcert modules the subcommand's run
+imports; tests/test_startup.py pins those), so that a gap is the run's own
+and not an import. Without the policy the baseline would carry OpenSSL's
+libcrypto, which no CLI run loads, and every peak gap would read about
+3.4 MiB smaller."""
 
 import csv
 import ctypes
@@ -29,21 +32,23 @@ from smoothcert.rng import StreamId
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # A certify child's minor faults beyond an import-only child's. On glibc 2.36
-# the gap is about 430 with the policy and 6,800 at glibc's defaults, which
-# map every 1,000 x 64 row chunk (512 KiB) afresh, page by page.
+# the gap is 284-291 with the policy (365-375 when both children loaded
+# libcrypto) and 6,800 at glibc's defaults, which map every 1,000 x 64 row
+# chunk (512 KiB) afresh, page by page.
 FAULT_GAP_BOUND = 2000
 
 # The same gap for a 784-256-256-10 SmoothMix train child over four
-# minibatches (train_cfg). On glibc 2.36 it is about 7,000, a little under
-# the pages by which its peak RSS exceeds the import's; it was 23,000 when
-# the heap went back to the kernel after every step, to be faulted in again
-# at the next.
+# minibatches (train_cfg). On glibc 2.36 it is about 4,450 (4,530 when both
+# children loaded libcrypto), under the pages by which its peak RSS exceeds
+# the import's; it was 23,000 when the heap went back to the kernel after
+# every step, to be faulted in again at the next.
 TRAIN_FAULT_GAP_BOUND = 12000
 
 # A theory-sim child at the theory benchmark's settings (theory_cfg) against
-# the import: on glibc 2.36 its peak RSS gap is 5.0 MiB and its fault gap
-# 535, where a uniform_pm stage fills one 512 KiB row buffer from the heap
-# and both pool threads allocate from the main arena. It was 6.4-7.2 MiB and
+# the import: on glibc 2.36 its peak RSS gap is 4.7-5.2 MiB and its fault
+# gap 547-556, where a uniform_pm stage fills one 512 KiB row buffer from the
+# heap and both pool threads allocate from the main arena (4.9-5.3 MiB and
+# 545-552 when both children loaded libcrypto). It was 6.4-7.2 MiB and
 # 930-1,050 faults with an arena per thread and numpy.ma imported by
 # np.quantile. With 8 MiB buffers, two of them side by side and each mapped
 # afresh for its stage, the gaps were 20.8 MiB and 3,100-5,200 faults.
@@ -52,30 +57,32 @@ THEORY_FAULT_GAP_BOUND = 2000
 
 # A one-point certify child over 5,000 IDX test images against one over 100:
 # the dataset is all that differs, and its 4,900 extra images are 3.7 MiB of
-# pixel codes. On glibc 2.36 the peak gap is 3.7 MiB; it was 29.3 MiB when
-# the loader kept the images as float64 (29.9 MiB more).
+# pixel codes. On glibc 2.36 the peak gap is 3.6-3.9 MiB; it was 29.3 MiB
+# when the loader kept the images as float64 (29.9 MiB more).
 IDX_RSS_GAP_BOUND_MIB = 10
 
 # A two-point certify child at 784-256-256-10 with n = 2,500 > POOL_MIN_DRAWS,
 # so the points run side by side, against the import: on glibc 2.36 the peak
-# RSS gap is 15.9-16.1 MiB when each hard_class_counts call takes turns in
-# two 1 MiB buffers of 500-row chunks and both pool threads allocate from the
-# main arena. It was 17.8 MiB with an arena per thread, 22.9-23.6 MiB with
-# 1,000-row chunks, and 31.4 MiB with four or five fresh 1,000 x 256 arrays
-# per chunk.
+# RSS gap is 14.9-15.4 MiB (15.1-15.9 when both children loaded libcrypto)
+# when each hard_class_counts call takes turns in two 1 MiB buffers of
+# 500-row chunks and both pool threads allocate from the main arena. It was
+# 17.8 MiB with an arena per thread, 22.9-23.6 MiB with 1,000-row chunks,
+# and 31.4 MiB with four or five fresh 1,000 x 256 arrays per chunk.
 POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 19
 
 # The SmoothMix train child of the fault test (train_cfg) against the
-# import: on glibc 2.36 the peak RSS gap is 21.1-21.6 MiB (train starts no
-# pool thread, so one malloc arena does not move it). It was 26.7 MiB
-# when the backward pass took a fresh rows x width array per layer and the
-# step held the whole attack path through its CE gradient.
+# import: on glibc 2.36 the peak RSS gap is 21.3-21.5 MiB (21.4-21.6 when
+# both children loaded libcrypto; train starts no pool thread, so one malloc
+# arena does not move it). It was 26.7 MiB when the backward pass took a
+# fresh rows x width array per layer and the step held the whole attack path
+# through its CE gradient.
 TRAIN_RSS_GAP_BOUND_MIB = 25
 
 # A two-point mixratio child (mixratio_cfg) against the import: on glibc
-# 2.36 the peak RSS gap is 15.8-15.9 MiB with one malloc arena. It was
-# 18.3-18.7 MiB with an arena per pool thread, and 24.3 MiB when each of its
-# two pool threads ran the lambda grid in 1,000-row forwards.
+# 2.36 the peak RSS gap is 16.2-16.4 MiB with one malloc arena (16.1-16.2
+# when both children loaded libcrypto). It was 18.3-18.7 MiB with an arena
+# per pool thread, and 24.3 MiB when each of its two pool threads ran the
+# lambda grid in 1,000-row forwards.
 MIXRATIO_RSS_GAP_BOUND_MIB = 20
 
 
@@ -241,9 +248,10 @@ def _child_usage(argv, cwd):
 
 
 def _import_only(*modules):
-    """argv of a child that imports numpy, smoothcert.cli and modules."""
-    return ["-c", "import " + ", ".join(["numpy", "smoothcert.cli"]
-                                        + [f"smoothcert.{m}" for m in modules])]
+    """argv of a child that sets the hash policy, then imports numpy and
+    modules."""
+    return ["-c", "from smoothcert import cli; cli._set_hash_policy(); import "
+            + ", ".join(["numpy"] + [f"smoothcert.{m}" for m in modules])]
 
 
 # what certify, train and theory-sim import
