@@ -5,12 +5,13 @@ the negative log of the Monte Carlo soft-smoothed true-class probability
 over one fixed noise batch per point (the same m draws are reused at every
 step). ascend takes T steps of exactly alpha_step in the direction
 grad J / ||grad J|| and, when a cap is configured, projects each iterate
-onto the l2 ball of that radius around its start point:
+onto the l2 ball of that radius around its start point. It stores no
+(T+1, B, d) path, only the iterates its caller names:
 
-- SmoothMix's unrestricted attack is AttackConfig(alpha_step, T), and the
-  hard-restriction ablation adds the cap;
+- SmoothMix's unrestricted attack is AttackConfig(alpha_step, T), keeping x
+  or iterate 1 and the endpoint; the hard-restriction ablation adds the cap;
 - SmoothAdv's PGD (Salman et al. 2019) is AttackConfig(2 epsilon / T, T,
-  epsilon), which training and the mixing-ratio scan use.
+  epsilon), which training and the mixing-ratio scan use, keeping the endpoint.
 
 One point is a batch of one (B = 1). Gradients flow through the Monte Carlo
 average exactly. When the gradient norm falls below 1e-12 the step is
@@ -101,36 +102,40 @@ def _objective_and_grad(params: ModelParams, X: np.ndarray, y: np.ndarray,
 
 
 def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
-           cfg: AttackConfig):
+           cfg: AttackConfig, keep=(-1,)):
     """cfg.steps normalized-ascent steps on J from each of the B points X (B, d).
 
     y holds the points' classes and noise their noise batches as
     nn.first_layer takes them (nn.first_layer_noise; formed once by the
-    caller, which may reuse it). Returns (points (T+1, B, d), fhat_path
-    (T, B, C), j_path (T, B)): every iterate, and Fhat and J at every
-    iterate but the last, where the loop takes no gradient (a caller that
-    wants Fhat there runs one forward, smoothing.soft_smoothed_predict).
-    When cfg.epsilon_cap is set, every iterate is projected onto that ball
+    caller, which may reuse it). Returns (iterates, fhat_path (T, B, C),
+    j_path (T, B)): the (B, d) iterates keep names, indexed as in a list of
+    all T+1 (0 is X, -1 the endpoint), and Fhat and J at every iterate but
+    the last, where the loop takes no gradient (a caller that wants Fhat
+    there runs one forward, smoothing.soft_smoothed_predict). When
+    cfg.epsilon_cap is set, every iterate is projected onto that ball
     around its start point: PGD's constraint, or the hard-restriction
     ablation. Each step turns its gradient into the step alpha * direction
-    in place and adds it into points[t + 1]; a caller that keeps an iterate
-    past the next large allocation copies it out and drops the path.
+    in place and adds the current iterate into that buffer, which holds the
+    next iterate; an iterate keep does not name is then dropped.
     """
     X0 = np.asarray(X, dtype=np.float64)
-    points = np.empty((cfg.steps + 1,) + X0.shape)
+    keep = [range(cfg.steps + 1)[t] for t in keep]  # IndexError past either end
     fhat_path = np.empty((cfg.steps, len(X0), params.class_count))
     j_path = np.empty((cfg.steps, len(X0)))
-    points[0] = X0
+    kept, cur = {}, X0
     for t in range(cfg.steps):
+        if t in keep:
+            kept[t] = cur
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            j_path[t], step, fhat_path[t] = _objective_and_grad(params, points[t], y, noise)
+            j_path[t], step, fhat_path[t] = _objective_and_grad(params, cur, y, noise)
             norms = np.linalg.norm(step, axis=1)
         if not np.isfinite(norms).all():
             raise NonFiniteError(f"non-finite attack gradient at step {t}")
         step /= np.maximum(norms, GRAD_NORM_FLOOR)[:, None]
         step[norms <= GRAD_NORM_FLOOR] = 0.0  # a skipped step: the point repeats
         step *= cfg.alpha_step
-        np.add(points[t], step, out=points[t + 1])
+        cur = np.add(cur, step, out=step)
         if cfg.epsilon_cap is not None:
-            points[t + 1] = l2_project(points[t + 1], X0, cfg.epsilon_cap)
-    return points, fhat_path, j_path
+            cur = l2_project(cur, X0, cfg.epsilon_cap)
+    kept[cfg.steps] = cur
+    return [kept[t] for t in keep], fhat_path, j_path

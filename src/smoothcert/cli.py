@@ -91,6 +91,7 @@ MALLOC_ARENA_MAX = 1
 # Bulk hashing is slower: 2 MiB in 8-9 ms against 1.5 ms with SHA-NI. A
 # process that has imported hashlib already keeps OpenSSL.
 
+PROC_STATUS = "/proc/self/status"  # where _peak_rss_mib reads VmHWM (Linux)
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
                     "correct", "abstain", "seconds"]
 
@@ -171,6 +172,21 @@ def write_theory_csv(path, reports) -> None:
                 for rep in reports for r in rep.rows])
 
 
+def _peak_rss_mib():
+    """This process's peak RSS in MiB: VmHWM (kB) from PROC_STATUS, else
+    getrusage's ru_maxrss (which Linux starts at the spawner's RSS), else None."""
+    try:
+        with open(PROC_STATUS, encoding="ascii") as fh:
+            return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        try:
+            import resource
+        except ImportError:
+            return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1024)
+
+
 def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
                     seconds: float) -> str:
     """manifest.json; its run_id hashes the command, config and version."""
@@ -179,8 +195,8 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
     run = {"command": command, "config": config, "version": __version__}
     import hashlib  # here, after main's hash policy
     run_id = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:16]
-    obj = dict(run, format="smoothcert.manifest", run_id=run_id,
-               artifacts=artifacts, timings={"total_seconds": round(seconds, 4)})
+    obj = dict(run, format="smoothcert.manifest", run_id=run_id, artifacts=artifacts,
+               timings={"total_seconds": round(seconds, 4), "peak_rss_mib": _peak_rss_mib()})
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -275,14 +291,14 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
     noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],
                                                    root.child("attack", i, "noise"))[None])
-    points, fhat_path, j_path = ascend(params, x, y, noise, acfg)
+    points, fhat_path, j_path = ascend(params, x, y, noise, acfg, keep=range(acfg.steps + 1))
     # the loop takes no gradient at the endpoint: one forward gives Fhat and J there
     fhat_end = soft_smoothed_predict(params, points[-1], noise)
     fhat_path = np.concatenate([fhat_path[:, 0], fhat_end])
     j_path = np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]])
     path = os.path.join(out_dir, "attack_demo.csv")
     _write_csv(path, ["step", "distance_from_x", "J", "true_class_prob"],
-               [[s, f"{float(np.linalg.norm(points[s, 0] - x[0])):.8g}",
+               [[s, f"{float(np.linalg.norm(points[s][0] - x[0])):.8g}",
                  f"{j_path[s]:.8g}", f"{fhat_path[s, y[0]]:.8g}"]
                 for s in range(len(points))])
     return {"trajectory_csv": path}

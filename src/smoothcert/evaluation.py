@@ -155,9 +155,9 @@ def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
     if int(np.argmax(fhat)) != int(y):
         return None
     pgd = AttackConfig(2.0 * pgd_eps / max(pgd_steps, 1), pgd_steps, pgd_eps)
-    x_adv = ascend(params, x[None, :], [int(y)], noise, pgd)[0][-1, 0]
+    (x_adv,), _, _ = ascend(params, x[None, :], [int(y)], noise, pgd)  # (1, d)
     lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
-    seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv[None, :]
+    seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv
     # every grid point reuses the one batch: a view, not LAMBDA_GRID_POINTS copies
     grid_noise = np.broadcast_to(noise, (len(seg),) + noise.shape[1:])
     start = 0

@@ -145,18 +145,18 @@ def factors_noise(params: ModelParams) -> bool:
     return W1.shape[0] > W1.shape[1]
 
 
-def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
+def first_layer(params: ModelParams, X: np.ndarray, noise=None, out=None) -> np.ndarray:
     """Pre-activation of the first dense layer, X @ W1 + b1, for points X (B, d).
 
     With noise, B per-point batches of m draws (B, m, .) in the space
     factors_noise picks, as first_layer_noise gives them, it is the
     pre-activation of the B*m noisy rows x_b + delta_{b,i} in (b, i) order:
     x W1 + b1 + delta W1 when factors_noise, else (x + delta) W1 + b1. Points
-    that share one batch take a broadcast view of it (np.broadcast_to).
-    Every forward starts here, so this is the one input check:
-    DimensionMismatch for X or noise of the wrong shape and NonFiniteError for
-    non-finite X (argmax of a NaN row reads as class 0, so a bad input must
-    not reach a prediction).
+    that share one batch take a broadcast view of it (np.broadcast_to), and
+    out, when factors_noise, may take the (B, m, h1) rows. Every forward
+    starts here, so this is the one input check: DimensionMismatch for X or
+    noise of the wrong shape and NonFiniteError for non-finite X (argmax of
+    a NaN row reads as class 0, so a bad input must not reach a prediction).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
@@ -177,7 +177,7 @@ def first_layer(params: ModelParams, X: np.ndarray, noise=None) -> np.ndarray:
         z = X @ W1
         z += b1
         if factored:
-            z = (z[:, None, :] + noise).reshape(-1, W1.shape[1])
+            z = np.add(z[:, None, :], noise, out=out).reshape(-1, W1.shape[1])
     return z
 
 
@@ -302,15 +302,21 @@ def noisy_ce_grads(params: ModelParams, deltas: np.ndarray, noise: np.ndarray, p
     z1 = X_k W1 + b1 + delta W1, and
     gW1 = sum_k X_k^T (sum_i dz1_k) + delta^T (sum_k dz1_k). Otherwise the
     rows x_b + delta_{b,i} go through W1 as they are.
-    Returns ((gW, gb), the mean CE of each part).
+    Returns ((gW, gb), the mean CE of each part). noise is not read once
+    z1 is formed: passed unnamed, it goes before the forward pass (from
+    CPython 3.11 on, a callee owns the temporaries it is called with).
     """
     B, m, d = deltas.shape
     factored = factors_noise(params)
     if factored:
-        z1 = np.concatenate([first_layer(params, X, noise) for X, _, _ in parts])
+        z1 = np.empty((len(parts),) + noise.shape)
+        for k, (X, _, _) in enumerate(parts):
+            first_layer(params, X, noise, out=z1[k])
+        z1 = z1.reshape(-1, noise.shape[2])
     else:
         rows = np.concatenate([X[:, None, :] + deltas for X, _, _ in parts]).reshape(-1, d)
         z1 = first_layer(params, rows)
+    del noise
     targets = np.concatenate([np.repeat(T, m, axis=0) for _, T, _ in parts])
     weights = np.concatenate([np.full(B * m, w / (B * m)) for _, _, w in parts])
     outs = [np.empty((len(z1), W.shape[1])) for W in params.weights[1:]]

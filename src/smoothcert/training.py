@@ -27,12 +27,12 @@ identical noise: a Philox generator keyed by the epoch stream
 (master_seed, "train", epoch) whose counter starts at (0, 0, 0, index)
 (`StreamId.indexed_generators`). Its draws depend on the example's index
 only, not on the minibatch it lands in.
-One step (_minibatch_step) serves all three methods: the CE at an anchor
-and, for SmoothMix, an eta-weighted mix part, under one noise batch in one
-nn.noisy_ce_grads call, so a minibatch's gradient is one stacked backward
-pass; the reduction order is fixed, making training bit-reproducible for a
-given (config, seed). The optimizer, SGD with Nesterov momentum
-(sgd_nesterov_step), lives here.
+One step serves all three methods: the CE (_minibatch_grads) at the anchor
+_minibatch_attack finds and, for SmoothMix, an eta-weighted mix part, under
+one noise batch in one nn.noisy_ce_grads call, so a minibatch's gradient is
+one stacked backward pass; the reduction order is fixed, making training
+bit-reproducible for a given (config, seed). The optimizer, SGD with
+Nesterov momentum (sgd_nesterov_step), lives here.
 """
 
 from __future__ import annotations
@@ -196,16 +196,16 @@ def _minibatch_randomness(stream: StreamId, indices, m: int, dim: int, sigma: fl
     return noises, lams
 
 
-def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
-    """One minibatch's gradient under cfg's method; B=1 is one example.
+def _minibatch_attack(params, X, Y, cfg, stream, indices, epoch: int):
+    """The draws and attack of one minibatch step under cfg's method; B=1 is one example.
 
     The CE is taken at an anchor, under each example's own noise batch: x
     (Gaussian), the PGD endpoint at epsilon_at(epoch) (SmoothAdv), or x or
     the one-step iterate (SmoothMix), which adds the eta-weighted CE at its
-    mix pair (y_mix a constant target). Returns (grads, mean natural loss,
-    mean mix loss or 0.0, diagnostics): for SmoothMix the per-example anchor,
-    x_adv, lambda, x_mix, y_mix and J path ((T, B): J at every iterate but
-    the last), else None. A non-finite gradient raises NonFiniteError.
+    mix pair (y_mix a constant target). Returns (deltas, [delta W1], parts,
+    diagnostics): _minibatch_grads' arguments, and for SmoothMix the
+    per-example anchor, x_adv, lambda, x_mix, y_mix and J path ((T, B): J at
+    every iterate but the last), else None.
     """
     mix = isinstance(cfg, SmoothMixConfig)
     deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, mix)
@@ -213,19 +213,17 @@ def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
     anchor, diagnostics = X, None
     if isinstance(cfg, SmoothAdvConfig):
         eps = cfg.epsilon_at(epoch)
-        pgd = AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps)
-        anchor = ascend(params, X, Y, noise, pgd)[0][-1].copy()  # not the whole path
+        (anchor,), _, _ = ascend(params, X, Y, noise,
+                                 AttackConfig(2.0 * eps / cfg.steps, cfg.steps, eps))
     elif mix:
         steps = cfg.attack.steps
-        points, fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack)
         # The anchor is x or, one-step, the first iterate (optionally capped):
-        # iterate t of the attack path. Its Fhat comes from that path when the
-        # loop took a gradient there; at the endpoint (t == steps), or where the
-        # cap moved it (t set to steps), from one forward. The two iterates
-        # kept are copied out, so the path is not held through the CE step.
+        # iterate t of the attack. Its Fhat comes from the attack's fhat_path
+        # when the loop took a gradient there; at the endpoint (t == steps),
+        # or where the cap moved it (t set to steps), from one forward.
         t = 1 if cfg.use_one_step and steps >= 1 else 0
-        anchor, x_adv = (points[t].copy() if t else X), points[-1].copy()
-        del points
+        (anchor, x_adv), fhat_path, j_path = ascend(params, X, Y, noise, cfg.attack,
+                                                    keep=(t, -1))
         cap = cfg.one_step_cap
         if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
             anchor, t = l2_project(anchor, X, cap), steps
@@ -238,11 +236,18 @@ def _minibatch_step(params, X, Y, cfg, stream, indices, epoch: int):
     parts = [(anchor, np.eye(params.class_count)[Y], 1.0)]
     if mix:
         parts.append((x_mix, y_mix, cfg.eta))
+    return deltas, [noise], parts, diagnostics
+
+
+def _minibatch_grads(params, deltas, noise, parts):
+    """The step's CE on _minibatch_attack's first three results: (grads, mean
+    natural loss, mean mix loss or 0.0), or NonFiniteError. noise, [delta W1],
+    is emptied into nn.noisy_ce_grads, which drops it once z1 is formed."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        grads, losses = noisy_ce_grads(params, deltas, noise, parts)
+        grads, losses = noisy_ce_grads(params, deltas, noise.pop(), parts)
     if not all(np.isfinite(g).all() for g in grads[0] + grads[1]):
         raise NonFiniteError("non-finite gradient")
-    return grads, losses[0], losses[1] if mix else 0.0, diagnostics
+    return grads, losses[0], losses[1] if len(parts) > 1 else 0.0
 
 
 def sgd_nesterov_step(params, grads, velocity, lr: float, momentum: float,
@@ -301,9 +306,9 @@ def train(dataset: Dataset, run_cfg: TrainRunConfig, method_cfg):
             idx = order[start:start + run_cfg.batch_size]
             X, Y = dataset.rows(idx), Y_all[idx]
             try:
-                # the diagnostics hold the attack path: let them go now
-                grads, loss_nat, loss_mix = _minibatch_step(
-                    params, X, Y, method_cfg, stream, idx, epoch)[:3]
+                # the diagnostics hold x_adv: not through the CE
+                grads, loss_nat, loss_mix = _minibatch_grads(params, *_minibatch_attack(
+                    params, X, Y, method_cfg, stream, idx, epoch)[:3])
             except NonFiniteError as exc:
                 raise NonFiniteError(f"epoch {epoch}, minibatch {step}: {exc}") from exc
             sgd_nesterov_step(params, grads, velocity, lr, run_cfg.momentum,

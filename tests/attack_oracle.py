@@ -6,7 +6,8 @@ evaluates J, grad J and Fhat at every iterate, the last included, so tests
 can check that the iterates, and the Fhat and J values that callers read,
 keep their bits. ascend_allocating is the loop before it formed each step
 in place: a fresh gradient, direction and iterate array per step, over the
-allocating backward pass of nn_oracle.
+allocating backward pass of nn_oracle. Both store the whole (T+1, B, d)
+path, where adversary.ascend keeps only the iterates its caller names.
 """
 
 import numpy as np
@@ -39,7 +40,8 @@ def ascend_with_endpoint_gradient(params, X, y, noise, cfg):
 
 
 def ascend_allocating(params, X, y, noise, cfg):
-    """adversary.ascend's arguments and results, each step in fresh arrays."""
+    """adversary.ascend's arguments; returns the whole path (T+1, B, d),
+    fhat_path and j_path as ascend forms them, each step in fresh arrays."""
     X0 = np.asarray(X, dtype=np.float64)
     points = np.empty((cfg.steps + 1,) + X0.shape)
     fhat_path = np.empty((cfg.steps, len(X0), params.class_count))

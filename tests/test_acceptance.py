@@ -366,7 +366,7 @@ def test_criterion_7_miscalibration_diagnostics(paired_models):
             noise = sample_noise(SIGMA, 2, 200, root.child("pgdnoise", i))
             x_adv = ascend(params_g, ds.inputs[i][None], [int(ds.labels[i])],
                            first_layer_noise(params_g, noise[None]),
-                           AttackConfig(2 * eps / 20, 20, eps))[0][-1, 0]
+                           AttackConfig(2 * eps / 20, 20, eps))[0][0][0]
             counts = hard_class_counts(params_g, x_adv, m, SIGMA,
                                        root.child("conf", i))
             f = counts / m
@@ -450,7 +450,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     params = init_mlp([2, 6, 2], StreamId(91))
     noise = sample_noise(SIGMA, 2, 3, StreamId(92))
     points = ascend(params, np.array([[0.3, -0.2]]), [0], first_layer_noise(params, noise[None]),
-                    AttackConfig(0.37, 5))[0][:, 0]
+                    AttackConfig(0.37, 5), keep=range(6))[0]
     for a, b in zip(points, points[1:]):
         step = float(np.linalg.norm(b - a))
         assert step == 0.0 or abs(step - 0.37) < 1e-9
@@ -459,7 +459,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     x0 = np.array([0.3, -0.2])
     for eps in (0.25, 1.0):
         x_adv = ascend(params, x0[None], [0], first_layer_noise(params, noise[None]),
-                       AttackConfig(0.5, 6, eps))[0][-1, 0]
+                       AttackConfig(0.5, 6, eps))[0][0][0]
         assert np.linalg.norm(x_adv - x0) <= eps + 1e-9
 
     # certified accuracy curves are nonincreasing

@@ -53,16 +53,16 @@ def _attack(params, x, y, noise, cfg):
     noise = first_layer_noise(params, np.asarray(noise)[None])
     y = np.array([y])
     points, fhat_path, j_path = ascend(params, np.asarray(x, dtype=np.float64)[None], y,
-                                       noise, cfg)
+                                       noise, cfg, keep=range(cfg.steps + 1))
     fhat_end = soft_smoothed_predict(params, points[-1], noise)
-    return (points[:, 0], np.concatenate([fhat_path[:, 0], fhat_end]),
+    return (np.concatenate(points), np.concatenate([fhat_path[:, 0], fhat_end]),
             np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]]))
 
 
 def _pgd(params, x, y, noise, steps, step_size, epsilon):
     """The PGD endpoint of one point, noise as nn.first_layer_noise gives it."""
     cfg = AttackConfig(step_size, steps, epsilon)
-    return ascend(params, np.asarray(x, dtype=np.float64)[None], [y], noise, cfg)[0][-1, 0]
+    return ascend(params, np.asarray(x, dtype=np.float64)[None], [y], noise, cfg)[0][0][0]
 
 
 # ---------------------------------------------------------------- objective
@@ -106,32 +106,54 @@ def test_objective_and_grad_match_direct_oracle(sizes):
     for g, w in zip(got, direct_objective_and_grad(params, X, y, noises)):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
     points, fhat_path, j_path = ascend(
-        params, X, y, first_layer_noise(params, noises), AttackConfig(0.3, 3, 0.5))
-    assert points.shape[0] == 4 and len(fhat_path) == len(j_path) == 3
+        params, X, y, first_layer_noise(params, noises), AttackConfig(0.3, 3, 0.5),
+        keep=range(4))
+    assert len(points) == 4 and len(fhat_path) == len(j_path) == 3
     for t in range(3):
         J, _, fhat = direct_objective_and_grad(params, points[t], y, noises)
         np.testing.assert_allclose(j_path[t], J, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fhat_path[t], fhat, rtol=0, atol=1e-12)
 
 
+def _keeps(steps):
+    """The iterate selections callers make: the endpoint (SmoothAdv, the
+    mixing ratio), x or iterate 1 with it (SmoothMix) and all (attack-demo)."""
+    return [(-1,), (0, -1)] + [(1, -1)] * (steps >= 1) + [tuple(range(steps + 1))]
+
+
 @pytest.mark.parametrize("sizes, steps, cap", [
     ([9, 4, 5, 3], 4, None), ([3, 6, 3], 4, 0.5), ([5, 2], 3, None), ([3, 6, 3], 0, None),
+    ([9, 4, 5, 3], 0, 0.5), ([9, 4, 5, 3], 1, None), ([9, 4, 5, 3], 1, 0.5),
+    ([3, 6, 3], 1, None), ([9, 4, 5, 3], 4, 0.5),
 ])
 def test_ascend_batch_keeps_the_bits_of_the_endpoint_gradient_loop(sizes, steps, cap):
-    # the loop stops after its last move; every iterate, and Fhat and J at
-    # every iterate but the last, keep the bits of the loop that also took
-    # the gradient at the endpoint
+    # the loop stores no path and stops after its last move; at B = 1 and
+    # B = 5, every iterate it keeps, and Fhat and J at every iterate but the
+    # last, keep the bits of the loop that stores the whole path and also
+    # takes the gradient at the endpoint
     params = _random_net(32, sizes)
     rng = np.random.default_rng(33)
-    B, m, d = 5, 4, sizes[0]
-    X, y = rng.standard_normal((B, d)), rng.integers(0, sizes[-1], B)
-    noises = rng.standard_normal((B, m, d)) * 0.7
-    noise, cfg = first_layer_noise(params, noises), AttackConfig(0.4, steps, cap)
-    points, fhat_path, j_path = ascend(params, X, y, noise, cfg)
-    want_points, want_fhat, want_j = ascend_with_endpoint_gradient(params, X, y, noise, cfg)
-    np.testing.assert_array_equal(points, want_points)
-    np.testing.assert_array_equal(fhat_path, want_fhat[:-1])
-    np.testing.assert_array_equal(j_path, want_j[:-1])
+    m, d = 4, sizes[0]
+    for B in (1, 5):
+        X, y = rng.standard_normal((B, d)), rng.integers(0, sizes[-1], B)
+        noises = rng.standard_normal((B, m, d)) * 0.7
+        noise, cfg = first_layer_noise(params, noises), AttackConfig(0.4, steps, cap)
+        want_points, want_fhat, want_j = ascend_with_endpoint_gradient(params, X, y, noise, cfg)
+        for keep in _keeps(steps):
+            points, fhat_path, j_path = ascend(params, X, y, noise, cfg, keep=keep)
+            assert len(points) == len(keep)
+            for t, point in zip(keep, points):
+                np.testing.assert_array_equal(point, want_points[t])
+            np.testing.assert_array_equal(fhat_path, want_fhat[:-1])
+            np.testing.assert_array_equal(j_path, want_j[:-1])
+
+
+@pytest.mark.parametrize("keep", [(2,), (-3,), (0, 5)])
+def test_ascend_refuses_an_iterate_past_either_end(keep):
+    params = _random_net(32, [3, 6, 3])
+    noise = first_layer_noise(params, np.zeros((1, 2, 3)))
+    with pytest.raises(IndexError):
+        ascend(params, np.zeros((1, 3)), [0], noise, AttackConfig(0.4, 1), keep=keep)
 
 
 @pytest.mark.parametrize("sizes, steps, cap, skipped_row", [
@@ -158,7 +180,8 @@ def test_ascend_in_place_keeps_the_bits_of_the_allocating_loop(sizes, steps, cap
         norms = np.linalg.norm(_objective_and_grad(params, X, y, noise)[1], axis=1)
         assert 0.0 < norms[0] <= adversary.GRAD_NORM_FLOOR < norms[1:].min()
     cfg = AttackConfig(0.4, steps, cap)
-    got = ascend(params, X, y, noise, cfg)
+    points, fhat_path, j_path = ascend(params, X, y, noise, cfg, keep=range(steps + 1))
+    got = np.stack(points), fhat_path, j_path
     want = ascend_allocating(params, X, y, noise, cfg)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
     if skipped_row:
@@ -177,10 +200,10 @@ def _patch_cli_with_oracle(monkeypatch):
     loop that also takes the gradient there."""
     endpoints = []
 
-    def oracle_ascend(params, X, y, noise, cfg):
+    def oracle_ascend(params, X, y, noise, cfg, keep=(-1,)):
         points, fhat_path, j_path = ascend_with_endpoint_gradient(params, X, y, noise, cfg)
         endpoints.append(fhat_path[-1])
-        return points, fhat_path[:-1], j_path[:-1]
+        return [points[t] for t in keep], fhat_path[:-1], j_path[:-1]
 
     monkeypatch.setattr(cli, "ascend", oracle_ascend)
     monkeypatch.setattr(cli, "soft_smoothed_predict", lambda *args: endpoints.pop())

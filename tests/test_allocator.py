@@ -3,7 +3,8 @@ loops on glibc and gives the pool threads the main heap's malloc arena, and
 it is a no-op wherever glibc's mallopt is missing. Also the peak RSS of CLI
 children against an import-only child: the IDX images stay bytes, CERTIFY's
 row chunks reuse their buffers, and train and mixratio hold one step's or
-one row chunk's arrays at a time.
+one row chunk's arrays at a time; and the peak that a CLI child's manifest
+records, which is its own.
 
 Each import-only child sets cli.main's hash policy, then imports what its
 subcommand loads (numpy, and the smoothcert modules the subcommand's run
@@ -14,6 +15,7 @@ libcrypto, which no CLI run loads, and every peak gap would read about
 
 import csv
 import ctypes
+import json
 import os
 import platform
 import struct
@@ -24,6 +26,7 @@ import types
 import numpy as np
 import pytest
 
+from smoothcert import cli
 from smoothcert.cli import main
 from smoothcert.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from smoothcert.nn import init_mlp, save_checkpoint
@@ -38,10 +41,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 FAULT_GAP_BOUND = 2000
 
 # The same gap for a 784-256-256-10 SmoothMix train child over four
-# minibatches (train_cfg). On glibc 2.36 it is about 4,450 (4,530 when both
-# children loaded libcrypto), under the pages by which its peak RSS exceeds
-# the import's; it was 23,000 when the heap went back to the kernel after
-# every step, to be faulted in again at the next.
+# minibatches (train_cfg). On glibc 2.36 it is about 3,810, under the pages
+# by which its peak RSS exceeds the import's; it was about 4,450 when the
+# attack stored its whole path, and 23,000 when the heap went back to the
+# kernel after every step, to be faulted in again at the next.
 TRAIN_FAULT_GAP_BOUND = 12000
 
 # A theory-sim child at the theory benchmark's settings (theory_cfg) against
@@ -71,12 +74,13 @@ IDX_RSS_GAP_BOUND_MIB = 10
 POOLED_CERTIFY_RSS_GAP_BOUND_MIB = 19
 
 # The SmoothMix train child of the fault test (train_cfg) against the
-# import: on glibc 2.36 the peak RSS gap is 21.3-21.5 MiB (21.4-21.6 when
-# both children loaded libcrypto; train starts no pool thread, so one malloc
-# arena does not move it). It was 26.7 MiB when the backward pass took a
-# fresh rows x width array per layer and the step held the whole attack path
-# through its CE gradient.
-TRAIN_RSS_GAP_BOUND_MIB = 25
+# import: on glibc 2.36 the peak RSS gap is 18.7-18.9 MiB (train starts no
+# pool thread, so one malloc arena does not move it). It was 21.1-21.4 MiB
+# when the attack stored its (T+1, B, d) path and the CE pass held delta W1
+# and x_adv, and 26.7 MiB when the backward pass took a fresh rows x width
+# array per layer and the step held the whole attack path through its CE
+# gradient.
+TRAIN_RSS_GAP_BOUND_MIB = 20
 
 # A two-point mixratio child (mixratio_cfg) against the import: on glibc
 # 2.36 the peak RSS gap is 16.2-16.4 MiB with one malloc arena (16.1-16.2
@@ -327,6 +331,35 @@ def test_pooled_certify_memory_stays_near_the_import(tmp_path):
                         "--out", str(tmp_path)], tmp_path)
     usage = ("faults, system s, peak KiB", run, base)
     assert run[2] - base[2] < POOLED_CERTIFY_RSS_GAP_BOUND_MIB * 1024, usage
+
+
+@pytest.mark.skipif(not os.path.exists(cli.PROC_STATUS), reason="needs Linux's /proc")
+def test_manifest_records_the_subcommands_own_peak(tmp_path, certify_cfg):
+    # Linux starts a child's ru_maxrss at the RSS of the process it was
+    # spawned from, so a child of this process, which holds 64 MiB of
+    # ballast on top of its own, would read more than 64 MiB there; the
+    # manifest's VmHWM is the child's own peak
+    ballast = b"\x01" * (64 << 20)
+    subprocess.run([sys.executable, "-m", "smoothcert.cli", "certify", "--config", certify_cfg,
+                    "--out", str(tmp_path)], env=_child_env(), capture_output=True,
+                   timeout=120, check=True)
+    del ballast
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="ascii"))
+    assert 0 < manifest["timings"]["peak_rss_mib"] < 64
+
+
+def test_peak_rss_reads_vmhwm_and_falls_back_to_getrusage(tmp_path, monkeypatch):
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython3\nVmPeak:\t  999999 kB\nVmHWM:\t   13520 kB\n",
+                      encoding="ascii")
+    monkeypatch.setattr(cli, "PROC_STATUS", str(status))
+    assert cli._peak_rss_mib() == 13520 / 1024
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(cli, "PROC_STATUS", str(tmp_path / "missing"))
+    scale = 1 << 20 if sys.platform == "darwin" else 1024
+    low = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+    peak = cli._peak_rss_mib()
+    assert low - 0.01 <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale + 0.01
 
 
 def _has_malloc_stats():

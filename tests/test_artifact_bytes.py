@@ -76,6 +76,7 @@ def test_certify_manifest_bytes(run, monkeypatch):
     text = (out / "manifest.json").read_text(encoding="ascii")
     text = text.replace(str(out), "OUT")
     text = re.sub(r'"total_seconds": [0-9.]+', '"total_seconds": T', text)
+    text = re.sub(r'"peak_rss_mib": [0-9.]+', '"peak_rss_mib": P', text)
     assert text == """{
   "artifacts": {
     "certify_csv": "OUT/certify.csv"
@@ -101,6 +102,7 @@ def test_certify_manifest_bytes(run, monkeypatch):
   "format": "smoothcert.manifest",
   "run_id": "54170b14c78f612a",
   "timings": {
+    "peak_rss_mib": P,
     "total_seconds": T
   },
   "version": "0.7.0"
@@ -168,10 +170,10 @@ def test_theory_csv_bytes(run, monkeypatch):
 
 
 def test_attack_demo_csv_bytes(run, monkeypatch):
-    def ascend(params, X, y, noise, acfg):
-        steps = np.array([[0.0, 0.0], [0.3, 0.4], [0.6, 0.8]])
+    def ascend(params, X, y, noise, acfg, keep=(-1,)):
+        points = X + np.array([[0.0, 0.0], [0.3, 0.4], [0.6, 0.8]])[:, None]
         fhat = np.array([[0.25, 0.75], [0.5, 0.5]])
-        return X + steps[:, None], fhat[:, None], np.array([[0.1], [0.2345678912]])
+        return [points[t] for t in keep], fhat[:, None], np.array([[0.1], [0.2345678912]])
 
     # the endpoint's Fhat, from one forward; J there is -log Fhat_y
     monkeypatch.setattr(cli, "first_layer_noise", lambda params, deltas: deltas)

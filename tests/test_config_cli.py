@@ -868,3 +868,30 @@ dataset.seed = 1
     one, two = (load_checkpoint(c)[0] for c in checkpoints[:2])
     for a, b in zip(one.weights + one.biases, two.weights + two.biases):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_section(text, title):
+    start = text.index(f"\n## {title}\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_readme_names_every_subcommand_and_config_key():
+    # a subcommand or a config.SCHEMAS key added without a README line fails
+    # here: each subcommand has its paragraph under Subcommands, which names
+    # each of its keys in code spans, and Config format's table names the
+    # dataset keys
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    dataset_table = _readme_section(text, "Config format")
+    paragraphs = _readme_section(text, "Subcommands").split("\n\n")
+    for command, schema in SCHEMAS.items():
+        matches = [p for p in paragraphs if p.startswith(f"**`{command}`**")]
+        assert len(matches) == 1, f"no README paragraph for {command}"
+        for key in schema:
+            where = dataset_table if key.startswith("dataset.") else matches[0]
+            # a code span that starts with the key: `eta` or `eta > 0`
+            assert re.search(rf"`{re.escape(key)}\b", where), \
+                f"README does not name {command} key {key!r}"

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from attack_oracle import ascend_with_endpoint_gradient
-from nn_oracle import ModelParams, cross_entropy, forward, validate_soft_label
+from nn_oracle import (ModelParams, cross_entropy, forward, noisy_ce_grads_allocating,
+                       validate_soft_label)
 from noise_oracle import direct_noisy_ce_grads
-from smoothcert.adversary import AttackConfig, ascend
+from smoothcert.adversary import AttackConfig, ascend, l2_project
 from smoothcert.data import Dataset, gen_two_moons
 from smoothcert.nn import NonFiniteError, first_layer_noise, init_mlp, noisy_ce_grads
 from smoothcert.rng import StreamId, _mix_part
@@ -19,8 +20,9 @@ from smoothcert.training import (
     SmoothAdvConfig,
     SmoothMixConfig,
     TrainRunConfig,
+    _minibatch_attack,
+    _minibatch_grads,
     _minibatch_randomness,
-    _minibatch_step,
     make_mix_pair,
     train,
 )
@@ -57,6 +59,13 @@ def _mean_ce(params, x, target, deltas):
     """(1/m) sum_i CE(f(x + delta_i), target), one cross_entropy per draw."""
     return float(np.mean([cross_entropy(forward(params, x + d), target)
                           for d in deltas]))
+
+
+def _minibatch_step(params, X, Y, cfg, stream, indices, epoch):
+    """Both phases of a training step: (grads, natural loss, mix loss,
+    diagnostics)."""
+    *inputs, diagnostics = _minibatch_attack(params, X, Y, cfg, stream, indices, epoch)
+    return (*_minibatch_grads(params, *inputs), diagnostics)
 
 
 def _keyed(streams):
@@ -131,7 +140,7 @@ def test_smoothadv_step_is_gaussian_step_at_pgd_endpoint():
     # product differs in the last bits with the row count, hence the tolerance
     x_hat = np.stack([
         ascend(params, X[b:b + 1], Y[b:b + 1], first_layer_noise(params, noises[b:b + 1]),
-               AttackConfig(2.0 * eps / 3, 3, eps))[0][-1, 0]
+               AttackConfig(2.0 * eps / 3, 3, eps))[0][0][0]
         for b in range(2)])
     want_grads, (want,) = noisy_ce_grads(params, noises, first_layer_noise(params, noises),
                                          [(x_hat, np.eye(3)[Y], 1.0)])
@@ -361,7 +370,8 @@ def test_one_step_substitution_changes_anchor():
     np.testing.assert_array_equal(d_plain["anchor"][0], x)
     # one-step anchor is the first ascent iterate, one full step from x
     noise = first_layer_noise(params, _draws(stream, 3, 2, 0.5)[0][None])
-    points = ascend(params, x[None], [y], noise, AttackConfig(0.5, 2))[0][:, 0]
+    points = np.concatenate(ascend(params, x[None], [y], noise, AttackConfig(0.5, 2),
+                                   keep=range(3))[0])
     np.testing.assert_array_equal(d_one["anchor"][0], points[1])
     np.testing.assert_array_equal(d_one["x_adv"][0], points[-1])
     assert np.linalg.norm(d_one["anchor"][0] - x) == pytest.approx(0.5, abs=1e-9)
@@ -408,6 +418,49 @@ def test_one_step_y_mix_at_one_attack_step_keeps_the_endpoint_gradient_bits(size
     np.testing.assert_array_equal(diag["anchor"], points[1])
     _, y_mix = make_mix_pair(points[1], fhat_path[1], points[1], diag["lambda"], 3)
     np.testing.assert_array_equal(diag["y_mix"], y_mix)
+
+
+def _smoothmix_step_from_the_full_path(params, X, Y, cfg, stream, indices):
+    """The SmoothMix step as it was formed from the whole attack path, which
+    ascend_with_endpoint_gradient stores, with the allocating CE step:
+    (grads, natural loss, mix loss, anchor, x_mix, y_mix)."""
+    deltas, lams = _minibatch_randomness(stream, indices, cfg.m, X.shape[1], cfg.sigma, True)
+    noise = first_layer_noise(params, deltas)
+    points, fhat_path, _ = ascend_with_endpoint_gradient(params, X, Y, noise, cfg.attack)
+    t = 1 if cfg.use_one_step and cfg.attack.steps >= 1 else 0
+    anchor, fhat = points[t], fhat_path[t]
+    cap = cfg.one_step_cap
+    if t and cap is not None and np.any(np.linalg.norm(anchor - X, axis=-1) > cap):
+        anchor = l2_project(anchor, X, cap)
+        fhat = soft_smoothed_predict(params, anchor, noise)
+    x_mix, y_mix = make_mix_pair(anchor, fhat, points[-1], lams, params.class_count)
+    parts = [(anchor, np.eye(params.class_count)[Y], 1.0), (x_mix, y_mix, cfg.eta)]
+    grads, (nat, mix) = noisy_ce_grads_allocating(params, deltas, noise, parts)
+    return grads, nat, mix, anchor, x_mix, y_mix
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("one_step, cap", [(False, None), (True, None), (True, 0.2),
+                                           (True, 5.0)],
+                         ids=["x", "one-step", "cap-moves", "cap-holds"])
+@pytest.mark.parametrize("sizes", [[2, 8, 3], [6, 4, 3]], ids=["d<=h1", "d>h1"])
+def test_smoothmix_step_keeps_the_bits_of_the_full_path_step(sizes, one_step, cap, steps):
+    # the attack keeps only x_adv and, one-step, iterate 1: the anchor, the
+    # mix pair, the losses and every gradient keep the bits of the step
+    # that took them from the stored path
+    params = _random_net(37, sizes)
+    cfg = _mix_cfg(use_one_step=one_step, one_step_cap=cap, attack=AttackConfig(0.5, steps))
+    rng = np.random.default_rng(38)
+    X, Y = rng.standard_normal((5, sizes[0])), np.array([0, 2, 1, 1, 0])
+    stream, idx = StreamId(39, ("train", 0)), np.arange(5)
+    (gW, gb), nat, mix, diag = _minibatch_step(params, X, Y, cfg, stream, idx, 0)
+    (want_gW, want_gb), *want = _smoothmix_step_from_the_full_path(params, X, Y, cfg,
+                                                                  stream, idx)
+    assert [nat, mix] == want[:2]
+    for key, value in zip(("anchor", "x_mix", "y_mix"), want[2:]):
+        np.testing.assert_array_equal(diag[key], value)
+    for got, exp in zip(gW + gb, want_gW + want_gb):
+        np.testing.assert_array_equal(got, exp)
 
 
 def test_no_gradient_leakage_through_fhat_target():
@@ -656,22 +709,32 @@ def test_minibatch_randomness_ignores_the_minibatch():
     assert len({float(lam) for d in draws for lam in d[1]}) == 36
 
 
-def test_smoothmix_train_peak_at_mnist_shape():
-    # 784-256-256-10, B=100, m=4, T=4: one minibatch's working set, 21.9 MiB
-    # of tracemalloc peak. Building the d-wide noisy rows of both loss terms
-    # again (4.8 MiB; the peak was 26.0 MiB with them), or holding the
-    # previous step's attack path (3 MiB of points) into the next step,
-    # takes the peak past the bound.
+def _train_peak_at_mnist_shape(method, method_cfg):
+    """The tracemalloc peak of training two minibatches at 784-256-256-10
+    (B=100, m=4, four attack steps)."""
     rng = np.random.default_rng(0)
     ds = Dataset(inputs=rng.uniform(0.0, 1.0, (200, 784)),
                  labels=np.arange(200) % 10, class_count=10, split="train")
-    run = TrainRunConfig(method="smoothmix", epochs=1, batch_size=100, lr=0.05, seed=1)
-    cfg = SmoothMixConfig(sigma=0.5, eta=5.0, m=4,
-                          attack=AttackConfig(alpha_step=1.0, steps=4))
+    run = TrainRunConfig(method=method, epochs=1, batch_size=100, lr=0.05, seed=1)
     tracemalloc.start()
     try:
-        train(ds, run, cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        train(ds, run, method_cfg)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+
+# The peaks are 12.01 MiB (SmoothMix) and 11.57 MiB (SmoothAdv). They were
+# 13.43 and 13.38 MiB when the attack stored its (T+1, B, d) path and the CE
+# pass held delta W1 (0.78 MiB) and x_adv (0.6 MiB).
+TRAIN_PEAK_BOUND_MIB = 12.5
+
+
+def test_smoothmix_train_peak_at_mnist_shape():
+    cfg = SmoothMixConfig(sigma=0.5, eta=5.0, m=4, attack=AttackConfig(alpha_step=1.0, steps=4))
+    assert _train_peak_at_mnist_shape("smoothmix", cfg) < TRAIN_PEAK_BOUND_MIB * 2**20
+
+
+def test_smoothadv_train_peak_at_mnist_shape():
+    cfg = SmoothAdvConfig(sigma=0.5, m=4, epsilon=1.0, steps=4)
+    assert _train_peak_at_mnist_shape("smoothadv", cfg) < TRAIN_PEAK_BOUND_MIB * 2**20
