@@ -4,7 +4,8 @@ theory-sim.
 Every run reads one flat key-value config (--config), writes its artifacts
 under --out (default: $SMOOTHCERT_OUT or the working directory; the output
 directory is the only environment override), and drops a manifest.json
-recording the config snapshot, artifact paths, and timings. This module is
+recording the config snapshot, artifact paths, timings and, for a run that
+reads a dataset, digests of its inputs. This module is
 the one that knows the artifact formats: every CSV goes through _write_csv,
 and certify.csv is read back here. All randomness fans out from the master
 seed through named substreams, so the pair (config, seed) determines every
@@ -71,12 +72,13 @@ __getattr__ = module_getattr(globals(), _LAZY)
 
 # glibc allocator policy, set by main. At glibc's defaults a block of 128 KiB
 # or more gets its own mmap and a freed heap top above 128 KiB goes back to
-# the kernel, so every row chunk of a hot loop (512 KiB at 1,000 x 64, 2 MiB
-# at h1 = 256, theory-sim's 512 KiB stage buffer) is faulted in again page
-# by page. 4 MiB keeps those chunks on the heap.
-# A SmoothMix step at 784-256-256-10 frees about 20 MiB of heap when it
-# ends, so the heap keeps up to 32 MiB free at its top rather than giving
-# it back and faulting it in again at the next step.
+# the kernel, so every row chunk of a hot loop (250 KiB at 500 x 64, 1,000
+# KiB at 500 x 256, theory-sim's 512 KiB stage buffer) is faulted in again
+# page by page. 4 MiB keeps those chunks on the heap.
+# A SmoothMix step at 784-256-256-10 (B = 100, m = 4, T = 4) frees about
+# 7.3 MiB when it ends (tracemalloc: 12.0 MiB at its peak, 4.7 MiB held
+# between steps), so the heap keeps up to 32 MiB free at its top rather
+# than giving it back and faulting it in again at the next step.
 # One arena: the map_streams pool threads allocate from the main heap and reuse
 # the chunks earlier phases freed there, rather than each growing a heap.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters
@@ -187,9 +189,27 @@ def _peak_rss_mib():
     return peak / (1 << 20 if sys.platform == "darwin" else 1024)
 
 
+def _input_digests(ds, meta=None) -> dict:
+    """A manifest's inputs: the sha256 of the dataset's rows as held (uint8
+    codes, or little-endian float64) and of its labels as little-endian
+    int64, and with meta the loaded checkpoint's verified payload sha256."""
+    import hashlib  # here, after main's hash policy
+
+    import numpy as np
+
+    rows = np.ascontiguousarray(ds.inputs, ds.inputs.dtype.newbyteorder("<"))
+    inputs = {"rows_sha256": hashlib.sha256(rows).hexdigest(),
+              "labels_sha256": hashlib.sha256(
+                  np.ascontiguousarray(ds.labels, "<i8")).hexdigest()}
+    if meta is not None:
+        inputs["checkpoint_sha256"] = meta["sha256"]
+    return inputs
+
+
 def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
-                    seconds: float) -> str:
-    """manifest.json; its run_id hashes the command, config and version."""
+                    inputs, seconds: float) -> str:
+    """manifest.json; its run_id hashes the command, config and version.
+    inputs, from _input_digests, is left out when None."""
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in sorted(cfg.items())}
     run = {"command": command, "config": config, "version": __version__}
@@ -197,6 +217,8 @@ def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
     run_id = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:16]
     obj = dict(run, format="smoothcert.manifest", run_id=run_id, artifacts=artifacts,
                timings={"total_seconds": round(seconds, 4), "peak_rss_mib": _peak_rss_mib()})
+    if inputs is not None:
+        obj["inputs"] = inputs
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -213,7 +235,7 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_train(cfg: dict, out_dir: str) -> dict:
+def _cmd_train(cfg: dict, out_dir: str) -> tuple:
     with _config_values():
         run_cfg, method_cfg = build_train_configs(cfg)
     ds = build_dataset(cfg, "train")
@@ -225,15 +247,15 @@ def _cmd_train(cfg: dict, out_dir: str) -> dict:
     _write_csv(log_path, ["epoch", "loss_nat", "loss_mix", "lr", "seconds"],
                [[r["epoch"], f"{r['loss_nat']:.12g}", f"{r['loss_mix']:.12g}",
                  f"{r['lr']:.12g}", f"{r['seconds']:.4f}"] for r in log_rows])
-    return {"checkpoint": ckpt, "train_log": log_path}
+    return {"checkpoint": ckpt, "train_log": log_path}, _input_digests(ds)
 
 
-def _cmd_certify(cfg: dict, out_dir: str) -> dict:
+def _cmd_certify(cfg: dict, out_dir: str) -> tuple:
     with _config_values():
         scfg = build_smoothing_config(cfg)
         check_dataset(cfg)
         root = StreamId(cfg["seed"])
-    params, _ = load_checkpoint(cfg["checkpoint"])
+    params, meta = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     if not len(ds):
         raise ValueError("dataset is empty")
@@ -253,17 +275,22 @@ def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     rows = map_streams(certify_one, range(count), pooled=scfg.n > POOL_MIN_DRAWS)
     path = os.path.join(out_dir, "certify.csv")
     write_certification_csv(path, rows)
-    return {"certify_csv": path}
+    return {"certify_csv": path}, _input_digests(ds, meta)
 
 
-def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
+def _cmd_evaluate(cfg: dict, out_dir: str) -> tuple:
     paths, ids, radii = cfg["cert_csv"], cfg["model_ids"], cfg["radii"]
     if ids and len(ids) != len(paths):
         raise ConfigError("model_ids must match cert_csv in length")
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise ConfigError("radii thresholds must be nondecreasing")
+    key = "model_ids"
     if not ids:
-        ids = tuple(os.path.splitext(os.path.basename(p))[0] for p in paths)
+        key, ids = "cert_csv", tuple(os.path.splitext(os.path.basename(p))[0]
+                                     for p in paths)
+    if bad := [x for x in ids if not x.isascii()]:
+        raise ConfigError(f"key {key!r}: model id {ascii(bad[0])} is not ASCII, "
+                          "as metrics.csv is")
     if repeated := sorted({x for x in ids if ids.count(x) > 1}):
         raise ConfigError(f"model ids repeat ({', '.join(repeated)}); "
                           "give each cert_csv its own name in model_ids")
@@ -272,10 +299,10 @@ def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
                      for model_id, p in zip(ids, paths)]
     path = os.path.join(out_dir, "metrics.csv")
     write_metrics_csv(path, model_results, radii)
-    return {"metrics_csv": path}
+    return {"metrics_csv": path}, None
 
 
-def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
+def _cmd_attack_demo(cfg: dict, out_dir: str) -> tuple:
     import numpy as np
 
     with _config_values():
@@ -283,7 +310,7 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
                             epsilon_cap=cfg["epsilon_cap"] or None)
         check_dataset(cfg)
         root = StreamId(cfg["seed"])
-    params, _ = load_checkpoint(cfg["checkpoint"])
+    params, meta = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
     if i >= len(ds):
@@ -301,14 +328,14 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
                [[s, f"{float(np.linalg.norm(points[s][0] - x[0])):.8g}",
                  f"{j_path[s]:.8g}", f"{fhat_path[s, y[0]]:.8g}"]
                 for s in range(len(points))])
-    return {"trajectory_csv": path}
+    return {"trajectory_csv": path}, _input_digests(ds, meta)
 
 
-def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
+def _cmd_mixratio(cfg: dict, out_dir: str) -> tuple:
     with _config_values():
         check_dataset(cfg)
         root = StreamId(cfg["seed"])
-    params, _ = load_checkpoint(cfg["checkpoint"])
+    params, meta = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     if not len(ds):
         raise ValueError("dataset is empty")
@@ -323,10 +350,10 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
     rows = map_streams(mixing_ratio, range(count))
     path = os.path.join(out_dir, "mixratio.csv")
     write_mixratio_csv(path, rows)
-    return {"mixratio_csv": path}
+    return {"mixratio_csv": path}, _input_digests(ds, meta)
 
 
-def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
+def _cmd_theory_sim(cfg: dict, out_dir: str) -> tuple:
     with _config_values():
         # d=1 is a placeholder: verify_decay runs the config at each of dims
         sims = [TheorySimConfig(d=1, sigma=cfg["sigma"], tau=cfg["tau"],
@@ -341,10 +368,12 @@ def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
                for sim in sims]
     path = os.path.join(out_dir, "theory.csv")
     write_theory_csv(path, reports)
-    return {"theory_csv": path}
+    return {"theory_csv": path}, None
 
 
-# Each subcommand, and the modules of _LAZY that it runs.
+# Each subcommand, and the modules of _LAZY that it runs. A subcommand
+# returns its artifacts and its manifest's inputs (None where it reads no
+# dataset).
 _DISPATCH = {
     "train": (_cmd_train, ("nn", "rng", "training")),
     "certify": (_cmd_certify, ("nn", "rng", "smoothing")),
@@ -405,16 +434,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)
-        cfg = apply_schema(raw, SCHEMAS[args.command])
         if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
+            raw["seed"] = str(args.seed)
+        cfg = apply_schema(raw, SCHEMAS[args.command])
         out_dir = args.out or os.environ.get("SMOOTHCERT_OUT", ".")
         os.makedirs(out_dir, exist_ok=True)
         run, modules = _DISPATCH[args.command]
         t0 = time.perf_counter()
         bind(globals(), _LAZY, *modules)
-        artifacts = run(cfg, out_dir)
-        manifest = _write_manifest(out_dir, args.command, cfg, artifacts,
+        artifacts, inputs = run(cfg, out_dir)
+        manifest = _write_manifest(out_dir, args.command, cfg, artifacts, inputs,
                                    time.perf_counter() - t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -189,7 +189,7 @@ TRAIN_SCHEMA = {
     "lr_gamma": Field("float", default=0.1),
     "momentum": Field("float", default=0.9),
     "weight_decay": Field("float", default=1e-4),
-    "seed": Field("int", default=0),
+    "seed": Field("int", default=0, lo=0),
     **_DATASET_SCHEMA,
 }
 
@@ -200,7 +200,7 @@ CERTIFY_SCHEMA = {
     "n": Field("int", default=1000),
     "alpha_cert": Field("float", default=0.001),
     "max_points": Field("int", default=0, lo=0),  # 0 = all points
-    "seed": Field("int", default=0),
+    "seed": Field("int", default=0, lo=0),
     **_DATASET_SCHEMA,
 }
 
@@ -219,7 +219,7 @@ ATTACK_DEMO_SCHEMA = {
     "m": Field("int", default=4, lo=1),
     "epsilon_cap": Field("float", default=0.0),  # 0 disables the cap
     "point_index": Field("int", default=0, lo=0),
-    "seed": Field("int", default=0),
+    "seed": Field("int", default=0, lo=0),
     **_DATASET_SCHEMA,
 }
 
@@ -230,7 +230,7 @@ MIXRATIO_SCHEMA = {
     "pgd_eps": Field("float", default=1.0, positive=True),
     "estimation_m": Field("int", default=1000, lo=1),
     "points": Field("int", default=200, lo=1),
-    "seed": Field("int", default=0),
+    "seed": Field("int", default=0, lo=0),
     **_DATASET_SCHEMA,
 }
 
@@ -243,7 +243,7 @@ THEORY_SIM_SCHEMA = {
     "p": Field("float", default=0.8),
     "dims": Field("int_list", default=(64, 256, 1024, 4096)),
     "trials": Field("int", default=1_000_000),
-    "seed": Field("int", default=0),
+    "seed": Field("int", default=0, lo=0),
 }
 
 SCHEMAS = {

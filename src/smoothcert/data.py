@@ -1,13 +1,12 @@
 """Datasets: a two-moons generator and an IDX-format MNIST loader.
 
-Every Dataset records provenance sufficient to regenerate it bit-exactly:
-generator name and parameters for two-moons, file SHA-256 digests plus
-subsample parameters for files. The IDX loader checks each file's header
-against its size, picks a subsample from the label file, then reads only
-the image rows it keeps, so a subsample costs reads and memory in
-proportion to its size, not to the file's. It hashes nothing while loading:
-a file's digest is computed the first time the provenance record is asked
-for it, and only if the file is unchanged since the load. It holds the kept
+Every Dataset records the parameters that regenerate it in provenance, a
+plain dict: the generator's arguments for two-moons; the file paths, the
+subsample size and its seed for IDX. The IDX loader checks each file's
+header against its size, picks a subsample from the label file, then reads
+only the image rows it keeps, so a subsample costs reads and memory in
+proportion to its size, not to the file's. It hashes nothing: the CLI
+digests the rows and labels a run holds into its manifest. It holds the kept
 images as their uint8 pixel codes, one byte per pixel; Dataset.rows scales
 the rows a caller asks for to [0, 1] as float64 (code / 255). No other
 preprocessing is applied.
@@ -15,10 +14,8 @@ preprocessing is applied.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +75,7 @@ class Dataset:
     labels: np.ndarray
     class_count: int
     split: str
-    provenance: Mapping = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
@@ -161,15 +158,8 @@ def stratified_subsample_indices(labels: np.ndarray, size: int, seed: int) -> np
     return np.sort(np.concatenate(picked))
 
 
-def _signature(fh) -> tuple:
-    """(st_size, st_mtime_ns, st_ino) of an open file: what tells a later
-    digest whether the file is still the one that was read."""
-    stat = os.fstat(fh.fileno())
-    return stat.st_size, stat.st_mtime_ns, stat.st_ino
-
-
 def _read_idx(path, expected_magic: int, count: int = None, rows=None):
-    """Parse an IDX file; returns (dims, uint8 items, the file's stat signature).
+    """Parse an IDX file; returns (dims, uint8 items).
 
     The items are the payload's entries along its first axis, flattened to
     rows of an (n, item size) array. The header is checked against the
@@ -180,8 +170,7 @@ def _read_idx(path, expected_magic: int, count: int = None, rows=None):
     rows.
     """
     with open(path, "rb", buffering=0) as fh:
-        signature = _signature(fh)
-        size = signature[0]
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(4)
         if len(head) < 4:
             raise TruncatedPayload(path, 4, size)
@@ -212,46 +201,7 @@ def _read_idx(path, expected_magic: int, count: int = None, rows=None):
                 view = view[got:]
             if view:
                 raise TruncatedPayload(path, len(head) + n * width, size)
-    return dims, out, signature
-
-
-def _file_sha256(path, signature) -> str:
-    """sha256 of the whole file at path, which must still have the stat
-    signature _read_idx recorded; ValueError if it changed since."""
-    with open(path, "rb") as fh:
-        if _signature(fh) != signature:
-            raise ValueError(f"{path}: changed since it was loaded")
-        digest = hashlib.sha256()
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-class _Provenance(Mapping):
-    """A provenance record whose file digests are computed when first read.
-
-    files maps a digest key to (path, stat signature); reading that key
-    hashes the file once, through _file_sha256.
-    """
-
-    def __init__(self, fields: dict, files: dict):
-        self._fields = {**fields, **dict.fromkeys(files)}
-        self._files = files
-
-    def __getitem__(self, key):
-        if key in self._files:  # kept until a digest succeeds
-            self._fields[key] = _file_sha256(*self._files[key])
-            del self._files[key]
-        return self._fields[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._fields
-
-    def __iter__(self):
-        return iter(self._fields)
-
-    def __len__(self) -> int:
-        return len(self._fields)
+    return dims, out
 
 
 def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 0,
@@ -264,18 +214,13 @@ def load_mnist_idx(images_path, labels_path, subsample: int = None, seed: int = 
     stratified subset of that size is selected per seed from the labels, and
     only the selected image rows are kept.
     """
-    lab_dims, labels, lab_sig = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    lab_dims, labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
     y = labels.reshape(-1).astype(np.int64)
     idx = None if subsample is None else stratified_subsample_indices(y, subsample, seed)
-    _, pixels, img_sig = _read_idx(images_path, IDX_IMAGES_MAGIC, lab_dims[0], idx)
-    prov = _Provenance({
-        "kind": "mnist",
-        "images_path": str(images_path),
-        "labels_path": str(labels_path),
-        "subsample": None if subsample is None else int(subsample),
-        "seed": int(seed),
-        "split": split,
-    }, {"images_sha256": (images_path, img_sig),
-        "labels_sha256": (labels_path, lab_sig)})
+    _, pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, lab_dims[0], idx)
+    prov = {"kind": "mnist", "images_path": str(images_path),
+            "labels_path": str(labels_path),
+            "subsample": None if subsample is None else int(subsample),
+            "seed": int(seed), "split": split}
     return Dataset(inputs=pixels, labels=y if idx is None else y[idx],
                    class_count=10, split=split, provenance=prov)

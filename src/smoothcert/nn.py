@@ -388,7 +388,9 @@ def _read_checkpoint_header(line: bytes) -> dict:
 def load_checkpoint(path) -> tuple:
     """Load a format-2 checkpoint; returns (ModelParams, metadata dict).
 
-    The arrays are fresh, writeable, C-contiguous float64 copies.
+    The metadata holds the header's init and activation, and sha256, the
+    payload digest the loaded bytes were checked against. The arrays are
+    fresh, writeable, C-contiguous float64 copies.
     """
     with open(path, "rb") as fh:
         header = _read_checkpoint_header(fh.readline())
@@ -411,5 +413,6 @@ def load_checkpoint(path) -> tuple:
                       .reshape(shape).astype(np.float64))
         offset += 8 * count
     params = ModelParams(arrays[0::2], arrays[1::2])
-    meta = {"init": header["init"], "activation": header["activation"]}
+    meta = {"init": header["init"], "activation": header["activation"],
+            "sha256": header["sha256"]}
     return params, meta

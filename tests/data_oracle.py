@@ -1,7 +1,7 @@
 """Dataset regeneration from a provenance record, which only tests use.
 
 Every Dataset records what made it: the two-moons generator's arguments, or
-the IDX files' paths and digests with the subsample. Rebuilding a dataset
+the IDX files' paths with the subsample size and seed. Rebuilding a dataset
 from that record and comparing it with the original checks the record.
 """
 

@@ -15,13 +15,13 @@ import contextlib
 import io
 import math
 import os
-import struct
 import time
 
 import numpy as np
 import pytest
 
 from data_oracle import from_provenance
+from idx_files import write_idx_pair
 from nn_oracle import (
     cross_entropy,
     forward,
@@ -32,12 +32,7 @@ from nn_oracle import (
 )
 from smoothcert.adversary import AttackConfig, ascend
 from smoothcert.cli import main
-from smoothcert.data import (
-    IDX_IMAGES_MAGIC,
-    IDX_LABELS_MAGIC,
-    gen_two_moons,
-    load_mnist_idx,
-)
+from smoothcert.data import gen_two_moons, load_mnist_idx
 from smoothcert.evaluation import (
     CertifiedResultSet,
     acr,
@@ -468,12 +463,9 @@ def test_criterion_9_invariant_suite(tmp_path):
     assert np.all(np.diff(curve) <= 1e-15)
 
     # IDX round-trip through provenance
-    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     imgs = rng.integers(0, 256, size=(12, 2, 2), dtype=np.uint8)
     labs = rng.integers(0, 10, size=12, dtype=np.uint8)
-    ip.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 12, 2, 2)
-                   + imgs.tobytes())
-    lp.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 12) + labs.tobytes())
+    ip, lp = write_idx_pair(tmp_path / "i.idx", tmp_path / "l.idx", imgs, labs)
     ds = load_mnist_idx(ip, lp, subsample=6, seed=1)
     again = from_provenance(ds.provenance)
     np.testing.assert_array_equal(ds.inputs, again.inputs)

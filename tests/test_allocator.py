@@ -18,7 +18,6 @@ import ctypes
 import json
 import os
 import platform
-import struct
 import subprocess
 import sys
 import types
@@ -26,9 +25,9 @@ import types
 import numpy as np
 import pytest
 
+from idx_files import write_idx
 from smoothcert import cli
 from smoothcert.cli import main
-from smoothcert.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from smoothcert.nn import init_mlp, save_checkpoint
 from smoothcert.rng import StreamId
 
@@ -117,12 +116,8 @@ def _write_idx_pair(d, n, one_class=False):
     block = np.random.default_rng(8).integers(0, 256, (min(n, 1000), 28, 28),
                                               dtype=np.uint8)
     images, labels = d / f"images-{n}.idx", d / f"labels-{n}.idx"
-    with open(images, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, 28, 28))
-        for _ in range(n // len(block)):
-            fh.write(block.tobytes())
-    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, n)
-                       + (np.arange(n) % (1 if one_class else 10)).astype(np.uint8).tobytes())
+    write_idx(images, block, repeat=n // len(block))
+    write_idx(labels, np.arange(n) % (1 if one_class else 10))
     return images, labels
 
 

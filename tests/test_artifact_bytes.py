@@ -38,6 +38,9 @@ CERTIFY_CSV = (
 
 DATA_KEYS = "dataset.kind = two_moons\ndataset.n = 3\n"
 
+# the payload digest a loaded checkpoint's header holds
+CHECKPOINT_SHA256 = "0123456789abcdef" * 4
+
 
 @pytest.fixture
 def run(tmp_path, monkeypatch):
@@ -46,7 +49,8 @@ def run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(
         perf_counter=lambda: 0.125 * next(ticks)))
     monkeypatch.setattr(cli, "build_dataset", lambda cfg, split: DATASET)
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: (None, {}))
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path: (None, {"sha256": CHECKPOINT_SHA256}))
 
     def _run(command, text, name="out"):
         cfg = tmp_path / f"{name}.cfg"
@@ -100,6 +104,11 @@ def test_certify_manifest_bytes(run, monkeypatch):
     "sigma": 0.5
   },
   "format": "smoothcert.manifest",
+  "inputs": {
+    "checkpoint_sha256": "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+    "labels_sha256": "f95f8eadc54fa71e640a67ff7e86733158e44683c7f77996ea3a0008397167ac",
+    "rows_sha256": "c5a2eb07911470385bcc613ecfc195a3caefa532ba585ecc8d9115b426c68e5b"
+  },
   "run_id": "54170b14c78f612a",
   "timings": {
     "peak_rss_mib": P,

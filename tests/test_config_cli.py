@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 import threading
@@ -13,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from idx_files import write_idx_pair, write_mnist_shape_pair
 import smoothcert.cli as cli
 import smoothcert.smoothing as smoothing
 import smoothcert.training as training
@@ -31,7 +31,7 @@ from smoothcert.config import (
     load_config,
     parse_config_text,
 )
-from smoothcert.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from smoothcert.data import gen_two_moons, stratified_subsample_indices
 from smoothcert.nn import init_mlp, load_checkpoint, save_checkpoint
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import certify
@@ -340,20 +340,26 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
     # without model_ids, both files are named by their stem, certify
     ("evaluate", "cert_csv = a/certify.csv, b/certify.csv\nradii = 0.5\nsigma = 0.5\n",
      "model ids repeat (certify); give each cert_csv its own name in model_ids"),
-    # a negative seed is refused before the dataset or the checkpoint is read
+    # a negative seed, from the config or from --seed, is refused by the
+    # schema, before the dataset or the checkpoint is read
     ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n"
-     "seed = -1\n" + ABSENT_IDX, "seed must be nonnegative"),
+     "seed = -1\n" + ABSENT_IDX, "key 'seed': must be >= 0, got -1"),
     ("certify", "checkpoint = absent.json\nsigma = 0.5\nseed = -1\n" + ABSENT_IDX,
-     "seed must be nonnegative"),
+     "key 'seed': must be >= 0, got -1"),
     ("certify --seed -5", "checkpoint = absent.json\nsigma = 0.5\n" + ABSENT_IDX,
-     "seed must be nonnegative"),
-    ("attack-demo", ATTACK_CFG + "seed = -1\n", "seed must be nonnegative"),
+     "key 'seed': must be >= 0, got -5"),
+    ("attack-demo", ATTACK_CFG + "seed = -1\n", "key 'seed': must be >= 0, got -1"),
     ("mixratio", MIXRATIO_CFG + "dataset.seed = -2\n", "key 'dataset.seed'"),
-    ("theory-sim", "seed = -1\n", "seed must be nonnegative"),
+    ("theory-sim", "seed = -1\n", "key 'seed': must be >= 0, got -1"),
     # a milestone at epoch 0 or below only rescales lr
     ("train", "method = gaussian\nsigma = 0.5\nepochs = 1\nbatch_size = 1\nlr = 0.1\n"
      "lr_milestones = -5, 1\n" + ABSENT_IDX, "lr_milestones must be strictly increasing and >= 1"),
     ("attack-demo", ATTACK_CFG + "point_index = -1\n", "key 'point_index'"),
+    # metrics.csv is ASCII: an id it cannot hold is refused before any read
+    ("evaluate", "cert_csv = absent.csv\nmodel_ids = mod\u00e8le\nradii = 0.5\n"
+     "sigma = 0.5\n", "key 'model_ids': model id 'mod\\xe8le' is not ASCII"),
+    ("evaluate", "cert_csv = caf\u00e9.csv\nradii = 0.5\nsigma = 0.5\n",
+     "key 'cert_csv': model id 'caf\\xe9' is not ASCII"),
 ], ids=["train", "certify", "attack-demo", "theory-sim-tau", "theory-sim-dims",
         "theory-sim-empty-dims", "train-eta", "train-subsample",
         "certify-subsample", "attack-demo-sigma", "attack-demo-m",
@@ -369,16 +375,18 @@ ABSENT_MNIST = ABSENT_IDX + "dataset.subsample = -3\n"
         "train-negative-seed", "certify-negative-seed", "certify-negative-seed-flag",
         "attack-demo-negative-seed", "mixratio-negative-dataset-seed",
         "theory-sim-negative-seed", "train-negative-milestone",
-        "attack-demo-negative-point-index"])
+        "attack-demo-negative-point-index", "evaluate-non-ascii-model-id",
+        "evaluate-non-ascii-file-stem"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, command, text, message):
     # a value the config checks reject is a config error, reported before
-    # any checkpoint, dataset or certification CSV is read; command may
-    # carry flags after the subcommand
+    # any checkpoint, dataset or certification CSV is read and before any
+    # artifact is written; command may carry flags after the subcommand
     cfg = _write(tmp_path / "bad.cfg", text)
     command, *flags = command.split()
     assert main([command, "--config", cfg, "--out", str(tmp_path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
 # A valid config of each subcommand, every input path absent; a subcommand
@@ -429,7 +437,9 @@ def test_schema_bounds_are_declared_where_the_contract_says():
     bounds = {(command, key, bound) for command, _, key, bound, _, _ in BOUND_CASES}
     dataset = {(command, key, "lo") for command in ("train", "certify", "attack-demo", "mixratio")
                for key in ("dataset.seed", "dataset.noise_std", "dataset.subsample")}
-    assert bounds == dataset | {
+    seed = {(command, "seed", "lo") for command in ("train", "certify", "attack-demo",
+                                                    "mixratio", "theory-sim")}
+    assert bounds == dataset | seed | {
         ("certify", "max_points", "lo"),
         ("attack-demo", "sigma", "positive"), ("attack-demo", "m", "lo"),
         ("attack-demo", "point_index", "lo"),
@@ -529,8 +539,8 @@ def test_overflowing_checkpoint_exits_3_and_writes_nothing(tmp_path, capsys, ove
 def test_empty_idx_dataset_exits_3_and_writes_nothing(tmp_path, capsys, trained,
                                                       command, keys):
     # as train does: a header-only CSV would only fail later, in evaluate
-    (tmp_path / "images.idx").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 2, 1))
-    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+    write_idx_pair(tmp_path / "images.idx", tmp_path / "labels.idx",
+                   np.zeros((0, 2, 1)), [])
     cfg = _write(tmp_path / "c.cfg", f"checkpoint = {trained / 'checkpoint.json'}\n"
                  f"sigma = 0.5\n{keys}\ndataset.kind = mnist\n"
                  f"dataset.images = {tmp_path / 'images.idx'}\n"
@@ -555,6 +565,11 @@ def test_train_writes_artifacts_and_manifest(trained):
     for p in man["artifacts"].values():
         assert os.path.exists(p)
     assert man["timings"]["total_seconds"] >= 0
+    # train loads no checkpoint; its rows are the two-moons float64 features
+    ds = gen_two_moons(20, 0.1, 1)
+    assert man["inputs"] == {
+        "rows_sha256": hashlib.sha256(ds.inputs.astype("<f8").tobytes()).hexdigest(),
+        "labels_sha256": hashlib.sha256(ds.labels.astype("<i8").tobytes()).hexdigest()}
     log = _read_rows(trained / "train_log.csv")
     assert log[0][0] == "epoch" and len(log) == 3  # header + 2 epochs
 
@@ -627,10 +642,7 @@ def test_certify_factors_w1_once_per_run(tmp_path, monkeypatch):
     # d = 16 > h1 = 4: every point draws through the QR factor of W1, and
     # the run forms it once, not once per point
     images = np.random.default_rng(3).integers(0, 256, (5, 4, 4), dtype=np.uint8)
-    (tmp_path / "images.idx").write_bytes(
-        struct.pack(">IIII", IDX_IMAGES_MAGIC, 5, 4, 4) + images.tobytes())
-    (tmp_path / "labels.idx").write_bytes(
-        struct.pack(">II", IDX_LABELS_MAGIC, 5) + bytes([0, 1, 2, 3, 4]))
+    write_idx_pair(tmp_path / "images.idx", tmp_path / "labels.idx", images, range(5))
     save_checkpoint(str(tmp_path / "checkpoint.json"), init_mlp([16, 4, 10], StreamId(6)))
     cfg = _write(tmp_path / "c.cfg", f"""checkpoint = {tmp_path / 'checkpoint.json'}
 sigma = 0.5
@@ -651,6 +663,57 @@ dataset.labels = {tmp_path / 'labels.idx'}
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(_read_rows(tmp_path / "o" / "certify.csv")) == 6  # header + 5 points
     assert shapes == [(16, 4)]
+
+
+def _flip_byte(path, offset):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 1]))
+
+
+def test_manifest_inputs_digest_the_rows_the_run_keeps(tmp_path):
+    # certify keeps 10 of 20 IDX images: one byte of a kept row changes the
+    # manifest's rows_sha256, one byte of a dropped row no manifest byte
+    # outside timings, and checkpoint_sha256 is the loaded header's sha256
+    images = np.random.default_rng(4).integers(0, 256, (20, 4, 4), dtype=np.uint8)
+    labels = np.arange(20) % 10
+    ip, lp = write_idx_pair(tmp_path / "images.idx", tmp_path / "labels.idx", images, labels)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(str(ckpt), init_mlp([16, 4, 10], StreamId(6)))
+    cfg = _write(tmp_path / "c.cfg", f"""checkpoint = {ckpt}
+sigma = 0.5
+n0 = 20
+n = 50
+seed = 4
+dataset.kind = mnist
+dataset.images = {ip}
+dataset.labels = {lp}
+dataset.subsample = 10
+dataset.seed = 3
+""")
+    kept = stratified_subsample_indices(labels, 10, 3)
+    dropped = np.setdiff1d(np.arange(20), kept)
+
+    def manifest():
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="ascii"))
+        del man["timings"]
+        return man
+
+    before = manifest()
+    assert before["inputs"] == {
+        "rows_sha256": hashlib.sha256(images.reshape(20, 16)[kept].tobytes()).hexdigest(),
+        "labels_sha256": hashlib.sha256(labels[kept].astype("<i8").tobytes()).hexdigest(),
+        "checkpoint_sha256": json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["sha256"]}
+    _flip_byte(ip, 16 + 16 * int(dropped[0]) + 5)  # a 16-byte header, 16-byte rows
+    assert manifest() == before
+    _flip_byte(ip, 16 + 16 * int(kept[0]) + 5)
+    after = manifest()
+    assert after["inputs"]["rows_sha256"] != before["inputs"]["rows_sha256"]
+    after["inputs"]["rows_sha256"] = before["inputs"]["rows_sha256"]
+    assert after == before
 
 
 @pytest.mark.parametrize("command,text,artifact", [
@@ -716,6 +779,7 @@ sigma = 0.5
     assert rows[0] == ["model", "points", "acr", "cert_acc@0", "cert_acc@0.25",
                        "cert_acc@0.5"]
     assert rows[1][0] == "certify" and rows[1][1] == "6"
+    assert "inputs" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_evaluate_model_ids_length_mismatch_exits_2(tmp_path):
@@ -819,6 +883,7 @@ seed = 1
     assert [r[0] for r in rows[1:]] == ["gaussian", "gaussian",
                                         "uniform_pm", "uniform_pm"]
     assert [r[1] for r in rows[1:]] == ["32", "64", "32", "64"]
+    assert "inputs" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_out_dir_env_fallback(tmp_path, trained, monkeypatch):
@@ -831,13 +896,34 @@ def test_out_dir_env_fallback(tmp_path, trained, monkeypatch):
     assert (env_out / "certify.csv").exists()
 
 
+def _check_train_across_blas_threads(tmp_path, cfg, atol):
+    """Run `train` on cfg in subprocesses at 1, 2 and 2 BLAS threads: the two
+    runs at 2 threads give equal checkpoint bytes, and the weights at 1 and 2
+    threads agree within atol. Returns the 1-thread model. The variable only
+    takes effect before numpy loads, hence the subprocesses."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    checkpoints = []
+    for run, threads in enumerate(("1", "2", "2")):
+        out = tmp_path / f"run{run}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        checkpoints.append(out / "checkpoint.json")
+    assert checkpoints[1].read_bytes() == checkpoints[2].read_bytes()
+    one, two = (load_checkpoint(c)[0] for c in checkpoints[:2])
+    for a, b in zip(one.weights + one.biases, two.weights + two.biases):
+        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+    return one
+
+
 def test_train_bytes_fixed_for_a_blas_thread_count(tmp_path):
     # The README's determinism contract holds for one BLAS build and thread
     # count. The pinned behaviour at two-moons shape: a 1-epoch SmoothMix run
     # repeats byte for byte on 2 OpenBLAS threads, while 1 and 2 threads may
     # round some products differently (OpenBLAS 0.3.31 does, by a few ulp of
-    # the weights). The variable only takes effect before numpy loads, hence
-    # the subprocesses.
+    # the weights).
     cfg = _write(tmp_path / "train.cfg", """
 method = smoothmix
 sigma = 0.5
@@ -854,20 +940,35 @@ dataset.n = 400
 dataset.noise_std = 0.1
 dataset.seed = 1
 """)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    checkpoints = []
-    for run, threads in enumerate(("1", "2", "2")):
-        out = tmp_path / f"run{run}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=path)
-        subprocess.run([sys.executable, "-m", "smoothcert.cli", "train", "--config", cfg,
-                        "--out", str(out)], env=env, check=True, capture_output=True)
-        checkpoints.append(out / "checkpoint.json")
-    assert checkpoints[1].read_bytes() == checkpoints[2].read_bytes()
-    one, two = (load_checkpoint(c)[0] for c in checkpoints[:2])
-    for a, b in zip(one.weights + one.biases, two.weights + two.biases):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    _check_train_across_blas_threads(tmp_path, cfg, atol=1e-12)
+
+
+def test_train_bytes_fixed_for_a_blas_thread_count_at_mnist_shape(tmp_path):
+    # The same contract at 784-256-256-10, where OpenBLAS splits the
+    # minibatch products across its threads: a 1-epoch SmoothMix run on 200
+    # of 400 synthetic IDX images repeats byte for byte on 2 threads, and 1
+    # and 2 threads differ by at most 8.3e-17 in any weight (OpenBLAS
+    # 0.3.31, seeds 8-11; the largest weight is about 0.4)
+    ip, lp = write_mnist_shape_pair(tmp_path, 400)
+    cfg = _write(tmp_path / "train.cfg", f"""
+method = smoothmix
+sigma = 0.5
+m = 4
+eta = 5.0
+alpha_step = 1.0
+attack_steps = 2
+epochs = 1
+batch_size = 100
+lr = 0.05
+seed = 8
+dataset.kind = mnist
+dataset.images = {ip}
+dataset.labels = {lp}
+dataset.subsample = 200
+dataset.seed = 1
+""")
+    model = _check_train_across_blas_threads(tmp_path, cfg, atol=1e-15)
+    assert [W.shape for W in model.weights] == [(784, 256), (256, 256), (256, 10)]
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

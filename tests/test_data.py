@@ -1,6 +1,4 @@
-import hashlib
 import os
-import re
 import struct
 import tracemalloc
 
@@ -8,6 +6,7 @@ import numpy as np
 import pytest
 
 from data_oracle import from_provenance
+from idx_files import write_idx, write_idx_pair, write_mnist_shape_pair
 from smoothcert import data
 from smoothcert.cli import main
 from smoothcert.data import (
@@ -26,24 +25,8 @@ from smoothcert.nn import init_mlp, save_checkpoint
 from smoothcert.rng import StreamId
 
 
-def _write_idx_images(path, arrays):
-    arrays = np.asarray(arrays, dtype=np.uint8)
-    n, h, w = arrays.shape
-    path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w)
-                     + arrays.tobytes())
-
-
-def _write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels))
-                     + labels.tobytes())
-
-
 def _fixture_pair(tmp_path, images, labels):
-    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
-    _write_idx_images(ip, images)
-    _write_idx_labels(lp, labels)
-    return ip, lp
+    return write_idx_pair(tmp_path / "imgs.idx", tmp_path / "labs.idx", images, labels)
 
 
 # ---------------------------------------------------------------- two moons
@@ -138,7 +121,7 @@ def test_idx_truncated_payload(tmp_path):
     # header promises 2 x 2 x 2 = 8 payload bytes, provide 5
     path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2, 2, 2) + b"\x00" * 5)
     lp = tmp_path / "labs.idx"
-    _write_idx_labels(lp, [0, 1])
+    write_idx(lp, [0, 1])
     with pytest.raises(TruncatedPayload) as err:
         load_mnist_idx(path, lp)
     assert err.value.expected == 16 + 8 and err.value.actual == 16 + 5
@@ -153,9 +136,9 @@ def test_idx_truncated_header(tmp_path):
 
 def test_idx_count_mismatch(tmp_path):
     ip = tmp_path / "imgs.idx"
-    _write_idx_images(ip, np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx(ip, np.zeros((2, 2, 2), dtype=np.uint8))
     lp = tmp_path / "labs.idx"
-    _write_idx_labels(lp, [0, 1, 2])
+    write_idx(lp, [0, 1, 2])
     with pytest.raises(CountMismatch) as err:
         load_mnist_idx(ip, lp)
     assert err.value.n_images == 2 and err.value.n_labels == 3
@@ -191,7 +174,7 @@ def test_idx_kept_rows_match_the_full_load(tmp_path, rows):
     # pair, a run from the start and no rows all give the full load's rows
     imgs = np.random.default_rng(2).integers(0, 256, (60, 4, 3), dtype=np.uint8)
     ip, lp = _fixture_pair(tmp_path, imgs, np.arange(60) % 10)
-    dims, kept, _ = data._read_idx(ip, IDX_IMAGES_MAGIC, 60, rows)
+    dims, kept = data._read_idx(ip, IDX_IMAGES_MAGIC, 60, rows)
     full = load_mnist_idx(ip, lp).inputs
     assert dims == (60, 4, 3) and kept.shape == (len(rows), 12)
     np.testing.assert_array_equal(kept, full[rows])
@@ -240,11 +223,7 @@ def test_idx_subsample_reads_only_the_header_and_kept_rows(tmp_path, monkeypatch
     monkeypatch.setattr(
         data, "open", lambda path, *args, **kwargs: _RecordingFile(
             open(path, *args, **kwargs), ranges[str(path)]), raising=False)
-    hashed = []
-    sha256 = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashed.append(a) or sha256(*a))
     ds = load_mnist_idx(ip, lp, subsample=37, seed=8)
-    assert hashed == []
     kept = stratified_subsample_indices(np.arange(n) % 10, 37, 8)
     want = np.zeros(header + n * width, dtype=np.int64)
     want[:header] = 1
@@ -253,37 +232,15 @@ def test_idx_subsample_reads_only_the_header_and_kept_rows(tmp_path, monkeypatch
     np.testing.assert_array_equal(_bytes_read(ip, ranges[str(ip)]), want)
     np.testing.assert_array_equal(_bytes_read(lp, ranges[str(lp)]), 1)
     np.testing.assert_array_equal(ds.inputs, imgs.reshape(n, width)[kept])
-    # the digest reads and hashes the whole file once, when first asked for
-    ranges[str(ip)].clear()
-    for _ in range(2):
-        assert ds.provenance["images_sha256"] == sha256(ip.read_bytes()).hexdigest()
-    assert len(hashed) == 1
-    np.testing.assert_array_equal(_bytes_read(ip, ranges[str(ip)]), 1)
 
 
-@pytest.mark.parametrize("rewrite", ["in-place", "replaced"])
-def test_idx_digest_of_a_changed_file_raises(tmp_path, rewrite):
-    imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
-    ip, lp = _fixture_pair(tmp_path, imgs, [1, 2])
-    ds = load_mnist_idx(ip, lp)
-    if rewrite == "in-place":  # same inode, another size
-        _write_idx_images(ip, np.zeros((3, 3, 4), dtype=np.uint8))
-    else:  # a new file of the same size moved over the old one
-        _write_idx_images(tmp_path / "new.idx", imgs[::-1])
-        os.replace(tmp_path / "new.idx", ip)
-    for _ in range(2):  # a failed digest is not cached
-        with pytest.raises(ValueError, match=re.escape(str(ip))):
-            ds.provenance["images_sha256"]
-    assert ds.provenance["labels_sha256"] == hashlib.sha256(lp.read_bytes()).hexdigest()
-
-
-def test_idx_digest_covers_trailing_bytes(tmp_path):
+def test_idx_trailing_bytes_are_not_read(tmp_path):
+    # the header sets the payload's size; bytes after it are not rows
     imgs = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
     ip, lp = _fixture_pair(tmp_path, imgs, [1, 2])
     with open(ip, "ab") as fh:
         fh.write(b"trailing")
     ds = load_mnist_idx(ip, lp, subsample=2)
-    assert ds.provenance["images_sha256"] == hashlib.sha256(ip.read_bytes()).hexdigest()
     np.testing.assert_array_equal(ds.rows([0, 1]), imgs.reshape(2, 12) / 255.0)
 
 
@@ -346,10 +303,9 @@ def test_provenance_round_trip_mnist(tmp_path):
     imgs = np.arange(80, dtype=np.uint8).reshape(20, 2, 2)
     ip, lp = _fixture_pair(tmp_path, imgs, [0] * 10 + [1] * 10)
     ds = load_mnist_idx(ip, lp, subsample=8, seed=2)
-    assert ds.provenance["images_sha256"] == hashlib.sha256(
-        ip.read_bytes()).hexdigest()
-    assert ds.provenance["labels_sha256"] == hashlib.sha256(
-        lp.read_bytes()).hexdigest()
+    assert ds.provenance == {"kind": "mnist", "images_path": str(ip),
+                             "labels_path": str(lp), "subsample": 8, "seed": 2,
+                             "split": "train"}
     again = from_provenance(ds.provenance)
     np.testing.assert_array_equal(ds.inputs, again.inputs)
     np.testing.assert_array_equal(ds.labels, again.labels)
@@ -378,17 +334,6 @@ def test_dataset_validation():
 # ---------------------------------------------------------------- CLI memory at MNIST shape
 
 
-def _mnist_shape_fixture(tmp_path, n):
-    """n 28x28 images in 10 balanced classes: a fixed pattern per class
-    under pixel jitter, written as an IDX pair."""
-    rng = np.random.default_rng(3)
-    labels = np.arange(n) % 10
-    protos = rng.integers(0, 256, (10, 28, 28))
-    jitter = rng.integers(-40, 41, (n, 28, 28))
-    imgs = np.clip(protos[labels] + jitter, 0, 255).astype(np.uint8)
-    return _fixture_pair(tmp_path, imgs, labels)
-
-
 def _cli_peak(tmp_path, name, command, text):
     """Run one CLI subcommand in-process; return its tracemalloc peak."""
     cfg = tmp_path / f"{name}.cfg"
@@ -408,7 +353,7 @@ def test_cli_peaks_bounded_at_mnist_shape(tmp_path):
     # (a float64 copy of every image would be 36 MiB), CERTIFY holds at most
     # COUNT_CHUNK noisy rows however large n is (10,000 rows at once would be
     # 60 MiB of noise), and evaluate reads CSV rows only.
-    ip, lp = _mnist_shape_fixture(tmp_path, 6000)
+    ip, lp = write_mnist_shape_pair(tmp_path, 6000)
     data = (f"dataset.kind = mnist\ndataset.images = {ip}\n"
             f"dataset.labels = {lp}\ndataset.seed = 2\n")
     train_peak = _cli_peak(tmp_path, "train", "train", data + """
@@ -452,7 +397,7 @@ def test_certify_peak_does_not_grow_with_cpu_count(tmp_path, monkeypatch):
     # would hold 45 MiB
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
-    ip, lp = _mnist_shape_fixture(tmp_path, 200)
+    ip, lp = write_mnist_shape_pair(tmp_path, 200)
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(ckpt, init_mlp((784, 256, 256, 10), StreamId(1)))
     peak = _cli_peak(tmp_path, "certify", "certify", f"""
