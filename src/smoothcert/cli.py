@@ -9,11 +9,11 @@ reads a dataset, digests of its inputs. This module is
 the one that knows the artifact formats: every CSV goes through _write_csv,
 and certify.csv is read back here. All randomness fans out from the master
 seed through named substreams, so the pair (config, seed) determines every
-artifact byte-for-byte except the wall-clock `seconds` fields and the
-manifest timings, whatever the CPU count. rng.map_streams runs mixratio
-points, certify points at n > smoothing.POOL_MIN_DRAWS and uniform_pm and
-rademacher theory stages on one thread per CPU (at most two), each on its
-own substream; gaussian stages and smaller certify points run one at a time.
+artifact byte-for-byte except the manifest's timings, whatever the CPU count.
+rng.map_streams runs mixratio points, certify points at n >
+smoothing.POOL_MIN_DRAWS and uniform_pm and rademacher theory stages on one
+thread per CPU (at most two), each on its own substream; gaussian stages and
+smaller certify points run one at a time.
 
 main first sets the process policy: glibc's allocator settings
 (_set_allocator_policy) and CPython's built-in SHA-256 (_set_hash_policy).
@@ -41,7 +41,6 @@ from .config import (
     build_dataset,
     build_smoothing_config,
     build_train_configs,
-    check_dataset,
     load_config,
 )
 from .evaluation import (
@@ -95,7 +94,7 @@ MALLOC_ARENA_MAX = 1
 
 PROC_STATUS = "/proc/self/status"  # where _peak_rss_mib reads VmHWM (Linux)
 CERT_CSV_COLUMNS = ["idx", "label", "predicted", "radius", "p_lower",
-                    "correct", "abstain", "seconds"]
+                    "correct", "abstain"]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -107,8 +106,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_certification_csv(path, rows) -> None:
-    """certify.csv from the rows _cmd_certify formats. The seconds column is
-    measured wall time, the one non-reproducible field in this file."""
+    """certify.csv from the rows _cmd_certify formats; each point's wall time
+    goes to the manifest's timings, so this file is reproducible."""
     _write_csv(path, CERT_CSV_COLUMNS, rows)
 
 
@@ -123,10 +122,11 @@ def read_certification_csv(path, sigma: float) -> CertifiedResultSet:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CERT_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected certification CSV header: {header}")
+            raise ValueError(f"{path}: certification CSV header is {header}, "
+                             f"expected {CERT_CSV_COLUMNS}")
         for row in filter(None, reader):
             try:
-                _, label, predicted, radius, p_lower, correct, abstain, _ = row
+                _, label, predicted, radius, p_lower, correct, abstain = row
                 label, predicted, correct, abstain = map(int, (label, predicted,
                                                                correct, abstain))
                 if not {correct, abstain} <= {0, 1}:
@@ -206,19 +206,20 @@ def _input_digests(ds, meta=None) -> dict:
     return inputs
 
 
-def _write_manifest(out_dir: str, command: str, cfg: dict, artifacts: dict,
-                    inputs, seconds: float) -> str:
+def _write_manifest(out_dir: str, command: str, cfg: dict, fields: dict,
+                    seconds: float) -> str:
     """manifest.json; its run_id hashes the command, config and version.
-    inputs, from _input_digests, is left out when None."""
+    fields, from the subcommand, holds its artifacts and, where it has them,
+    its inputs and its timings, which gain the run's total and peak."""
     config = {k: list(v) if isinstance(v, tuple) else v
               for k, v in sorted(cfg.items())}
     run = {"command": command, "config": config, "version": __version__}
     import hashlib  # here, after main's hash policy
     run_id = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:16]
-    obj = dict(run, format="smoothcert.manifest", run_id=run_id, artifacts=artifacts,
-               timings={"total_seconds": round(seconds, 4), "peak_rss_mib": _peak_rss_mib()})
-    if inputs is not None:
-        obj["inputs"] = inputs
+    timings = dict(fields.get("timings", {}), total_seconds=round(seconds, 4),
+                   peak_rss_mib=_peak_rss_mib())
+    obj = {**run, **fields, "format": "smoothcert.manifest", "run_id": run_id,
+           "timings": timings}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -235,7 +236,7 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _cmd_train(cfg: dict, out_dir: str) -> tuple:
+def _cmd_train(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         run_cfg, method_cfg = build_train_configs(cfg)
     ds = build_dataset(cfg, "train")
@@ -244,21 +245,22 @@ def _cmd_train(cfg: dict, out_dir: str) -> tuple:
     save_checkpoint(ckpt, params,
                     init_stream=StreamId(run_cfg.seed).child("init"))
     log_path = os.path.join(out_dir, "train_log.csv")
-    _write_csv(log_path, ["epoch", "loss_nat", "loss_mix", "lr", "seconds"],
+    _write_csv(log_path, ["epoch", "loss_nat", "loss_mix", "lr"],
                [[r["epoch"], f"{r['loss_nat']:.12g}", f"{r['loss_mix']:.12g}",
-                 f"{r['lr']:.12g}", f"{r['seconds']:.4f}"] for r in log_rows])
-    return {"checkpoint": ckpt, "train_log": log_path}, _input_digests(ds)
+                 f"{r['lr']:.12g}"] for r in log_rows])
+    return {"artifacts": {"checkpoint": ckpt, "train_log": log_path},
+            "inputs": _input_digests(ds),
+            "timings": {"epoch_seconds": [round(r["seconds"], 4) for r in log_rows]}}
 
 
-def _cmd_certify(cfg: dict, out_dir: str) -> tuple:
+def _cmd_certify(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         scfg = build_smoothing_config(cfg)
-        check_dataset(cfg)
-        root = StreamId(cfg["seed"])
-    params, meta = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     if not len(ds):
         raise ValueError("dataset is empty")
+    params, meta = load_checkpoint(cfg["checkpoint"])
+    root = StreamId(cfg["seed"])
     count = min(cfg["max_points"] or len(ds), len(ds))
     R = noise_factor(params)
 
@@ -270,15 +272,17 @@ def _cmd_certify(cfg: dict, out_dir: str) -> tuple:
         return [i, label, outcome.predicted_class, f"{outcome.radius:.6f}",
                 f"{outcome.p_lower:.12g}",
                 int(outcome.certified and outcome.predicted_class == label),
-                int(not outcome.certified), f"{seconds:.4f}"]
+                int(not outcome.certified)], round(seconds, 4)
 
-    rows = map_streams(certify_one, range(count), pooled=scfg.n > POOL_MIN_DRAWS)
+    rows, point_seconds = zip(*map_streams(certify_one, range(count),
+                                           pooled=scfg.n > POOL_MIN_DRAWS))
     path = os.path.join(out_dir, "certify.csv")
     write_certification_csv(path, rows)
-    return {"certify_csv": path}, _input_digests(ds, meta)
+    return {"artifacts": {"certify_csv": path}, "inputs": _input_digests(ds, meta),
+            "timings": {"point_seconds": list(point_seconds)}}
 
 
-def _cmd_evaluate(cfg: dict, out_dir: str) -> tuple:
+def _cmd_evaluate(cfg: dict, out_dir: str) -> dict:
     paths, ids, radii = cfg["cert_csv"], cfg["model_ids"], cfg["radii"]
     if ids and len(ids) != len(paths):
         raise ConfigError("model_ids must match cert_csv in length")
@@ -299,22 +303,21 @@ def _cmd_evaluate(cfg: dict, out_dir: str) -> tuple:
                      for model_id, p in zip(ids, paths)]
     path = os.path.join(out_dir, "metrics.csv")
     write_metrics_csv(path, model_results, radii)
-    return {"metrics_csv": path}, None
+    return {"artifacts": {"metrics_csv": path}}
 
 
-def _cmd_attack_demo(cfg: dict, out_dir: str) -> tuple:
+def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     import numpy as np
 
     with _config_values():
         acfg = AttackConfig(alpha_step=cfg["alpha_step"], steps=cfg["steps"],
                             epsilon_cap=cfg["epsilon_cap"] or None)
-        check_dataset(cfg)
-        root = StreamId(cfg["seed"])
-    params, meta = load_checkpoint(cfg["checkpoint"])
     ds = build_dataset(cfg, "test")
     i = cfg["point_index"]
     if i >= len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
+    params, meta = load_checkpoint(cfg["checkpoint"])
+    root = StreamId(cfg["seed"])
     x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
     noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],
                                                    root.child("attack", i, "noise"))[None])
@@ -328,17 +331,15 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> tuple:
                [[s, f"{float(np.linalg.norm(points[s][0] - x[0])):.8g}",
                  f"{j_path[s]:.8g}", f"{fhat_path[s, y[0]]:.8g}"]
                 for s in range(len(points))])
-    return {"trajectory_csv": path}, _input_digests(ds, meta)
+    return {"artifacts": {"trajectory_csv": path}, "inputs": _input_digests(ds, meta)}
 
 
-def _cmd_mixratio(cfg: dict, out_dir: str) -> tuple:
-    with _config_values():
-        check_dataset(cfg)
-        root = StreamId(cfg["seed"])
-    params, meta = load_checkpoint(cfg["checkpoint"])
+def _cmd_mixratio(cfg: dict, out_dir: str) -> dict:
     ds = build_dataset(cfg, "test")
     if not len(ds):
         raise ValueError("dataset is empty")
+    params, meta = load_checkpoint(cfg["checkpoint"])
+    root = StreamId(cfg["seed"])
     count = min(cfg["points"], len(ds))
 
     def mixing_ratio(i):
@@ -350,10 +351,10 @@ def _cmd_mixratio(cfg: dict, out_dir: str) -> tuple:
     rows = map_streams(mixing_ratio, range(count))
     path = os.path.join(out_dir, "mixratio.csv")
     write_mixratio_csv(path, rows)
-    return {"mixratio_csv": path}, _input_digests(ds, meta)
+    return {"artifacts": {"mixratio_csv": path}, "inputs": _input_digests(ds, meta)}
 
 
-def _cmd_theory_sim(cfg: dict, out_dir: str) -> tuple:
+def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
     with _config_values():
         # d=1 is a placeholder: verify_decay runs the config at each of dims
         sims = [TheorySimConfig(d=1, sigma=cfg["sigma"], tau=cfg["tau"],
@@ -362,18 +363,17 @@ def _cmd_theory_sim(cfg: dict, out_dir: str) -> tuple:
                 for family in cfg["families"]]
         for sim in sims:
             decay_dims(sim, cfg["dims"])
-        root = StreamId(cfg["seed"])
+    root = StreamId(cfg["seed"])
     # the schema keeps families distinct: a repeat would draw the same stream
     reports = [verify_decay(sim, cfg["dims"], root.child(sim.noise_family))
                for sim in sims]
     path = os.path.join(out_dir, "theory.csv")
     write_theory_csv(path, reports)
-    return {"theory_csv": path}, None
+    return {"artifacts": {"theory_csv": path}}
 
 
-# Each subcommand, and the modules of _LAZY that it runs. A subcommand
-# returns its artifacts and its manifest's inputs (None where it reads no
-# dataset).
+# Each subcommand, and the modules of _LAZY that it runs. A subcommand returns
+# its manifest's fields: artifacts, and inputs and timings where it has them.
 _DISPATCH = {
     "train": (_cmd_train, ("nn", "rng", "training")),
     "certify": (_cmd_certify, ("nn", "rng", "smoothing")),
@@ -442,8 +442,8 @@ def main(argv=None) -> int:
         run, modules = _DISPATCH[args.command]
         t0 = time.perf_counter()
         bind(globals(), _LAZY, *modules)
-        artifacts, inputs = run(cfg, out_dir)
-        manifest = _write_manifest(out_dir, args.command, cfg, artifacts, inputs,
+        fields = run(cfg, out_dir)
+        manifest = _write_manifest(out_dir, args.command, cfg, fields,
                                    time.perf_counter() - t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single runtime-failure boundary
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for name, p in artifacts.items():
+    for name, p in fields["artifacts"].items():
         print(f"{name}: {p}")
     print(f"manifest: {manifest}")
     return 0

@@ -32,7 +32,6 @@ __all__ = [
     "MIXRATIO_SCHEMA",
     "THEORY_SIM_SCHEMA",
     "SCHEMAS",
-    "check_dataset",
     "build_dataset",
     "build_train_configs",
     "build_smoothing_config",
@@ -256,21 +255,16 @@ SCHEMAS = {
 }
 
 
-def check_dataset(cfg: dict) -> None:
-    """Reject dataset.* values out of range for dataset.kind; reads no file."""
+def build_dataset(cfg: dict, default_split: str) -> Dataset:
+    """Instantiate the dataset named by the dataset.* keys of a typed config.
+    dataset.* values out of range for dataset.kind raise ConfigError before
+    any file is read."""
     kind = cfg["dataset.kind"]
     if kind == "two_moons" and cfg["dataset.n"] < 2:
         raise ConfigError("dataset.n must be >= 2 for two_moons")
     if kind == "mnist" and not (cfg["dataset.images"] and cfg["dataset.labels"]):
         raise ConfigError("mnist needs dataset.images and dataset.labels")
-
-
-def build_dataset(cfg: dict, default_split: str) -> Dataset:
-    """Instantiate the dataset named by the dataset.* keys of a typed config,
-    after check_dataset."""
-    check_dataset(cfg)
     bind(globals(), _LAZY, "data")
-    kind = cfg["dataset.kind"]
     split = cfg["dataset.split"] or default_split
     if kind == "two_moons":
         return gen_two_moons(cfg["dataset.n"], cfg["dataset.noise_std"],

@@ -3,12 +3,16 @@
 Each subcommand runs through `main` with its compute step replaced by a stub
 that returns fixed values, so these tests pin the on-disk formats (header,
 float formats, the abstain row, the blank lambda_star, line endings) and
-nothing else. The wall clock is a fake that advances 0.125 s per reading.
+nothing else. Each CSV's header is also checked against the README's CSV
+schema table. The wall clock is a fake that advances 0.125 s per reading; it
+reaches only the manifest's timings.
 """
 
 import itertools
+import json
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,15 +35,38 @@ OUTCOMES = [
 ]
 
 CERTIFY_CSV = (
-    "idx,label,predicted,radius,p_lower,correct,abstain,seconds\r\n"
-    "0,1,1,0.293001,0.933254300797,1,0,0.1250\r\n"
-    "1,0,-1,0.000000,0.41,0,1,0.1250\r\n"
-    "2,1,0,1.500000,0.999,0,0,0.1250\r\n")
+    b"idx,label,predicted,radius,p_lower,correct,abstain\r\n"
+    b"0,1,1,0.293001,0.933254300797,1,0\r\n"
+    b"1,0,-1,0.000000,0.41,0,1\r\n"
+    b"2,1,0,1.500000,0.999,0,0\r\n")
 
 DATA_KEYS = "dataset.kind = two_moons\ndataset.n = 3\n"
 
 # the payload digest a loaded checkpoint's header holds
 CHECKPOINT_SHA256 = "0123456789abcdef" * 4
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_columns(name):
+    """The columns the README's CSV schema table lists for the file name."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith(f"| `{name}` |"):
+            return line.split("`")[3].split(", ")
+    raise AssertionError(f"the README's CSV schema table has no row for {name}")
+
+
+def _assert_csv(path, expected):
+    """path holds the bytes expected, and the README lists their header; a
+    README column `<name>@R...` stands for every later `<name>@<radius>`."""
+    assert path.read_bytes() == expected
+    header = expected.split(b"\r\n", 1)[0].decode("ascii").split(",")
+    columns = _readme_columns(path.name)
+    if columns[-1].endswith("@R..."):
+        prefix = columns.pop().removesuffix("R...")
+        assert all(c.startswith(prefix) for c in header[len(columns):])
+        header = header[:len(columns)]
+    assert header == columns, f"README row for {path.name}"
 
 
 @pytest.fixture
@@ -72,7 +99,7 @@ def _certify(run, monkeypatch):
 
 def test_certify_csv_bytes(run, monkeypatch):
     out = _certify(run, monkeypatch)
-    assert (out / "certify.csv").read_bytes() == CERTIFY_CSV.encode("ascii")
+    _assert_csv(out / "certify.csv", CERTIFY_CSV)
 
 
 def test_certify_manifest_bytes(run, monkeypatch):
@@ -112,6 +139,11 @@ def test_certify_manifest_bytes(run, monkeypatch):
   "run_id": "54170b14c78f612a",
   "timings": {
     "peak_rss_mib": P,
+    "point_seconds": [
+      0.125,
+      0.125,
+      0.125
+    ],
     "total_seconds": T
   },
   "version": "0.7.0"
@@ -131,21 +163,23 @@ def test_train_log_csv_bytes(run, monkeypatch):
                         lambda path, params, init_stream=None: None)
     out = run("train", "method = gaussian\nsigma = 0.5\nepochs = 2\n"
               "batch_size = 2\nlr = 0.1\n" + DATA_KEYS)
-    assert (out / "train_log.csv").read_bytes() == (
-        b"epoch,loss_nat,loss_mix,lr,seconds\r\n"
-        b"0,0.69314718056,0,0.1,0.0312\r\n"
-        b"1,0.5,0.123456789012,0.01,1.2346\r\n")
+    _assert_csv(out / "train_log.csv", (
+        b"epoch,loss_nat,loss_mix,lr\r\n"
+        b"0,0.69314718056,0,0.1\r\n"
+        b"1,0.5,0.123456789012,0.01\r\n"))
+    timings = json.loads((out / "manifest.json").read_text(encoding="ascii"))["timings"]
+    assert timings["epoch_seconds"] == [0.0312, 1.2346]
 
 
 def test_metrics_csv_bytes(run, tmp_path):
     cert = tmp_path / "certify.csv"
-    cert.write_bytes(CERTIFY_CSV.encode("ascii"))
+    cert.write_bytes(CERTIFY_CSV)
     out = run("evaluate", f"cert_csv = {cert}, {cert}\nmodel_ids = a, b\n"
               "radii = 0.0, 0.25, 1.5\nsigma = 0.5\n")
-    assert (out / "metrics.csv").read_bytes() == (
+    _assert_csv(out / "metrics.csv", (
         b"model,points,acr,cert_acc@0,cert_acc@0.25,cert_acc@1.5\r\n"
         b"a,3,0.097667,0.333333,0.333333,0.000000\r\n"
-        b"b,3,0.097667,0.333333,0.333333,0.000000\r\n")
+        b"b,3,0.097667,0.333333,0.333333,0.000000\r\n"))
 
 
 def test_mixratio_csv_bytes(run, monkeypatch):
@@ -155,11 +189,11 @@ def test_mixratio_csv_bytes(run, monkeypatch):
         lambda params, x, y, *args: lambdas[int(x[0])])
     out = run("mixratio", "checkpoint = absent.json\nsigma = 0.5\npoints = 5\n"
               + DATA_KEYS)
-    assert (out / "mixratio.csv").read_bytes() == (
+    _assert_csv(out / "mixratio.csv", (
         b"idx,lambda_star,found\r\n"
         b"0,0.120000,1\r\n"
         b"1,,0\r\n"
-        b"2,1.000000,1\r\n")
+        b"2,1.000000,1\r\n"))
 
 
 def test_theory_csv_bytes(run, monkeypatch):
@@ -170,12 +204,12 @@ def test_theory_csv_bytes(run, monkeypatch):
 
     monkeypatch.setattr(cli, "verify_decay", verify_decay)
     out = run("theory-sim", "dims = 64, 256\ntrials = 10\n")
-    assert (out / "theory.csv").read_bytes() == (
+    _assert_csv(out / "theory.csv", (
         b"family,d,k,estimate,std_error,bound_C_over_d,pass\r\n"
         b"gaussian,64,0.12345679,1e-05,3.1622777e-06,0.65625,1\r\n"
         b"gaussian,256,0.12345679,1e-05,3.1622777e-06,0.1640625,0\r\n"
         b"uniform_pm,64,0.12345679,1e-05,3.1622777e-06,0.65625,1\r\n"
-        b"uniform_pm,256,0.12345679,1e-05,3.1622777e-06,0.1640625,0\r\n")
+        b"uniform_pm,256,0.12345679,1e-05,3.1622777e-06,0.1640625,0\r\n"))
 
 
 def test_attack_demo_csv_bytes(run, monkeypatch):
@@ -191,8 +225,8 @@ def test_attack_demo_csv_bytes(run, monkeypatch):
                         lambda params, X, noise: np.array([[0.8765432109, 0.1234567891]]))
     out = run("attack-demo", "checkpoint = absent.json\nsigma = 0.5\n"
               "alpha_step = 0.5\nsteps = 2\npoint_index = 2\n" + DATA_KEYS)
-    assert (out / "attack_demo.csv").read_bytes() == (
+    _assert_csv(out / "attack_demo.csv", (
         b"step,distance_from_x,J,true_class_prob\r\n"
         b"0,0,0.1,0.75\r\n"
         b"1,0.5,0.23456789,0.5\r\n"
-        b"2,1,2.0918641,0.12345679\r\n")
+        b"2,1,2.0918641,0.12345679\r\n"))

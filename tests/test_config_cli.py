@@ -86,14 +86,6 @@ def _read_rows(path):
         return list(csv.reader(fh))
 
 
-def _strip_seconds(rows):
-    # drop the wall-clock column wherever the header declares one
-    if "seconds" not in rows[0]:
-        return rows
-    k = rows[0].index("seconds")
-    return [r[:k] + r[k + 1:] for r in rows]
-
-
 # ---------------------------------------------------------------- parsing
 
 
@@ -574,27 +566,57 @@ def test_train_writes_artifacts_and_manifest(trained):
     assert log[0][0] == "epoch" and len(log) == 3  # header + 2 epochs
 
 
-def test_train_rerun_is_byte_identical(tmp_path, trained):
-    cfg = _write(tmp_path / "train.cfg", TRAIN_CFG)
-    assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "checkpoint.json").read_bytes() == \
-        (trained / "checkpoint.json").read_bytes()
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory, trained):
+    """The certify.csv of the trained model, for evaluate."""
+    out = tmp_path_factory.mktemp("cert_out")
+    cfg = _write(out / "c.cfg", _certify_cfg(trained / "checkpoint.json"))
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    return out / "certify.csv"
 
 
-def test_certify_schema_and_determinism(tmp_path, trained):
-    ckpt = trained / "checkpoint.json"
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    cfg = _write(tmp_path / "c.cfg", _certify_cfg(ckpt))
-    assert main(["certify", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["certify", "--config", cfg, "--out", str(out2)]) == 0
-    rows1 = _read_rows(out1 / "certify.csv")
-    rows2 = _read_rows(out2 / "certify.csv")
-    assert rows1[0] == CERT_CSV_COLUMNS
-    assert len(rows1) == 7  # header + 6 points
-    assert _strip_seconds(rows1) == _strip_seconds(rows2)
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m1["run_id"] == m2["run_id"]
+def _rerun_config(command, ckpt, cert_csv):
+    """A toy-sized config of command, its seed set where it has one."""
+    return {
+        "train": TRAIN_CFG,
+        "certify": _certify_cfg(ckpt),
+        "evaluate": f"cert_csv = {cert_csv}\nradii = 0.0, 0.25, 0.5\nsigma = 0.5\n",
+        "attack-demo": ATTACK_CFG.replace("absent.json", str(ckpt)) + "m = 2\nseed = 8\n",
+        "mixratio": MIXRATIO_CFG.replace("absent.json", str(ckpt))
+        + "pgd_steps = 2\nestimation_m = 50\npoints = 4\nseed = 5\n",
+        "theory-sim": "dims = 32, 64\ntrials = 2000\nseed = 1\n",
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(SCHEMAS))
+def test_rerun_is_byte_identical(tmp_path, trained, certified, command):
+    # one config and seed, run twice into one directory: every CSV and
+    # checkpoint keeps its bytes whole, and the manifest all but its timings
+    cfg = _write(tmp_path / "run.cfg",
+                 _rerun_config(command, trained / "checkpoint.json", certified))
+    out, runs = tmp_path / "out", []
+    for _ in range(2):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    manifests = [json.loads(run.pop("manifest.json")) for run in runs]
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == sorted(os.path.basename(p)
+                                     for p in manifests[0]["artifacts"].values())
+    timings = [m.pop("timings") for m in manifests]
+    assert manifests[0] == manifests[1]
+    assert timings[0].keys() == timings[1].keys()
+
+
+def test_certify_schema(tmp_path, trained):
+    cfg = _write(tmp_path / "c.cfg", _certify_cfg(trained / "checkpoint.json"))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = _read_rows(tmp_path / "certify.csv")
+    assert rows[0] == CERT_CSV_COLUMNS
+    assert len(rows) == 7  # header + 6 points
+    # each point's wall time, in row order, is in the manifest alone
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert len(timings["point_seconds"]) == 6
+    assert all(t >= 0 for t in timings["point_seconds"])
 
 
 def _set_cpus(monkeypatch, count):
@@ -621,8 +643,7 @@ def test_certify_rows_independent_of_worker_count(tmp_path, trained, monkeypatch
         outs[width] = tmp_path / f"w{width}"
         assert main(["certify", "--config", cfg, "--out", str(outs[width])]) == 0
         assert (threads == {threading.get_ident()}) == (width == 1)
-    assert _strip_seconds(_read_rows(outs[1] / "certify.csv")) == \
-        _strip_seconds(_read_rows(outs[8] / "certify.csv"))
+    assert (outs[1] / "certify.csv").read_bytes() == (outs[8] / "certify.csv").read_bytes()
 
 
 def test_certify_at_pool_threshold_starts_no_thread(tmp_path, trained, monkeypatch):
@@ -793,16 +814,16 @@ sigma = 0.5
 
 
 @pytest.mark.parametrize("row, reason", [
-    ("1,0,0,0.5", "not enough values to unpack (expected 8, got 4)"),
-    ("1,0,0,abc,0.9,1,0,0.1250", "could not convert string to float: 'abc'"),
-    ("1,0,-1,0.000000,0.41,0,2,0.1250", "correct and abstain must be 0 or 1, got 0 and 2"),
-    ("1,0,0,0.500000,0.9,2,0,0.1250", "correct and abstain must be 0 or 1, got 2 and 0"),
-    ("1,0,-1,0.500000,0.9,0,0,0.1250", "a certified row predicts class -1"),
-    ("0,1,3,0.700000,0.4,0,1,0.1", "abstain carries no prediction and zero radius"),
-    ("0,1,-1,0.700000,0.4,0,1,0.1", "abstain carries no prediction and zero radius"),
-    ("1,0,0,0.300000,0.9,0,0,0.1",
+    ("1,0,0,0.5", "not enough values to unpack (expected 7, got 4)"),
+    ("1,0,0,abc,0.9,1,0", "could not convert string to float: 'abc'"),
+    ("1,0,-1,0.000000,0.41,0,2", "correct and abstain must be 0 or 1, got 0 and 2"),
+    ("1,0,0,0.500000,0.9,2,0", "correct and abstain must be 0 or 1, got 2 and 0"),
+    ("1,0,-1,0.500000,0.9,0,0", "a certified row predicts class -1"),
+    ("0,1,3,0.700000,0.4,0,1", "abstain carries no prediction and zero radius"),
+    ("0,1,-1,0.700000,0.4,0,1", "abstain carries no prediction and zero radius"),
+    ("1,0,0,0.300000,0.9,0,0",
      "correct is 0 for label 0, predicted 0 and abstain 0"),
-    ("1,0,-1,0.000000,0.4,1,1,0.1",
+    ("1,0,-1,0.000000,0.4,1,1",
      "correct is 1 for label 0, predicted -1 and abstain 1"),
 ], ids=["short-row", "non-numeric-radius", "abstain-2", "correct-2",
         "certified-without-class", "abstain-with-class", "abstain-with-radius",
@@ -810,12 +831,27 @@ sigma = 0.5
 def test_evaluate_names_the_malformed_certify_csv_line(tmp_path, capsys, row, reason):
     # a bad row is a runtime failure that says which file and line it is in
     cert = tmp_path / "certify.csv"
-    cert.write_text(",".join(CERT_CSV_COLUMNS) + "\r\n0,1,1,0.293001,0.933254300797,1,0,"
-                    "0.1250\r\n" + row + "\r\n", encoding="ascii")
+    cert.write_text(",".join(CERT_CSV_COLUMNS) + "\r\n0,1,1,0.293001,0.933254300797,1,0"
+                    "\r\n" + row + "\r\n", encoding="ascii")
     cfg = _write(tmp_path / "e.cfg", f"cert_csv = {cert}\nradii = 0.5\nsigma = 0.5\n")
     assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {cert}, line 3: {reason}\n"
+
+
+def test_evaluate_refuses_a_certify_csv_with_a_seconds_column(tmp_path, capsys):
+    # 0.7.0 and earlier ended each row with the point's wall time; the
+    # message names the header found and the one expected
+    cert = tmp_path / "certify.csv"
+    cert.write_text("idx,label,predicted,radius,p_lower,correct,abstain,seconds\r\n"
+                    "0,1,1,0.293001,0.933254300797,1,0,0.1250\r\n", encoding="ascii")
+    cfg = _write(tmp_path / "e.cfg", f"cert_csv = {cert}\nradii = 0.5\nsigma = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {cert}: certification CSV header is {CERT_CSV_COLUMNS + ['seconds']}, "
+        f"expected {CERT_CSV_COLUMNS}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_evaluate_names_the_header_only_certify_csv(tmp_path, capsys):

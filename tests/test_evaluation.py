@@ -139,8 +139,8 @@ def test_result_set_validation():
 
 def test_certification_csv_reads_into_result_set(tmp_path):
     path = tmp_path / "cert.csv"
-    write_certification_csv(path, [[0, 0, 0, "0.250000", "0.81", 1, 0, "0.1000"],
-                                   [1, 1, -1, "0.000000", "0.42", 0, 1, "0.1000"]])
+    write_certification_csv(path, [[0, 0, 0, "0.250000", "0.81", 1, 0],
+                                   [1, 1, -1, "0.000000", "0.42", 0, 1]])
     rs = read_certification_csv(path, sigma=0.5)
     assert rs.labels == (0, 1)
     assert rs.outcomes[0].certified and rs.outcomes[0].radius == 0.25

@@ -717,12 +717,12 @@ def test_smoothing_config_validation():
 
 
 def test_certification_csv_round_trip(tmp_path):
-    rows = [[0, 1, 1, "0.293001", "0.933254300797", 1, 0, "0.0032"],
-            [1, 0, ABSTAIN, "0.000000", "0.41", 0, 1, "0.0041"]]
+    rows = [[0, 1, 1, "0.293001", "0.933254300797", 1, 0],
+            [1, 0, ABSTAIN, "0.000000", "0.41", 0, 1]]
     path = tmp_path / "cert.csv"
     write_certification_csv(path, rows)
     header = path.read_text().splitlines()[0]
-    assert header == "idx,label,predicted,radius,p_lower,correct,abstain,seconds"
+    assert header == "idx,label,predicted,radius,p_lower,correct,abstain"
     back = read_certification_csv(path, sigma=0.5)
     assert back.labels == (1, 0) and back.sigma == 0.5
     assert back.outcomes == (

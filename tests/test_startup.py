@@ -74,8 +74,8 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
     ckpt, cert_csv = d / "checkpoint.json", d / "certify.csv"
     save_checkpoint(str(ckpt), init_mlp([2, 8, 2], StreamId(1)))
-    write_certification_csv(cert_csv, [[0, 1, 1, "0.250000", "0.7", 1, 0, "0.0010"],
-                                       [1, 0, -1, "0.000000", "0.4", 0, 1, "0.0010"]])
+    write_certification_csv(cert_csv, [[0, 1, 1, "0.250000", "0.7", 1, 0],
+                                       [1, 0, -1, "0.000000", "0.4", 0, 1]])
     return d, {"ckpt": ckpt, "cert_csv": cert_csv}
 
 
