@@ -13,6 +13,14 @@ onto the l2 ball of that radius around its start point. It stores no
 - SmoothAdv's PGD (Salman et al. 2019) is AttackConfig(2 epsilon / T, T,
   epsilon), which training and the mixing-ratio scan use, keeping the endpoint.
 
+Two analyses run it on one point under one fixed noise batch:
+attack_trajectory keeps every iterate, with Fhat and J at each (one forward
+gives them at the endpoint, where ascend takes no gradient), and
+equal_confidence_mixing_ratio scans the segment from x to its PGD point on a
+fixed 101-point lambda grid, in increasing lambda and one forward at a time,
+for the first lambda where the soft-smoothed argmax leaves the true class
+(the argmax along the segment need not be monotone, so no bisection).
+
 One point is a batch of one (B = 1). Gradients flow through the Monte Carlo
 average exactly. When the gradient norm falls below 1e-12 the step is
 skipped (the point repeats); this keeps the procedure deterministic for
@@ -26,17 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ModelParams, NonFiniteError, class_prob_grad_input
+from .nn import ModelParams, NonFiniteError, class_prob_grad_input, first_layer_noise
+from .rng import StreamId
+from .smoothing import sample_noise, soft_smoothed_chunks, soft_smoothed_predict
 
 __all__ = [
     "AttackConfig",
     "objective",
     "ascend",
     "l2_project",
+    "attack_trajectory",
+    "equal_confidence_mixing_ratio",
 ]
 
 GRAD_NORM_FLOOR = 1e-12
 PROB_FLOOR = 1e-300
+LAMBDA_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
     j_path (T, B)): the (B, d) iterates keep names, indexed as in a list of
     all T+1 (0 is X, -1 the endpoint), and Fhat and J at every iterate but
     the last, where the loop takes no gradient (a caller that wants Fhat
-    there runs one forward, smoothing.soft_smoothed_predict). When
+    there runs one forward, as attack_trajectory does). When
     cfg.epsilon_cap is set, every iterate is projected onto that ball
     around its start point: PGD's constraint, or the hard-restriction
     ablation. Each step turns its gradient into the step alpha * direction
@@ -139,3 +152,53 @@ def ascend(params: ModelParams, X: np.ndarray, y: np.ndarray, noise: np.ndarray,
             cur = l2_project(cur, X0, cfg.epsilon_cap)
     kept[cfg.steps] = cur
     return [kept[t] for t in keep], fhat_path, j_path
+
+
+def attack_trajectory(params: ModelParams, x: np.ndarray, y: int, noise: np.ndarray,
+                      cfg: AttackConfig):
+    """The attack from one point x (d,) of class y under one noise batch
+    (m, d), as sample_noise draws it. Returns every iterate (T+1, d), and
+    Fhat (T+1, C) and J (T+1,) at each; at the endpoint, where ascend takes
+    no gradient, they come from one forward."""
+    noise = first_layer_noise(params, np.asarray(noise)[None])
+    y = np.array([int(y)])
+    points, fhat_path, j_path = ascend(params, np.asarray(x, dtype=np.float64)[None], y,
+                                       noise, cfg, keep=range(cfg.steps + 1))
+    fhat_end = soft_smoothed_predict(params, points[-1], noise)
+    return (np.concatenate(points), np.concatenate([fhat_path[:, 0], fhat_end]),
+            np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]]))
+
+
+def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
+                                  sigma: float, pgd_steps: int, pgd_eps: float,
+                                  estimation_m: int, stream: StreamId):
+    """Smallest grid lambda where the smoothed argmax along x -> x_adv leaves y.
+
+    x_adv comes from constrained PGD against the soft-smoothed classifier;
+    the same fixed estimation noise batch (size estimation_m) is used for the
+    attack and for every evaluation on the 101-point lambda grid. Returns
+    None (not found) when the prediction at x already differs from y or when
+    no grid point flips it. The arguments are checked first, whatever the data.
+    """
+    if not (sigma > 0 and pgd_steps >= 0 and pgd_eps > 0 and estimation_m >= 1):
+        raise ValueError("need sigma > 0, pgd_steps >= 0, pgd_eps > 0 and "
+                         "estimation_m >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    noise = first_layer_noise(params, sample_noise(sigma, x.shape[0], estimation_m,
+                                                   stream.child("estimate"))[None])
+    fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
+    if int(np.argmax(fhat)) != int(y):
+        return None
+    pgd = AttackConfig(2.0 * pgd_eps / max(pgd_steps, 1), pgd_steps, pgd_eps)
+    (x_adv,), _, _ = ascend(params, x[None, :], [int(y)], noise, pgd)  # (1, d)
+    lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
+    seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv
+    # every grid point reuses the one batch: a view, not LAMBDA_GRID_POINTS copies
+    grid_noise = np.broadcast_to(noise, (len(seg),) + noise.shape[1:])
+    start = 0
+    for fhat_seg in soft_smoothed_chunks(params, seg, grid_noise):
+        flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
+        if len(flips):
+            return float(lams[start + flips[0]])
+        start += len(fhat_seg)
+    return None

@@ -43,27 +43,20 @@ from .config import (
     build_train_configs,
     load_config,
 )
-from .evaluation import (
-    CertifiedResultSet,
-    CertifyOutcome,
-    acr,
-    certified_accuracy_curve,
-    equal_confidence_mixing_ratio,
-)
+from .evaluation import CertifiedResultSet, CertifyOutcome, acr, certified_accuracy_curve
 
 __all__ = ["main"]
 
-# What the subcommands run from the modules that need numpy. The dispatcher
-# imports the modules a subcommand runs (_DISPATCH) and binds their names
-# here, so `import smoothcert.cli`, --version, a config error and `evaluate`
-# load no numpy. A name bound already, as a test or a tracer rebinds it,
-# keeps its value.
+# What the subcommands run from the modules that need numpy (evaluation,
+# all that `evaluate` runs, imports none). The dispatcher imports the modules
+# a subcommand runs (_DISPATCH) and binds their names here, so `import
+# smoothcert.cli`, --version, a config error and `evaluate` load no numpy.
+# A name bound already, as a test or a tracer rebinds it, keeps its value.
 _LAZY = {
-    "adversary": ("AttackConfig", "ascend", "objective"),
-    "nn": ("first_layer_noise", "load_checkpoint", "save_checkpoint"),
+    "adversary": ("AttackConfig", "attack_trajectory", "equal_confidence_mixing_ratio"),
+    "nn": ("load_checkpoint", "save_checkpoint"),
     "rng": ("StreamId", "map_streams"),
-    "smoothing": ("POOL_MIN_DRAWS", "certify", "noise_factor", "sample_noise",
-                  "soft_smoothed_predict"),
+    "smoothing": ("POOL_MIN_DRAWS", "certify", "noise_factor", "sample_noise"),
     "theory": ("TheorySimConfig", "decay_dims", "verify_decay"),
     "training": ("train",),
 }
@@ -317,19 +310,14 @@ def _cmd_attack_demo(cfg: dict, out_dir: str) -> dict:
     if i >= len(ds):
         raise ConfigError(f"point_index {i} outside dataset of size {len(ds)}")
     params, meta = load_checkpoint(cfg["checkpoint"])
-    root = StreamId(cfg["seed"])
-    x, y = ds.rows(i)[None, :], np.array([int(ds.labels[i])])
-    noise = first_layer_noise(params, sample_noise(cfg["sigma"], ds.dim, cfg["m"],
-                                                   root.child("attack", i, "noise"))[None])
-    points, fhat_path, j_path = ascend(params, x, y, noise, acfg, keep=range(acfg.steps + 1))
-    # the loop takes no gradient at the endpoint: one forward gives Fhat and J there
-    fhat_end = soft_smoothed_predict(params, points[-1], noise)
-    fhat_path = np.concatenate([fhat_path[:, 0], fhat_end])
-    j_path = np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]])
+    x, y = ds.rows(i), int(ds.labels[i])
+    noise = sample_noise(cfg["sigma"], ds.dim, cfg["m"],
+                         StreamId(cfg["seed"]).child("attack", i, "noise"))
+    points, fhat_path, j_path = attack_trajectory(params, x, y, noise, acfg)
     path = os.path.join(out_dir, "attack_demo.csv")
     _write_csv(path, ["step", "distance_from_x", "J", "true_class_prob"],
-               [[s, f"{float(np.linalg.norm(points[s][0] - x[0])):.8g}",
-                 f"{j_path[s]:.8g}", f"{fhat_path[s, y[0]]:.8g}"]
+               [[s, f"{float(np.linalg.norm(points[s] - x)):.8g}",
+                 f"{j_path[s]:.8g}", f"{fhat_path[s, y]:.8g}"]
                 for s in range(len(points))])
     return {"artifacts": {"trajectory_csv": path}, "inputs": _input_digests(ds, meta)}
 
@@ -372,24 +360,22 @@ def _cmd_theory_sim(cfg: dict, out_dir: str) -> dict:
     return {"artifacts": {"theory_csv": path}}
 
 
-# Each subcommand, and the modules of _LAZY that it runs. A subcommand returns
-# its manifest's fields: artifacts, and inputs and timings where it has them.
+# Each subcommand: its function, the modules of _LAZY that it runs and its
+# help line. A subcommand returns its manifest's fields: artifacts, and
+# inputs and timings where it has them.
 _DISPATCH = {
-    "train": (_cmd_train, ("nn", "rng", "training")),
-    "certify": (_cmd_certify, ("nn", "rng", "smoothing")),
-    "evaluate": (_cmd_evaluate, ()),
-    "attack-demo": (_cmd_attack_demo, ("adversary", "nn", "rng", "smoothing")),
-    "mixratio": (_cmd_mixratio, ("nn", "rng")),
-    "theory-sim": (_cmd_theory_sim, ("rng", "theory")),
-}
-
-_HELP = {
-    "train": "train a model (gaussian / smoothadv / smoothmix)",
-    "certify": "certify a checkpoint over a test set, one CSV row per point",
-    "evaluate": "aggregate certification CSVs into ACR and accuracy curves",
-    "attack-demo": "dump one attack trajectory as CSV",
-    "mixratio": "equal-confidence mixing ratios over test points",
-    "theory-sim": "Monte Carlo check of the C/d decay bound",
+    "train": (_cmd_train, ("nn", "rng", "training"),
+              "train a model (gaussian / smoothadv / smoothmix)"),
+    "certify": (_cmd_certify, ("nn", "rng", "smoothing"),
+                "certify a checkpoint over a test set, one CSV row per point"),
+    "evaluate": (_cmd_evaluate, (),
+                 "aggregate certification CSVs into ACR and accuracy curves"),
+    "attack-demo": (_cmd_attack_demo, ("adversary", "nn", "rng", "smoothing"),
+                    "dump one attack trajectory as CSV"),
+    "mixratio": (_cmd_mixratio, ("adversary", "nn", "rng"),
+                 "equal-confidence mixing ratios over test points"),
+    "theory-sim": (_cmd_theory_sim, ("rng", "theory"),
+                   "Monte Carlo check of the C/d decay bound"),
 }
 
 
@@ -399,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified-robustness trainer and evaluation harness")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (_, _, help_line) in _DISPATCH.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="flat key=value config file")
         sp.add_argument("--out", default=None,
                         help="output directory (default $SMOOTHCERT_OUT or .)")
@@ -439,7 +425,7 @@ def main(argv=None) -> int:
         cfg = apply_schema(raw, SCHEMAS[args.command])
         out_dir = args.out or os.environ.get("SMOOTHCERT_OUT", ".")
         os.makedirs(out_dir, exist_ok=True)
-        run, modules = _DISPATCH[args.command]
+        run, modules, _ = _DISPATCH[args.command]
         t0 = time.perf_counter()
         bind(globals(), _LAZY, *modules)
         fields = run(cfg, out_dir)

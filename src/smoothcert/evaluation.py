@@ -1,32 +1,18 @@
-"""CERTIFY outcomes, their metrics, and the equal-confidence mixing ratio.
+"""CERTIFY outcomes and their metrics.
 
-The outcome records and the metrics are plain Python, so that `evaluate`
-runs without numpy; ACR sums in numpy's order, so it keeps numpy's bits.
+The outcome records and the metrics are plain Python, and this module
+imports nothing from the package, so that `evaluate` runs without numpy;
+ACR sums in numpy's order, so it keeps numpy's bits.
 
 - ACR: mean certified radius over ALL points, counting 0 for abstentions and
   for certified-but-wrong predictions.
 - Certified accuracy curve: fraction of points certified correctly with
   radius >= r (>= so the r=0 column reads as clean certified accuracy).
-- Equal-confidence mixing ratio: smallest interpolation weight lambda on the
-  segment from x to a PGD point at which the soft-smoothed argmax departs
-  from the true class, scanned on a fixed 101-point grid (the argmax along
-  the segment need not be monotone, so no bisection). The grid is scanned
-  in increasing lambda, one forward at a time, and the scan stops at the
-  first forward that holds a flip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from ._lazy import bind, module_getattr
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .nn import ModelParams
-    from .rng import StreamId
 
 __all__ = [
     "ABSTAIN",
@@ -34,19 +20,9 @@ __all__ = [
     "CertifiedResultSet",
     "acr",
     "certified_accuracy_curve",
-    "equal_confidence_mixing_ratio",
 ]
 
-# What the mixing ratio runs, imported when it first runs.
-_LAZY = {
-    "adversary": ("AttackConfig", "ascend"),
-    "nn": ("first_layer_noise",),
-    "smoothing": ("sample_noise", "soft_smoothed_chunks", "soft_smoothed_predict"),
-}
-__getattr__ = module_getattr(globals(), _LAZY)
-
 ABSTAIN = -1
-LAMBDA_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -129,41 +105,3 @@ def certified_accuracy_curve(results: CertifiedResultSet, radii) -> list:
                if o.certified and o.predicted_class == y]
     return [sum(radius >= r for radius in correct) / len(results.labels)
             for r in radii]
-
-
-def equal_confidence_mixing_ratio(params: ModelParams, x: np.ndarray, y: int,
-                                  sigma: float, pgd_steps: int, pgd_eps: float,
-                                  estimation_m: int, stream: StreamId):
-    """Smallest grid lambda where the smoothed argmax along x -> x_adv leaves y.
-
-    x_adv comes from constrained PGD against the soft-smoothed classifier;
-    the same fixed estimation noise batch (size estimation_m) is used for the
-    attack and for every evaluation on the 101-point lambda grid. Returns
-    None (not found) when the prediction at x already differs from y or when
-    no grid point flips it. The arguments are checked first, whatever the data.
-    """
-    if not (sigma > 0 and pgd_steps >= 0 and pgd_eps > 0 and estimation_m >= 1):
-        raise ValueError("need sigma > 0, pgd_steps >= 0, pgd_eps > 0 and "
-                         "estimation_m >= 1")
-    import numpy as np
-
-    bind(globals(), _LAZY, *_LAZY)
-    x = np.asarray(x, dtype=np.float64)
-    noise = first_layer_noise(params, sample_noise(sigma, x.shape[0], estimation_m,
-                                                   stream.child("estimate"))[None])
-    fhat = soft_smoothed_predict(params, x[None, :], noise)[0]
-    if int(np.argmax(fhat)) != int(y):
-        return None
-    pgd = AttackConfig(2.0 * pgd_eps / max(pgd_steps, 1), pgd_steps, pgd_eps)
-    (x_adv,), _, _ = ascend(params, x[None, :], [int(y)], noise, pgd)  # (1, d)
-    lams = np.linspace(0.0, 1.0, LAMBDA_GRID_POINTS)
-    seg = (1.0 - lams)[:, None] * x[None, :] + lams[:, None] * x_adv
-    # every grid point reuses the one batch: a view, not LAMBDA_GRID_POINTS copies
-    grid_noise = np.broadcast_to(noise, (len(seg),) + noise.shape[1:])
-    start = 0
-    for fhat_seg in soft_smoothed_chunks(params, seg, grid_noise):
-        flips = np.flatnonzero(np.argmax(fhat_seg, axis=1) != int(y))
-        if len(flips):
-            return float(lams[start + flips[0]])
-        start += len(fhat_seg)
-    return None

@@ -30,15 +30,10 @@ from nn_oracle import (
     init_mlp,
     validate_soft_label,
 )
-from smoothcert.adversary import AttackConfig, ascend
+from smoothcert.adversary import AttackConfig, ascend, equal_confidence_mixing_ratio
 from smoothcert.cli import main
 from smoothcert.data import gen_two_moons, load_mnist_idx
-from smoothcert.evaluation import (
-    CertifiedResultSet,
-    acr,
-    certified_accuracy_curve,
-    equal_confidence_mixing_ratio,
-)
+from smoothcert.evaluation import CertifiedResultSet, acr, certified_accuracy_curve
 from smoothcert.nn import ModelParams, first_layer_noise, softmax
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (

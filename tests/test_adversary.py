@@ -12,8 +12,8 @@ from smoothcert.adversary import (
     AttackConfig,
     _objective_and_grad,
     ascend,
+    attack_trajectory,
     l2_project,
-    objective,
 )
 from smoothcert.nn import (ModelParams, NonFiniteError, first_layer_noise, save_checkpoint,
                            softmax)
@@ -44,19 +44,6 @@ def _j(params, x, y, noise):
     J, _, _ = _objective_and_grad(params, np.asarray(x, dtype=np.float64)[None], [y],
                                   first_layer_noise(params, noise[None]))
     return float(J[0])
-
-
-def _attack(params, x, y, noise, cfg):
-    """The attack-demo trajectory of one point under one noise batch (m, d):
-    ascend with B = 1, then Fhat and J at the endpoint from one forward.
-    Returns points (T+1, d), fhat_path (T+1, C) and j_path (T+1,)."""
-    noise = first_layer_noise(params, np.asarray(noise)[None])
-    y = np.array([y])
-    points, fhat_path, j_path = ascend(params, np.asarray(x, dtype=np.float64)[None], y,
-                                       noise, cfg, keep=range(cfg.steps + 1))
-    fhat_end = soft_smoothed_predict(params, points[-1], noise)
-    return (np.concatenate(points), np.concatenate([fhat_path[:, 0], fhat_end]),
-            np.concatenate([j_path[:, 0], objective(fhat_end, y)[0]]))
 
 
 def _pgd(params, x, y, noise, steps, step_size, epsilon):
@@ -195,9 +182,9 @@ def _oracle_attack(params, x, y, noise, cfg):
     return points[:, 0], fhat_path[:, 0], j_path[:, 0]
 
 
-def _patch_cli_with_oracle(monkeypatch):
-    """Make attack-demo take its iterates, and Fhat at the endpoint, from the
-    loop that also takes the gradient there."""
+def _patch_attack_with_oracle(monkeypatch):
+    """Make attack_trajectory take its iterates, and Fhat at the endpoint,
+    from the loop that also takes the gradient there."""
     endpoints = []
 
     def oracle_ascend(params, X, y, noise, cfg, keep=(-1,)):
@@ -205,8 +192,8 @@ def _patch_cli_with_oracle(monkeypatch):
         endpoints.append(fhat_path[-1])
         return [points[t] for t in keep], fhat_path[:-1], j_path[:-1]
 
-    monkeypatch.setattr(cli, "ascend", oracle_ascend)
-    monkeypatch.setattr(cli, "soft_smoothed_predict", lambda *args: endpoints.pop())
+    monkeypatch.setattr(adversary, "ascend", oracle_ascend)
+    monkeypatch.setattr(adversary, "soft_smoothed_predict", lambda *args: endpoints.pop())
 
 
 @pytest.mark.parametrize("steps", [0, 1, 4])
@@ -217,7 +204,7 @@ def test_attack_trajectory_matches_endpoint_gradient_loop_at_mnist_shape(steps):
     x = np.random.default_rng(35).uniform(0.0, 1.0, 784)
     noise = sample_noise(0.5, 784, 8, StreamId(36))
     cfg = AttackConfig(1.0, steps)
-    for got, exp in zip(_attack(params, x, 3, noise, cfg),
+    for got, exp in zip(attack_trajectory(params, x, 3, noise, cfg),
                         _oracle_attack(params, x, 3, noise, cfg)):
         np.testing.assert_array_equal(got, exp)
 
@@ -233,7 +220,7 @@ def test_attack_demo_csv_matches_endpoint_gradient_loop(tmp_path, monkeypatch, s
     csvs = []
     for name in ("library", "oracle"):
         if name == "oracle":
-            _patch_cli_with_oracle(monkeypatch)
+            _patch_attack_with_oracle(monkeypatch)
         out = tmp_path / name
         assert cli.main(["attack-demo", "--config", str(cfg), "--out", str(out)]) == 0
         csvs.append((out / "attack_demo.csv").read_bytes())
@@ -248,7 +235,7 @@ def test_attack_t0_trajectory_is_start_point():
     params = _random_net(4, [2, 5, 3])
     noise = sample_noise(0.5, 2, 3, StreamId(5))
     x = np.array([0.3, 0.8])
-    points, fhat_path, _ = _attack(params, x, 0, noise, AttackConfig(1.0, 0))
+    points, fhat_path, _ = attack_trajectory(params, x, 0, noise, AttackConfig(1.0, 0))
     assert points.shape == (1, 2)
     np.testing.assert_array_equal(points[0], x)
     np.testing.assert_allclose(fhat_path[0],
@@ -261,7 +248,7 @@ def test_attack_zero_gradient_skips_steps():
     params = _constant_net(2, 3)
     noise = sample_noise(0.5, 2, 3, StreamId(6))
     x = np.array([1.5, -0.5])
-    points = _attack(params, x, 0, noise, AttackConfig(0.7, 5))[0]
+    points = attack_trajectory(params, x, 0, noise, AttackConfig(0.7, 5))[0]
     assert points.shape == (6, 2)
     for pt in points:
         np.testing.assert_array_equal(pt, x)
@@ -273,7 +260,7 @@ def test_attack_linear_model_straight_line():
     noise = sample_noise(0.5, 2, 8, StreamId(7))
     x = np.array([0.4, 0.2])
     cfg = AttackConfig(alpha_step=0.25, steps=6)
-    points, _, j_path = _attack(params, x, 1, noise, cfg)
+    points, _, j_path = attack_trajectory(params, x, 1, noise, cfg)
     # ascent on J for true class 1 walks exactly along -w/|w|
     direction = -w / np.linalg.norm(w)
     for t in range(1, 7):
@@ -290,7 +277,7 @@ def test_attack_step_norm_exact():
     noise = sample_noise(0.8, 3, 4, StreamId(9))
     x = np.array([0.1, -0.2, 0.5])
     cfg = AttackConfig(alpha_step=0.42, steps=5)
-    points = _attack(params, x, 2, noise, cfg)[0]
+    points = attack_trajectory(params, x, 2, noise, cfg)[0]
     steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
     moved = steps > 1e-12
     assert np.all(np.abs(steps[moved] - 0.42) < 1e-9)
@@ -302,7 +289,7 @@ def test_attack_cap_projection():
     noise = sample_noise(0.6, 2, 4, StreamId(11))
     x = np.array([0.7, -0.3])
     cfg = AttackConfig(alpha_step=0.5, steps=8, epsilon_cap=0.6)
-    points = _attack(params, x, 1, noise, cfg)[0]
+    points = attack_trajectory(params, x, 1, noise, cfg)[0]
     dists = np.linalg.norm(points - x, axis=1)
     assert np.all(dists <= 0.6 + 1e-9)
 
@@ -312,10 +299,10 @@ def test_attack_noise_reuse_provenance():
     # caller's batch unchanged for reuse
     params = _random_net(12, [2, 6, 3])
     noise = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
-    points = _attack(params, np.zeros(2), 0, noise, AttackConfig(0.3, 3))[0]
+    points = attack_trajectory(params, np.zeros(2), 0, noise, AttackConfig(0.3, 3))[0]
     again = sample_noise(0.5, 2, 5, StreamId(13, ("atk",)))
     np.testing.assert_array_equal(noise, again)
-    redo = _attack(params, np.zeros(2), 0, again, AttackConfig(0.3, 3))[0]
+    redo = attack_trajectory(params, np.zeros(2), 0, again, AttackConfig(0.3, 3))[0]
     np.testing.assert_array_equal(redo, points)
 
 
@@ -323,7 +310,7 @@ def test_attack_trajectory_invariants():
     params = _random_net(14, [3, 7, 2])
     noise = sample_noise(0.4, 3, 3, StreamId(15))
     x = np.array([0.0, 0.1, -0.1])
-    points, fhat_path, _ = _attack(params, x, 0, noise, AttackConfig(0.2, 4))
+    points, fhat_path, _ = attack_trajectory(params, x, 0, noise, AttackConfig(0.2, 4))
     assert points.shape[0] == 5
     np.testing.assert_array_equal(points[0], x)
     np.testing.assert_allclose(fhat_path.sum(axis=1), 1.0, atol=1e-9)
@@ -334,8 +321,8 @@ def test_attack_fhat_path_matches_fresh_prediction():
     # a separate soft-smoothed prediction at every iterate, bit for bit
     params = _random_net(22, [3, 7, 4])
     noise = sample_noise(0.6, 3, 5, StreamId(23))
-    points, fhat_path, _ = _attack(params, np.array([0.2, -0.1, 0.4]), 3, noise,
-                                   AttackConfig(0.3, 4, epsilon_cap=0.5))
+    points, fhat_path, _ = attack_trajectory(params, np.array([0.2, -0.1, 0.4]), 3, noise,
+                                             AttackConfig(0.3, 4, epsilon_cap=0.5))
     shared = np.broadcast_to(first_layer_noise(params, noise[None]), (5,) + noise.shape)
     fresh = soft_smoothed_predict(params, points, shared)
     np.testing.assert_array_equal(fhat_path, fresh)

@@ -29,7 +29,9 @@ def test_package_exports_are_the_library_surface():
 def test_benchmark_trace_finds_its_names():
     # perfbench/trace_child.py rebinds names on the modules where their
     # callers look them up; a name that moves away silently zeroes its
-    # per-layer metrics. These five are already unreachable.
+    # per-layer metrics. These six are already unreachable.
+    # evaluation.sample_noise is gone with the mixing ratio's move to
+    # adversary, so smoothing.sample_noise reads 0 until the tracer goes.
     # evaluation.smoothadv_pgd is gone: the mixing ratio calls
     # adversary.ascend with one point, and its PGD time stays inside the
     # evaluation.equal_confidence_mixing_ratio span. The last,
@@ -44,6 +46,7 @@ def test_benchmark_trace_finds_its_names():
     assert json.loads(out) == ["smoothcert.smoothing.forward",
                                "smoothcert.adversary.forward",
                                "smoothcert.evaluation.forward",
+                               "smoothcert.evaluation.sample_noise",
                                "smoothcert.evaluation.smoothadv_pgd",
                                "smoothcert.theory.worst_case_prob"]
 
@@ -59,6 +62,20 @@ def test_only_cli_knows_the_csv_formats():
             if "csv" in names:
                 importers.append(path.name)
     assert importers == ["cli.py"]
+
+
+def test_evaluation_imports_only_the_standard_library():
+    # `evaluate` runs on evaluation alone, without numpy, and smoothing
+    # imports it: no import of the package or of numpy, at any depth
+    path = pathlib.Path(smoothcert.__file__).resolve().parent / "evaluation.py"
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append("." * node.level + (node.module or ""))
+    assert [m for m in imports if m.startswith(".")
+            or m.split(".")[0] in ("numpy", "smoothcert")] == []
 
 
 def test_no_module_imports_a_private_name():

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothcert import cli
+from smoothcert import adversary, cli
 from smoothcert.data import Dataset
 from smoothcert.smoothing import ABSTAIN, CertifyOutcome
 from smoothcert.theory import DecayReport, DecayRow
@@ -219,9 +219,9 @@ def test_attack_demo_csv_bytes(run, monkeypatch):
         return [points[t] for t in keep], fhat[:, None], np.array([[0.1], [0.2345678912]])
 
     # the endpoint's Fhat, from one forward; J there is -log Fhat_y
-    monkeypatch.setattr(cli, "first_layer_noise", lambda params, deltas: deltas)
-    monkeypatch.setattr(cli, "ascend", ascend)
-    monkeypatch.setattr(cli, "soft_smoothed_predict",
+    monkeypatch.setattr(adversary, "first_layer_noise", lambda params, deltas: deltas)
+    monkeypatch.setattr(adversary, "ascend", ascend)
+    monkeypatch.setattr(adversary, "soft_smoothed_predict",
                         lambda params, X, noise: np.array([[0.8765432109, 0.1234567891]]))
     out = run("attack-demo", "checkpoint = absent.json\nsigma = 0.5\n"
               "alpha_step = 0.5\nsteps = 2\npoint_index = 2\n" + DATA_KEYS)

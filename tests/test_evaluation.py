@@ -12,13 +12,8 @@ from smoothcert.cli import (
     write_metrics_csv,
     write_mixratio_csv,
 )
-from smoothcert.evaluation import (
-    LAMBDA_GRID_POINTS,
-    CertifiedResultSet,
-    acr,
-    certified_accuracy_curve,
-    equal_confidence_mixing_ratio,
-)
+from smoothcert.adversary import LAMBDA_GRID_POINTS, equal_confidence_mixing_ratio
+from smoothcert.evaluation import CertifiedResultSet, acr, certified_accuracy_curve
 from smoothcert.nn import ModelParams, first_layer_noise, forward_tail
 from smoothcert.rng import StreamId
 from smoothcert.smoothing import (
